@@ -14,16 +14,7 @@ import numpy as np
 
 import diracmono as dm
 from diracmono import monotonicity as mono
-from diracmono.cli import CSV_HEADER, _fmt
-
-
-def write_csv(path, records):
-    rows = [CSV_HEADER]
-    for r in records:
-        rows.append(",".join([_fmt(r.a), _fmt(r.E), _fmt(r.dE_fd), _fmt(r.dE_hf),
-                              _fmt(r.hf_residual), _fmt(r.orth_residual),
-                              _fmt(r.w_residual), str(r.nodes)]))
-    path.write_text("\n".join(rows) + "\n")
+from diracmono.cli import records_csv
 
 
 def run(outdir):
@@ -48,7 +39,7 @@ def run(outdir):
                 print(f"  {r.a:>10.4f} {r.E:>14.10f} {r.dE_fd:>13.6e} "
                       f"{r.dE_hf:>13.6e} {r.hf_residual:>9.1e}")
             out = outdir / f"cutoff_sweep_{param}_nr{n_r}.csv"
-            write_csv(out, records)
+            out.write_text(records_csv(records))
             print(f"  wrote {out}")
 
 

@@ -5,7 +5,7 @@ Measures, for the cutoff-Coulomb ground state:
   (expected 2nd order),
 * the W residual at defaults and under simultaneous grid + step refinement,
 * the eigenvalue shift under match-radius perturbation, grid doubling, and
-  integrator tolerance tightening.
+  a denser radial step rule.
 """
 
 import math
@@ -30,7 +30,7 @@ def main():
     print("\nW residual under refinement")
     pa = mono.wavefunction_param_derivative(family, channel, 0)
     w0 = mono.w_residual(pa.center, pa, family, channel)
-    fine = dm.SolveConfig(ode_rel_tol=1e-11, n_grid=8000)
+    fine = dm.SolveConfig(step_density=10 ** 0.25, n_grid=8000)
     pa_f = mono.wavefunction_param_derivative(family, channel, 0, h=5e-4, config=fine)
     w1 = mono.w_residual(pa_f.center, pa_f, family, channel)
     print(f"  defaults: |W| = {w0:.3e};  refined grid and step: |W| = {w1:.3e}")
@@ -42,10 +42,10 @@ def main():
         ("r_match +20%", dm.SolveConfig(r_match=1.2 * r_match)),
         ("r_match -20%", dm.SolveConfig(r_match=0.8 * r_match)),
         ("grid x2", dm.SolveConfig(n_grid=8000)),
-        ("ode tol /10", dm.SolveConfig(ode_rel_tol=1e-11, ode_abs_tol=1e-13)),
+        ("step density x10^(1/4)", dm.SolveConfig(step_density=10 ** 0.25)),
     ]:
         st = dm.solve(channel, family, 0, cfg)
-        print(f"  {label:>14}: dE = {st.E - base.E:+.3e}")
+        print(f"  {label:>22}: dE = {st.E - base.E:+.3e}")
 
 
 if __name__ == "__main__":

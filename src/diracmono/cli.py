@@ -31,7 +31,6 @@ from .errors import (
     DiracmonoError,
     DomainError,
     NoSuchStateError,
-    NumericalError,
     PointwiseOrderError,
     SweepAbortedError,
     UnsupportedRegimeError,
@@ -59,16 +58,6 @@ def _fmt(x: float) -> str:
 # argument handling
 # ---------------------------------------------------------------------------
 
-_FLOAT_KEYS = ("alpha", "a", "b", "j", "mass", "from_", "to", "r_max", "r0",
-               "e_tol", "ode_rel_tol", "ode_abs_tol", "r_match", "h_step",
-               "tol_hf", "tol_orth", "tol_w", "tol_sign",
-               "alpha2", "a2", "b2")
-_INT_KEYS = ("d", "tau", "steps", "n_grid", "scan_points", "n")
-_STR_KEYS = ("family", "shape", "active", "parity", "scale", "format",
-             "output", "checks", "dump_psi", "family2", "shape2", "nr",
-             "alpha_list")
-
-
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", help="flat key=value file; flags override it")
     fam = p.add_argument_group("potential family")
@@ -89,8 +78,8 @@ def _add_common(p: argparse.ArgumentParser):
     num.add_argument("--n-grid", type=int, dest="n_grid")
     num.add_argument("--r0", type=float)
     num.add_argument("--e-tol", type=float, dest="e_tol")
-    num.add_argument("--ode-rel-tol", type=float, dest="ode_rel_tol")
-    num.add_argument("--ode-abs-tol", type=float, dest="ode_abs_tol")
+    num.add_argument("--step-density", type=float, dest="step_density",
+                     help="multiplier on the number of radial steps, in [0.4, 8]")
     num.add_argument("--scan-points", type=int, dest="scan_points")
     num.add_argument("--r-match", type=float, dest="r_match")
     out = p.add_argument_group("output")
@@ -98,7 +87,8 @@ def _add_common(p: argparse.ArgumentParser):
     out.add_argument("--format", choices=("csv", "json"))
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    """The top-level parser and its subcommand parsers by name."""
     ap = argparse.ArgumentParser(
         prog="diracmono",
         description="Radial Dirac bound states and spectral monotonicity checks",
@@ -148,7 +138,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--alpha-list", dest="alpha_list",
                    help="comma-separated alpha values (overrides --alpha)")
-    return ap
+    return ap, sub.choices
 
 
 def _load_config_file(path: str) -> dict:
@@ -172,21 +162,18 @@ def _load_config_file(path: str) -> dict:
     return values
 
 
-def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    if not getattr(args, "config", None):
-        return args
-    raw = _load_config_file(args.config)
-    for key, sval in raw.items():
-        if not hasattr(args, key):
-            continue
-        if getattr(args, key) is not None:
-            continue  # explicit flag wins
-        if key in _FLOAT_KEYS:
-            setattr(args, key, float(sval))
-        elif key in _INT_KEYS:
-            setattr(args, key, int(sval))
-        else:
-            setattr(args, key, sval)
+def _parse_args(argv) -> argparse.Namespace:
+    """Parse argv twice when --config is given: its values become string
+    defaults of the subcommand's options, which argparse types like flags,
+    and explicit flags override them. Keys naming no option are ignored."""
+    parser, subparsers = _build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        options = vars(args).keys() - {"command", "config"}
+        values = _load_config_file(args.config)
+        subparsers[args.command].set_defaults(
+            **{k: v for k, v in values.items() if k in options})
+        args = parser.parse_args(argv)
     return args
 
 
@@ -221,8 +208,8 @@ def _channel_from(args) -> ChannelSpec:
 
 def _solve_config_from(args) -> SolveConfig:
     kw = {}
-    for key in ("r_max", "n_grid", "r0", "e_tol", "ode_rel_tol",
-                "ode_abs_tol", "scan_points", "r_match"):
+    for key in ("r_max", "n_grid", "r0", "e_tol", "step_density",
+                "scan_points", "r_match"):
         val = getattr(args, key, None)
         if val is not None:
             kw[key] = val
@@ -276,7 +263,8 @@ def _write_text(path: str | None, text: str):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _records_csv(records) -> str:
+def records_csv(records) -> str:
+    """Sweep records as the CSV written by `diracmono sweep`."""
     lines = [CSV_HEADER]
     for r in records:
         lines.append(",".join([
@@ -349,7 +337,7 @@ def cmd_sweep(args) -> int:
         records = sweep(family, channel, n_r, grid, config, h=args.h_step)
     except SweepAbortedError as exc:
         if fmt == "csv":
-            text = _records_csv(exc.records) + "# ABORTED\n"
+            text = records_csv(exc.records) + "# ABORTED\n"
         else:
             doc = json.loads(_records_json(exc.records, family, channel, n_r))
             doc["aborted"] = True
@@ -359,7 +347,7 @@ def cmd_sweep(args) -> int:
         print(f"sweep aborted: {exc.cause}", file=sys.stderr)
         return EXIT_ABORTED
     if fmt == "csv":
-        _write_text(args.output, _records_csv(records))
+        _write_text(args.output, records_csv(records))
     else:
         _write_text(args.output, _records_json(records, family, channel, n_r))
     return EXIT_OK
@@ -490,10 +478,8 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        args = _merge_config(args)
+        args = _parse_args(argv)
         return _DISPATCH[args.command](args)
     except (ConfigurationError, DomainError, UnsupportedRegimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -507,7 +493,7 @@ def main(argv=None) -> int:
     except SweepAbortedError as exc:  # only reachable outside cmd_sweep
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ABORTED
-    except (NumericalError, DiracmonoError) as exc:
+    except DiracmonoError as exc:  # NumericalError and any other package error
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

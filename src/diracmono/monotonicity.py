@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import (
     ConfigurationError,
+    DiracmonoError,
     LevelCrossingError,
     NoSuchStateError,
     PointwiseOrderError,
@@ -119,22 +120,40 @@ def _default_step(a: float) -> float:
     return max(1e-4, 1e-3 * abs(a))
 
 
-def _stencil_families(family: PotentialFamily, offsets):
+def _stencil_point(family: PotentialFamily, channel: ChannelSpec, n_r: int,
+                   a: float | None, h: float | None, config: SolveConfig | None):
+    """One batched solve of the parameter stencil a, a -+ h, a -+ h/2 on a
+    shared grid, so grid bias cancels in the differences. Returns the centre
+    state, dE/da from steps h and h/2 Richardson-combined to 4th order, and
+    the central-difference (psi1_a, psi2_a). A level not resolvable at every
+    point, or diverging grids, raise LevelCrossingError."""
     p = family.active_param
-    a0 = family.params[p]
-    return [family.with_params(**{p: a0 + d}) for d in offsets]
-
-
-def _solve_stencil(channel, families, n_r, config, dense_flags, e_tol):
+    a = family.params[p] if a is None else float(a)
+    h = _default_step(a) if h is None else h
+    fams = [family.with_params(**{p: a + d}) for d in (0.0, -h, h, -h / 2, h / 2)]
+    e_tol = min((config or SolveConfig()).e_tol, 1e-13)
     try:
-        return solve_batch(channel, families, [n_r], config,
-                           dense_flags=dense_flags, e_tol=e_tol)
+        res = solve_batch(channel, fams, [n_r], config,
+                          dense_flags=[True, True, True, False, False], e_tol=e_tol)
     except NoSuchStateError as exc:
-        vals = [f.params[f.active_param] for f in families]
+        vals = [f.params[p] for f in fams]
         raise LevelCrossingError(
             f"state n_r={n_r} is not resolvable at every stencil point "
-            f"{vals} of parameter {families[0].active_param!r}: {exc}"
+            f"{vals} of parameter {p!r}: {exc}"
         ) from exc
+    st, st_m, st_p = res[0][n_r], res[1][n_r], res[2][n_r]
+    e_m2, e_p2 = res[3][n_r].E, res[4][n_r].E
+    if not (np.array_equal(st.grid, st_m.grid) and np.array_equal(st.grid, st_p.grid)):
+        raise LevelCrossingError(
+            f"stencil solves landed on different grids at a = {a:g}; energies "
+            f"moved too far across the parameter step"
+        )
+    d1 = (st_p.E - st_m.E) / (2 * h)
+    d2 = (e_p2 - e_m2) / h
+    psi_a = PsiParamDerivative(center=st,
+                               psi1a=(st_p.psi1 - st_m.psi1) / (2 * h),
+                               psi2a=(st_p.psi2 - st_m.psi2) / (2 * h), h=h)
+    return st, (4 * d2 - d1) / 3, psi_a
 
 
 def hf_derivative(state: BoundState, family: PotentialFamily) -> float:
@@ -153,22 +172,10 @@ def fd_derivative(family: PotentialFamily, channel: ChannelSpec, n_r: int,
                   config: SolveConfig | None = None) -> float:
     """Richardson-extrapolated central difference of E(active parameter).
 
-    Combines steps h and h/2 into a 4th-order estimate. All four solves share
-    one radial grid, so the grid bias of E cancels in the differences. A node
-    label that cannot be resolved at every stencil point raises
-    LevelCrossingError rather than bridging different branches.
+    Combines steps h and h/2 into a 4th-order estimate from the parameter
+    stencil's shared-grid batch solve (see _stencil_point).
     """
-    p = family.active_param
-    a = family.params[p] if a is None else a
-    h = _default_step(a) if h is None else h
-    fam0 = family.with_params(**{p: a})
-    fams = _stencil_families(fam0, [-h, -h / 2, h / 2, h])
-    e_tol = min((config or SolveConfig()).e_tol, 1e-13)
-    res = _solve_stencil(channel, fams, n_r, config, [False] * 4, e_tol)
-    e_m, e_m2, e_p2, e_p = (res[i][n_r].E for i in range(4))
-    d1 = (e_p - e_m) / (2 * h)
-    d2 = (e_p2 - e_m2) / h
-    return (4 * d2 - d1) / 3
+    return _stencil_point(family, channel, n_r, a, h, config)[1]
 
 
 def wavefunction_param_derivative(family: PotentialFamily, channel: ChannelSpec,
@@ -181,22 +188,7 @@ def wavefunction_param_derivative(family: PotentialFamily, channel: ChannelSpec,
     and the solver's sign convention keeps all three states phase-aligned, so
     the plain difference quotient is meaningful pointwise.
     """
-    p = family.active_param
-    a = family.params[p] if a is None else a
-    h = _default_step(a) if h is None else h
-    fam0 = family.with_params(**{p: a})
-    fams = _stencil_families(fam0, [0.0, -h, h])
-    e_tol = min((config or SolveConfig()).e_tol, 1e-13)
-    res = _solve_stencil(channel, fams, n_r, config, [True] * 3, e_tol)
-    st, st_m, st_p = (res[i][n_r] for i in range(3))
-    if not (np.array_equal(st.grid, st_m.grid) and np.array_equal(st.grid, st_p.grid)):
-        raise LevelCrossingError(
-            "stencil solves landed on different grids; energies moved too far "
-            "across the parameter step"
-        )
-    psi1a = (st_p.psi1 - st_m.psi1) / (2 * h)
-    psi2a = (st_p.psi2 - st_m.psi2) / (2 * h)
-    return PsiParamDerivative(center=st, psi1a=psi1a, psi2a=psi2a, h=h)
+    return _stencil_point(family, channel, n_r, a, h, config)[2]
 
 
 def orthogonality_residual(state: BoundState, psi_a: PsiParamDerivative) -> float:
@@ -247,41 +239,20 @@ def sweep(family: PotentialFamily, channel: ChannelSpec, n_r: int, a_grid,
     """E(a) sweep with both derivative estimates and residuals per point.
 
     Level identity is tracked by node count within the fixed channel. A
-    failure at any point aborts the sweep, raising SweepAbortedError with the
-    records accumulated so far attached.
+    package error (DiracmonoError) at any point aborts the sweep, raising
+    SweepAbortedError with the records accumulated so far attached; any
+    other exception propagates unwrapped.
     """
     a_grid = np.asarray(a_grid, dtype=float)
     if a_grid.ndim != 1 or a_grid.size < 2:
         raise ConfigurationError("a sweep needs at least 2 parameter points")
     if np.any(np.diff(a_grid) <= 0):
         raise ConfigurationError("sweep grid must be strictly increasing")
-    p = family.active_param
     records: list[SweepRecord] = []
     for a in a_grid:
         try:
-            ha = _default_step(a) if h is None else h
-            fam0 = family.with_params(**{p: float(a)})
-            fams = _stencil_families(fam0, [0.0, -ha, ha, -ha / 2, ha / 2])
-            e_tol = min((config or SolveConfig()).e_tol, 1e-13)
-            res = _solve_stencil(channel, fams, n_r, config,
-                                 [True, True, True, False, False], e_tol)
-            st, st_m, st_p = res[0][n_r], res[1][n_r], res[2][n_r]
-            e_m2, e_p2 = res[3][n_r].E, res[4][n_r].E
-            if not (np.array_equal(st.grid, st_m.grid)
-                    and np.array_equal(st.grid, st_p.grid)):
-                raise LevelCrossingError(
-                    f"stencil grids diverged at a = {a:g}"
-                )
-            d1 = (st_p.E - st_m.E) / (2 * ha)
-            d2 = (e_p2 - e_m2) / ha
-            de_fd = (4 * d2 - d1) / 3
-            de_hf = hf_derivative(st, fam0)
-            psi_a = PsiParamDerivative(
-                center=st,
-                psi1a=(st_p.psi1 - st_m.psi1) / (2 * ha),
-                psi2a=(st_p.psi2 - st_m.psi2) / (2 * ha),
-                h=ha,
-            )
+            st, de_fd, psi_a = _stencil_point(family, channel, n_r, a, h, config)
+            de_hf = hf_derivative(st, st.family)
             records.append(SweepRecord(
                 a=float(a),
                 E=st.E,
@@ -289,10 +260,10 @@ def sweep(family: PotentialFamily, channel: ChannelSpec, n_r: int, a_grid,
                 dE_hf=de_hf,
                 hf_residual=abs(de_fd - de_hf),
                 orth_residual=orthogonality_residual(st, psi_a),
-                w_residual=w_residual(st, psi_a, fam0, channel),
+                w_residual=w_residual(st, psi_a, st.family, channel),
                 nodes=st.nodes,
             ))
-        except Exception as exc:
+        except DiracmonoError as exc:
             raise SweepAbortedError(
                 f"sweep aborted at a = {a:g}: {exc}", records, cause=exc
             ) from exc

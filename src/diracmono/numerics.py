@@ -85,7 +85,7 @@ def _fornberg(x: np.ndarray, x0: float, m: int) -> np.ndarray:
     return c[:, m]
 
 
-def derivative_weights(r: np.ndarray, stencil: int = 5) -> tuple[np.ndarray, np.ndarray]:
+def derivative_weights(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First-derivative stencil table on an arbitrary strictly increasing grid.
 
     Returns (weights, offsets): weights[i, :] applied to f[offsets[i, :]] gives
@@ -96,19 +96,8 @@ def derivative_weights(r: np.ndarray, stencil: int = 5) -> tuple[np.ndarray, np.
     """
     r = np.asarray(r, dtype=float)
     n = r.size
-    if n < stencil:
-        raise ValueError(f"grid too short for a {stencil}-point stencil")
-    if stencil != 5:
-        half = stencil // 2
-        weights = np.empty((n, stencil))
-        offsets = np.empty((n, stencil), dtype=np.intp)
-        for i in range(n):
-            lo = min(max(i - half, 0), n - stencil)
-            idx = np.arange(lo, lo + stencil)
-            offsets[i] = idx
-            weights[i] = _fornberg(r[idx], r[i], 1)
-        return weights, offsets
-
+    if n < 5:
+        raise ValueError("grid too short for a 5-point stencil")
     weights = np.empty((n, 5))
     offsets = (np.clip(np.arange(n), 2, n - 3)[:, None]
                + np.arange(-2, 3)[None, :]).astype(np.intp)

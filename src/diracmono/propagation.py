@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernel
+from .errors import NumericalError
 from .numerics import expm_traceless_2x2
 
 _SQRT3 = np.sqrt(3.0)
@@ -49,7 +49,6 @@ class StepTable:
     family-dependent ingredient of the coefficient matrix.
     """
 
-    param: str              # "log" or "lin"
     k: float
     m: float
     r_nodes: np.ndarray     # (S+1,)
@@ -57,15 +56,10 @@ class StepTable:
     rmul: np.ndarray        # (S, 2) dr/dx at the two gauss nodes
     w: np.ndarray           # (S, 2, F)
     i_match: int
-    n_fam: int
 
     @property
     def n_steps(self) -> int:
         return self.h.size
-
-    @property
-    def r_match(self) -> float:
-        return float(self.r_nodes[self.i_match])
 
 
 def march_nodes(x_lo: float, x_hi: float, h_of_x, x_breaks=()) -> np.ndarray:
@@ -139,9 +133,8 @@ def build_step_table(param: str, k: float, m: float, families,
     flat = rg.reshape(-1)
     for f, fam in enumerate(families):
         w[:, :, f] = (rmul * fam.evaluate(flat).reshape(rg.shape))
-    return StepTable(param=param, k=float(k), m=float(m), r_nodes=r_nodes,
-                     h=h, rmul=rmul, w=w, i_match=int(i_match),
-                     n_fam=len(families))
+    return StepTable(k=float(k), m=float(m), r_nodes=r_nodes, h=h, rmul=rmul,
+                     w=w, i_match=int(i_match))
 
 
 # ---------------------------------------------------------------------------
@@ -204,65 +197,17 @@ def propagate(table: StepTable, fam_idx, E, y0, i_from: int, i_to: int,
     which makes the per-step unwrapping exact. This angle is what eigenvalue
     counting is built on.
 
-    Dispatches to the compiled kernel when numba is present, and otherwise
-    to the step-parallel numpy scan. The test suite checks the scan, and the
-    kernel where numba is installed, against a sequential step-by-step
+    The steps are evaluated as a step-parallel scan: the step matrices of a
+    whole segment of steps at once, then a blocked prefix scan for its node
+    states (see _scan_states). Segments hold at most _SCAN_ELEMENTS
+    step-batch pairs, which bounds the memory of very large batches; they are
+    taken in traversal order, each starting from the last state of the one
+    before. The test suite checks the scan against a sequential step-by-step
     reference (tests/reference_propagator.py).
     """
     if record and phase:
         raise ValueError("record and phase modes are mutually exclusive")
     E = np.asarray(E, dtype=float)
-    if _kernel.HAVE_NUMBA:
-        return _propagate_kernel(table, fam_idx, E, y0, i_from, i_to, record, phase)
-    return _propagate_numpy(table, fam_idx, E, y0, i_from, i_to, record, phase)
-
-
-def _propagate_kernel(table, fam_idx, E, y0, i_from, i_to, record, phase):
-    shape = E.shape
-    if fam_idx is None:
-        flat_idx = np.repeat(np.arange(table.n_fam, dtype=np.int64),
-                             E.size // max(table.n_fam, 1))
-    else:
-        flat_idx = np.asarray(fam_idx, dtype=np.int64).ravel()
-    e_flat = E.ravel().copy()
-    y1 = np.array(np.broadcast_to(y0[0], shape), dtype=float).ravel()
-    y2 = np.array(np.broadcast_to(y0[1], shape), dtype=float).ravel()
-    n_rec = abs(i_to - i_from) + 1
-    if record:
-        rec1 = np.empty((n_rec, e_flat.size))
-        rec2 = np.empty((n_rec, e_flat.size))
-        logs = np.empty((n_rec, e_flat.size))
-    else:
-        rec1 = rec2 = logs = np.empty((1, 1))
-    th = np.zeros(e_flat.size) if phase else np.empty(0)
-    if phase:
-        th[:] = np.arctan2(y2, y1)
-    status = _kernel.propagate_flat(
-        table.h, table.rmul[:, 0], table.rmul[:, 1], table.w, flat_idx,
-        table.k, table.m, e_flat, y1, y2, i_from, i_to, phase, record,
-        rec1, rec2, logs, th)
-    if status:
-        raise RuntimeError(
-            f"step {status - 1} rotates the solution too fast for phase "
-            f"tracking; the step rule is too coarse"
-        )
-    out = (y1.reshape(shape), y2.reshape(shape))
-    if record:
-        if i_to < i_from:
-            rec1, rec2, logs = rec1[::-1], rec2[::-1], logs[::-1]
-        full = (n_rec, *shape)
-        return out, rec1.reshape(full), rec2.reshape(full), logs.reshape(full)
-    if phase:
-        return out, th.reshape(shape)
-    return out
-
-
-def _propagate_numpy(table, fam_idx, E, y0, i_from, i_to, record, phase):
-    """Step-parallel form of the propagation: the step matrices of a whole
-    segment of steps at once, then a blocked prefix scan for its node states
-    (see _scan_states). Segments hold at most _SCAN_ELEMENTS step-batch
-    pairs, which bounds the memory of very large batches; they are taken in
-    traversal order, each starting from the last state of the one before."""
     outward = i_to >= i_from
     steps = (np.arange(i_from, i_to) if outward
              else np.arange(i_from - 1, i_to - 1, -1))
@@ -307,7 +252,7 @@ def _check_rotation(steps, oa, ob, oc):
     bad = np.nonzero(wosc > 8.7)[0]  # 2.95^2: a step rotated too far to unwrap
     if bad.size:
         j = bad[0]
-        raise RuntimeError(
+        raise NumericalError(
             f"step {steps[j]} rotates the solution too fast for phase "
             f"tracking (w^2 = {wosc[j]:.3f}); the step rule is too coarse"
         )

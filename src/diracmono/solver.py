@@ -123,15 +123,16 @@ class SolveConfig:
     n_grid: int = 4000
     r0: float | None = None
     e_tol: float = 1e-10
-    ode_rel_tol: float = 1e-10
-    ode_abs_tol: float = 1e-12
+    step_density: float = 1.0   # multiplies the number of radial steps
     scan_points: int = 200
     r_match: float | None = None
 
     def __post_init__(self):
-        for name in ("e_tol", "ode_rel_tol", "ode_abs_tol"):
-            if not getattr(self, name) > 0:
-                raise ConfigurationError(f"{name} must be positive")
+        if not self.e_tol > 0:
+            raise ConfigurationError("e_tol must be positive")
+        if not 0.4 <= self.step_density <= 8.0:
+            raise ConfigurationError(
+                f"step_density must lie in [0.4, 8], got {self.step_density}")
         if self.scan_points < 8:
             raise ConfigurationError("scan_points must be at least 8")
         if self.n_grid < 200:
@@ -142,11 +143,6 @@ class SolveConfig:
             raise ConfigurationError("r0 must be positive")
         if self.r0 is not None and self.r_max is not None and not self.r0 < self.r_max:
             raise ConfigurationError("r0 must be smaller than r_max")
-
-    @property
-    def density(self) -> float:
-        """Step-density multiplier derived from the integrator tolerance."""
-        return float(np.clip((1e-10 / self.ode_rel_tol) ** 0.25, 0.4, 8.0))
 
 
 DEFAULT_CONFIG = SolveConfig()
@@ -164,7 +160,6 @@ class InnerProductScheme:
     grid: np.ndarray
     weights: np.ndarray
     measure_factor: float = 1.0
-    rule: str = "simpson"
 
     @classmethod
     def for_grid(cls, grid: np.ndarray, measure_factor: float = 1.0):
@@ -275,8 +270,8 @@ def origin_seed(channel: ChannelSpec, family: PotentialFamily, E: float, r0: flo
     """Regular-solution start values (psi1(r0), psi2(r0)) for d > 1.
 
     Leading Frobenius term only; r0 must be small enough that the first
-    dropped correction is below 1e-8 relative (checked). The overall scale is
-    arbitrary since matching is scale-invariant.
+    dropped correction is below 1e-8 relative (checked). This is the solver's
+    batched seed with its dropped scale restored.
     """
     if channel.d == 1:
         raise ConfigurationError("origin_seed applies to d > 1; d = 1 seeds are parity seeds")
@@ -288,36 +283,26 @@ def origin_seed(channel: ChannelSpec, family: PotentialFamily, E: float, r0: flo
             f"r0 = {r0:g} too large for the leading-order origin seed "
             f"(estimated dropped term {corr:.2e} > {SEED_CORRECTION_TOL:g})"
         )
-    k, m = channel.k, channel.m
+    c1, c2 = _origin_seed_fn(channel, [family], r0)(np.asarray([E], dtype=float),
+                                                    np.zeros(1, dtype=np.intp))
     if family.origin_class.is_singular:
-        alpha = family.origin_class.strength
-        g = _coulomb_gamma(k, alpha)
-        psi1 = r0**g
-        psi2 = ((g + k) / alpha) * r0**g
-        return psi1, psi2
-    v0 = family.origin_value()
-    if k > 0:
-        psi2 = r0**k
-        psi1 = (E - v0 + m) * r0 ** (k + 1) / (2 * k + 1)
+        scale = r0 ** _coulomb_gamma(channel.k, family.origin_class.strength)
     else:
-        ak = -k
-        psi1 = r0**ak
-        psi2 = (v0 + m - E) * r0 ** (ak + 1) / (2 * ak + 1)
-    return psi1, psi2
+        scale = r0 ** abs(channel.k)
+    return float(c1[0]) * scale, float(c2[0]) * scale
 
 
-def tail_seed(channel: ChannelSpec, E: float, r_end: float):
+def tail_seed(channel: ChannelSpec, E: float):
     """Decaying asymptotic direction (psi1, psi2) = (1, -sqrt((m-E)/(m+E))).
 
-    Valid where the potential is negligible at r_end; the solver starts far
-    enough out that any seed imperfection decays by ~e^-80 before the match
-    radius.
+    Valid where the potential is negligible; the solver starts far enough out
+    that any seed imperfection decays by ~e^-80 before the match radius.
     """
     m = channel.m
     if not -m < E < m:
         raise DomainError(f"no bound-state tail outside the gap: E = {E}, m = {m}")
-    del r_end  # the asymptotic ratio is r-independent
-    return 1.0, -math.sqrt((m - E) / (m + E))
+    y1, y2 = _tail_seed_fn(channel)(E, None)
+    return float(y1), float(y2)
 
 
 # ---------------------------------------------------------------------------
@@ -325,9 +310,10 @@ def tail_seed(channel: ChannelSpec, E: float, r_end: float):
 # ---------------------------------------------------------------------------
 
 def _origin_seed_fn(channel: ChannelSpec, families, r0: float):
-    """Vectorized origin seeds seed(E, fam_idx); the common r0^|k| scale is
-    dropped (matching is scale-invariant). fam_idx = None means the (F, nE)
-    scan layout, otherwise it maps flat batch elements to families."""
+    """Vectorized origin seeds seed(E, fam_idx); the scale r0^gamma (singular
+    origin) or r0^|k| (regular origin) is dropped, since matching is
+    scale-invariant. fam_idx = None means the (F, nE) scan layout, otherwise
+    it maps flat batch elements to families."""
     k, m = channel.k, channel.m
     if channel.d == 1:
         v = (1.0, 0.0) if channel.parity == "even" else (0.0, 1.0)
@@ -390,6 +376,7 @@ class _Domain:
 
 
 def _vmax_fn(families):
+    """Envelope max_f |V_f(r)| of a family batch."""
     def vmax(r):
         r = np.asarray(r, dtype=float)
         vals = np.stack([np.abs(f.evaluate(r)) for f in families])
@@ -398,19 +385,22 @@ def _vmax_fn(families):
     return vmax
 
 
-def _auto_r_match(channel, families, r_lo, r_max):
+def _turning_radius(vmax, lo, hi, n, threshold):
+    """Last of n geometric probe radii in [lo, hi] where the envelope vmax
+    reaches threshold, or None where it stays below it everywhere."""
+    probe = np.geomspace(lo, hi, n)
+    inside = np.nonzero(vmax(probe) >= threshold)[0]
+    return float(probe[inside[-1]]) if inside.size else None
+
+
+def _auto_r_match(channel, families, vmax, r_lo, r_max):
     """Radius where the worst-case |V| falls through m (where the sign of the
     psi2' coefficient V + m - E changes character near mid-gap); capped well
     inside the domain so the outward pass never spans many forbidden e-folds."""
     m = channel.m
-    vmax = _vmax_fn(families)
-    probe = np.geomspace(max(r_lo * 4, 1e-12), r_max / 3, 400)
-    deep = vmax(probe) >= m
-    if deep.any():
-        r_star = float(probe[np.nonzero(deep)[0][-1]])
-    else:
-        r_scale = max(f.length_scale(m) for f in families)
-        r_star = 4.0 * r_scale
+    r_star = _turning_radius(vmax, max(r_lo * 4, 1e-12), r_max / 3, 400, m)
+    if r_star is None:
+        r_star = 4.0 * max(f.length_scale(m) for f in families)
     return float(min(max(r_star, r_lo * 40, 1e-6 / m), r_max / 3))
 
 
@@ -432,7 +422,7 @@ def _initial_r_max(channel, families, n_r_max: int) -> float:
     return min(base, _R_MAX_CAP / m)
 
 
-def _resolve_domain(channel, families, config, r_max_override=None,
+def _resolve_domain(channel, families, vmax, config, r_max_override=None,
                     n_r_max: int = 0) -> _Domain:
     m = channel.m
     r_max = (r_max_override or config.r_max
@@ -449,7 +439,8 @@ def _resolve_domain(channel, families, config, r_max_override=None,
         r_seed = config.r0
     else:
         r_seed = min(_seed_radius(channel, families), 1e-6 * r_max)
-    r_match = config.r_match or _auto_r_match(channel, families, max(r_seed, 1e-12), r_max)
+    r_match = config.r_match or _auto_r_match(channel, families, vmax,
+                                              max(r_seed, 1e-12), r_max)
     if not (r_seed < r_match < r_max):
         raise ConfigurationError(
             f"need r0 < r_match < r_max, got {r_seed:g}, {r_match:g}, {r_max:g}"
@@ -458,10 +449,9 @@ def _resolve_domain(channel, families, config, r_max_override=None,
                    param="lin" if channel.d == 1 else "log")
 
 
-def _coarse_rate(channel, families):
+def _coarse_rate(channel, vmax):
     """Worst-case-over-the-gap local rate per unit radius."""
     m = channel.m
-    vmax = _vmax_fn(families)
 
     def rate(r):
         v = vmax(r)
@@ -470,7 +460,7 @@ def _coarse_rate(channel, families):
     return rate
 
 
-def _band_rate(channel, families, e_band):
+def _band_rate(channel, vmax, e_band):
     """Local rate per unit radius for energies inside [e_band[0], e_band[1]].
 
     Besides the local wave/decay rate, an Airy-layer term (2m|V'|)^(1/3)
@@ -478,7 +468,6 @@ def _band_rate(channel, families, e_band):
     vanishes but the solution still bends.
     """
     m = channel.m
-    vmax = _vmax_fn(families)
     e1, e2 = e_band
 
     def rate(r):
@@ -502,38 +491,27 @@ def _h_rule(channel, domain, rate_r, c_step, density):
         x_probe = np.log(r_probe)
         rate_x = k + r_probe * np.asarray(rate_r(r_probe), dtype=float)
         h_probe = np.minimum(0.35, c_step / rate_x) / density
-
-        def h_of_x(x):
-            return float(np.interp(x, x_probe, h_probe))
     else:
         x_probe = np.linspace(max(domain.r_seed, 1e-12), domain.r_max, n_probe)
         rate_x = np.asarray(rate_r(x_probe), dtype=float)
         h_probe = np.minimum(0.35 / max(channel.m, 1e-12), c_step / rate_x) / density
 
-        def h_of_x(x):
-            return float(np.interp(x, x_probe, h_probe))
+    def h_of_x(x):
+        return float(np.interp(x, x_probe, h_probe))
+
     return h_of_x
 
 
-def _make_table(channel, families, domain, h_of_x):
+def _make_table(channel, families, domain, place_nodes, spacing):
+    """Step table over the domain with a node at r_match. place_nodes is
+    prop.march_nodes (spacing: the step rule h(x)) or prop.uniform_nodes
+    (spacing: the node count)."""
     if domain.param == "log":
         x_lo, x_hi = math.log(domain.r_seed), math.log(domain.r_max)
         x_match = math.log(domain.r_match)
     else:
         x_lo, x_hi, x_match = 0.0, domain.r_max, domain.r_match
-    nodes = prop.march_nodes(x_lo, x_hi, h_of_x, x_breaks=[x_match])
-    i_match = int(np.argmin(np.abs(nodes - x_match)))
-    return prop.build_step_table(domain.param, channel.k, channel.m,
-                                 families, nodes, i_match)
-
-
-def _make_output_table(channel, families, domain, n_grid):
-    if domain.param == "log":
-        x_lo, x_hi = math.log(domain.r_seed), math.log(domain.r_max)
-        x_match = math.log(domain.r_match)
-    else:
-        x_lo, x_hi, x_match = 0.0, domain.r_max, domain.r_match
-    nodes = prop.uniform_nodes(x_lo, x_hi, n_grid, x_breaks=[x_match])
+    nodes = place_nodes(x_lo, x_hi, spacing, x_breaks=[x_match])
     i_match = int(np.argmin(np.abs(nodes - x_match)))
     return prop.build_step_table(domain.param, channel.k, channel.m,
                                  families, nodes, i_match)
@@ -561,11 +539,13 @@ class _Workspace:
         self.channel = channel
         self.families = list(families)
         self.config = config
-        self.domain = _resolve_domain(channel, families, config, r_max_override,
-                                      n_r_max=n_r_max)
-        h_coarse = _h_rule(channel, self.domain, _coarse_rate(channel, families),
-                           _COARSE_C, config.density)
-        self.coarse = _make_table(channel, families, self.domain, h_coarse)
+        self.vmax = _vmax_fn(families)
+        self.domain = _resolve_domain(channel, families, self.vmax, config,
+                                      r_max_override, n_r_max=n_r_max)
+        h_coarse = _h_rule(channel, self.domain, _coarse_rate(channel, self.vmax),
+                           _COARSE_C, config.step_density)
+        self.coarse = _make_table(channel, families, self.domain,
+                                  prop.march_nodes, h_coarse)
         self._fine = {}
         self._seed_cache = None
 
@@ -642,10 +622,9 @@ class _Workspace:
         lam = math.sqrt(max(m * m - energy * energy, 0.0))
         if lam == 0.0:
             return False
-        vmax = _vmax_fn(self.families)
-        probe = np.geomspace(max(self.domain.r_seed, 1e-12) * 2, self.domain.r_max, 300)
-        inside = vmax(probe) >= (m - energy)
-        r_to = float(probe[np.nonzero(inside)[0][-1]]) if inside.any() else probe[0]
+        r_lo = max(self.domain.r_seed, 1e-12) * 2
+        r_to = _turning_radius(self.vmax, r_lo, self.domain.r_max, 300,
+                               m - energy) or r_lo
         return lam * (self.domain.r_max - r_to) >= HEADROOM_EFOLDS
 
     # -- fine + dense stages --------------------------------------------------
@@ -658,11 +637,9 @@ class _Workspace:
         """
         m = self.channel.m
         lam = min(math.sqrt(max(m * m - e * e, 1e-12)) for e in e_band)
-        vmax = _vmax_fn(self.families)
-        probe = np.geomspace(max(self.domain.r_seed, 1e-12) * 2,
-                             self.domain.r_max, 300)
-        inside = vmax(probe) >= max(m - max(e_band), 1e-12)
-        r_to = float(probe[np.nonzero(inside)[0][-1]]) if inside.any() else probe[0]
+        r_lo = max(self.domain.r_seed, 1e-12) * 2
+        r_to = _turning_radius(self.vmax, r_lo, self.domain.r_max, 300,
+                               max(m - max(e_band), 1e-12)) or r_lo
         r_need = r_to + (HEADROOM_EFOLDS + 9.0) / lam
         r_max = min(self.domain.r_max,
                     max(r_need, 4.0 * self.domain.r_match, 30.0 / m))
@@ -675,10 +652,10 @@ class _Workspace:
         if key not in self._fine:
             c_fine = _FINE_C if domain.param == "log" else _FINE_C_LIN
             h_fine = _h_rule(self.channel, domain,
-                             _band_rate(self.channel, self.families, e_band),
-                             c_fine, self.config.density)
+                             _band_rate(self.channel, self.vmax, e_band),
+                             c_fine, self.config.step_density)
             self._fine[key] = _make_table(self.channel, self.families,
-                                          domain, h_fine)
+                                          domain, prop.march_nodes, h_fine)
         return self._fine[key]
 
     def fine_eigenvalues(self, fam_is, e_centers, targets, e_tol=None):
@@ -736,7 +713,8 @@ class _Workspace:
         """Record, normalize and package BoundStates for accepted eigenvalues."""
         ch, cfg = self.channel, self.config
         domain = domain or self.domain
-        out_table = _make_output_table(ch, self.families, domain, cfg.n_grid)
+        out_table = _make_table(ch, self.families, domain, prop.uniform_nodes,
+                                cfg.n_grid)
         seed_o, seed_t = self.seeds()
         fam_idx = np.asarray(fam_is, dtype=np.intp)
         energies = np.asarray(energies, dtype=float)
@@ -842,7 +820,7 @@ def solve_batch(channel: ChannelSpec, families, n_r_values, config: SolveConfig 
         # A missing state can only appear at larger r_max if the potential
         # tail at the current wall can still bind within scan resolution.
         # An explicitly configured r_max pins the domain and is never grown.
-        v_edge = float(_vmax_fn(families)(np.asarray(ws.domain.r_max)))
+        v_edge = float(ws.vmax(np.asarray(ws.domain.r_max)))
         tail_dead = v_edge < 0.3 * GAP_EDGE_FRACTION * channel.m
         exhausted = (round_ == _MAX_ENLARGE or ws.domain.r_max >= r_cap
                      or config.r_max is not None
@@ -915,10 +893,12 @@ def solve(channel: ChannelSpec, family: PotentialFamily, n_r: int,
           config: SolveConfig | None = None) -> BoundState:
     """Bound state with n_r nodes of psi1 in the given channel.
 
-    Scans the whole gap, brackets every match-function sign change, refines
-    by bisection, and returns the normalized, sign-fixed state whose node
-    count equals n_r. Raises NoSuchStateError (listing what was found) if the
-    requested state does not exist.
+    Counts eigenvalues over the whole gap from the matching phase, which
+    passes a multiple of pi at each one, brackets the n_r-th by that count,
+    narrows the bracket by count-preserving bisection, and returns the
+    normalized, sign-fixed state whose node count equals n_r. Raises
+    NoSuchStateError (listing what was found) if the requested state does not
+    exist.
     """
     return solve_batch(channel, [family], [n_r], config)[0][n_r]
 

@@ -13,6 +13,7 @@ and exists only as the oracle the tests compare against.
 import numpy as np
 
 from diracmono import propagation as prop
+from diracmono.errors import NumericalError
 from diracmono.numerics import expm_traceless_2x2
 
 _TINY = 1e-300
@@ -53,7 +54,7 @@ def propagate_sequential(table, fam_idx, E, y0, i_from, i_to,
             q = oa * oa + ob * oc
             wosc = np.max(-q)
             if wosc > 8.7:  # 2.95^2: a step rotated too far to unwrap
-                raise RuntimeError(
+                raise NumericalError(
                     f"step {i} rotates the solution too fast for phase "
                     f"tracking (w^2 = {wosc:.3f}); the step rule is too coarse"
                 )

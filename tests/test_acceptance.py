@@ -146,7 +146,7 @@ def test_criterion_5_w_residual():
         pa = mono.wavefunction_param_derivative(fam, CH, n_r)
         w_vals[n_r] = mono.w_residual(pa.center, pa, fam, CH)
         _track(pa.center)
-    cfg = dm.SolveConfig(ode_rel_tol=1e-11, n_grid=8000)
+    cfg = dm.SolveConfig(step_density=10 ** 0.25, n_grid=8000)
     pa_fine = mono.wavefunction_param_derivative(fam, CH, 0, h=5e-4, config=cfg)
     w_fine = mono.w_residual(pa_fine.center, pa_fine, fam, CH)
     ok = all(w <= 1e-4 for w in w_vals.values()) and w_fine < w_vals[0]
@@ -213,7 +213,7 @@ def test_criterion_8_numerical_robustness():
         "r_match +20%": dm.SolveConfig(r_match=r_match * 1.2),
         "r_match -20%": dm.SolveConfig(r_match=r_match * 0.8),
         "grid x2": dm.SolveConfig(n_grid=8000),
-        "ode tol /10": dm.SolveConfig(ode_rel_tol=1e-11, ode_abs_tol=1e-13),
+        "step density x10^(1/4)": dm.SolveConfig(step_density=10 ** 0.25),
     }
     max_shift = 0.0
     verdicts_ok = base_status == "pass"
@@ -224,8 +224,8 @@ def test_criterion_8_numerical_robustness():
         verdicts_ok = verdicts_ok and verdict_status(cfg) == "pass"
     ok = verdicts_ok and max_shift <= 10 * e_tol
     _report(8, "numerical robustness",
-            ok, f"verdicts stable under r_match +-20%, grid doubling, ode "
-                f"tolerance x10; max eigenvalue shift {max_shift:.2e} <= "
+            ok, f"verdicts stable under r_match +-20%, grid doubling, step "
+                f"density x10^(1/4); max eigenvalue shift {max_shift:.2e} <= "
                 f"{10 * e_tol:.0e}")
     assert ok
 

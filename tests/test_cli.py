@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from diracmono.cli import CSV_HEADER, main
 
 CHAN = ["--d", "3", "--tau", "-1", "--j", "0.5"]
@@ -223,6 +225,17 @@ def test_config_file_precedence(tmp_path, capsys):
     assert code == 0
     e_cli = float([ln for ln in out.splitlines() if ln.startswith("E = ")][0].split("=")[1])
     assert abs(e_cli - 0.4358898943540673) < 1e-6
+
+
+def test_malformed_config_value_is_usage_error(tmp_path, capsys):
+    # a file value is typed like the flag it stands for: exit 2, no traceback
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("family = pure-coulomb\nalpha = abc\nd = 3\ntau = -1\n"
+                   "j = 0.5\nnr = 0\n")
+    with pytest.raises(SystemExit) as exc_info:
+        main(["solve", "--config", str(cfg)])
+    assert exc_info.value.code == 2
+    assert "--alpha" in capsys.readouterr().err
 
 
 def test_supercritical_is_config_error(capsys):

@@ -114,7 +114,7 @@ def test_w_residual_small_and_corruption_control(channel_s, cutoff_family):
 def test_w_residual_shrinks_under_refinement(channel_s, cutoff_family):
     pa0 = mono.wavefunction_param_derivative(cutoff_family, channel_s, 0, h=4e-3)
     w0 = mono.w_residual(pa0.center, pa0, cutoff_family, channel_s)
-    cfg = dm.SolveConfig(ode_rel_tol=1e-11, n_grid=8000)
+    cfg = dm.SolveConfig(step_density=10 ** 0.25, n_grid=8000)
     pa1 = mono.wavefunction_param_derivative(cutoff_family, channel_s, 0,
                                              h=2e-3, config=cfg)
     w1 = mono.w_residual(pa1.center, pa1, cutoff_family, channel_s)
@@ -171,6 +171,21 @@ def test_sweep_abort_attaches_partial_records(channel_s):
     aborted = exc_info.value
     assert len(aborted.records) == 2  # alpha = 0.8 and 0.9 precede the wall
     assert aborted.cause is not None
+
+
+def test_sweep_lets_programming_errors_through(channel_s):
+    # only package errors become a sweep abort; a fault in user code
+    # surfaces as itself
+    def value(p, r):
+        raise ZeroDivisionError("fault in the potential")
+
+    fam = dm.custom_family(
+        "broken", value, {"g": lambda p, r: -1.0 / (r + 0.5)},
+        dm.OriginClass("regular"), {"g": 1.0}, "g",
+        origin_value=lambda p: -2.0 * p["g"],
+    )
+    with pytest.raises(ZeroDivisionError):
+        mono.sweep(fam, channel_s, 0, [0.9, 1.1])
 
 
 def test_sweep_continuity_guard_refines(channel_s):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import diracmono as dm
-from diracmono import _kernel
 from diracmono import propagation as prop
 from diracmono import solver as S
 from diracmono.errors import (
@@ -14,6 +13,7 @@ from diracmono.errors import (
     DomainError,
     GridMismatchError,
     NoSuchStateError,
+    NumericalError,
     UnsupportedRegimeError,
 )
 from diracmono.numerics import apply_derivative, derivative_weights
@@ -57,6 +57,9 @@ def test_solve_config_validation():
         dm.SolveConfig(scan_points=2)
     with pytest.raises(ConfigurationError):
         dm.SolveConfig(r0=1.0, r_max=0.5)
+    for density in (0.3, 9.0, float("nan")):
+        with pytest.raises(ConfigurationError):
+            dm.SolveConfig(step_density=density)
 
 
 # ---------------------------------------------------------------------------
@@ -172,12 +175,12 @@ def test_origin_seed_precondition_checked(channel_s, coulomb_half):
 
 def test_tail_seed_values():
     ch = dm.ChannelSpec(d=3, tau=-1, j=0.5)
-    assert dm.tail_seed(ch, 0.0, 50.0)[1] == pytest.approx(-1.0)
-    assert abs(dm.tail_seed(ch, 1.0 - 1e-12, 50.0)[1]) < 1e-5
-    assert dm.tail_seed(ch, 0.8660254037844386, 50.0)[1] == pytest.approx(
+    assert dm.tail_seed(ch, 0.0)[1] == pytest.approx(-1.0)
+    assert abs(dm.tail_seed(ch, 1.0 - 1e-12)[1]) < 1e-5
+    assert dm.tail_seed(ch, 0.8660254037844386)[1] == pytest.approx(
         -0.2679491924311227, rel=1e-9)
     with pytest.raises(DomainError):
-        dm.tail_seed(ch, 1.0, 50.0)
+        dm.tail_seed(ch, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +196,9 @@ def test_propagator_direction_matches_scipy():
     r_lo, r_hi = 1e-3, 2.5
 
     domain = S._Domain(r_seed=r_lo, r_max=r_hi * 4, r_match=r_hi, param="log")
-    h_rule = S._h_rule(ch, domain, S._band_rate(ch, [fam], (e, e)), 0.025, 1.0)
-    table = S._make_table(ch, [fam], domain, h_rule)
+    h_rule = S._h_rule(ch, domain, S._band_rate(ch, S._vmax_fn([fam]), (e, e)),
+                       0.025, 1.0)
+    table = S._make_table(ch, [fam], domain, prop.march_nodes, h_rule)
     y0 = (np.asarray([0.3]), np.asarray([0.7]))
     y1, y2 = prop.propagate(table, np.zeros(1, dtype=np.intp),
                             np.asarray([e]), y0, 0, table.i_match)
@@ -220,7 +224,7 @@ def _scan_in_segments(*args):
     """The numpy scan, forced to split every traversal into 7-step segments."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(prop, "_SCAN_ELEMENTS", 7 * np.size(args[2]))
-        return prop._propagate_numpy(*args)
+        return prop.propagate(*args)
 
 
 def _assert_all_close(got, ref, atol):
@@ -228,14 +232,11 @@ def _assert_all_close(got, ref, atol):
         assert np.allclose(g, r, rtol=1e-12, atol=atol)
 
 
-def test_kernel_and_numpy_paths_agree():
-    # every available propagation path (the numpy scan, whole and in short
-    # segments, always; the compiled kernel where numba is installed)
-    # reproduces the sequential reference in phase, record and plain modes,
-    # and counts the same eigenvalues
-    paths = [prop._propagate_numpy, _scan_in_segments]
-    if _kernel.HAVE_NUMBA:
-        paths.append(prop._propagate_kernel)
+def test_scan_matches_sequential_reference():
+    # the step-parallel scan, whole and in short segments, reproduces the
+    # sequential reference in phase, record and plain modes, and counts the
+    # same eigenvalues
+    paths = [prop.propagate, _scan_in_segments]
     cases = ((dm.ChannelSpec(d=3, tau=-1, j=0.5), dm.pure_coulomb(0.5)),
              (dm.ChannelSpec(d=1, parity="even"), dm.cutoff_coulomb(1.0, 1.0)))
     for channel, family in cases:
@@ -278,22 +279,20 @@ def test_rotation_limit_raises_at_first_offending_step():
     messages = []
     for i_from in (0, table.n_steps):
         args = (table, idx, e, y0, i_from, table.i_match)
-        with pytest.raises(RuntimeError) as ref:
+        with pytest.raises(NumericalError) as ref:
             propagate_sequential(*args, False, True)
-        for scan in (prop._propagate_numpy, _scan_in_segments):
-            with pytest.raises(RuntimeError) as got:
+        for scan in (prop.propagate, _scan_in_segments):
+            with pytest.raises(NumericalError) as got:
                 scan(*args, False, True)
             assert str(got.value) == str(ref.value)
         messages.append(str(ref.value))
         # the check guards phase unwrapping only; the other modes still run
-        prop._propagate_numpy(*args, False, False)
-        prop._propagate_numpy(*args, True, False)
+        prop.propagate(*args, False, False)
+        prop.propagate(*args, True, False)
     assert messages[0] != messages[1]  # traversal order picks the step
 
 
-def test_full_solve_on_numpy_fallback(channel_s, coulomb_half, coulomb_ground,
-                                      monkeypatch):
-    monkeypatch.setattr(_kernel, "HAVE_NUMBA", False)
+def test_full_solve_on_numpy_fallback(channel_s, coulomb_half, coulomb_ground):
     st = dm.solve(channel_s, coulomb_half, 0, dm.SolveConfig(n_grid=900))
     assert st.E == pytest.approx(coulomb_ground.E, abs=2e-9)
     assert st.nodes == 0
@@ -428,7 +427,7 @@ def test_solve_deterministic(channel_s, cutoff_family):
 
 
 def test_grid_convergence(channel_s, cutoff_family, cutoff_ground):
-    cfg = dm.SolveConfig(ode_rel_tol=5e-11, ode_abs_tol=5e-13, n_grid=8000)
+    cfg = dm.SolveConfig(step_density=2 ** 0.25, n_grid=8000)
     st = dm.solve(channel_s, cutoff_family, 0, cfg)
     assert abs(st.E - cutoff_ground.E) <= 10 * dm.SolveConfig().e_tol
 
