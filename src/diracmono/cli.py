@@ -162,17 +162,38 @@ def _load_config_file(path: str) -> dict:
     return values
 
 
+def _config_defaults(sub: argparse.ArgumentParser, path: str, values: dict) -> dict:
+    """Config-file values typed and checked like the flags they stand for.
+
+    A bad value is a usage error (exit 2) that names the file and the key.
+    Keys naming no option of the subcommand are ignored.
+    """
+    defaults = {}
+    for action in sub._actions:
+        if action.dest not in values or action.dest in ("config", "help"):
+            continue
+        raw = values[action.dest]
+        try:
+            value = action.type(raw) if action.type else raw
+        except ValueError:
+            sub.error(f"config file {path}: {action.dest}: invalid "
+                      f"{action.type.__name__} value: {raw!r}")
+        if action.choices is not None and value not in action.choices:
+            sub.error(f"config file {path}: {action.dest}: invalid choice: {raw!r} "
+                      f"(choose from {', '.join(map(repr, action.choices))})")
+        defaults[action.dest] = value
+    return defaults
+
+
 def _parse_args(argv) -> argparse.Namespace:
-    """Parse argv twice when --config is given: its values become string
-    defaults of the subcommand's options, which argparse types like flags,
-    and explicit flags override them. Keys naming no option are ignored."""
+    """Parse argv twice when --config is given: its values become defaults of
+    the subcommand's options, and explicit flags override them."""
     parser, subparsers = _build_parser()
     args = parser.parse_args(argv)
     if args.config:
-        options = vars(args).keys() - {"command", "config"}
-        values = _load_config_file(args.config)
-        subparsers[args.command].set_defaults(
-            **{k: v for k, v in values.items() if k in options})
+        sub = subparsers[args.command]
+        sub.set_defaults(**_config_defaults(sub, args.config,
+                                            _load_config_file(args.config)))
         args = parser.parse_args(argv)
     return args
 

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import DomainError
+
 __all__ = [
     "simpson_weights",
     "derivative_weights",
@@ -33,9 +35,9 @@ def simpson_weights(r: np.ndarray) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     n = r.size
     if n < 2:
-        raise ValueError("quadrature grid needs at least 2 points")
+        raise DomainError("quadrature grid needs at least 2 points")
     if np.any(np.diff(r) <= 0):
-        raise ValueError("quadrature grid must be strictly increasing")
+        raise DomainError("quadrature grid must be strictly increasing")
     w = np.zeros(n)
     n_seg = n - 1
     pairs = n_seg // 2
@@ -97,7 +99,7 @@ def derivative_weights(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     r = np.asarray(r, dtype=float)
     n = r.size
     if n < 5:
-        raise ValueError("grid too short for a 5-point stencil")
+        raise DomainError("grid too short for a 5-point stencil")
     weights = np.empty((n, 5))
     offsets = (np.clip(np.arange(n), 2, n - 3)[:, None]
                + np.arange(-2, 3)[None, :]).astype(np.intp)

@@ -101,6 +101,9 @@ class PotentialFamily:
     _sign_overrides: dict = field(repr=False, default_factory=dict)
 
     def __post_init__(self):
+        bad = {k: v for k, v in self.params.items() if not np.isfinite(v)}
+        if bad:
+            raise ConfigurationError(f"{self.name} parameters must be finite, got {bad}")
         if self.active_param not in self.params:
             raise ConfigurationError(
                 f"active parameter {self.active_param!r} is not a parameter of "

@@ -17,8 +17,8 @@ where the 1/r channel term becomes a constant and the origin power-law layer
 costs a handful of steps) or in x = r ("lin", used on the d = 1 half-line).
 
 Nothing in this module knows about eigenvalue search policy; it provides
-match values, batched bisection, and recorded two-sided sweeps that the
-solver layer assembles into bound states.
+match values, an index-counted bracket search (count_bisect), and recorded
+two-sided sweeps that the solver layer assembles into bound states.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import ConfigurationError, DomainError, NumericalError
 from .numerics import expm_traceless_2x2
 
 _SQRT3 = np.sqrt(3.0)
@@ -108,15 +108,15 @@ def build_step_table(param: str, k: float, m: float, families,
     """Evaluate the family potentials at the Gauss nodes of every step."""
     x_nodes = np.asarray(x_nodes, dtype=float)
     if np.any(np.diff(x_nodes) <= 0):
-        raise ValueError("step nodes must be strictly increasing")
+        raise DomainError("step nodes must be strictly increasing")
     if param == "log":
         r_nodes = np.exp(x_nodes)
     elif param == "lin":
         r_nodes = x_nodes
         if k != 0.0:
-            raise ValueError("linear parametrization requires k = 0")
+            raise DomainError("linear parametrization requires k = 0")
     else:
-        raise ValueError(f"unknown parametrization {param!r}")
+        raise DomainError(f"unknown parametrization {param!r}")
 
     h = np.diff(x_nodes)
     off = h * (0.5 / _SQRT3)
@@ -206,7 +206,7 @@ def propagate(table: StepTable, fam_idx, E, y0, i_from: int, i_to: int,
     reference (tests/reference_propagator.py).
     """
     if record and phase:
-        raise ValueError("record and phase modes are mutually exclusive")
+        raise ConfigurationError("record and phase modes are mutually exclusive")
     E = np.asarray(E, dtype=float)
     outward = i_to >= i_from
     steps = (np.arange(i_from, i_to) if outward
@@ -386,53 +386,85 @@ def count_below(dtheta, dtheta_bottom):
 
 
 def count_bisect(table: StepTable, fam_idx, lo, hi, targets, dtheta_bottom,
-                 tol: float, seed_origin, seed_tail, max_iter: int = 200):
+                 tol: float, seed_origin, seed_tail, ends=None,
+                 max_iter: int = 200):
     """Locate the eigenvalue of index targets[b] within the bracket [lo, hi].
 
     Preconditions (checked by the caller): count(lo) <= target and
     count(hi) >= target + 1. The eigenvalue is the unique point in the
     bracket where the matching angle crosses K*pi with
-    K = floor(dtheta_bottom/pi) - target; since the angle is smooth and
-    strictly decreasing, the bracket is narrowed by regula falsi with the
-    Illinois weighting, falling back to plain midpoints whenever the bracket
-    is slow to shrink. The bracket is maintained at every iteration, so the
-    search is as safe as pure bisection. Returns (E, |M|, final width).
+    K = floor(dtheta_bottom/pi) - target. The angle is smooth and strictly
+    decreasing, so the bracket is narrowed by a bracketed secant on
+    g = dtheta - K*pi:
+
+    - the secant uses the Illinois weighting: the value kept at an end that
+      survives twice in a row is halved, which pushes the next point across
+      the root, so both ends converge;
+    - each point lies at least min(0.45 tol, width/4) inside the bracket, so
+      once one end has converged the next point lands just across the root
+      and the bracket closes below tol in one step (Dekker-Brent);
+    - a step is a plain midpoint whenever the element has fallen more than
+      one step behind a pace of three steps per halving of its bracket, so no
+      element takes more than 3 ceil(log2(w0/tol)) + 2 steps, while a secant
+      that has shrunk the bracket fast keeps the lead it has built up.
+
+    Every point replaces the end its eigenvalue count says, so
+    count(lo) <= target < count(hi) holds at every iteration and the search
+    is as safe as pure bisection. Each iteration propagates only the
+    elements whose bracket is still wider than tol (and has a float inside
+    it); the others are frozen.
+
+    ends = ((m_lo, dtheta_lo), (m_hi, dtheta_hi)), the match_values(...,
+    phase=True) results at lo and at hi, saves their evaluation when the
+    caller has them. Returns (E, |M|, final width): the bracket midpoint, and
+    |M| at the element's last evaluated point, or the larger of the two end
+    values when its bracket was already within tol.
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
-    targets = np.asarray(targets)
-    k_pi = (np.floor(dtheta_bottom / np.pi) - targets) * np.pi
-
-    def g_at(e):
-        m_val, dth = match_values(table, fam_idx, e, seed_origin, seed_tail,
-                                  phase=True)
-        return m_val, dth - k_pi
-
-    _, g_lo = g_at(lo)
-    _, g_hi = g_at(hi)
-    m_mid = np.zeros_like(lo)
+    fam_idx = np.asarray(fam_idx)
+    k = np.broadcast_to(np.floor(dtheta_bottom / np.pi) - np.asarray(targets),
+                        lo.shape)
+    k_pi = k * np.pi
+    if ends is None:
+        ends = [match_values(table, fam_idx, e, seed_origin, seed_tail, phase=True)
+                for e in (lo, hi)]
+    (m_lo, th_lo), (m_hi, th_hi) = ends
+    g_lo, g_hi = th_lo - k_pi, th_hi - k_pi
+    m_abs = np.maximum(np.abs(m_lo), np.abs(m_hi))
+    w0 = hi - lo
+    n_steps = np.zeros(lo.shape, dtype=int)
     stale_lo = np.zeros(lo.shape, dtype=int)
     stale_hi = np.zeros(lo.shape, dtype=int)
-    for it in range(max_iter):
+    for _ in range(max_iter):
         width = hi - lo
-        if float(np.max(width)) <= tol:
+        half = lo + 0.5 * width
+        act = np.nonzero((width > tol) & (lo < half) & (half < hi))[0]
+        if act.size == 0:
             break
-        denom = g_lo - g_hi
-        frac = np.where(np.abs(denom) > 0, g_lo / np.where(denom == 0, 1.0, denom), 0.5)
-        mid = lo + np.clip(frac, 0.12, 0.88) * width
-        if it % 4 == 3:  # periodic plain bisection keeps worst-case logarithmic
-            mid = 0.5 * (lo + hi)
-        m_mid, g_mid = g_at(mid)
-        up = g_mid > 0  # still above the target multiple: move lo
-        lo = np.where(up, mid, lo)
-        hi = np.where(up, hi, mid)
-        # Illinois weighting: halve the retained endpoint value when the same
-        # side survives twice, which forces the secant to cross over
-        stale_hi = np.where(up, stale_hi + 1, 0)
-        stale_lo = np.where(up, 0, stale_lo + 1)
-        g_lo = np.where(up, g_mid, np.where(stale_lo >= 2, 0.5 * g_lo, g_lo))
-        g_hi = np.where(up, np.where(stale_hi >= 2, 0.5 * g_hi, g_hi), g_mid)
-    return 0.5 * (lo + hi), np.abs(m_mid), hi - lo
+        a_lo, a_hi, w, gl, gh = lo[act], hi[act], width[act], g_lo[act], g_hi[act]
+        denom = gl - gh
+        frac = np.where(denom > 0, gl / np.where(denom > 0, denom, 1.0), 0.5)
+        margin = np.minimum(0.45 * tol, 0.25 * w)
+        x = np.clip(a_lo + frac * w, a_lo + margin, a_hi - margin)
+        # a midpoint whenever the element has fallen more than one step behind
+        # a pace of three steps per halving of its bracket
+        behind = n_steps[act] >= 3.0 * np.log2(w0[act] / w) + 1.0
+        x = np.where(behind, half[act], x)
+        n_steps[act] += 1
+        m_x, th_x = match_values(table, fam_idx[act], x, seed_origin, seed_tail,
+                                 phase=True)
+        below = np.floor(th_x / np.pi) >= k[act]   # count(x) <= target
+        lo[act] = np.where(below, x, a_lo)
+        hi[act] = np.where(below, a_hi, x)
+        g_x = th_x - k_pi[act]
+        s_lo = np.where(below, 0, stale_lo[act] + 1)
+        s_hi = np.where(below, stale_hi[act] + 1, 0)
+        g_lo[act] = np.where(below, g_x, np.where(s_lo >= 2, 0.5 * gl, gl))
+        g_hi[act] = np.where(below, np.where(s_hi >= 2, 0.5 * gh, gh), g_x)
+        stale_lo[act], stale_hi[act] = s_lo, s_hi
+        m_abs[act] = np.abs(m_x)
+    return 0.5 * (lo + hi), m_abs, hi - lo
 
 
 def assemble_two_sided(table: StepTable, fam_idx, E, seed_origin, seed_tail):

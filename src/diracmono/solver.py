@@ -87,8 +87,8 @@ class ChannelSpec:
     def __post_init__(self):
         if int(self.d) != self.d or self.d < 1:
             raise ConfigurationError(f"dimension must be an integer >= 1, got {self.d}")
-        if not self.m > 0:
-            raise ConfigurationError(f"mass must be positive, got {self.m}")
+        if not (self.m > 0 and math.isfinite(self.m)):
+            raise ConfigurationError(f"mass must be positive and finite, got {self.m}")
         if self.d == 1:
             if self.tau is not None or self.j is not None:
                 raise ConfigurationError("d = 1 takes a parity sector, not tau/j")
@@ -101,6 +101,8 @@ class ChannelSpec:
                 raise ConfigurationError(f"tau must be +-1, got {self.tau}")
             if self.j is None:
                 raise ConfigurationError("d > 1 requires j")
+            if not math.isfinite(self.j):
+                raise ConfigurationError(f"j must be finite, got {self.j}")
             two_j = round(2 * self.j)
             if not math.isclose(2 * self.j, two_j) or two_j < 1 or two_j % 2 == 0:
                 raise ConfigurationError(
@@ -128,6 +130,10 @@ class SolveConfig:
     r_match: float | None = None
 
     def __post_init__(self):
+        for name in ("e_tol", "r_max", "r0", "r_match"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value}")
         if not self.e_tol > 0:
             raise ConfigurationError("e_tol must be positive")
         if not 0.4 <= self.step_density <= 8.0:
@@ -528,6 +534,22 @@ _MAX_ENLARGE = 8
 _R_MAX_CAP = 4000.0  # in units of 1/m; binding below ~5e-5 m is out of reach
 
 
+@dataclass(frozen=True)
+class _Scan:
+    """Two-sided matching on the coarse table over the scan grid.
+
+    mval[f, i] and dth[f, i] are the match value and matching angle of family
+    f at e_grid[i]; counts[f, i] is the number of its eigenvalues between the
+    window bottom and e_grid[i], counted from dtb[f] = dth[f, 0].
+    """
+
+    e_grid: np.ndarray
+    mval: np.ndarray
+    dth: np.ndarray
+    counts: np.ndarray
+    dtb: np.ndarray
+
+
 class _Workspace:
     """Shared radial domain plus step tables for a family batch."""
 
@@ -579,42 +601,36 @@ class _Workspace:
         return bottom, m - eps
 
     # -- coarse stage -------------------------------------------------------
-    def spectrum_scan(self):
-        """Exact eigenvalue counts on the scan grid.
-
-        Returns (e_grid, counts) with counts[f, i] = number of eigenvalues of
-        family f below e_grid[i] (relative to the window bottom), plus the
-        per-family matching angle at the bottom used as the count reference.
-        """
-        cfg = self.config
+    def spectrum_scan(self) -> _Scan:
+        """Exact eigenvalue counts on the scan grid (see _Scan)."""
         bottom, top = self.scan_window()
-        e_grid = np.linspace(bottom, top, cfg.scan_points)
-        n_fam = len(self.families)
+        e_grid = np.linspace(bottom, top, self.config.scan_points)
         seed_o, seed_t = self.seeds()
-        e_scan = np.broadcast_to(e_grid, (n_fam, e_grid.size))
-        _, dth = prop.match_values(self.coarse, None, e_scan, seed_o, seed_t,
-                                   phase=True)
+        e_scan = np.broadcast_to(e_grid, (len(self.families), e_grid.size))
+        mval, dth = prop.match_values(self.coarse, None, e_scan, seed_o, seed_t,
+                                      phase=True)
         dtb = dth[:, 0]
-        counts = prop.count_below(dth, dtb[:, None])
-        return e_grid, counts, dtb
+        return _Scan(e_grid, mval, dth, prop.count_below(dth, dtb[:, None]), dtb)
 
-    def refine_on(self, table, fam_is, brackets, targets, dtb, tol):
-        """Count-bisect each (lo, hi) bracket to its target eigenvalue index."""
+    def refine_on_scan(self, scan: _Scan, fam_is, targets, tol):
+        """Count-bisect each target eigenvalue index on the coarse table.
+
+        Each bracket is the scan interval on which its family's count passes
+        the index; the scan's match values and angles at its ends are reused.
+        """
         fam_idx = np.asarray(fam_is, dtype=np.intp)
-        lo = np.asarray([b[0] for b in brackets], dtype=float)
-        hi = np.asarray([b[1] for b in brackets], dtype=float)
+        targets = np.asarray(targets)
+        counts = scan.counts[fam_idx]
+        n = scan.e_grid.size
+        # the last scan point counting at most the index, the first counting more
+        i_lo = n - 1 - np.argmax((counts <= targets[:, None])[:, ::-1], axis=1)
+        i_hi = np.argmax(counts > targets[:, None], axis=1)
+        ends = [(scan.mval[fam_idx, i], scan.dth[fam_idx, i]) for i in (i_lo, i_hi)]
         seed_o, seed_t = self.seeds()
-        e_ref, m_abs, width = prop.count_bisect(
-            table, fam_idx, lo, hi, np.asarray(targets), dtb[fam_idx],
-            tol, seed_o, seed_t)
-        return e_ref, m_abs, width
-
-    @staticmethod
-    def bracket_from_counts(e_grid, counts_row, index):
-        """Scan interval on which the count jumps past the requested index."""
-        below = np.nonzero(counts_row <= index)[0]
-        above = np.nonzero(counts_row >= index + 1)[0]
-        return float(e_grid[below[-1]]), float(e_grid[above[0]])
+        e_ref, _, _ = prop.count_bisect(
+            self.coarse, fam_idx, scan.e_grid[i_lo], scan.e_grid[i_hi], targets,
+            scan.dtb[fam_idx], tol, seed_o, seed_t, ends=ends)
+        return e_ref
 
     # -- headroom -----------------------------------------------------------
     def headroom_ok(self, energy: float) -> bool:
@@ -663,7 +679,7 @@ class _Workspace:
 
         Index targeting makes a drifting bracket harmless: if the coarse and
         fine grids disagree by more than the initial window, the window is
-        widened (ultimately to the whole scan window) and the bisection still
+        widened (ultimately to the whole scan window) and the search still
         converges on the requested eigenvalue index. Returns (E*, |M|, the
         fine table used) per batch element.
         """
@@ -690,12 +706,17 @@ class _Workspace:
         lo = np.maximum(e_centers - delta, bottom)
         hi = np.minimum(e_centers + delta, top)
         for attempt in range(4):
-            _, dth_lo = prop.match_values(table, fam_idx, lo, seed_o, seed_t, phase=True)
-            _, dth_hi = prop.match_values(table, fam_idx, hi, seed_o, seed_t, phase=True)
-            ok = ((prop.count_below(dth_lo, dtb[fam_idx]) <= targets)
-                  & (prop.count_below(dth_hi, dtb[fam_idx]) >= targets + 1))
+            ends = [prop.match_values(table, fam_idx, e, seed_o, seed_t, phase=True)
+                    for e in (lo, hi)]
+            ok = ((prop.count_below(ends[0][1], dtb[fam_idx]) <= targets)
+                  & (prop.count_below(ends[1][1], dtb[fam_idx]) >= targets + 1))
             if ok.all():
                 break
+            if attempt == 3:
+                raise NumericalError(
+                    f"the fine grid brackets no eigenvalue of index "
+                    f"{targets[~ok].tolist()} in the scan window "
+                    f"[{bottom:.12g}, {top:.12g}]")
             if attempt == 2:
                 lo = np.where(ok, lo, bottom)
                 hi = np.where(ok, hi, top)
@@ -705,7 +726,8 @@ class _Workspace:
                 hi = np.minimum(e_centers + delta, top)
         e_tol = e_tol or self.config.e_tol
         e_star, m_abs, _ = prop.count_bisect(table, fam_idx, lo, hi, targets,
-                                             dtb[fam_idx], e_tol, seed_o, seed_t)
+                                             dtb[fam_idx], e_tol, seed_o, seed_t,
+                                             ends=ends)
         return e_star, m_abs, domain
 
     def dense_states(self, fam_is, energies, match_res, requested_nodes,
@@ -761,19 +783,16 @@ class _Workspace:
         return states
 
 
-def _found_pairs(ws: _Workspace, e_grid, counts, dtb, cap: int = 14):
+def _found_pairs(ws: _Workspace, scan: _Scan, cap: int = 14):
     """Refined (E, node-index) pairs for error reporting."""
-    fam_is, brackets, targets = [], [], []
+    fam_is, targets = [], []
     for f in range(len(ws.families)):
-        total = int(counts[f, -1])
-        for idx in range(min(total, cap)):
+        for idx in range(min(int(scan.counts[f, -1]), cap)):
             fam_is.append(f)
-            brackets.append(ws.bracket_from_counts(e_grid, counts[f], idx))
             targets.append(idx)
     if not fam_is:
         return []
-    e_ref, _, _ = ws.refine_on(ws.coarse, fam_is, brackets, targets, dtb,
-                               tol=1e-6 * ws.channel.m)
+    e_ref = ws.refine_on_scan(scan, fam_is, targets, tol=1e-6 * ws.channel.m)
     return sorted({(round(float(e), 9), int(t)) for e, t in zip(e_ref, targets)})
 
 
@@ -799,20 +818,15 @@ def solve_batch(channel: ChannelSpec, families, n_r_values, config: SolveConfig 
     r_cap = _R_MAX_CAP / channel.m
     tol_coarse = 3e-6 * channel.m
     for round_ in range(_MAX_ENLARGE + 1):
-        e_grid, counts, dtb = ws.spectrum_scan()
-        missing = any(int(counts[f, -1]) < n + 1
+        scan = ws.spectrum_scan()
+        missing = any(int(scan.counts[f, -1]) < n + 1
                       for f in range(len(families)) for n in n_r_values)
         centers = None
         cramped = False
         if not missing:
-            fam_is, brackets, labels = [], [], []
-            for f in range(len(families)):
-                for n in n_r_values:
-                    fam_is.append(f)
-                    brackets.append(ws.bracket_from_counts(e_grid, counts[f], n))
-                    labels.append(n)
-            centers, _, _ = ws.refine_on(ws.coarse, fam_is, brackets, labels,
-                                         dtb, tol=tol_coarse)
+            fam_is = [f for f in range(len(families)) for _ in n_r_values]
+            labels = [n for _ in families for n in n_r_values]
+            centers = ws.refine_on_scan(scan, fam_is, labels, tol=tol_coarse)
             cramped = (config.r_max is None
                        and any(not ws.headroom_ok(float(e)) for e in centers))
         if not missing and not cramped:
@@ -826,7 +840,7 @@ def solve_batch(channel: ChannelSpec, families, n_r_values, config: SolveConfig 
                      or config.r_max is not None
                      or (missing and not cramped and tail_dead))
         if exhausted:
-            found = _found_pairs(ws, e_grid, counts, dtb)
+            found = _found_pairs(ws, scan)
             raise NoSuchStateError(
                 f"no state with requested node count(s) {n_r_values} within "
                 f"r_max = {ws.domain.r_max:g} (found (E, nodes) pairs: {found})",
@@ -895,10 +909,10 @@ def solve(channel: ChannelSpec, family: PotentialFamily, n_r: int,
 
     Counts eigenvalues over the whole gap from the matching phase, which
     passes a multiple of pi at each one, brackets the n_r-th by that count,
-    narrows the bracket by count-preserving bisection, and returns the
-    normalized, sign-fixed state whose node count equals n_r. Raises
-    NoSuchStateError (listing what was found) if the requested state does not
-    exist.
+    narrows the bracket by a count-preserving bracketed secant (see
+    propagation.count_bisect), and returns the normalized, sign-fixed state
+    whose node count equals n_r. Raises NoSuchStateError (listing what was
+    found) if the requested state does not exist.
     """
     return solve_batch(channel, [family], [n_r], config)[0][n_r]
 

@@ -235,10 +235,42 @@ def test_malformed_config_value_is_usage_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc_info:
         main(["solve", "--config", str(cfg)])
     assert exc_info.value.code == 2
-    assert "--alpha" in capsys.readouterr().err
+    # the message names the file and the key, not a flag the user never typed
+    err = capsys.readouterr().err
+    assert f"config file {cfg}: alpha: invalid float value: 'abc'" in err
+    assert "--alpha:" not in err
+    # a value outside an option's choices is refused the same way
+    cfg.write_text("family = pure-coulomb\nalpha = 0.5\nd = 1\nparity = up\nnr = 0\n")
+    with pytest.raises(SystemExit) as exc_info:
+        main(["solve", "--config", str(cfg)])
+    assert exc_info.value.code == 2
+    assert f"config file {cfg}: parity: invalid choice: 'up'" in capsys.readouterr().err
 
 
 def test_supercritical_is_config_error(capsys):
     code, _, _ = run(["solve", "--family", "pure-coulomb", "--alpha", "1.2",
                       *CHAN, "--nr", "0"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["--family", "pure-coulomb", "--alpha", "0.5", "--e-tol", "inf"], "e_tol"),
+    (["--family", "pure-coulomb", "--alpha", "0.5", "--mass", "inf"], "mass"),
+    (["--family", "cutoff-coulomb", "--alpha", "1", "--a", "inf"], "cutoff-coulomb"),
+])
+def test_non_finite_input_is_config_error(argv, name, capsys):
+    code, out, err = run(["solve", *argv, *CHAN, "--nr", "0"], capsys)
+    assert code == 2
+    assert out == ""
+    assert name in err and "finite" in err
+
+
+def test_loose_tolerance_reports_computed_match_residual(capsys):
+    # at --e-tol 1e-3 the fine bracket is already closed on entry, so no
+    # search step runs; the residual is the larger one at the bracket ends
+    code, out, _ = run(["solve", "--family", "pure-coulomb", "--alpha", "0.5",
+                        *CHAN, "--nr", "0", "--e-tol", "1e-3"], capsys)
+    assert code == 0
+    fields = dict(line.split(" = ") for line in out.splitlines())
+    assert abs(float(fields["E"]) - 0.8660254037844386) < 1e-3
+    assert float(fields["match_residual"]) > 0

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from diracmono.errors import DomainError
 from diracmono.numerics import (
     apply_derivative,
     derivative_weights,
@@ -58,10 +59,15 @@ def test_simpson_trapezoid_fallback_even_points():
 
 
 def test_simpson_rejects_bad_grids():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         simpson_weights(np.array([0.0, 0.0, 1.0]))
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         simpson_weights(np.array([1.0]))
+
+
+def test_derivative_rejects_short_grid():
+    with pytest.raises(DomainError):
+        derivative_weights(np.linspace(0.0, 1.0, 4))
 
 
 @given(st.floats(0.2, 2.0), st.floats(-1.5, 1.5))

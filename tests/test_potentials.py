@@ -166,6 +166,13 @@ def test_invalid_family_parameters():
         dm.coupling(1.0, b=-1.0)
     with pytest.raises(ConfigurationError):
         dm.coupling(1.0, shape="gauss")
+    # non-finite parameters are refused by every constructor
+    for build in (lambda v: dm.pure_coulomb(v), lambda v: dm.cutoff_coulomb(1.0, v),
+                  lambda v: dm.cutoff_coulomb(v, 1.0), lambda v: dm.coupling(v),
+                  lambda v: dm.coupling(1.0, b=v)):
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ConfigurationError):
+                build(bad)
 
 
 @given(r=st.floats(1e-3, 1e3))

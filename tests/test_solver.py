@@ -48,6 +48,11 @@ def test_channel_validation():
         dm.ChannelSpec(d=3, tau=-1, j=0.5, parity="even")
     with pytest.raises(ConfigurationError):
         dm.ChannelSpec(d=3, tau=-1, j=0.5, m=-1.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ConfigurationError):
+            dm.ChannelSpec(d=3, tau=-1, j=0.5, m=bad)
+        with pytest.raises(ConfigurationError):
+            dm.ChannelSpec(d=3, tau=-1, j=bad)
 
 
 def test_solve_config_validation():
@@ -60,6 +65,10 @@ def test_solve_config_validation():
     for density in (0.3, 9.0, float("nan")):
         with pytest.raises(ConfigurationError):
             dm.SolveConfig(step_density=density)
+    for name in ("e_tol", "r_max", "r0", "r_match"):
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ConfigurationError):
+                dm.SolveConfig(**{name: bad})
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +299,161 @@ def test_rotation_limit_raises_at_first_offending_step():
         prop.propagate(*args, False, False)
         prop.propagate(*args, True, False)
     assert messages[0] != messages[1]  # traversal order picks the step
+
+
+def test_step_table_and_propagate_reject_bad_arguments():
+    fam = dm.cutoff_coulomb(1.0, 1.0)
+    x = np.linspace(0.0, 5.0, 11)
+    with pytest.raises(DomainError):
+        prop.build_step_table("lin", 0.0, 1.0, [fam], x[::-1], 5)
+    with pytest.raises(DomainError):
+        prop.build_step_table("lin", -1.0, 1.0, [fam], x, 5)
+    with pytest.raises(DomainError):
+        prop.build_step_table("sqrt", 0.0, 1.0, [fam], x, 5)
+    table = prop.build_step_table("lin", 0.0, 1.0, [fam], x, 5)
+    e = np.array([0.5])
+    with pytest.raises(ConfigurationError):
+        prop.propagate(table, np.zeros(1, dtype=np.intp), e, (e, e), 0, 5,
+                       record=True, phase=True)
+
+
+# ---------------------------------------------------------------------------
+# index-counted bracket search
+# ---------------------------------------------------------------------------
+
+SEARCH_TOL = 1e-10
+SEARCH_TARGETS = np.array([0, 0, 1, 1, 2, 2])
+
+
+@pytest.fixture(scope="module")
+def search_tables():
+    """(table, seeds, window) for d = 3 pure Coulomb and d = 1 cutoff
+    Coulomb, each on its coarse table and on a fine table."""
+    out = []
+    for channel, family in ((dm.ChannelSpec(d=3, tau=-1, j=0.5), dm.pure_coulomb(0.5)),
+                            (dm.ChannelSpec(d=1, parity="even"),
+                             dm.cutoff_coulomb(1.0, 1.0))):
+        ws = S._Workspace(channel, [family], S.DEFAULT_CONFIG)
+        window = ws.scan_window()
+        fine = ws.fine_table(window, ws.trimmed_domain(window))
+        out.extend((table, ws.seeds(), window) for table in (ws.coarse, fine))
+    return out
+
+
+def _random_brackets(table, seeds, window, rng):
+    """Brackets around eigenvalue index t for each t in SEARCH_TARGETS: each
+    end is drawn between the scan point next to the eigenvalue and the window
+    edge on its side, so some brackets are narrow and some span many levels.
+    Returns (lo, hi, dtheta_bottom) with the precondition checked."""
+    bottom, top = window
+    e = np.linspace(bottom, top, 400)
+    _, th = prop.match_values(table, np.zeros(e.size, dtype=np.intp), e, *seeds,
+                              phase=True)
+    counts = prop.count_below(th, th[0])
+    lo, hi = [], []
+    for t in SEARCH_TARGETS:
+        e_lo = e[np.nonzero(counts <= t)[0][-1]]
+        e_hi = e[np.nonzero(counts > t)[0][0]]
+        lo.append(e_lo - rng.uniform() ** 3 * (e_lo - bottom))
+        hi.append(e_hi + rng.uniform() ** 3 * (top - e_hi))
+    return np.array(lo), np.array(hi), np.full(SEARCH_TARGETS.size, th[0])
+
+
+def _ends(table, seeds, lo, hi):
+    idx = np.zeros(lo.size, dtype=np.intp)
+    return [prop.match_values(table, idx, e, *seeds, phase=True) for e in (lo, hi)]
+
+
+def _bisection_oracle(table, seeds, lo, hi, dtb, tol):
+    """Plain count bisection on the same table, down to width tol."""
+    idx = np.zeros(lo.size, dtype=np.intp)
+    while np.max(hi - lo) > tol:
+        mid = 0.5 * (lo + hi)
+        _, th = prop.match_values(table, idx, mid, *seeds, phase=True)
+        below = prop.count_below(th, dtb) <= SEARCH_TARGETS
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def test_count_bisect_against_bisection_oracle(search_tables, monkeypatch):
+    # Every point the search evaluates is recorded and the bracket is replayed
+    # from the recorded eigenvalue counts: each point must lie strictly inside
+    # its element's bracket, only the open brackets may be propagated, and the
+    # replayed brackets must end exactly where the search ended, so
+    # count(lo) <= target < count(hi) held at every iteration.
+    rng = np.random.default_rng(5)
+    targets = SEARCH_TARGETS
+    idx = np.zeros(targets.size, dtype=np.intp)
+    real = prop.match_values
+    for table, seeds, window in search_tables:
+        lo, hi, dtb = _random_brackets(table, seeds, window, rng)
+        ends = _ends(table, seeds, lo, hi)
+        assert np.all(prop.count_below(ends[0][1], dtb) <= targets)
+        assert np.all(prop.count_below(ends[1][1], dtb) > targets)
+        calls = []
+
+        def recording(tab, fam_idx, e, *args, **kwargs):
+            out = real(tab, fam_idx, e, *args, **kwargs)
+            calls.append((np.array(e), out[1]))
+            return out
+
+        with monkeypatch.context() as mp:
+            mp.setattr(prop, "match_values", recording)
+            e_star, _, width = prop.count_bisect(table, idx, lo, hi, targets, dtb,
+                                                 SEARCH_TOL, *seeds, ends=ends)
+
+        r_lo, r_hi = lo.copy(), hi.copy()
+        steps = np.zeros(targets.size, dtype=int)
+        for e, th in calls:
+            act = np.nonzero(r_hi - r_lo > SEARCH_TOL)[0]
+            assert e.size == act.size
+            assert np.all((r_lo[act] < e) & (e < r_hi[act]))
+            below = prop.count_below(th, dtb[act]) <= targets[act]
+            r_lo[act] = np.where(below, e, r_lo[act])
+            r_hi[act] = np.where(below, r_hi[act], e)
+            steps[act] += 1
+        assert np.array_equal(width, r_hi - r_lo)
+        assert np.all(width <= SEARCH_TOL)
+        assert np.array_equal(e_star, 0.5 * (r_lo + r_hi))
+        assert np.all(steps <= 3 * np.ceil(np.log2((hi - lo) / SEARCH_TOL)) + 2)
+
+        # the eigenvalue counts on either side of E are the target's
+        for shift, want in ((-SEARCH_TOL, targets), (SEARCH_TOL, targets + 1)):
+            _, th = prop.match_values(table, idx, e_star + shift, *seeds, phase=True)
+            assert np.array_equal(prop.count_below(th, dtb), want)
+        e_ref = _bisection_oracle(table, seeds, lo, hi, dtb, SEARCH_TOL)
+        assert np.all(np.abs(e_star - e_ref) <= SEARCH_TOL)
+
+
+def test_count_bisect_end_reuse_and_repeats_are_bitwise(search_tables):
+    rng = np.random.default_rng(11)
+    idx = np.zeros(SEARCH_TARGETS.size, dtype=np.intp)
+    for table, seeds, window in search_tables:
+        lo, hi, dtb = _random_brackets(table, seeds, window, rng)
+        args = (table, idx, lo, hi, SEARCH_TARGETS, dtb, SEARCH_TOL, *seeds)
+        own = prop.count_bisect(*args)
+        again = prop.count_bisect(*args)
+        reused = prop.count_bisect(*args, ends=_ends(table, seeds, lo, hi))
+        for a, b, c in zip(own, again, reused):
+            assert np.array_equal(a, b) and np.array_equal(a, c)
+
+
+def test_count_bisect_closed_bracket_reports_end_residual(search_tables, monkeypatch):
+    # a bracket within tol on entry takes no step: E is its midpoint and |M|
+    # the larger of the two end values, which were computed, not zero
+    table, seeds, _ = search_tables[1]
+    e0 = 0.8660254037844386   # closed-form d = 3 Coulomb ground state, alpha 0.5
+    lo, hi = np.array([e0 - 3e-4]), np.array([e0 + 3e-4])
+    (m_lo, th_lo), (m_hi, th_hi) = _ends(table, seeds, lo, hi)
+    dtb = th_lo  # counts from lo: the bracket holds eigenvalue index 0
+    assert prop.count_below(th_hi, dtb)[0] == 1
+    monkeypatch.setattr(prop, "match_values", None)  # no evaluation may run
+    e_star, m_abs, width = prop.count_bisect(
+        table, np.zeros(1, dtype=np.intp), lo, hi, np.array([0]), dtb, 1e-3,
+        *seeds, ends=((m_lo, th_lo), (m_hi, th_hi)))
+    assert e_star[0] == 0.5 * (lo[0] + hi[0])
+    assert width[0] == hi[0] - lo[0]
+    assert m_abs[0] == max(abs(m_lo[0]), abs(m_hi[0])) > 0
 
 
 def test_full_solve_on_numpy_fallback(channel_s, coulomb_half, coulomb_ground):
