@@ -80,7 +80,6 @@ def _add_common(p: argparse.ArgumentParser):
     num.add_argument("--e-tol", type=float, dest="e_tol")
     num.add_argument("--step-density", type=float, dest="step_density",
                      help="multiplier on the number of radial steps, in [0.4, 8]")
-    num.add_argument("--scan-points", type=int, dest="scan_points")
     num.add_argument("--r-match", type=float, dest="r_match")
     out = p.add_argument_group("output")
     out.add_argument("--output", help="write results to this path")
@@ -162,12 +161,17 @@ def _load_config_file(path: str) -> dict:
     return values
 
 
-def _config_defaults(sub: argparse.ArgumentParser, path: str, values: dict) -> dict:
+def _config_defaults(sub: argparse.ArgumentParser, known: set, path: str,
+                     values: dict) -> dict:
     """Config-file values typed and checked like the flags they stand for.
 
-    A bad value is a usage error (exit 2) that names the file and the key.
-    Keys naming no option of the subcommand are ignored.
+    A bad value, or a key in none of the option names `known`, is a usage
+    error (exit 2) that names the file and the key. A key that names only
+    another subcommand's option is ignored, so one file can serve them all.
     """
+    for key in values:
+        if key not in known:
+            sub.error(f"config file {path}: {key}: no subcommand has this option")
     defaults = {}
     for action in sub._actions:
         if action.dest not in values or action.dest in ("config", "help"):
@@ -192,7 +196,8 @@ def _parse_args(argv) -> argparse.Namespace:
     args = parser.parse_args(argv)
     if args.config:
         sub = subparsers[args.command]
-        sub.set_defaults(**_config_defaults(sub, args.config,
+        known = {a.dest for p in subparsers.values() for a in p._actions}
+        sub.set_defaults(**_config_defaults(sub, known, args.config,
                                             _load_config_file(args.config)))
         args = parser.parse_args(argv)
     return args
@@ -229,8 +234,7 @@ def _channel_from(args) -> ChannelSpec:
 
 def _solve_config_from(args) -> SolveConfig:
     kw = {}
-    for key in ("r_max", "n_grid", "r0", "e_tol", "step_density",
-                "scan_points", "r_match"):
+    for key in ("r_max", "n_grid", "r0", "e_tol", "step_density", "r_match"):
         val = getattr(args, key, None)
         if val is not None:
             kw[key] = val

@@ -9,13 +9,14 @@ with k = tau (j + (d-2)/2) for d > 1 and k = 0 on the d = 1 half-line, and
 discrete eigenvalues live in the gap (-m, m). A solve proceeds in three
 stages sharing one radial domain:
 
-1. coarse stage: scan the two-sided matching phase over the whole gap on a
-   cheap grid. The phase is strictly monotone in E and crosses a multiple of
-   pi at every eigenvalue, so the scan yields exact eigenvalue counts per
-   interval (no sign-change aliasing where levels accumulate near the gap
-   edge), and the n-th eigenvalue is located by bracketed search on its
-   index; the index equals the node count of the upper component, which the
-   dense stage re-verifies.
+1. coarse stage: evaluate the two-sided matching phase at the two ends of
+   the search window in the gap, on a cheap grid. The phase is strictly
+   monotone in E and crosses a multiple of pi at every eigenvalue, so the two
+   end values give the exact number of eigenvalues in the window, and the
+   n-th is located by bracketed search on its index over the whole window
+   (no energy scan, so no sign-change aliasing where levels accumulate near
+   the gap edge); the index equals the node count of the upper component,
+   which the dense stage re-verifies.
 2. fine stage: repeat the index-targeted search on a dense, energy-band-aware
    grid trimmed to the radial support of the targeted states, down to the
    eigenvalue tolerance.
@@ -64,7 +65,7 @@ __all__ = [
     "solve_batch",
 ]
 
-GAP_EDGE_FRACTION = 1e-6     # scan keeps this relative distance from +-m
+GAP_EDGE_FRACTION = 1e-6     # the search window keeps this relative distance from +-m
 HEADROOM_EFOLDS = 38.0       # required decay room beyond the turning radius
 SEED_CORRECTION_TOL = 1e-8   # origin seed: max relative size of dropped term
 
@@ -126,7 +127,6 @@ class SolveConfig:
     r0: float | None = None
     e_tol: float = 1e-10
     step_density: float = 1.0   # multiplies the number of radial steps
-    scan_points: int = 200
     r_match: float | None = None
 
     def __post_init__(self):
@@ -139,8 +139,6 @@ class SolveConfig:
         if not 0.4 <= self.step_density <= 8.0:
             raise ConfigurationError(
                 f"step_density must lie in [0.4, 8], got {self.step_density}")
-        if self.scan_points < 8:
-            raise ConfigurationError("scan_points must be at least 8")
         if self.n_grid < 200:
             raise ConfigurationError("n_grid must be at least 200")
         if self.r_max is not None and not self.r_max > 0:
@@ -318,8 +316,8 @@ def tail_seed(channel: ChannelSpec, E: float):
 def _origin_seed_fn(channel: ChannelSpec, families, r0: float):
     """Vectorized origin seeds seed(E, fam_idx); the scale r0^gamma (singular
     origin) or r0^|k| (regular origin) is dropped, since matching is
-    scale-invariant. fam_idx = None means the (F, nE) scan layout, otherwise
-    it maps flat batch elements to families."""
+    scale-invariant. fam_idx = None means the (F, nE) layout of window_ends,
+    otherwise it maps flat batch elements to families."""
     k, m = channel.k, channel.m
     if channel.d == 1:
         v = (1.0, 0.0) if channel.parity == "even" else (0.0, 1.0)
@@ -415,7 +413,7 @@ def _initial_r_max(channel, families, n_r_max: int) -> float:
 
     For Coulombic tails the n-th state decays like exp(-r alpha m/(n+1))-ish,
     so the tail strength |V(r)| * r sets the needed headroom up front and
-    saves enlargement rescans.
+    saves enlargement rounds.
     """
     m = channel.m
     r_scale = max(f.length_scale(m) for f in families)
@@ -534,22 +532,6 @@ _MAX_ENLARGE = 8
 _R_MAX_CAP = 4000.0  # in units of 1/m; binding below ~5e-5 m is out of reach
 
 
-@dataclass(frozen=True)
-class _Scan:
-    """Two-sided matching on the coarse table over the scan grid.
-
-    mval[f, i] and dth[f, i] are the match value and matching angle of family
-    f at e_grid[i]; counts[f, i] is the number of its eigenvalues between the
-    window bottom and e_grid[i], counted from dtb[f] = dth[f, 0].
-    """
-
-    e_grid: np.ndarray
-    mval: np.ndarray
-    dth: np.ndarray
-    counts: np.ndarray
-    dtb: np.ndarray
-
-
 class _Workspace:
     """Shared radial domain plus step tables for a family batch."""
 
@@ -581,8 +563,8 @@ class _Workspace:
             )
         return self._seed_cache
 
-    # -- scan window --------------------------------------------------------
-    def scan_window(self):
+    # -- search window ------------------------------------------------------
+    def window(self):
         """(bottom, top) of the eigenvalue search window.
 
         The phase-counting machinery needs E - V + m > 0 everywhere, which
@@ -601,35 +583,29 @@ class _Workspace:
         return bottom, m - eps
 
     # -- coarse stage -------------------------------------------------------
-    def spectrum_scan(self) -> _Scan:
-        """Exact eigenvalue counts on the scan grid (see _Scan)."""
-        bottom, top = self.scan_window()
-        e_grid = np.linspace(bottom, top, self.config.scan_points)
+    def window_ends(self):
+        """Match values and matching angles (mval, dth) on the coarse table at
+        the window ends, each of shape (F, 2): column 0 at the bottom, column 1
+        at the top. Family f has count_below(dth[f, 1], dth[f, 0])
+        eigenvalues in the window."""
         seed_o, seed_t = self.seeds()
-        e_scan = np.broadcast_to(e_grid, (len(self.families), e_grid.size))
-        mval, dth = prop.match_values(self.coarse, None, e_scan, seed_o, seed_t,
-                                      phase=True)
-        dtb = dth[:, 0]
-        return _Scan(e_grid, mval, dth, prop.count_below(dth, dtb[:, None]), dtb)
+        e_ends = np.broadcast_to(self.window(), (len(self.families), 2))
+        return prop.match_values(self.coarse, None, e_ends, seed_o, seed_t,
+                                 phase=True)
 
-    def refine_on_scan(self, scan: _Scan, fam_is, targets, tol):
+    def coarse_eigenvalues(self, ends, fam_is, targets, tol):
         """Count-bisect each target eigenvalue index on the coarse table.
 
-        Each bracket is the scan interval on which its family's count passes
-        the index; the scan's match values and angles at its ends are reused.
+        Every bracket is the whole window; the end values from window_ends
+        are reused.
         """
+        mval, dth = ends
         fam_idx = np.asarray(fam_is, dtype=np.intp)
-        targets = np.asarray(targets)
-        counts = scan.counts[fam_idx]
-        n = scan.e_grid.size
-        # the last scan point counting at most the index, the first counting more
-        i_lo = n - 1 - np.argmax((counts <= targets[:, None])[:, ::-1], axis=1)
-        i_hi = np.argmax(counts > targets[:, None], axis=1)
-        ends = [(scan.mval[fam_idx, i], scan.dth[fam_idx, i]) for i in (i_lo, i_hi)]
+        lo, hi = (np.full(fam_idx.size, e) for e in self.window())
         seed_o, seed_t = self.seeds()
         e_ref, _, _ = prop.count_bisect(
-            self.coarse, fam_idx, scan.e_grid[i_lo], scan.e_grid[i_hi], targets,
-            scan.dtb[fam_idx], tol, seed_o, seed_t, ends=ends)
+            self.coarse, fam_idx, lo, hi, targets, dth[fam_idx, 0], tol,
+            seed_o, seed_t, ends=[(mval[fam_idx, i], dth[fam_idx, i]) for i in (0, 1)])
         return e_ref
 
     # -- headroom -----------------------------------------------------------
@@ -679,7 +655,7 @@ class _Workspace:
 
         Index targeting makes a drifting bracket harmless: if the coarse and
         fine grids disagree by more than the initial window, the window is
-        widened (ultimately to the whole scan window) and the search still
+        widened (ultimately to the whole search window) and the search still
         converges on the requested eigenvalue index. Returns (E*, |M|, the
         fine table used) per batch element.
         """
@@ -687,7 +663,7 @@ class _Workspace:
         e_centers = np.asarray(e_centers, dtype=float)
         targets = np.asarray(targets)
         fam_idx = np.asarray(fam_is, dtype=np.intp)
-        bottom, top = self.scan_window()
+        bottom, top = self.window()
         pad = 2e-3 * m
         band = (max(float(e_centers.min()) - pad, bottom),
                 min(float(e_centers.max()) + pad, top))
@@ -715,7 +691,7 @@ class _Workspace:
             if attempt == 3:
                 raise NumericalError(
                     f"the fine grid brackets no eigenvalue of index "
-                    f"{targets[~ok].tolist()} in the scan window "
+                    f"{targets[~ok].tolist()} in the search window "
                     f"[{bottom:.12g}, {top:.12g}]")
             if attempt == 2:
                 lo = np.where(ok, lo, bottom)
@@ -745,6 +721,8 @@ class _Workspace:
         grid = out_table.r_nodes
         factor = 2.0 if ch.d == 1 else 1.0
         scheme = InnerProductScheme.for_grid(grid, measure_factor=factor)
+        # the norm on every other node is an independent quadrature estimate
+        w_half = factor * simpson_weights(grid[::2])
         states = []
         for b in range(fam_idx.size):
             p1 = psi1[:, b].copy()
@@ -759,7 +737,7 @@ class _Workspace:
             if p1[sig[0]] < 0:
                 p1, p2 = -p1, -p2
             nodes = prop.count_sign_changes(p1)
-            norm_res = abs(factor * float(np.dot(scheme.weights, p1 * p1 + p2 * p2)) - 1.0)
+            norm_res = abs(float(np.dot(w_half, p1[::2] ** 2 + p2[::2] ** 2)) - 1.0)
             states.append(BoundState(
                 channel=ch,
                 family=self.families[fam_idx[b]],
@@ -783,16 +761,15 @@ class _Workspace:
         return states
 
 
-def _found_pairs(ws: _Workspace, scan: _Scan, cap: int = 14):
-    """Refined (E, node-index) pairs for error reporting."""
-    fam_is, targets = [], []
-    for f in range(len(ws.families)):
-        for idx in range(min(int(scan.counts[f, -1]), cap)):
-            fam_is.append(f)
-            targets.append(idx)
-    if not fam_is:
+def _found_pairs(ws: _Workspace, ends, n_top, cap: int = 14):
+    """Refined (E, node-index) pairs for error reporting: every index below
+    min(n_top, cap), the window's eigenvalue count, count-bisected on the
+    whole window."""
+    pairs = [(f, idx) for f, n in enumerate(n_top) for idx in range(min(int(n), cap))]
+    if not pairs:
         return []
-    e_ref = ws.refine_on_scan(scan, fam_is, targets, tol=1e-6 * ws.channel.m)
+    fam_is, targets = zip(*pairs)
+    e_ref = ws.coarse_eigenvalues(ends, fam_is, targets, tol=1e-6 * ws.channel.m)
     return sorted({(round(float(e), 9), int(t)) for e, t in zip(e_ref, targets)})
 
 
@@ -818,21 +795,21 @@ def solve_batch(channel: ChannelSpec, families, n_r_values, config: SolveConfig 
     r_cap = _R_MAX_CAP / channel.m
     tol_coarse = 3e-6 * channel.m
     for round_ in range(_MAX_ENLARGE + 1):
-        scan = ws.spectrum_scan()
-        missing = any(int(scan.counts[f, -1]) < n + 1
-                      for f in range(len(families)) for n in n_r_values)
+        ends = ws.window_ends()
+        n_top = prop.count_below(ends[1][:, 1], ends[1][:, 0])
+        missing = bool(np.any(n_top <= n_r_values[-1]))
         centers = None
         cramped = False
         if not missing:
             fam_is = [f for f in range(len(families)) for _ in n_r_values]
             labels = [n for _ in families for n in n_r_values]
-            centers = ws.refine_on_scan(scan, fam_is, labels, tol=tol_coarse)
+            centers = ws.coarse_eigenvalues(ends, fam_is, labels, tol=tol_coarse)
             cramped = (config.r_max is None
                        and any(not ws.headroom_ok(float(e)) for e in centers))
         if not missing and not cramped:
             break
         # A missing state can only appear at larger r_max if the potential
-        # tail at the current wall can still bind within scan resolution.
+        # tail at the current wall can still bind within the window.
         # An explicitly configured r_max pins the domain and is never grown.
         v_edge = float(ws.vmax(np.asarray(ws.domain.r_max)))
         tail_dead = v_edge < 0.3 * GAP_EDGE_FRACTION * channel.m
@@ -840,7 +817,7 @@ def solve_batch(channel: ChannelSpec, families, n_r_values, config: SolveConfig 
                      or config.r_max is not None
                      or (missing and not cramped and tail_dead))
         if exhausted:
-            found = _found_pairs(ws, scan)
+            found = _found_pairs(ws, ends, n_top)
             raise NoSuchStateError(
                 f"no state with requested node count(s) {n_r_values} within "
                 f"r_max = {ws.domain.r_max:g} (found (E, nodes) pairs: {found})",

@@ -247,6 +247,23 @@ def test_malformed_config_value_is_usage_error(tmp_path, capsys):
     assert f"config file {cfg}: parity: invalid choice: 'up'" in capsys.readouterr().err
 
 
+def test_unknown_config_key_is_usage_error(tmp_path, capsys):
+    # a key no subcommand knows (a typo, a removed option) is refused
+    cfg = tmp_path / "run.cfg"
+    base = "family = pure-coulomb\nalpha = 0.5\nd = 3\ntau = -1\nj = 0.5\nnr = 0\n"
+    for key in ("e_toll = 1e-9", "ode_abs_tol = 1e-12"):
+        cfg.write_text(base + key + "\n")
+        with pytest.raises(SystemExit) as exc_info:
+            main(["solve", "--config", str(cfg)])
+        assert exc_info.value.code == 2
+        name = key.split(" ")[0]
+        assert f"config file {cfg}: {name}: " in capsys.readouterr().err
+    # a key of another subcommand is accepted, so one file serves them all
+    cfg.write_text(base + "n_grid = 1200\nchecks = hf\n")
+    code, out, _ = run(["solve", "--config", str(cfg)], capsys)
+    assert code == 0 and "E = " in out
+
+
 def test_supercritical_is_config_error(capsys):
     code, _, _ = run(["solve", "--family", "pure-coulomb", "--alpha", "1.2",
                       *CHAN, "--nr", "0"], capsys)

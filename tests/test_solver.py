@@ -8,6 +8,7 @@ import pytest
 import diracmono as dm
 from diracmono import propagation as prop
 from diracmono import solver as S
+from diracmono.coulomb import CoulombLevel, coulomb_energy
 from diracmono.errors import (
     ConfigurationError,
     DomainError,
@@ -58,8 +59,6 @@ def test_channel_validation():
 def test_solve_config_validation():
     with pytest.raises(ConfigurationError):
         dm.SolveConfig(e_tol=-1.0)
-    with pytest.raises(ConfigurationError):
-        dm.SolveConfig(scan_points=2)
     with pytest.raises(ConfigurationError):
         dm.SolveConfig(r0=1.0, r_max=0.5)
     for density in (0.3, 9.0, float("nan")):
@@ -251,7 +250,7 @@ def test_scan_matches_sequential_reference():
     for channel, family in cases:
         ws = S._Workspace(channel, [family], S.DEFAULT_CONFIG)
         seed_o, seed_t = ws.seeds()
-        bottom, top = ws.scan_window()
+        bottom, top = ws.window()
         fine = ws.fine_table((bottom, top), ws.trimmed_domain((bottom, top)))
         e = np.linspace(bottom, top, 41)
         idx = np.zeros(e.size, dtype=np.intp)
@@ -334,7 +333,7 @@ def search_tables():
                             (dm.ChannelSpec(d=1, parity="even"),
                              dm.cutoff_coulomb(1.0, 1.0))):
         ws = S._Workspace(channel, [family], S.DEFAULT_CONFIG)
-        window = ws.scan_window()
+        window = ws.window()
         fine = ws.fine_table(window, ws.trimmed_domain(window))
         out.extend((table, ws.seeds(), window) for table in (ws.coarse, fine))
     return out
@@ -539,6 +538,14 @@ def test_state_is_normalized(coulomb_ground, cutoff_ground):
         assert st.norm_residual <= 1e-8
 
 
+def test_norm_residual_is_an_independent_estimate(channel_s, coulomb_half):
+    # the half-grid Simpson norm of a state normalized on the full grid: not
+    # zero by construction, and it falls as the output grid is refined
+    coarse, fine = (dm.solve(channel_s, coulomb_half, 1, dm.SolveConfig(n_grid=n))
+                    for n in (2000, 4000))
+    assert 0 < fine.norm_residual < coarse.norm_residual
+
+
 def test_state_sign_convention(coulomb_ground, cutoff_ground):
     for st in (coulomb_ground, cutoff_ground):
         lead = st.psi1[np.abs(st.psi1) > 1e-3 * np.abs(st.psi1).max()][0]
@@ -609,6 +616,26 @@ def test_no_such_state_reports_what_exists(channel_s):
     found = exc_info.value.found
     assert len(found) >= 1
     assert found[0][1] == 0  # the existing ground state is listed
+
+
+def test_near_threshold_levels_on_the_whole_window(channel_s):
+    # levels crowd towards E = m; each is found by its index on the window
+    alpha = 0.2
+    res = dm.solve_batch(channel_s, [dm.pure_coulomb(alpha)], range(6),
+                         dense_flags=[False])[0]
+    for n_r in range(6):
+        exact = coulomb_energy(CoulombLevel(n=n_r + 1, j=0.5, alpha=alpha))
+        assert_close(res[n_r].E, exact, 1e-9, f"alpha=0.2 n_r={n_r}")
+    # the error path lists every level below the window top, in order
+    with pytest.raises(NoSuchStateError) as exc_info:
+        dm.solve(channel_s, dm.pure_coulomb(0.5), 12, dm.SolveConfig(r_max=200))
+    found = exc_info.value.found
+    assert len(found) >= 3
+    assert [n for _, n in found] == list(range(len(found)))
+    assert all(e1 < e2 for (e1, _), (e2, _) in zip(found, found[1:]))
+    for e, n_r in found[:3]:
+        exact = coulomb_energy(CoulombLevel(n=n_r + 1, j=0.5, alpha=0.5))
+        assert_close(e, exact, 1e-6, f"found n_r={n_r}")
 
 
 def test_no_nodeless_state_in_positive_k(coulomb_half):
