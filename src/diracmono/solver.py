@@ -7,7 +7,7 @@ The pair (psi1, psi2) satisfies
 
 with k = tau (j + (d-2)/2) for d > 1 and k = 0 on the d = 1 half-line, and
 discrete eigenvalues live in the gap (-m, m). A solve proceeds in three
-stages sharing one radial domain:
+stages that share the seed and match radii:
 
 1. coarse stage: evaluate the two-sided matching phase at the two ends of
    the search window in the gap, on a cheap grid. The phase is strictly
@@ -18,13 +18,17 @@ stages sharing one radial domain:
    the gap edge); the index equals the node count of the upper component,
    which the dense stage re-verifies.
 2. fine stage: repeat the index-targeted search on a dense, energy-band-aware
-   grid trimmed to the radial support of the targeted states, down to the
+   grid sized to the radial support of the targeted states, down to the
    eigenvalue tolerance.
 3. dense stage: record the two-sided wavefunction on the output grid,
    normalize (psi1, psi1) + (psi2, psi2) = 1, and fix the overall sign.
 
-The radial domain auto-enlarges until the accepted state has ~40 e-folds of
-exponential decay headroom beyond its outer turning radius.
+The coarse domain only has to hold the requested states: it is enlarged
+(x2.5) only while a requested eigenvalue index is missing from the window.
+The fine and dense stages size their own domain from the targeted energies,
+HEADROOM_EFOLDS + 9 e-folds of decay beyond the outer turning radius, up to
+an explicit r_max or the cap 4000/m. Without an explicit r_max, a requested
+state with less than HEADROOM_EFOLDS of room even at the cap is refused.
 
 Everything is deterministic: identical inputs produce bitwise-identical
 states.
@@ -409,12 +413,10 @@ def _auto_r_match(channel, families, vmax, r_lo, r_max):
 
 
 def _initial_r_max(channel, families, n_r_max: int) -> float:
-    """First guess for the outer radius, sized to the shallowest requested state.
-
-    For Coulombic tails the n-th state decays like exp(-r alpha m/(n+1))-ish,
-    so the tail strength |V(r)| * r sets the needed headroom up front and
-    saves enlargement rounds.
-    """
+    """Outer radius of the coarse domain, which only has to hold the requested
+    states: for Coulombic tails the n-th state decays like
+    exp(-r alpha m/(n+1))-ish, so the largest tail strength |V(r)| * r sizes
+    it; the fine and dense stages size their own headroom (trimmed_domain)."""
     m = channel.m
     r_scale = max(f.length_scale(m) for f in families)
     base = max(20.0 * r_scale, 60.0 / m)
@@ -429,6 +431,9 @@ def _initial_r_max(channel, families, n_r_max: int) -> float:
 def _resolve_domain(channel, families, vmax, config, r_max_override=None,
                     n_r_max: int = 0) -> _Domain:
     m = channel.m
+    if config.r_max is not None and config.r_max > _R_MAX_CAP / m:
+        raise ConfigurationError(f"r_max = {config.r_max:g} exceeds the cap "
+                                 f"{_R_MAX_CAP:g}/m = {_R_MAX_CAP / m:g}")
     r_max = (r_max_override or config.r_max
              or _initial_r_max(channel, families, n_r_max))
     if channel.d == 1:
@@ -528,7 +533,6 @@ def _make_table(channel, families, domain, place_nodes, spacing):
 _COARSE_C = 0.33
 _FINE_C = 0.06
 _FINE_C_LIN = 0.022  # the linear d = 1 parametrization lacks the log-grid near-exactness
-_MAX_ENLARGE = 8
 _R_MAX_CAP = 4000.0  # in units of 1/m; binding below ~5e-5 m is out of reach
 
 
@@ -543,6 +547,7 @@ class _Workspace:
         self.channel = channel
         self.families = list(families)
         self.config = config
+        self.ceiling = config.r_max or _R_MAX_CAP / channel.m
         self.vmax = _vmax_fn(families)
         self.domain = _resolve_domain(channel, families, self.vmax, config,
                                       r_max_override, n_r_max=n_r_max)
@@ -608,33 +613,28 @@ class _Workspace:
             seed_o, seed_t, ends=[(mval[fam_idx, i], dth[fam_idx, i]) for i in (0, 1)])
         return e_ref
 
-    # -- headroom -----------------------------------------------------------
-    def headroom_ok(self, energy: float) -> bool:
-        m = self.channel.m
-        lam = math.sqrt(max(m * m - energy * energy, 0.0))
-        if lam == 0.0:
-            return False
-        r_lo = max(self.domain.r_seed, 1e-12) * 2
-        r_to = _turning_radius(self.vmax, r_lo, self.domain.r_max, 300,
-                               m - energy) or r_lo
-        return lam * (self.domain.r_max - r_to) >= HEADROOM_EFOLDS
-
     # -- fine + dense stages --------------------------------------------------
-    def trimmed_domain(self, e_band) -> _Domain:
-        """Domain cut down to what the states in this energy band occupy.
+    def turning_radius(self, energy: float) -> float:
+        """Outer turning radius of the batch envelope at energy, probed out to
+        the ceiling (the explicit r_max, else the cap) of every domain."""
+        r_lo = max(self.domain.r_seed, 1e-12) * 2
+        return _turning_radius(self.vmax, r_lo, self.ceiling, 300,
+                               max(self.channel.m - energy, 1e-12)) or r_lo
 
-        Only states below the band live in the trimmed region, so eigenvalue
-        indices relative to the window bottom are unchanged; the trim buys a
-        dense grid where the target states actually have support.
+    def trimmed_domain(self, e_band) -> _Domain:
+        """Domain sized to what the states in this energy band occupy.
+
+        It ends HEADROOM_EFOLDS + 9 e-folds of decay beyond the band's outer
+        turning radius, below the explicit r_max or the cap, and so may reach
+        past the coarse domain. Only states below the band live in a trimmed
+        region, so eigenvalue indices relative to the window bottom are
+        unchanged; the trim buys a dense grid where the target states
+        actually have support.
         """
         m = self.channel.m
         lam = min(math.sqrt(max(m * m - e * e, 1e-12)) for e in e_band)
-        r_lo = max(self.domain.r_seed, 1e-12) * 2
-        r_to = _turning_radius(self.vmax, r_lo, self.domain.r_max, 300,
-                               max(m - max(e_band), 1e-12)) or r_lo
-        r_need = r_to + (HEADROOM_EFOLDS + 9.0) / lam
-        r_max = min(self.domain.r_max,
-                    max(r_need, 4.0 * self.domain.r_match, 30.0 / m))
+        r_need = self.turning_radius(max(e_band)) + (HEADROOM_EFOLDS + 9.0) / lam
+        r_max = min(self.ceiling, max(r_need, 4.0 * self.domain.r_match, 30.0 / m))
         return _Domain(r_seed=self.domain.r_seed, r_max=r_max,
                        r_match=self.domain.r_match, param=self.domain.param)
 
@@ -656,8 +656,8 @@ class _Workspace:
         Index targeting makes a drifting bracket harmless: if the coarse and
         fine grids disagree by more than the initial window, the window is
         widened (ultimately to the whole search window) and the search still
-        converges on the requested eigenvalue index. Returns (E*, |M|, the
-        fine table used) per batch element.
+        converges on the requested eigenvalue index. Returns (E*, |M|, final
+        bracket width) per batch element and the fine domain used.
         """
         ch, m = self.channel, self.channel.m
         e_centers = np.asarray(e_centers, dtype=float)
@@ -701,14 +701,15 @@ class _Workspace:
                 lo = np.maximum(e_centers - delta, bottom)
                 hi = np.minimum(e_centers + delta, top)
         e_tol = e_tol or self.config.e_tol
-        e_star, m_abs, _ = prop.count_bisect(table, fam_idx, lo, hi, targets,
-                                             dtb[fam_idx], e_tol, seed_o, seed_t,
-                                             ends=ends)
-        return e_star, m_abs, domain
+        e_star, m_abs, width = prop.count_bisect(table, fam_idx, lo, hi, targets,
+                                                 dtb[fam_idx], e_tol, seed_o, seed_t,
+                                                 ends=ends)
+        return e_star, m_abs, width, domain
 
-    def dense_states(self, fam_is, energies, match_res, requested_nodes,
-                     domain=None):
-        """Record, normalize and package BoundStates for accepted eigenvalues."""
+    def dense_states(self, fam_is, energies, match_res, bracket_widths,
+                     coarse_centers, requested_nodes, domain=None):
+        """Record, normalize and package BoundStates for accepted eigenvalues;
+        diagnostics add the final bracket width and |E - coarse centre|."""
         ch, cfg = self.channel, self.config
         domain = domain or self.domain
         out_table = _make_table(ch, self.families, domain, prop.uniform_nodes,
@@ -756,21 +757,22 @@ class _Workspace:
                     "requested_nodes": requested_nodes[b],
                     "psi2_nodes": prop.count_sign_changes(p2),
                     "coarse_steps": self.coarse.n_steps,
+                    "bracket_width": float(bracket_widths[b]),
+                    "coarse_shift": abs(float(energies[b] - coarse_centers[b])),
                 },
             ))
         return states
 
 
-def _found_pairs(ws: _Workspace, ends, n_top, cap: int = 14):
-    """Refined (E, node-index) pairs for error reporting: every index below
-    min(n_top, cap), the window's eigenvalue count, count-bisected on the
-    whole window."""
-    pairs = [(f, idx) for f, n in enumerate(n_top) for idx in range(min(int(n), cap))]
-    if not pairs:
-        return []
-    fam_is, targets = zip(*pairs)
-    e_ref = ws.coarse_eigenvalues(ends, fam_is, targets, tol=1e-6 * ws.channel.m)
-    return sorted({(round(float(e), 9), int(t)) for e, t in zip(e_ref, targets)})
+def _no_such_state(ws: _Workspace, ends, n_top, reason: str, cap: int = 14):
+    """NoSuchStateError listing refined (E, node-index) pairs: every index
+    below min(n_top, cap), the window's eigenvalue count, count-bisected on
+    the whole window."""
+    pairs = [(f, i) for f, n in enumerate(n_top) for i in range(min(int(n), cap))]
+    e_ref = (ws.coarse_eigenvalues(ends, *zip(*pairs), tol=1e-6 * ws.channel.m)
+             if pairs else [])
+    found = sorted({(round(float(e), 9), t) for e, (_, t) in zip(e_ref, pairs)})
+    return NoSuchStateError(f"{reason} (found (E, nodes) pairs: {found})", found=found)
 
 
 def solve_batch(channel: ChannelSpec, families, n_r_values, config: SolveConfig | None = None,
@@ -792,45 +794,40 @@ def solve_batch(channel: ChannelSpec, families, n_r_values, config: SolveConfig 
         dense_flags = [True] * len(families)
 
     ws = _Workspace(channel, families, config, n_r_max=max(n_r_values))
-    r_cap = _R_MAX_CAP / channel.m
-    tol_coarse = 3e-6 * channel.m
-    for round_ in range(_MAX_ENLARGE + 1):
+    while True:
         ends = ws.window_ends()
         n_top = prop.count_below(ends[1][:, 1], ends[1][:, 0])
-        missing = bool(np.any(n_top <= n_r_values[-1]))
-        centers = None
-        cramped = False
-        if not missing:
-            fam_is = [f for f in range(len(families)) for _ in n_r_values]
-            labels = [n for _ in families for n in n_r_values]
-            centers = ws.coarse_eigenvalues(ends, fam_is, labels, tol=tol_coarse)
-            cramped = (config.r_max is None
-                       and any(not ws.headroom_ok(float(e)) for e in centers))
-        if not missing and not cramped:
+        if not np.any(n_top <= n_r_values[-1]):
             break
         # A missing state can only appear at larger r_max if the potential
         # tail at the current wall can still bind within the window.
         # An explicitly configured r_max pins the domain and is never grown.
         v_edge = float(ws.vmax(np.asarray(ws.domain.r_max)))
         tail_dead = v_edge < 0.3 * GAP_EDGE_FRACTION * channel.m
-        exhausted = (round_ == _MAX_ENLARGE or ws.domain.r_max >= r_cap
-                     or config.r_max is not None
-                     or (missing and not cramped and tail_dead))
-        if exhausted:
-            found = _found_pairs(ws, ends, n_top)
-            raise NoSuchStateError(
-                f"no state with requested node count(s) {n_r_values} within "
-                f"r_max = {ws.domain.r_max:g} (found (E, nodes) pairs: {found})",
-                found=found,
-            )
+        if ws.domain.r_max >= ws.ceiling or config.r_max is not None or tail_dead:
+            raise _no_such_state(
+                ws, ends, n_top, f"no state with requested node count(s) "
+                f"{n_r_values} within r_max = {ws.domain.r_max:g}")
         ws = _Workspace(channel, families, config,
-                        r_max_override=min(ws.domain.r_max * 2.5, r_cap),
+                        r_max_override=min(ws.domain.r_max * 2.5, ws.ceiling),
                         n_r_max=max(n_r_values))
+    fam_is = [f for f in range(len(families)) for _ in n_r_values]
+    labels = [n for _ in families for n in n_r_values]
+    centers = ws.coarse_eigenvalues(ends, fam_is, labels, tol=3e-6 * channel.m)
+    # without an explicit r_max, a state with less than HEADROOM_EFOLDS of decay
+    # room even at the cap is out of reach: the hard wall would shift its E
+    m = channel.m
+    if config.r_max is None:
+        room = np.sqrt(np.maximum(m * m - centers**2, 0.0)) * (
+            ws.ceiling - np.array([ws.turning_radius(e) for e in centers]))
+        if np.any(room < HEADROOM_EFOLDS):
+            raise _no_such_state(ws, ends, n_top, f"a requested state ({n_r_values}) has "
+                                 f"{room.min():.3g} < {HEADROOM_EFOLDS:g} e-folds of "
+                                 f"decay room within the cap r_max = {ws.ceiling:g}")
 
     # fine + dense stages run per energy-band group: states of similar decay
     # rate share a trimmed fine grid, which keeps deep and shallow states from
     # forcing each other onto the union of their domains
-    m = channel.m
     order = sorted(range(len(fam_is)), key=lambda i: centers[i])
     groups: list[list[int]] = []
     for i in order:
@@ -845,20 +842,20 @@ def solve_batch(channel: ChannelSpec, families, n_r_values, config: SolveConfig 
 
     e_star = np.empty(len(fam_is))
     m_res = np.empty(len(fam_is))
+    widths = np.empty(len(fam_is))
     states_by_slot: dict[int, BoundState] = {}
     for grp in groups:
-        es, ms, gdomain = ws.fine_eigenvalues([fam_is[i] for i in grp],
-                                              [centers[i] for i in grp],
-                                              [labels[i] for i in grp],
-                                              e_tol=e_tol)
-        for i, e, mr in zip(grp, es, ms):
-            e_star[i], m_res[i] = e, mr
+        es, ms, wd, gdomain = ws.fine_eigenvalues([fam_is[i] for i in grp],
+                                                  centers[grp],
+                                                  [labels[i] for i in grp],
+                                                  e_tol=e_tol)
+        e_star[grp], m_res[grp], widths[grp] = es, ms, wd
         dense_sel = [i for i in grp if dense_flags[fam_is[i]]]
         if not dense_sel:
             continue
         dstates = ws.dense_states([fam_is[i] for i in dense_sel],
-                                  [e_star[i] for i in dense_sel],
-                                  [m_res[i] for i in dense_sel],
+                                  e_star[dense_sel], m_res[dense_sel],
+                                  widths[dense_sel], centers[dense_sel],
                                   [labels[i] for i in dense_sel],
                                   domain=gdomain)
         for slot, st in zip(dense_sel, dstates):

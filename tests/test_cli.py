@@ -270,6 +270,14 @@ def test_supercritical_is_config_error(capsys):
     assert code == 2
 
 
+def test_r_max_above_cap_is_config_error(capsys):
+    code, out, err = run(["solve", "--family", "pure-coulomb", "--alpha", "0.5",
+                          *CHAN, "--nr", "0", "--r-max", "1e6"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "r_max" in err and "cap 4000/m" in err
+
+
 @pytest.mark.parametrize("argv, name", [
     (["--family", "pure-coulomb", "--alpha", "0.5", "--e-tol", "inf"], "e_tol"),
     (["--family", "pure-coulomb", "--alpha", "0.5", "--mass", "inf"], "mass"),

@@ -251,7 +251,7 @@ def test_scan_matches_sequential_reference():
         ws = S._Workspace(channel, [family], S.DEFAULT_CONFIG)
         seed_o, seed_t = ws.seeds()
         bottom, top = ws.window()
-        fine = ws.fine_table((bottom, top), ws.trimmed_domain((bottom, top)))
+        fine = ws.fine_table((bottom, top), ws.domain)
         e = np.linspace(bottom, top, 41)
         idx = np.zeros(e.size, dtype=np.intp)
         for table in (ws.coarse, fine):
@@ -334,7 +334,7 @@ def search_tables():
                              dm.cutoff_coulomb(1.0, 1.0))):
         ws = S._Workspace(channel, [family], S.DEFAULT_CONFIG)
         window = ws.window()
-        fine = ws.fine_table(window, ws.trimmed_domain(window))
+        fine = ws.fine_table(window, ws.domain)
         out.extend((table, ws.seeds(), window) for table in (ws.coarse, fine))
     return out
 
@@ -516,6 +516,11 @@ def test_match_function_domain(channel_s, coulomb_half):
 def test_ground_state_energy(coulomb_ground):
     assert_close(coulomb_ground.E, 0.8660254037844386, 1e-6, "E(1s, alpha=0.5)")
     assert coulomb_ground.nodes == 0
+    # the fine bracket closed below e_tol, and the coarse centre lay inside
+    # the first fine bracket (half-width 3e-4 m)
+    diag = coulomb_ground.diagnostics
+    assert 0 < diag["bracket_width"] <= dm.SolveConfig().e_tol
+    assert 0 < diag["coarse_shift"] < 3e-4
 
 
 def test_first_excited_energy(channel_s, coulomb_half):
@@ -636,6 +641,53 @@ def test_near_threshold_levels_on_the_whole_window(channel_s):
     for e, n_r in found[:3]:
         exact = coulomb_energy(CoulombLevel(n=n_r + 1, j=0.5, alpha=0.5))
         assert_close(e, exact, 1e-6, f"found n_r={n_r}")
+
+
+def test_one_coarse_domain_and_own_fine_headroom(monkeypatch):
+    # acceptance criterion 1's j = 3/2 batch builds one workspace; every state
+    # still gets its decay headroom beyond the turning radius alpha/(m - E)
+    # of -alpha/r, on the domain of its own fine stage
+    builds = []
+    init = S._Workspace.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(S._Workspace, "__init__", counting_init)
+    channel = dm.ChannelSpec(d=3, tau=-1, j=1.5)
+    alphas = (0.2, 0.5, 0.9)
+    res = dm.solve_batch(channel, [dm.pure_coulomb(a) for a in alphas], [0, 1, 2])
+    assert len(builds) == 1
+    for alpha, per_fam in zip(alphas, res):
+        for n_r, st in per_fam.items():
+            lam = math.sqrt(1.0 - st.E ** 2)
+            r_to = alpha / (1.0 - st.E)
+            assert lam * (st.diagnostics["r_max"] - r_to) >= S.HEADROOM_EFOLDS, \
+                f"alpha={alpha} n_r={n_r}"
+
+
+def test_state_too_shallow_for_the_cap_is_refused():
+    # alpha = 0.01, n = 5: lambda = alpha/n and r_to = 2 n^2/alpha leave about
+    # 2 e-folds of decay room at the cap 4000/m, far under HEADROOM_EFOLDS;
+    # the state exists in the window, but a hard wall there would shift it
+    channel = dm.ChannelSpec(d=3, tau=1, j=0.5)
+    with pytest.raises(NoSuchStateError) as exc_info:
+        dm.solve(channel, dm.pure_coulomb(0.01), 3)
+    assert [n for _, n in exc_info.value.found][:4] == [0, 1, 2, 3]
+    # 56 e-folds of room at alpha = 0.03, n = 2: solved, to the closed form
+    res = dm.solve_batch(channel, [dm.pure_coulomb(0.03)], [0],
+                         dense_flags=[False])[0]
+    exact = coulomb_energy(CoulombLevel(n=2, j=0.5, alpha=0.03))
+    assert_close(res[0].E, exact, 1e-9, "alpha=0.03 n=2")
+
+
+def test_explicit_r_max_pins_every_domain(channel_s):
+    cfg = dm.SolveConfig(r_max=200)
+    res = dm.solve_batch(channel_s, [dm.pure_coulomb(0.5), dm.pure_coulomb(0.9)],
+                         [0, 1, 2], cfg)
+    r_max = [st.diagnostics["r_max"] for per_fam in res for st in per_fam.values()]
+    assert max(r_max) == 200
 
 
 def test_no_nodeless_state_in_positive_k(coulomb_half):
