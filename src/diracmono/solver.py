@@ -23,12 +23,18 @@ stages that share the seed and match radii:
 3. dense stage: record the two-sided wavefunction on the output grid,
    normalize (psi1, psi1) + (psi2, psi2) = 1, and fix the overall sign.
 
+Every radial decision reads one potential profile per workspace: V_f sampled
+once on geometric radii from the seed radius out to the explicit r_max or the
+cap 4000/m. It gives the match radius, the bottom of the search window, the
+rates behind the step rules, the outer turning radii and the tail check.
+
 The coarse domain only has to hold the requested states: it is enlarged
 (x2.5) only while a requested eigenvalue index is missing from the window.
-The fine and dense stages size their own domain from the targeted energies,
-HEADROOM_EFOLDS + 9 e-folds of decay beyond the outer turning radius, up to
-an explicit r_max or the cap 4000/m. Without an explicit r_max, a requested
-state with less than HEADROOM_EFOLDS of room even at the cap is refused.
+The fine and dense stages size their own domain from the targeted states,
+HEADROOM_EFOLDS + 9 e-folds of decay beyond each state's own turning radius
+on the profile, up to an explicit r_max or the cap. Without an explicit
+r_max, a requested state with less than HEADROOM_EFOLDS of room even at the
+cap is refused.
 
 Everything is deterministic: identical inputs produce bitwise-identical
 states.
@@ -383,35 +389,6 @@ class _Domain:
     param: str  # "log" for d > 1, "lin" for d = 1
 
 
-def _vmax_fn(families):
-    """Envelope max_f |V_f(r)| of a family batch."""
-    def vmax(r):
-        r = np.asarray(r, dtype=float)
-        vals = np.stack([np.abs(f.evaluate(r)) for f in families])
-        return vals.max(axis=0)
-
-    return vmax
-
-
-def _turning_radius(vmax, lo, hi, n, threshold):
-    """Last of n geometric probe radii in [lo, hi] where the envelope vmax
-    reaches threshold, or None where it stays below it everywhere."""
-    probe = np.geomspace(lo, hi, n)
-    inside = np.nonzero(vmax(probe) >= threshold)[0]
-    return float(probe[inside[-1]]) if inside.size else None
-
-
-def _auto_r_match(channel, families, vmax, r_lo, r_max):
-    """Radius where the worst-case |V| falls through m (where the sign of the
-    psi2' coefficient V + m - E changes character near mid-gap); capped well
-    inside the domain so the outward pass never spans many forbidden e-folds."""
-    m = channel.m
-    r_star = _turning_radius(vmax, max(r_lo * 4, 1e-12), r_max / 3, 400, m)
-    if r_star is None:
-        r_star = 4.0 * max(f.length_scale(m) for f in families)
-    return float(min(max(r_star, r_lo * 40, 1e-6 / m), r_max / 3))
-
-
 def _initial_r_max(channel, families, n_r_max: int) -> float:
     """Outer radius of the coarse domain, which only has to hold the requested
     states: for Coulombic tails the n-th state decays like
@@ -428,8 +405,9 @@ def _initial_r_max(channel, families, n_r_max: int) -> float:
     return min(base, _R_MAX_CAP / m)
 
 
-def _resolve_domain(channel, families, vmax, config, r_max_override=None,
-                    n_r_max: int = 0) -> _Domain:
+def _seed_and_outer_radius(channel, families, config, r_max_override=None,
+                           n_r_max: int = 0):
+    """(r_seed, r_max) of the coarse domain; r_seed = 0 on the d = 1 half-line."""
     m = channel.m
     if config.r_max is not None and config.r_max > _R_MAX_CAP / m:
         raise ConfigurationError(f"r_max = {config.r_max:g} exceeds the cap "
@@ -437,76 +415,51 @@ def _resolve_domain(channel, families, vmax, config, r_max_override=None,
     r_max = (r_max_override or config.r_max
              or _initial_r_max(channel, families, n_r_max))
     if channel.d == 1:
-        r_seed = 0.0
-    elif config.r0 is not None:
+        return 0.0, r_max
+    if config.r0 is not None:
         worst = max(_seed_correction(channel, f, config.r0) for f in families)
         if worst > SEED_CORRECTION_TOL:
             raise ConfigurationError(
                 f"configured r0 = {config.r0:g} is too large for the origin "
                 f"seed (dropped term {worst:.2e})"
             )
-        r_seed = config.r0
-    else:
-        r_seed = min(_seed_radius(channel, families), 1e-6 * r_max)
-    r_match = config.r_match or _auto_r_match(channel, families, vmax,
-                                              max(r_seed, 1e-12), r_max)
-    if not (r_seed < r_match < r_max):
-        raise ConfigurationError(
-            f"need r0 < r_match < r_max, got {r_seed:g}, {r_match:g}, {r_max:g}"
-        )
-    return _Domain(r_seed=r_seed, r_max=r_max, r_match=r_match,
-                   param="lin" if channel.d == 1 else "log")
+        return config.r0, r_max
+    return min(_seed_radius(channel, families), 1e-6 * r_max), r_max
 
 
-def _coarse_rate(channel, vmax):
-    """Worst-case-over-the-gap local rate per unit radius."""
+def _coarse_rate(channel, env):
+    """Worst-case-over-the-gap local rate per unit radius, on the profile."""
     m = channel.m
-
-    def rate(r):
-        v = vmax(r)
-        return np.sqrt(2.0 * m * v) + v + 0.08 * m
-
-    return rate
+    return np.sqrt(2.0 * m * env) + env + 0.08 * m
 
 
-def _band_rate(channel, vmax, e_band):
-    """Local rate per unit radius for energies inside [e_band[0], e_band[1]].
+def _band_rate(channel, r, env, e_band):
+    """Local rate per unit radius for energies inside [e_band[0], e_band[1]],
+    on the profile radii r with envelope env.
 
     Besides the local wave/decay rate, an Airy-layer term (2m|V'|)^(1/3)
     keeps steps small across turning points, where the wave rate itself
     vanishes but the solution still bends.
     """
     m = channel.m
-    e1, e2 = e_band
-
-    def rate(r):
-        v = vmax(r)
-        dv = np.abs(vmax(r * 1.02) - vmax(r / 1.02)) / (r * (1.02 - 1.0 / 1.02))
-        k1 = np.sqrt(np.abs((e1 + v) ** 2 - m * m))
-        k2 = np.sqrt(np.abs((e2 + v) ** 2 - m * m))
-        airy = (2.0 * m * dv) ** (1.0 / 3.0)
-        return np.maximum(np.maximum(k1, k2), airy) + 0.03 * m
-
-    return rate
+    k1, k2 = (np.sqrt(np.abs((e + env) ** 2 - m * m)) for e in e_band)
+    airy = (2.0 * m * np.abs(np.gradient(env, r))) ** (1.0 / 3.0)
+    return np.maximum(np.maximum(k1, k2), airy) + 0.03 * m
 
 
-def _h_rule(channel, domain, rate_r, c_step, density):
-    """Step-size callable h(x); the rate profile is tabulated once on a probe
-    grid and interpolated, since marching queries it thousands of times."""
-    k = abs(channel.k)
-    n_probe = 800
-    if domain.param == "log":
-        r_probe = np.geomspace(domain.r_seed, domain.r_max, n_probe)
-        x_probe = np.log(r_probe)
-        rate_x = k + r_probe * np.asarray(rate_r(r_probe), dtype=float)
-        h_probe = np.minimum(0.35, c_step / rate_x) / density
+def _h_rule(channel, param, r, rate, c_step, density):
+    """Step-size callable h(x) interpolated from a rate tabulated on the radii
+    r, since marching queries it thousands of times; x = log r for the "log"
+    parametrization, x = r for "lin"."""
+    if param == "log":
+        x = np.log(r)
+        h = np.minimum(0.35, c_step / (abs(channel.k) + r * rate)) / density
     else:
-        x_probe = np.linspace(max(domain.r_seed, 1e-12), domain.r_max, n_probe)
-        rate_x = np.asarray(rate_r(x_probe), dtype=float)
-        h_probe = np.minimum(0.35 / max(channel.m, 1e-12), c_step / rate_x) / density
+        x = r
+        h = np.minimum(0.35 / channel.m, c_step / rate) / density
 
-    def h_of_x(x):
-        return float(np.interp(x, x_probe, h_probe))
+    def h_of_x(xq):
+        return float(np.interp(xq, x, h))
 
     return h_of_x
 
@@ -535,38 +488,53 @@ _FINE_C = 0.06
 _FINE_C_LIN = 0.022  # the linear d = 1 parametrization lacks the log-grid near-exactness
 _R_MAX_CAP = 4000.0  # in units of 1/m; binding below ~5e-5 m is out of reach
 
+_PROFILE_POINTS = 1200  # geometric radii of the workspace's potential profile
+
 
 class _Workspace:
-    """Shared radial domain plus step tables for a family batch."""
+    """Shared radial domain, potential profile and step tables for a family
+    batch. The profile (r, v, env) samples every V_f once, from
+    2 max(r_seed, 1e-12) to the ceiling (the explicit r_max, else the cap),
+    so it spans every domain the workspace builds."""
 
     def __init__(self, channel, families, config, r_max_override=None,
                  n_r_max: int = 0):
         for fam in families:
             if fam.origin_class.is_singular:
                 _coulomb_gamma(channel.k, fam.origin_class.strength)  # raises if supercritical
+        m = channel.m
         self.channel = channel
         self.families = list(families)
         self.config = config
-        self.ceiling = config.r_max or _R_MAX_CAP / channel.m
-        self.vmax = _vmax_fn(families)
-        self.domain = _resolve_domain(channel, families, self.vmax, config,
-                                      r_max_override, n_r_max=n_r_max)
-        h_coarse = _h_rule(channel, self.domain, _coarse_rate(channel, self.vmax),
-                           _COARSE_C, config.step_density)
+        self.ceiling = config.r_max or _R_MAX_CAP / m
+        r_seed, r_max = _seed_and_outer_radius(channel, families, config,
+                                               r_max_override, n_r_max)
+        self.r = np.geomspace(2.0 * max(r_seed, 1e-12), self.ceiling, _PROFILE_POINTS)
+        self.v = np.stack([f.evaluate(self.r) for f in self.families])
+        self.env = np.abs(self.v).max(axis=0)
+        # r_match: where the worst-case |V| falls through m (where the sign of
+        # the psi2' coefficient V + m - E changes character near mid-gap),
+        # well inside the domain so the outward pass never spans many
+        # forbidden e-folds
+        reach = np.nonzero((self.env >= m) & (self.r <= r_max / 3))[0]
+        r_star = (self.r[reach[-1]] if reach.size
+                  else 4.0 * max(f.length_scale(m) for f in families))
+        r_match = config.r_match or float(min(max(r_star, r_seed * 40, 1e-6 / m),
+                                              r_max / 3))
+        if not (r_seed < r_match < r_max):
+            raise ConfigurationError(
+                f"need r0 < r_match < r_max, got {r_seed:g}, {r_match:g}, {r_max:g}"
+            )
+        self.domain = _Domain(r_seed=r_seed, r_max=r_max, r_match=r_match,
+                              param="lin" if channel.d == 1 else "log")
+        h_coarse = _h_rule(channel, self.domain.param, self.r,
+                           _coarse_rate(channel, self.env), _COARSE_C,
+                           config.step_density)
         self.coarse = _make_table(channel, families, self.domain,
                                   prop.march_nodes, h_coarse)
         self._fine = {}
-        self._seed_cache = None
-
-    # -- seeds ------------------------------------------------------------
-    def seeds(self):
-        if not self._seed_cache:
-            self._seed_cache = (
-                _origin_seed_fn(self.channel, self.families,
-                                self.domain.r_seed if self.channel.d > 1 else 0.0),
-                _tail_seed_fn(self.channel),
-            )
-        return self._seed_cache
+        self.seeds = (_origin_seed_fn(channel, self.families, r_seed),
+                      _tail_seed_fn(channel))
 
     # -- search window ------------------------------------------------------
     def window(self):
@@ -574,14 +542,12 @@ class _Workspace:
 
         The phase-counting machinery needs E - V + m > 0 everywhere, which
         holds throughout the gap for attractive potentials; a positive part
-        of V lifts the usable bottom accordingly (states below it, if any,
-        are out of reach and documented as such).
+        of V on the profile lifts the usable bottom accordingly (states below
+        it, if any, are out of reach and documented as such).
         """
         m = self.channel.m
         eps = GAP_EDGE_FRACTION * m
-        probe = np.geomspace(max(self.domain.r_seed, 1e-12) * 2,
-                             self.domain.r_max, 400)
-        v_sup = max(float(np.max(f.evaluate(probe))) for f in self.families)
+        v_sup = float(self.v.max())
         bottom = -m + eps
         if v_sup > 0:
             bottom = max(bottom, v_sup - m + max(1e-6 * m, 1e-6 * v_sup))
@@ -593,7 +559,7 @@ class _Workspace:
         the window ends, each of shape (F, 2): column 0 at the bottom, column 1
         at the top. Family f has count_below(dth[f, 1], dth[f, 0])
         eigenvalues in the window."""
-        seed_o, seed_t = self.seeds()
+        seed_o, seed_t = self.seeds
         e_ends = np.broadcast_to(self.window(), (len(self.families), 2))
         return prop.match_values(self.coarse, None, e_ends, seed_o, seed_t,
                                  phase=True)
@@ -607,44 +573,49 @@ class _Workspace:
         mval, dth = ends
         fam_idx = np.asarray(fam_is, dtype=np.intp)
         lo, hi = (np.full(fam_idx.size, e) for e in self.window())
-        seed_o, seed_t = self.seeds()
+        seed_o, seed_t = self.seeds
         e_ref, _, _ = prop.count_bisect(
             self.coarse, fam_idx, lo, hi, targets, dth[fam_idx, 0], tol,
             seed_o, seed_t, ends=[(mval[fam_idx, i], dth[fam_idx, i]) for i in (0, 1)])
         return e_ref
 
     # -- fine + dense stages --------------------------------------------------
-    def turning_radius(self, energy: float) -> float:
-        """Outer turning radius of the batch envelope at energy, probed out to
-        the ceiling (the explicit r_max, else the cap) of every domain."""
-        r_lo = max(self.domain.r_seed, 1e-12) * 2
-        return _turning_radius(self.vmax, r_lo, self.ceiling, 300,
-                               max(self.channel.m - energy, 1e-12)) or r_lo
+    def turning_radius(self, fam_idx, energies) -> np.ndarray:
+        """Outer turning radius of each state: the last profile radius where
+        its own family's |V| reaches m - E, else the profile's first radius.
+        The profile runs out to the ceiling of every domain."""
+        v_abs = np.abs(self.v[np.asarray(fam_idx, dtype=np.intp)])
+        gap = np.maximum(self.channel.m - np.asarray(energies, dtype=float), 1e-12)
+        inside = v_abs >= gap[:, None]
+        last = inside.shape[1] - 1 - np.argmax(inside[:, ::-1], axis=1)
+        return np.where(inside.any(axis=1), self.r[last], self.r[0])
 
-    def trimmed_domain(self, e_band) -> _Domain:
-        """Domain sized to what the states in this energy band occupy.
+    def trimmed_domain(self, fam_idx, energies) -> _Domain:
+        """Domain sized to what the states (fam_idx, energies) occupy.
 
-        It ends HEADROOM_EFOLDS + 9 e-folds of decay beyond the band's outer
-        turning radius, below the explicit r_max or the cap, and so may reach
-        past the coarse domain. Only states below the band live in a trimmed
-        region, so eigenvalue indices relative to the window bottom are
-        unchanged; the trim buys a dense grid where the target states
-        actually have support.
+        It ends HEADROOM_EFOLDS + 9 e-folds of decay beyond the farthest of
+        their turning radii, max_i (r_to,i + 47/lambda_i) with lambda_i =
+        sqrt(m^2 - E_i^2) and r_to,i read from the profile, below the
+        explicit r_max or the cap, and so may reach past the coarse domain.
+        Deeper states of the same families decay within it, so eigenvalue
+        indices relative to the window bottom are unchanged; the trim buys a
+        dense grid where the target states actually have support.
         """
         m = self.channel.m
-        lam = min(math.sqrt(max(m * m - e * e, 1e-12)) for e in e_band)
-        r_need = self.turning_radius(max(e_band)) + (HEADROOM_EFOLDS + 9.0) / lam
+        energies = np.asarray(energies, dtype=float)
+        lam = np.sqrt(np.maximum(m * m - energies ** 2, 1e-12))
+        r_need = float(np.max(self.turning_radius(fam_idx, energies)
+                              + (HEADROOM_EFOLDS + 9.0) / lam))
         r_max = min(self.ceiling, max(r_need, 4.0 * self.domain.r_match, 30.0 / m))
         return _Domain(r_seed=self.domain.r_seed, r_max=r_max,
                        r_match=self.domain.r_match, param=self.domain.param)
 
-    def fine_table(self, e_band, domain=None):
-        domain = domain or self.domain
+    def fine_table(self, e_band, domain):
         key = (round(e_band[0], 6), round(e_band[1], 6), round(domain.r_max, 3))
         if key not in self._fine:
             c_fine = _FINE_C if domain.param == "log" else _FINE_C_LIN
-            h_fine = _h_rule(self.channel, domain,
-                             _band_rate(self.channel, self.vmax, e_band),
+            h_fine = _h_rule(self.channel, domain.param, self.r,
+                             _band_rate(self.channel, self.r, self.env, e_band),
                              c_fine, self.config.step_density)
             self._fine[key] = _make_table(self.channel, self.families,
                                           domain, prop.march_nodes, h_fine)
@@ -659,7 +630,7 @@ class _Workspace:
         converges on the requested eigenvalue index. Returns (E*, |M|, final
         bracket width) per batch element and the fine domain used.
         """
-        ch, m = self.channel, self.channel.m
+        m = self.channel.m
         e_centers = np.asarray(e_centers, dtype=float)
         targets = np.asarray(targets)
         fam_idx = np.asarray(fam_is, dtype=np.intp)
@@ -667,16 +638,15 @@ class _Workspace:
         pad = 2e-3 * m
         band = (max(float(e_centers.min()) - pad, bottom),
                 min(float(e_centers.max()) + pad, top))
-        domain = self.trimmed_domain(band)
+        domain = self.trimmed_domain(fam_idx, e_centers)
         table = self.fine_table(band, domain)
-        seed_o, seed_t = self.seeds()
+        seed_o, seed_t = self.seeds
 
         # count reference at the window bottom, per family
         n_fam = len(self.families)
         _, dth_b = prop.match_values(
             table, np.arange(n_fam, dtype=np.intp),
             np.full(n_fam, bottom), seed_o, seed_t, phase=True)
-        dtb = dth_b
 
         delta = np.full(e_centers.shape, max(3e-4 * m, 60 * 3e-6 * m))
         lo = np.maximum(e_centers - delta, bottom)
@@ -684,8 +654,8 @@ class _Workspace:
         for attempt in range(4):
             ends = [prop.match_values(table, fam_idx, e, seed_o, seed_t, phase=True)
                     for e in (lo, hi)]
-            ok = ((prop.count_below(ends[0][1], dtb[fam_idx]) <= targets)
-                  & (prop.count_below(ends[1][1], dtb[fam_idx]) >= targets + 1))
+            ok = ((prop.count_below(ends[0][1], dth_b[fam_idx]) <= targets)
+                  & (prop.count_below(ends[1][1], dth_b[fam_idx]) >= targets + 1))
             if ok.all():
                 break
             if attempt == 3:
@@ -702,19 +672,18 @@ class _Workspace:
                 hi = np.minimum(e_centers + delta, top)
         e_tol = e_tol or self.config.e_tol
         e_star, m_abs, width = prop.count_bisect(table, fam_idx, lo, hi, targets,
-                                                 dtb[fam_idx], e_tol, seed_o, seed_t,
+                                                 dth_b[fam_idx], e_tol, seed_o, seed_t,
                                                  ends=ends)
         return e_star, m_abs, width, domain
 
     def dense_states(self, fam_is, energies, match_res, bracket_widths,
-                     coarse_centers, requested_nodes, domain=None):
+                     coarse_centers, requested_nodes, domain):
         """Record, normalize and package BoundStates for accepted eigenvalues;
         diagnostics add the final bracket width and |E - coarse centre|."""
         ch, cfg = self.channel, self.config
-        domain = domain or self.domain
         out_table = _make_table(ch, self.families, domain, prop.uniform_nodes,
                                 cfg.n_grid)
-        seed_o, seed_t = self.seeds()
+        seed_o, seed_t = self.seeds
         fam_idx = np.asarray(fam_is, dtype=np.intp)
         energies = np.asarray(energies, dtype=float)
         psi1, psi2 = prop.assemble_two_sided(out_table, fam_idx, energies,
@@ -802,7 +771,7 @@ def solve_batch(channel: ChannelSpec, families, n_r_values, config: SolveConfig 
         # A missing state can only appear at larger r_max if the potential
         # tail at the current wall can still bind within the window.
         # An explicitly configured r_max pins the domain and is never grown.
-        v_edge = float(ws.vmax(np.asarray(ws.domain.r_max)))
+        v_edge = float(np.interp(ws.domain.r_max, ws.r, ws.env))
         tail_dead = v_edge < 0.3 * GAP_EDGE_FRACTION * channel.m
         if ws.domain.r_max >= ws.ceiling or config.r_max is not None or tail_dead:
             raise _no_such_state(
@@ -819,7 +788,7 @@ def solve_batch(channel: ChannelSpec, families, n_r_values, config: SolveConfig 
     m = channel.m
     if config.r_max is None:
         room = np.sqrt(np.maximum(m * m - centers**2, 0.0)) * (
-            ws.ceiling - np.array([ws.turning_radius(e) for e in centers]))
+            ws.ceiling - ws.turning_radius(fam_is, centers))
         if np.any(room < HEADROOM_EFOLDS):
             raise _no_such_state(ws, ends, n_top, f"a requested state ({n_r_values}) has "
                                  f"{room.min():.3g} < {HEADROOM_EFOLDS:g} e-folds of "
@@ -910,8 +879,8 @@ def match_function(E: float, channel: ChannelSpec, family: PotentialFamily,
     pad = 0.01 * m
     band = (max(E - pad, -m * (1 - GAP_EDGE_FRACTION)),
             min(E + pad, m * (1 - GAP_EDGE_FRACTION)))
-    table = ws.fine_table(band)
-    seed_o, seed_t = ws.seeds()
+    table = ws.fine_table(band, ws.domain)
+    seed_o, seed_t = ws.seeds
     val = prop.match_values(table, np.zeros(1, dtype=np.intp),
                             np.asarray([E]), seed_o, seed_t)
     return float(val[0])

@@ -204,8 +204,9 @@ def test_propagator_direction_matches_scipy():
     r_lo, r_hi = 1e-3, 2.5
 
     domain = S._Domain(r_seed=r_lo, r_max=r_hi * 4, r_match=r_hi, param="log")
-    h_rule = S._h_rule(ch, domain, S._band_rate(ch, S._vmax_fn([fam]), (e, e)),
-                       0.025, 1.0)
+    r = np.geomspace(domain.r_seed, domain.r_max, 800)
+    h_rule = S._h_rule(ch, domain.param, r,
+                       S._band_rate(ch, r, np.abs(fam.evaluate(r)), (e, e)), 0.025, 1.0)
     table = S._make_table(ch, [fam], domain, prop.march_nodes, h_rule)
     y0 = (np.asarray([0.3]), np.asarray([0.7]))
     y1, y2 = prop.propagate(table, np.zeros(1, dtype=np.intp),
@@ -240,38 +241,59 @@ def _assert_all_close(got, ref, atol):
         assert np.allclose(g, r, rtol=1e-12, atol=atol)
 
 
+def _scan_cases():
+    """(workspace, table, family indices, energies, least eigenvalue count):
+    coarse and whole-window fine tables of d = 3 pure Coulomb and d = 1 cutoff
+    Coulomb, and the state-sized fine table of each acceptance criterion 1
+    j = 1/2 state, on the band E +- 2e-3 that production uses around it (40
+    energies, so that none sits on the eigenvalue, where the count is a
+    rounding decision)."""
+    cases = []
+    for channel, family in ((dm.ChannelSpec(d=3, tau=-1, j=0.5), dm.pure_coulomb(0.5)),
+                            (dm.ChannelSpec(d=1, parity="even"),
+                             dm.cutoff_coulomb(1.0, 1.0))):
+        ws = S._Workspace(channel, [family], S.DEFAULT_CONFIG)
+        bottom, top = ws.window()
+        e = np.linspace(bottom, top, 41)
+        for table in (ws.coarse, ws.fine_table((bottom, top), ws.domain)):
+            cases.append((ws, table, np.zeros(e.size, dtype=np.intp), e, 2))
+    alphas = (0.2, 0.5, 0.9)
+    ws = S._Workspace(dm.ChannelSpec(d=3, tau=-1, j=0.5),
+                      [dm.pure_coulomb(a) for a in alphas], S.DEFAULT_CONFIG, n_r_max=2)
+    for f, alpha in enumerate(alphas):
+        for n_r in range(3):
+            energy = coulomb_energy(CoulombLevel(n=n_r + 1, j=0.5, alpha=alpha))
+            band = (energy - 2e-3, energy + 2e-3)
+            table = ws.fine_table(band, ws.trimmed_domain([f], [energy]))
+            cases.append((ws, table, np.full(40, f, dtype=np.intp),
+                          np.linspace(*band, 40), 1))
+    return cases
+
+
 def test_scan_matches_sequential_reference():
     # the step-parallel scan, whole and in short segments, reproduces the
     # sequential reference in phase, record and plain modes, and counts the
     # same eigenvalues
     paths = [prop.propagate, _scan_in_segments]
-    cases = ((dm.ChannelSpec(d=3, tau=-1, j=0.5), dm.pure_coulomb(0.5)),
-             (dm.ChannelSpec(d=1, parity="even"), dm.cutoff_coulomb(1.0, 1.0)))
-    for channel, family in cases:
-        ws = S._Workspace(channel, [family], S.DEFAULT_CONFIG)
-        seed_o, seed_t = ws.seeds()
-        bottom, top = ws.window()
-        fine = ws.fine_table((bottom, top), ws.domain)
-        e = np.linspace(bottom, top, 41)
-        idx = np.zeros(e.size, dtype=np.intp)
-        for table in (ws.coarse, fine):
-            legs = ((table, idx, e, seed_o(e, idx), 0, table.i_match),
-                    (table, idx, e, seed_t(e, idx), table.n_steps, table.i_match))
-            m_ref, dth_ref = _match(propagate_sequential, legs)
-            counts_ref = prop.count_below(dth_ref, dth_ref[0])
-            assert counts_ref[-1] > 1  # the grid spans several eigenvalues
-            for path in paths:
-                mval, dth = _match(path, legs)
-                assert np.allclose(mval, m_ref, rtol=1e-12, atol=1e-13)
-                assert np.allclose(dth, dth_ref, rtol=1e-12, atol=1e-11)
-                assert np.array_equal(prop.count_below(dth, dth[0]), counts_ref)
-                for args in legs:
-                    _assert_all_close(path(*args, False, False),
-                                      propagate_sequential(*args, False, False), 1e-13)
-                    g_end, *g_rec, g_log = path(*args, True, False)
-                    r_end, *r_rec, r_log = propagate_sequential(*args, True, False)
-                    _assert_all_close((*g_end, *g_rec), (*r_end, *r_rec), 1e-13)
-                    _assert_all_close([g_log], [r_log], 1e-11)
+    for ws, table, idx, e, least_count in _scan_cases():
+        seed_o, seed_t = ws.seeds
+        legs = ((table, idx, e, seed_o(e, idx), 0, table.i_match),
+                (table, idx, e, seed_t(e, idx), table.n_steps, table.i_match))
+        m_ref, dth_ref = _match(propagate_sequential, legs)
+        counts_ref = prop.count_below(dth_ref, dth_ref[0])
+        assert counts_ref[-1] >= least_count  # the energies span eigenvalues
+        for path in paths:
+            mval, dth = _match(path, legs)
+            assert np.allclose(mval, m_ref, rtol=1e-12, atol=1e-13)
+            assert np.allclose(dth, dth_ref, rtol=1e-12, atol=1e-11)
+            assert np.array_equal(prop.count_below(dth, dth[0]), counts_ref)
+            for args in legs:
+                _assert_all_close(path(*args, False, False),
+                                  propagate_sequential(*args, False, False), 1e-13)
+                g_end, *g_rec, g_log = path(*args, True, False)
+                r_end, *r_rec, r_log = propagate_sequential(*args, True, False)
+                _assert_all_close((*g_end, *g_rec), (*r_end, *r_rec), 1e-13)
+                _assert_all_close([g_log], [r_log], 1e-11)
 
 
 def test_rotation_limit_raises_at_first_offending_step():
@@ -335,7 +357,7 @@ def search_tables():
         ws = S._Workspace(channel, [family], S.DEFAULT_CONFIG)
         window = ws.window()
         fine = ws.fine_table(window, ws.domain)
-        out.extend((table, ws.seeds(), window) for table in (ws.coarse, fine))
+        out.extend((table, ws.seeds, window) for table in (ws.coarse, fine))
     return out
 
 
@@ -644,9 +666,10 @@ def test_near_threshold_levels_on_the_whole_window(channel_s):
 
 
 def test_one_coarse_domain_and_own_fine_headroom(monkeypatch):
-    # acceptance criterion 1's j = 3/2 batch builds one workspace; every state
-    # still gets its decay headroom beyond the turning radius alpha/(m - E)
-    # of -alpha/r, on the domain of its own fine stage
+    # each of acceptance criterion 1's two batches builds one workspace; every
+    # state gets its decay headroom beyond the turning radius alpha/(m - E) of
+    # -alpha/r on the domain of its own fine stage, and no state, however
+    # shallow, is sized by a deeper family onto the cap
     builds = []
     init = S._Workspace.__init__
 
@@ -655,16 +678,26 @@ def test_one_coarse_domain_and_own_fine_headroom(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(S._Workspace, "__init__", counting_init)
-    channel = dm.ChannelSpec(d=3, tau=-1, j=1.5)
     alphas = (0.2, 0.5, 0.9)
-    res = dm.solve_batch(channel, [dm.pure_coulomb(a) for a in alphas], [0, 1, 2])
-    assert len(builds) == 1
-    for alpha, per_fam in zip(alphas, res):
-        for n_r, st in per_fam.items():
-            lam = math.sqrt(1.0 - st.E ** 2)
-            r_to = alpha / (1.0 - st.E)
-            assert lam * (st.diagnostics["r_max"] - r_to) >= S.HEADROOM_EFOLDS, \
-                f"alpha={alpha} n_r={n_r}"
+    for j in (0.5, 1.5):
+        builds.clear()
+        res = dm.solve_batch(dm.ChannelSpec(d=3, tau=-1, j=j),
+                             [dm.pure_coulomb(a) for a in alphas], [0, 1, 2])
+        assert len(builds) == 1
+        for alpha, per_fam in zip(alphas, res):
+            for n_r, st in per_fam.items():
+                lam = math.sqrt(1.0 - st.E ** 2)
+                r_to = alpha / (1.0 - st.E)
+                label = f"j={j} alpha={alpha} n_r={n_r}"
+                assert lam * (st.diagnostics["r_max"] - r_to) >= S.HEADROOM_EFOLDS, label
+                assert st.diagnostics["r_max"] < S._R_MAX_CAP, label
+
+
+def test_r_match_falls_back_to_the_length_scale(channel_s):
+    # alpha/a < m: |V| never reaches m, so r_match is 4 length scales
+    fam = dm.cutoff_coulomb(1.0, 1.3)
+    st = dm.solve(channel_s, fam, 0)
+    assert st.diagnostics["r_match"] == 4 * fam.length_scale()
 
 
 def test_state_too_shallow_for_the_cap_is_refused():
