@@ -35,7 +35,7 @@ from .errors import (
     SweepAbortedError,
     UnsupportedRegimeError,
 )
-from .monotonicity import compare_potentials, sweep, verdict
+from .monotonicity import TOL_SIGN, compare_potentials, sweep, verdict
 from .potentials import SignClass, classify_sign, make_family
 from .solver import ChannelSpec, SolveConfig, solve
 
@@ -48,6 +48,16 @@ EXIT_NUMERICAL = 4
 EXIT_ABORTED = 5
 EXIT_CHECK_FAILED = 6
 EXIT_NOT_ORDERED = 7
+
+# package errors -> exit codes; main takes the first row that matches, so a
+# subclass must come before its base
+_EXIT_CODES = (
+    ((ConfigurationError, DomainError, UnsupportedRegimeError), EXIT_CONFIG),
+    (NoSuchStateError, EXIT_NO_STATE),
+    (PointwiseOrderError, EXIT_NOT_ORDERED),
+    (SweepAbortedError, EXIT_ABORTED),  # only reachable outside cmd_sweep
+    (DiracmonoError, EXIT_NUMERICAL),  # NumericalError and any other package error
+)
 
 
 def _fmt(x: float) -> str:
@@ -119,9 +129,9 @@ def _build_parser():
     p.add_argument("--checks", help="subset of hf,orth,w,monotone")
     p.add_argument("--tol-hf", dest="tol_hf", type=float,
                    help="absolute bound on |dE_fd - dE_hf| (default: spec rule)")
-    p.add_argument("--tol-orth", dest="tol_orth", type=float)
-    p.add_argument("--tol-w", dest="tol_w", type=float)
-    p.add_argument("--tol-sign", dest="tol_sign", type=float)
+    p.add_argument("--tol-orth", dest="tol_orth", type=float, default=1e-5)
+    p.add_argument("--tol-w", dest="tol_w", type=float, default=1e-4)
+    p.add_argument("--tol-sign", dest="tol_sign", type=float, default=TOL_SIGN)
 
     p = sub.add_parser("compare", help="eigenvalue order for V1 <= V2")
     _add_common(p)
@@ -380,7 +390,6 @@ def cmd_sweep(args) -> int:
 
 _HF_REL = 1e-5
 _HF_FLOOR = 1e-7
-_DEFAULT_TOLS = {"orth": 1e-5, "w": 1e-4, "sign": 1e-8}
 
 
 def cmd_verify(args) -> int:
@@ -402,16 +411,12 @@ def cmd_verify(args) -> int:
             _write_text(args.output, json.dumps(report, indent=1) + "\n")
         return EXIT_OK
 
-    tol_orth = args.tol_orth if args.tol_orth is not None else _DEFAULT_TOLS["orth"]
-    tol_w = args.tol_w if args.tol_w is not None else _DEFAULT_TOLS["w"]
-    tol_sign = args.tol_sign if args.tol_sign is not None else _DEFAULT_TOLS["sign"]
-
     grid = _a_grid(args, family)
     all_ok = True
     reports = []
     for n_r in _nr_list(args):
         records = sweep(family, channel, n_r, grid, config, h=args.h_step)
-        vd = verdict(records, sign, tol_sign=tol_sign)
+        vd = verdict(records, sign, tol_sign=args.tol_sign)
         results = {}
         if "hf" in checks:
             if args.tol_hf is not None:
@@ -421,9 +426,9 @@ def cmd_verify(args) -> int:
                          for r in records)
             results["hf"] = ok
         if "orth" in checks:
-            results["orth"] = vd.max_orth_residual <= tol_orth
+            results["orth"] = vd.max_orth_residual <= args.tol_orth
         if "w" in checks:
-            results["w"] = vd.max_w_residual <= tol_w
+            results["w"] = vd.max_w_residual <= args.tol_w
         if "monotone" in checks:
             results["monotone"] = vd.passed
         ok_nr = all(results.values())
@@ -506,21 +511,9 @@ def main(argv=None) -> int:
     try:
         args = _parse_args(argv)
         return _DISPATCH[args.command](args)
-    except (ConfigurationError, DomainError, UnsupportedRegimeError) as exc:
+    except DiracmonoError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NoSuchStateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_STATE
-    except PointwiseOrderError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_ORDERED
-    except SweepAbortedError as exc:  # only reachable outside cmd_sweep
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ABORTED
-    except DiracmonoError as exc:  # NumericalError and any other package error
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return next(code for types, code in _EXIT_CODES if isinstance(exc, types))
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ bias cancels in the differences instead of polluting them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -131,10 +131,11 @@ def _stencil_point(family: PotentialFamily, channel: ChannelSpec, n_r: int,
     a = family.params[p] if a is None else float(a)
     h = _default_step(a) if h is None else h
     fams = [family.with_params(**{p: a + d}) for d in (0.0, -h, h, -h / 2, h / 2)]
-    e_tol = min((config or SolveConfig()).e_tol, 1e-13)
+    config = config or SolveConfig()
     try:
-        res = solve_batch(channel, fams, [n_r], config,
-                          dense_flags=[True, True, True, False, False], e_tol=e_tol)
+        res = solve_batch(channel, fams, [n_r],
+                          replace(config, e_tol=min(config.e_tol, 1e-13)),
+                          dense_flags=[True, True, True, False, False])
     except NoSuchStateError as exc:
         vals = [f.params[p] for f in fams]
         raise LevelCrossingError(

@@ -532,7 +532,6 @@ class _Workspace:
                            config.step_density)
         self.coarse = _make_table(channel, families, self.domain,
                                   prop.march_nodes, h_coarse)
-        self._fine = {}
         self.seeds = (_origin_seed_fn(channel, self.families, r_seed),
                       _tail_seed_fn(channel))
 
@@ -611,17 +610,13 @@ class _Workspace:
                        r_match=self.domain.r_match, param=self.domain.param)
 
     def fine_table(self, e_band, domain):
-        key = (round(e_band[0], 6), round(e_band[1], 6), round(domain.r_max, 3))
-        if key not in self._fine:
-            c_fine = _FINE_C if domain.param == "log" else _FINE_C_LIN
-            h_fine = _h_rule(self.channel, domain.param, self.r,
-                             _band_rate(self.channel, self.r, self.env, e_band),
-                             c_fine, self.config.step_density)
-            self._fine[key] = _make_table(self.channel, self.families,
-                                          domain, prop.march_nodes, h_fine)
-        return self._fine[key]
+        c_fine = _FINE_C if domain.param == "log" else _FINE_C_LIN
+        h_fine = _h_rule(self.channel, domain.param, self.r,
+                         _band_rate(self.channel, self.r, self.env, e_band),
+                         c_fine, self.config.step_density)
+        return _make_table(self.channel, self.families, domain, prop.march_nodes, h_fine)
 
-    def fine_eigenvalues(self, fam_is, e_centers, targets, e_tol=None):
+    def fine_eigenvalues(self, fam_is, e_centers, targets):
         """Re-bracket each coarse eigenvalue on a fine grid and count-bisect.
 
         Index targeting makes a drifting bracket harmless: if the coarse and
@@ -670,10 +665,9 @@ class _Workspace:
                 delta = np.where(ok, delta, delta * 8)
                 lo = np.maximum(e_centers - delta, bottom)
                 hi = np.minimum(e_centers + delta, top)
-        e_tol = e_tol or self.config.e_tol
         e_star, m_abs, width = prop.count_bisect(table, fam_idx, lo, hi, targets,
-                                                 dth_b[fam_idx], e_tol, seed_o, seed_t,
-                                                 ends=ends)
+                                                 dth_b[fam_idx], self.config.e_tol,
+                                                 seed_o, seed_t, ends=ends)
         return e_star, m_abs, width, domain
 
     def dense_states(self, fam_is, energies, match_res, bracket_widths,
@@ -745,7 +739,7 @@ def _no_such_state(ws: _Workspace, ends, n_top, reason: str, cap: int = 14):
 
 
 def solve_batch(channel: ChannelSpec, families, n_r_values, config: SolveConfig | None = None,
-                dense_flags=None, e_tol=None):
+                dense_flags=None):
     """Solve the requested node-count states for every family on one shared grid.
 
     Returns a list (one entry per family) of dicts {n_r: BoundState|EigenResult}.
@@ -816,8 +810,7 @@ def solve_batch(channel: ChannelSpec, families, n_r_values, config: SolveConfig 
     for grp in groups:
         es, ms, wd, gdomain = ws.fine_eigenvalues([fam_is[i] for i in grp],
                                                   centers[grp],
-                                                  [labels[i] for i in grp],
-                                                  e_tol=e_tol)
+                                                  [labels[i] for i in grp])
         e_star[grp], m_res[grp], widths[grp] = es, ms, wd
         dense_sel = [i for i in grp if dense_flags[fam_is[i]]]
         if not dense_sel:

@@ -4,7 +4,20 @@ import json
 
 import pytest
 
+from diracmono import cli
 from diracmono.cli import CSV_HEADER, main
+from diracmono.errors import (
+    ConfigurationError,
+    DiracmonoError,
+    DomainError,
+    GridMismatchError,
+    LevelCrossingError,
+    NoSuchStateError,
+    NumericalError,
+    PointwiseOrderError,
+    SweepAbortedError,
+    UnsupportedRegimeError,
+)
 
 CHAN = ["--d", "3", "--tau", "-1", "--j", "0.5"]
 FAST = ["--n-grid", "1200"]
@@ -299,3 +312,23 @@ def test_loose_tolerance_reports_computed_match_residual(capsys):
     fields = dict(line.split(" = ") for line in out.splitlines())
     assert abs(float(fields["E"]) - 0.8660254037844386) < 1e-3
     assert float(fields["match_residual"]) > 0
+
+
+@pytest.mark.parametrize("error, code", [
+    (ConfigurationError("bad flag"), 2),
+    (DomainError("outside the gap"), 2),
+    (UnsupportedRegimeError("supercritical"), 2),
+    (NoSuchStateError("no such state", found=[(0.9, 0)]), 3),
+    (NumericalError("lost bracket"), 4),
+    (LevelCrossingError("node label changed"), 4),
+    (GridMismatchError("other grid"), 4),
+    (DiracmonoError("any other package error"), 4),
+    (SweepAbortedError("aborted", records=[]), 5),
+    (PointwiseOrderError("not ordered"), 7),
+], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v))
+def test_package_error_exit_code(error, code, monkeypatch, capsys):
+    def fail(args):
+        raise error
+
+    monkeypatch.setitem(cli._DISPATCH, "solve", fail)
+    assert run(["solve"], capsys) == (code, "", f"error: {error}\n")

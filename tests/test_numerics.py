@@ -58,6 +58,27 @@ def test_simpson_trapezoid_fallback_even_points():
     assert np.dot(w, r) == pytest.approx(0.5, rel=1e-13)
 
 
+def _simpson_loop(r):
+    """Reference: one Python iteration per interval pair."""
+    w = np.zeros(r.size)
+    for i in range(0, r.size - 2, 2):
+        h1, h2 = r[i + 1] - r[i], r[i + 2] - r[i + 1]
+        s = h1 + h2
+        w[i] += s * (2.0 * h1 - h2) / (6.0 * h1)
+        w[i + 1] += s**3 / (6.0 * h1 * h2)
+        w[i + 2] += s * (2.0 * h2 - h1) / (6.0 * h2)
+    if (r.size - 1) % 2 == 1:
+        w[-2:] += 0.5 * (r[-1] - r[-2])
+    return w
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 41, 4000, 4001])
+def test_simpson_matches_pairwise_loop(n):
+    r = np.sort(np.random.default_rng(n).uniform(0, 5, n))
+    np.testing.assert_allclose(simpson_weights(r), _simpson_loop(r),
+                               rtol=4 * np.finfo(float).eps, atol=0)
+
+
 def test_simpson_rejects_bad_grids():
     with pytest.raises(DomainError):
         simpson_weights(np.array([0.0, 0.0, 1.0]))
@@ -72,12 +93,16 @@ def test_derivative_rejects_short_grid():
 
 @given(st.floats(0.2, 2.0), st.floats(-1.5, 1.5))
 def test_derivative_exact_for_quartics(scale, tilt):
-    r = np.geomspace(0.1, 3.0, 31) * scale
-    f = 0.3 * r**4 - r**3 + tilt * r**2 + 2 * r - 1
-    df = 1.2 * r**3 - 3 * r**2 + 2 * tilt * r + 2
-    tab = derivative_weights(r)
-    got = apply_derivative(tab, f)
-    assert np.max(np.abs(got - df)) < 1e-7 * max(1.0, np.max(np.abs(df)))
+    # a short grid, and one shaped like the solver's output grids (4000
+    # geometric points over 20 e-folds)
+    for grid in (np.geomspace(0.1, 3.0, 31),
+                 np.geomspace(1e-7, 1e-7 * math.exp(20.0), 4000)):
+        r = grid * scale
+        f = 0.3 * r**4 - r**3 + tilt * r**2 + 2 * r - 1
+        df = 1.2 * r**3 - 3 * r**2 + 2 * tilt * r + 2
+        tab = derivative_weights(r)
+        got = apply_derivative(tab, f)
+        assert np.max(np.abs(got - df)) < 1e-7 * max(1.0, np.max(np.abs(df)))
 
 
 def test_derivative_fourth_order_on_sin():
@@ -104,8 +129,7 @@ def test_expm_det_is_one(a, b, c):
     assert det * math.exp(2 * logf) == pytest.approx(1.0, rel=1e-10)
 
 
-@given(st.floats(-2, 2), st.floats(-2, 2), st.floats(-2, 2))
-def test_expm_matches_series(a, b, c):
+def _assert_matches_series(a, b, c):
     # brute-force oracle: scaling-and-squaring of the Taylor series
     mat = np.array([[a, b], [c, -a]])
     n = 40
@@ -120,6 +144,24 @@ def test_expm_matches_series(a, b, c):
     m11, m12, m21, m22, logf = expm_traceless_2x2(a, b, c)
     got = math.exp(logf) * np.array([[m11, m12], [m21, m22]])
     assert np.allclose(got, acc, rtol=5e-9, atol=1e-12)
+
+
+@given(st.floats(-2, 2), st.floats(-2, 2), st.floats(-2, 2))
+def test_expm_matches_series(a, b, c):
+    _assert_matches_series(a, b, c)
+
+
+@pytest.mark.parametrize("q", [0.0, 1e-300, -1e-300, 1e-12, -1e-12,
+                               1e-7, -1e-7, 1e-6, -1e-6])
+def test_expm_matches_series_near_q_zero(q):
+    # q = a^2 + b c near 0, where the two closed forms meet; hypothesis
+    # almost never draws these
+    _assert_matches_series(0.0, q, 1.0)
+    _assert_matches_series(0.0, 1.0, q)
+    if q >= 0:
+        _assert_matches_series(math.sqrt(q), 0.0, 0.0)
+    if q == 0:
+        _assert_matches_series(0.5, 0.25, -1.0)  # nilpotent: exp = I + M
 
 
 def test_expm_no_overflow_long_step():
