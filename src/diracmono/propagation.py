@@ -16,6 +16,15 @@ Radial steps are parametrized either in x = ln r ("log", used for d > 1,
 where the 1/r channel term becomes a constant and the origin power-law layer
 costs a handful of steps) or in x = r ("lin", used on the d = 1 half-line).
 
+Every phase traversal also returns the E-slope of its angle. The derivative
+of the coefficient matrix with respect to E is [[0, 1], [-1, 0]], so
+W = psi1 dpsi2/dE - psi2 dpsi1/dE obeys W' = -(psi1^2 + psi2^2) and
+dtheta/dE = W / |y|^2: each leg's slope is the integral of |y|^2 along it
+over |y|^2 at its end, a quadrature over the node states and log scales the
+scan forms anyway. The matching angle is therefore strictly decreasing with
+a known slope, which count_bisect uses for Newton steps inside its
+count-verified bracket.
+
 Nothing in this module knows about eigenvalue search policy; it provides
 match values, an index-counted bracket search (count_bisect), and recorded
 two-sided sweeps that the solver layer assembles into bound states.
@@ -23,8 +32,9 @@ two-sided sweeps that the solver layer assembles into bound states.
 
 from __future__ import annotations
 
+import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,7 +43,9 @@ from .numerics import expm_traceless_2x2
 
 _SQRT3 = np.sqrt(3.0)
 _TINY = 1e-300
-_SCAN_ELEMENTS = 1 << 17  # step x batch entries formed at once by the numpy scan
+_SCAN_ELEMENTS = 1 << 16  # step x batch entries formed at once by the numpy scan
+
+_log = logging.getLogger("diracmono")
 
 
 # ---------------------------------------------------------------------------
@@ -56,10 +68,17 @@ class StepTable:
     rmul: np.ndarray        # (S, 2) dr/dx at the two gauss nodes
     w: np.ndarray           # (S, 2, F)
     i_match: int
+    _norm: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n_steps(self) -> int:
         return self.h.size
+
+    def norm_weights(self, i_from: int, i_to: int) -> np.ndarray:
+        """_norm_weights of the traversal, formed once per table and leg."""
+        if (i_from, i_to) not in self._norm:
+            self._norm[i_from, i_to] = _norm_weights(self, i_from, i_to)
+        return self._norm[i_from, i_to]
 
 
 def march_nodes(x_lo: float, x_hi: float, h_of_x, x_breaks=()) -> np.ndarray:
@@ -180,7 +199,7 @@ def _wrap_pi(x):
 
 
 def propagate(table: StepTable, fam_idx, E, y0, i_from: int, i_to: int,
-              record: bool = False, phase: bool = False):
+              record: bool = False, phase: bool = False, beyond=0.0):
     """Advance y0 from node i_from to node i_to (either direction).
 
     E is the batch of energies; fam_idx maps batch elements to table families
@@ -195,7 +214,16 @@ def propagate(table: StepTable, fam_idx, E, y0, i_from: int, i_to: int,
     clockwise along increasing r (counter-clockwise along the inward
     traversal); each step rotates by less than pi beyond its axis crossings,
     which makes the per-step unwrapping exact. This angle is what eigenvalue
-    counting is built on.
+    counting is built on. Phase mode returns ((y1, y2), theta, slope), with
+    slope = dtheta/dE at the end node: -I/|y_end|^2 outward and
+    +I/|y_end|^2 inward. I is the integral of |y|^2 dr over the traversal
+    (_norm_weights, on the node states), carried across segments in log
+    form like log0, plus beyond: the integral of |y|^2 on the far side of
+    the start, in the units of y0, for start values that continue an exact
+    solution there. It accounts for their own E-dependence: the tail seed's
+    free decaying solution turns at dtheta/dE = 1/(2 lambda), which is
+    beyond = |y0|^2 / (2 lambda). With beyond = 0 the slope is that of y0
+    held fixed.
 
     The steps are evaluated as a step-parallel scan: the step matrices of a
     whole segment of steps at once, then a blocked prefix scan for its node
@@ -215,21 +243,25 @@ def propagate(table: StepTable, fam_idx, E, y0, i_from: int, i_to: int,
     y1 = np.array(np.broadcast_to(y0[0], E.shape), dtype=float)
     y2 = np.array(np.broadcast_to(y0[1], E.shape), dtype=float)
     log0 = np.zeros(E.shape)
+    if phase:
+        quad = table.norm_weights(i_from, i_to)
+        # log of the integral of |y|^2 so far: beyond the start plus node 0
+        log_int = np.log(beyond + quad[0, 0] * y1 * y1 + quad[1, 0] * y2 * y2
+                         + quad[2, 0] * y1 * y2)
     history = [(y1[None], y2[None], log0[None])]
     th_cont = np.arctan2(y2, y1)
     per_segment = max(1, _SCAN_ELEMENTS // max(E.size, 1))
 
     for start in range(0, steps.size, per_segment):
         seg = steps[start:start + per_segment]
-        oa, ob, oc = _step_omega(table, seg, fam_idx, em, me)
-        if not outward:
-            oa, ob, oc = -oa, -ob, -oc
+        mats = _step_matrices(table, seg, fam_idx, em, me, outward, phase)
         if phase:
-            _check_rotation(seg, oa, ob, oc)
-        *mat, logf = expm_traceless_2x2(oa, ob, oc)
-        Y1, Y2, L = _scan_states(mat, logf, y1, y2)
-        if phase:
+            Y1, Y2, L, log_seg = _scan_states(mats, y1, y2,
+                                              quad[:, start + 1:start + 1 + seg.size])
             th_cont = _unwrap(th_cont, Y1, Y2, outward)
+            log_int = np.logaddexp(log_int, 2.0 * log0 + log_seg)
+        else:
+            Y1, Y2, L = _scan_states(mats, y1, y2)
         if record:
             history.append((Y1[1:], Y2[1:], log0 + L[1:]))
         y1, y2, log0 = Y1[-1], Y2[-1], log0 + L[-1]
@@ -240,8 +272,23 @@ def propagate(table: StepTable, fam_idx, E, y0, i_from: int, i_to: int,
             rec1, rec2, logs = rec1[::-1], rec2[::-1], logs[::-1]
         return (y1, y2), rec1, rec2, logs
     if phase:
-        return (y1, y2), th_cont
+        slope = np.exp(log_int - 2.0 * log0) / (y1 * y1 + y2 * y2)
+        return (y1, y2), th_cont, (-slope if outward else slope)
     return y1, y2
+
+
+def _step_matrices(table: StepTable, steps, fam_idx, em, me, outward: bool,
+                   check: bool):
+    """[m11, m12, m21, m22, logf] of the given steps in traversal order (see
+    expm_traceless_2x2), refusing with check a step that rotates too far for
+    phase unwrapping. The Magnus entries die on return, so they are not held
+    while the scan runs."""
+    oa, ob, oc = _step_omega(table, steps, fam_idx, em, me)
+    if not outward:
+        oa, ob, oc = -oa, -ob, -oc
+    if check:
+        _check_rotation(steps, oa, ob, oc)
+    return list(expm_traceless_2x2(oa, ob, oc))
 
 
 def _check_rotation(steps, oa, ob, oc):
@@ -271,12 +318,13 @@ def _unwrap(th_cont, Y1, Y2, outward):
     return np.cumsum(np.concatenate([th_cont[None], dth]), axis=0)[-1]
 
 
-def _scan_states(mat, logf, y1, y2):
+def _scan_states(mats, y1, y2, quad=None):
     """Node states of y_{j+1} = M_j y_j for all j, by a two-level blocked scan.
 
-    mat = (m11, m12, m21, m22) and logf hold the scaled step matrices,
+    mats = [m11, m12, m21, m22, logf] holds the scaled step matrices,
     M_j = exp(logf[j]) * [[m11[j], m12[j]], [m21[j], m22[j]]], each of shape
-    (S, *batch). Returns (Y1, Y2, L) of shape (S+1, *batch): node j is
+    (S, *batch); the list is emptied once its arrays are blocked, and every
+    segment-sized array is dropped as soon as its phase is done. Returns (Y1, Y2, L) of shape (S+1, *batch): node j is
     exp(L[j]) * (Y1[j], Y2[j]), with (Y1[0], Y2[0]) = (y1, y2), L[0] = 0, and
     every later node max-normalized.
 
@@ -290,19 +338,26 @@ def _scan_states(mat, logf, y1, y2):
     O(S * batch) in about 2 sqrt(S) sequential rounds of batched arithmetic,
     and the association order depends only on S, so repeated runs are
     bitwise reproducible.
+
+    Given quad = (wa, wb, wc), weights of shape (S,) for nodes 1..S, also
+    returns log I as a fourth value, I = sum_j exp(2 L[j]) (wa Y1[j]^2 +
+    wb Y2[j]^2 + wc Y1[j] Y2[j]) over those nodes (see _norm_weights). It is
+    formed in the buffers of phase (1), which phase (3) leaves dead, so it
+    costs no segment-sized array.
     """
-    n_steps = logf.shape[0]
+    n_steps = mats[4].shape[0]
     bs = math.isqrt(max(n_steps - 1, 0)) + 1   # ceil(sqrt(S)), at least 1
     nb = -(-n_steps // bs)
     fill = nb * bs - n_steps
-    batch = logf.shape[1:]
+    batch = mats[4].shape[1:]
 
     def blocked(a, pad_value):
-        pad = np.full((fill, *batch), pad_value)
-        return np.concatenate([a, pad]).reshape(nb, bs, *batch)
+        if fill:
+            a = np.concatenate([a, np.full((fill, *batch), pad_value)])
+        return a.reshape(nb, bs, *batch)
 
-    a11, a12, a21, a22 = (blocked(a, v) for a, v in zip(mat, (1.0, 0.0, 0.0, 1.0)))
-    la = blocked(logf, 0.0)
+    a11, a12, a21, a22, la = (blocked(a, v) for a, v in zip(mats, (1.0, 0.0, 0.0, 1.0, 0.0)))
+    mats.clear()
 
     # (1) in-block prefix products P[:, t] = M[:, t] ... M[:, 0]
     p11, p12, p21, p22, lp = (np.empty_like(a11) for _ in range(5))
@@ -318,6 +373,7 @@ def _scan_states(mat, logf, y1, y2):
         nrm = np.maximum(nrm, _TINY)
         p11[:, t], p12[:, t], p21[:, t], p22[:, t] = n11 / nrm, n12 / nrm, n21 / nrm, n22 / nrm
         lp[:, t] = lp[:, t - 1] + la[:, t] + np.log(nrm)
+    del a11, a12, a21, a22, la
 
     # (2) block-start states s[b] = P[b - 1, -1] s[b - 1]
     s1 = np.empty((nb + 1, *batch))
@@ -334,13 +390,91 @@ def _scan_states(mat, logf, y1, y2):
     # (3) node states inside each block
     z1 = p11 * s1[:-1, None] + p12 * s2[:-1, None]
     z2 = p21 * s1[:-1, None] + p22 * s2[:-1, None]
+    del p21, p22
     nrm = np.maximum(np.maximum(np.abs(z1), np.abs(z2)), _TINY)
     lz = ls[:-1, None] + lp + np.log(nrm)
+    del lp
+    z1 /= nrm
+    z2 /= nrm
+    del nrm
+
+    log_int = ()
+    if quad is not None:
+        wa, wb, wc = np.concatenate([quad, np.zeros((3, fill))], axis=1).reshape(
+            3, nb, bs, *(1,) * len(batch))
+        # exp(2 (L - ref)) (wa Y1^2 + wb Y2^2 + wc Y1 Y2) in the dead buffers
+        # of phase (1), with ref the largest log scale of the segment, so
+        # nothing overflows
+        ref = lz.max(axis=(0, 1))
+        q, t = p11, p12
+        np.multiply(z1, z1, out=q)
+        q *= wa
+        np.multiply(z2, z2, out=t)
+        t *= wb
+        q += t
+        np.multiply(z1, z2, out=t)
+        t *= wc
+        q += t
+        np.subtract(lz, ref, out=t)
+        t *= 2.0
+        np.exp(t, out=t)
+        q *= t
+        log_int = (np.log(q.sum(axis=(0, 1))) + 2.0 * ref,)
+        del q, t
+    del p11, p12
 
     def nodes(start, inner):
         return np.concatenate([start[None], inner.reshape(nb * bs, *batch)[:n_steps]])
 
-    return nodes(y1, z1 / nrm), nodes(y2, z2 / nrm), nodes(np.zeros(batch), lz)
+    return nodes(y1, z1), nodes(y2, z2), nodes(np.zeros(batch), lz), *log_int
+
+
+def _norm_weights(table: StepTable, i_from: int, i_to: int):
+    """Node weights, shape (3, S+1), of the integral of |y|^2 dr over the
+    traversal from node i_from to node i_to: the integral is
+    sum_n wa_n y1_n^2 + wb_n y2_n^2 + wc_n y1_n y2_n over its nodes in
+    traversal order.
+
+    The rule takes f = |y|^2 and its derivative at the nodes, three nodes
+    (two steps) at a time, and is exact for f of degree 5 on any two step
+    lengths a, b. Its middle weight turns negative for b/a outside
+    [0.38, 2.62], so a pair with b/a outside [1/2, 2] (the sliver step the
+    node march may leave at r_max) and a last odd step take the two-node
+    rule dr/2 (f_0 + f_1) + dr^2/12 (f'_0 - f'_1) instead (degree 3). The
+    radial equations give f' = 2 (2m y1 y2 + (k/r)(y2^2 - y1^2)) in closed
+    form, free of V.
+    """
+    lo, hi = min(i_from, i_to), max(i_from, i_to)
+    r = table.r_nodes[lo:hi + 1]
+    if i_to < i_from:
+        r = r[::-1]
+    dr = np.abs(np.diff(r))
+    c = np.zeros(r.size)    # weights of f
+    d = np.zeros(r.size)    # weights of df/ds along the traversal
+    a, b = dr[0:-1:2], dr[1::2]
+    pair = (b <= 2.0 * a) & (a <= 2.0 * b)
+    ab = a + b
+    n0, n1 = np.arange(0, 2 * a.size, 2), np.arange(1, 2 * a.size, 2)
+    c[n0] += np.where(pair, ab * (10 * a**3 - 5 * a * a * b + a * b * b + b**3)
+                      / (30 * a**3), 0.5 * a)
+    c[n1] += np.where(pair, -ab**5 * (a * a - 3 * a * b + b * b) / (30 * a**3 * b**3),
+                      0.5 * ab)
+    c[n1 + 1] += np.where(pair, ab * (a**3 + a * a * b - 5 * a * b * b + 10 * b**3)
+                          / (30 * b**3), 0.5 * b)
+    d[n0] += np.where(pair, ab * ab * (2 * a * a - 2 * a * b + b * b) / (60 * a * a),
+                      a * a / 12)
+    d[n1] += np.where(pair, (b - a) * ab**5 / (60 * a * a * b * b), (b * b - a * a) / 12)
+    d[n1 + 1] -= np.where(pair, ab * ab * (a * a - 2 * a * b + 2 * b * b) / (60 * b * b),
+                          b * b / 12)
+    if dr.size % 2:
+        h = dr[-1]
+        c[-2:] += 0.5 * h
+        d[-2:] += (h * h / 12, -h * h / 12)
+    if i_to < i_from:
+        d = -d                                  # df/ds = -df/dr inward
+    d2 = 2.0 * d
+    dk = d2 * (table.k / r) if table.k else 0.0  # k = 0 on the lin grid, r from 0
+    return np.stack([c - dk, c + dk, 2.0 * table.m * d2])
 
 
 def match_values(table: StepTable, fam_idx, E, seed_origin, seed_tail,
@@ -352,18 +486,25 @@ def match_values(table: StepTable, fam_idx, E, seed_origin, seed_tail,
     the two unit directions, so it lies in [-2, 2] and vanishes exactly at
     eigenvalues.
 
-    With phase=True also returns the matching angle
+    With phase=True returns (mval, dtheta, dtheta_dE): the matching angle
     theta_out(r_match) - theta_in(r_match), continuous and strictly
-    decreasing in E; it passes a multiple of pi exactly at each eigenvalue,
-    which is what makes eigenvalue indexing alias-free.
+    decreasing in E, passes a multiple of pi exactly at each eigenvalue,
+    which is what makes eigenvalue indexing alias-free; its slope is
+    -I_out/|y_out(r_match)|^2 - I_in/|y_in(r_match)|^2, with I_out the
+    integral of |y_out|^2 from the origin seed to r_match and I_in that of
+    |y_in|^2 from r_match to infinity (the tail seed's decaying solution
+    beyond r_max in closed form).
     """
     y0 = seed_origin(E, fam_idx)
     yt = seed_tail(E, fam_idx)
     if phase:
-        (o1, o2), th_out = propagate(table, fam_idx, E, y0, 0, table.i_match,
-                                     phase=True)
-        (t1, t2), th_in = propagate(table, fam_idx, E, yt, table.n_steps,
-                                    table.i_match, phase=True)
+        (o1, o2), th_out, s_out = propagate(table, fam_idx, E, y0, 0,
+                                            table.i_match, phase=True)
+        # the tail seed continues the free decaying solution beyond r_max
+        lam = np.sqrt((table.m - E) * (table.m + E))
+        (t1, t2), th_in, s_in = propagate(
+            table, fam_idx, E, yt, table.n_steps, table.i_match, phase=True,
+            beyond=(yt[0] * yt[0] + yt[1] * yt[1]) / (2.0 * lam))
     else:
         o1, o2 = propagate(table, fam_idx, E, y0, 0, table.i_match)
         t1, t2 = propagate(table, fam_idx, E, yt, table.n_steps, table.i_match)
@@ -371,7 +512,7 @@ def match_values(table: StepTable, fam_idx, E, seed_origin, seed_tail,
     ni = np.sqrt(t1 * t1 + t2 * t2)
     mval = (o1 * t2 - o2 * t1) / np.maximum(no * ni, _TINY)
     if phase:
-        return mval, th_out - th_in
+        return mval, th_out - th_in, s_out - s_in
     return mval
 
 
@@ -394,31 +535,41 @@ def count_bisect(table: StepTable, fam_idx, lo, hi, targets, dtheta_bottom,
     count(hi) >= target + 1. The eigenvalue is the unique point in the
     bracket where the matching angle crosses K*pi with
     K = floor(dtheta_bottom/pi) - target. The angle is smooth and strictly
-    decreasing, so the bracket is narrowed by a bracketed secant on
-    g = dtheta - K*pi:
+    decreasing, and every evaluation also gives its slope, so the bracket is
+    narrowed on g = dtheta - K*pi by safeguarded Newton steps:
 
-    - the secant uses the Illinois weighting: the value kept at an end that
-      survives twice in a row is halved, which pushes the next point across
-      the root, so both ends converge;
-    - each point lies at least min(0.45 tol, width/4) inside the bracket, so
-      once one end has converged the next point lands just across the root
-      and the bracket closes below tol in one step (Dekker-Brent);
+    - a Newton step starts from the bracket end nearer the root by its own
+      estimate, the smaller |g/g'|, and is taken when it lands at least
+      min(0.45 tol, width/4) inside the bracket (the end with the smaller |g|
+      overshoots again and again where the slope varies fast, as near the
+      jump of the angle at a level confined behind a barrier);
+    - once the Newton correction is below tol/2, the step goes 0.45 tol past
+      the root estimate, away from its end, so the point lands just across
+      the root and the bracket closes below tol;
+    - otherwise the step is a bracketed secant with the Illinois weighting
+      (the value kept at an end that survives twice in a row is halved,
+      which pushes the next point across the root), clipped to the same
+      margin inside the bracket (Dekker-Brent);
     - a step is a plain midpoint whenever the element has fallen more than
       one step behind a pace of three steps per halving of its bracket, so no
-      element takes more than 3 ceil(log2(w0/tol)) + 2 steps, while a secant
-      that has shrunk the bracket fast keeps the lead it has built up.
+      element takes more than 3 ceil(log2(w0/tol)) + 2 steps, whatever the
+      Newton and secant steps do, while fast steps keep the lead they have
+      built up.
 
     Every point replaces the end its eigenvalue count says, so
     count(lo) <= target < count(hi) holds at every iteration and the search
     is as safe as pure bisection. Each iteration propagates only the
     elements whose bracket is still wider than tol (and has a float inside
-    it); the others are frozen.
+    it); the others are frozen. With the "diracmono" logger at DEBUG, every
+    iteration in which some element steps by secant or midpoint instead of
+    Newton is logged.
 
-    ends = ((m_lo, dtheta_lo), (m_hi, dtheta_hi)), the match_values(...,
-    phase=True) results at lo and at hi, saves their evaluation when the
-    caller has them. Returns (E, |M|, final width): the bracket midpoint, and
-    |M| at the element's last evaluated point, or the larger of the two end
-    values when its bracket was already within tol.
+    ends = ((m_lo, dtheta_lo, slope_lo), (m_hi, dtheta_hi, slope_hi)), the
+    match_values(..., phase=True) results at lo and at hi, saves their
+    evaluation when the caller has them. Returns (E, |M|, final width,
+    evaluations): the bracket midpoint; |M| at the element's last evaluated
+    point, or the larger of the two end values when its bracket was already
+    within tol; and the number of points the element evaluated.
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
@@ -429,13 +580,16 @@ def count_bisect(table: StepTable, fam_idx, lo, hi, targets, dtheta_bottom,
     if ends is None:
         ends = [match_values(table, fam_idx, e, seed_origin, seed_tail, phase=True)
                 for e in (lo, hi)]
-    (m_lo, th_lo), (m_hi, th_hi) = ends
+    (m_lo, th_lo, d_lo), (m_hi, th_hi, d_hi) = ends
     g_lo, g_hi = th_lo - k_pi, th_hi - k_pi
+    d_lo, d_hi = np.array(d_lo, dtype=float), np.array(d_hi, dtype=float)
     m_abs = np.maximum(np.abs(m_lo), np.abs(m_hi))
     w0 = hi - lo
     n_steps = np.zeros(lo.shape, dtype=int)
     stale_lo = np.zeros(lo.shape, dtype=int)
     stale_hi = np.zeros(lo.shape, dtype=int)
+    ill_lo = np.ones(lo.shape)   # Illinois weights of the end values
+    ill_hi = np.ones(lo.shape)
     for _ in range(max_iter):
         width = hi - lo
         half = lo + 0.5 * width
@@ -443,28 +597,52 @@ def count_bisect(table: StepTable, fam_idx, lo, hi, targets, dtheta_bottom,
         if act.size == 0:
             break
         a_lo, a_hi, w, gl, gh = lo[act], hi[act], width[act], g_lo[act], g_hi[act]
-        denom = gl - gh
-        frac = np.where(denom > 0, gl / np.where(denom > 0, denom, 1.0), 0.5)
         margin = np.minimum(0.45 * tol, 0.25 * w)
-        x = np.clip(a_lo + frac * w, a_lo + margin, a_hi - margin)
+        # Newton from the end nearer the root by |g/g'|, straddling it once
+        # converged
+        near_lo = np.abs(gl * d_hi[act]) <= np.abs(gh * d_lo[act])
+        g_n = np.where(near_lo, gl, gh)
+        d_n = np.where(near_lo, d_lo[act], d_hi[act])
+        slope_ok = np.isfinite(d_n) & (d_n < 0.0)
+        corr = -g_n / np.where(slope_ok, d_n, -1.0)
+        x = np.where(near_lo, a_lo, a_hi) + corr
+        x += np.where(np.abs(corr) < 0.5 * tol, np.where(near_lo, 0.45, -0.45) * tol, 0.0)
+        # strictly inside too: with tol below the float spacing the margin
+        # rounds away, and a point on an end would be evaluated again and again
+        newton = (slope_ok & (a_lo < x) & (x < a_hi)
+                  & (a_lo + margin <= x) & (x <= a_hi - margin))
+        # otherwise the Illinois secant, clipped to the margin
+        il, ih = gl * ill_lo[act], gh * ill_hi[act]
+        denom = il - ih
+        frac = np.where(denom > 0, il / np.where(denom > 0, denom, 1.0), 0.5)
+        x = np.where(newton, x, np.clip(a_lo + frac * w, a_lo + margin, a_hi - margin))
         # a midpoint whenever the element has fallen more than one step behind
         # a pace of three steps per halving of its bracket
         behind = n_steps[act] >= 3.0 * np.log2(w0[act] / w) + 1.0
         x = np.where(behind, half[act], x)
+        if _log.isEnabledFor(logging.DEBUG) and not np.all(newton & ~behind):
+            _log.debug("count_bisect: %d of %d steps fell back from Newton: "
+                       "%d secant, %d pace midpoint", np.count_nonzero(~newton | behind),
+                       act.size, np.count_nonzero(~newton & ~behind),
+                       np.count_nonzero(behind))
         n_steps[act] += 1
-        m_x, th_x = match_values(table, fam_idx[act], x, seed_origin, seed_tail,
-                                 phase=True)
+        m_x, th_x, d_x = match_values(table, fam_idx[act], x, seed_origin, seed_tail,
+                                      phase=True)
         below = np.floor(th_x / np.pi) >= k[act]   # count(x) <= target
         lo[act] = np.where(below, x, a_lo)
         hi[act] = np.where(below, a_hi, x)
         g_x = th_x - k_pi[act]
+        g_lo[act] = np.where(below, g_x, gl)
+        g_hi[act] = np.where(below, gh, g_x)
+        d_lo[act] = np.where(below, d_x, d_lo[act])
+        d_hi[act] = np.where(below, d_hi[act], d_x)
         s_lo = np.where(below, 0, stale_lo[act] + 1)
         s_hi = np.where(below, stale_hi[act] + 1, 0)
-        g_lo[act] = np.where(below, g_x, np.where(s_lo >= 2, 0.5 * gl, gl))
-        g_hi[act] = np.where(below, np.where(s_hi >= 2, 0.5 * gh, gh), g_x)
+        ill_lo[act] = np.where(below, 1.0, np.where(s_lo >= 2, 0.5, 1.0) * ill_lo[act])
+        ill_hi[act] = np.where(below, np.where(s_hi >= 2, 0.5, 1.0) * ill_hi[act], 1.0)
         stale_lo[act], stale_hi[act] = s_lo, s_hi
         m_abs[act] = np.abs(m_x)
-    return 0.5 * (lo + hi), m_abs, hi - lo
+    return 0.5 * (lo + hi), m_abs, hi - lo, n_steps
 
 
 def assemble_two_sided(table: StepTable, fam_idx, E, seed_origin, seed_tail):

@@ -19,7 +19,10 @@ stages that share the seed and match radii:
    which the dense stage re-verifies.
 2. fine stage: repeat the index-targeted search on a dense, energy-band-aware
    grid sized to the radial support of the targeted states, down to the
-   eigenvalue tolerance.
+   eigenvalue tolerance. One evaluation there gives the window ends and
+   every coarse centre; each search starts from its centre, bracketed by
+   the window end across the eigenvalue, and converges by Newton steps on
+   the matching angle, whose E-slope every evaluation returns.
 3. dense stage: record the two-sided wavefunction on the output grid,
    normalize (psi1, psi1) + (psi2, psi2) = 1, and fix the overall sign.
 
@@ -42,6 +45,7 @@ states.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -78,6 +82,8 @@ __all__ = [
 GAP_EDGE_FRACTION = 1e-6     # the search window keeps this relative distance from +-m
 HEADROOM_EFOLDS = 38.0       # required decay room beyond the turning radius
 SEED_CORRECTION_TOL = 1e-8   # origin seed: max relative size of dropped term
+
+_log = logging.getLogger("diracmono")
 
 
 @dataclass(frozen=True)
@@ -554,10 +560,10 @@ class _Workspace:
 
     # -- coarse stage -------------------------------------------------------
     def window_ends(self):
-        """Match values and matching angles (mval, dth) on the coarse table at
-        the window ends, each of shape (F, 2): column 0 at the bottom, column 1
-        at the top. Family f has count_below(dth[f, 1], dth[f, 0])
-        eigenvalues in the window."""
+        """Match values, matching angles and their E-slopes (mval, dth, slope)
+        on the coarse table at the window ends, each of shape (F, 2): column 0
+        at the bottom, column 1 at the top. Family f has
+        count_below(dth[f, 1], dth[f, 0]) eigenvalues in the window."""
         seed_o, seed_t = self.seeds
         e_ends = np.broadcast_to(self.window(), (len(self.families), 2))
         return prop.match_values(self.coarse, None, e_ends, seed_o, seed_t,
@@ -569,13 +575,13 @@ class _Workspace:
         Every bracket is the whole window; the end values from window_ends
         are reused.
         """
-        mval, dth = ends
+        _, dth, _ = ends
         fam_idx = np.asarray(fam_is, dtype=np.intp)
         lo, hi = (np.full(fam_idx.size, e) for e in self.window())
         seed_o, seed_t = self.seeds
-        e_ref, _, _ = prop.count_bisect(
+        e_ref, _, _, _ = prop.count_bisect(
             self.coarse, fam_idx, lo, hi, targets, dth[fam_idx, 0], tol,
-            seed_o, seed_t, ends=[(mval[fam_idx, i], dth[fam_idx, i]) for i in (0, 1)])
+            seed_o, seed_t, ends=[tuple(a[fam_idx, i] for a in ends) for i in (0, 1)])
         return e_ref
 
     # -- fine + dense stages --------------------------------------------------
@@ -617,13 +623,15 @@ class _Workspace:
         return _make_table(self.channel, self.families, domain, prop.march_nodes, h_fine)
 
     def fine_eigenvalues(self, fam_is, e_centers, targets):
-        """Re-bracket each coarse eigenvalue on a fine grid and count-bisect.
+        """Count-bisect each coarse eigenvalue on a fine grid, from its centre.
 
-        Index targeting makes a drifting bracket harmless: if the coarse and
-        fine grids disagree by more than the initial window, the window is
-        widened (ultimately to the whole search window) and the search still
-        converges on the requested eigenvalue index. Returns (E*, |M|, final
-        bracket width) per batch element and the fine domain used.
+        One evaluation on the fine table gives the window bottom and top of
+        every family in the group and every coarse centre. A state's bracket
+        is its centre and the window end on the other side of the centre's
+        fine count, so index targeting stays exact however far the coarse and
+        fine grids disagree, and the search starts with Newton from the
+        centre. Returns (E*, |M|, final bracket width, evaluations) per batch
+        element and the fine domain used.
         """
         m = self.channel.m
         e_centers = np.asarray(e_centers, dtype=float)
@@ -637,43 +645,44 @@ class _Workspace:
         table = self.fine_table(band, domain)
         seed_o, seed_t = self.seeds
 
-        # count reference at the window bottom, per family
-        n_fam = len(self.families)
-        _, dth_b = prop.match_values(
-            table, np.arange(n_fam, dtype=np.intp),
-            np.full(n_fam, bottom), seed_o, seed_t, phase=True)
-
-        delta = np.full(e_centers.shape, max(3e-4 * m, 60 * 3e-6 * m))
-        lo = np.maximum(e_centers - delta, bottom)
-        hi = np.minimum(e_centers + delta, top)
-        for attempt in range(4):
-            ends = [prop.match_values(table, fam_idx, e, seed_o, seed_t, phase=True)
-                    for e in (lo, hi)]
-            ok = ((prop.count_below(ends[0][1], dth_b[fam_idx]) <= targets)
-                  & (prop.count_below(ends[1][1], dth_b[fam_idx]) >= targets + 1))
-            if ok.all():
-                break
-            if attempt == 3:
-                raise NumericalError(
-                    f"the fine grid brackets no eigenvalue of index "
-                    f"{targets[~ok].tolist()} in the search window "
-                    f"[{bottom:.12g}, {top:.12g}]")
-            if attempt == 2:
-                lo = np.where(ok, lo, bottom)
-                hi = np.where(ok, hi, top)
-            else:
-                delta = np.where(ok, delta, delta * 8)
-                lo = np.maximum(e_centers - delta, bottom)
-                hi = np.minimum(e_centers + delta, top)
-        e_star, m_abs, width = prop.count_bisect(table, fam_idx, lo, hi, targets,
-                                                 dth_b[fam_idx], self.config.e_tol,
-                                                 seed_o, seed_t, ends=ends)
-        return e_star, m_abs, width, domain
+        # one evaluation: the window bottom and top of each family in the
+        # group, then the centres
+        fams, row = np.unique(fam_idx, return_inverse=True)
+        nf = fams.size
+        e_rows = np.concatenate([np.full(nf, bottom), np.full(nf, top), e_centers])
+        mval, dth, slope = prop.match_values(
+            table, np.concatenate([fams, fams, fam_idx]), e_rows, seed_o, seed_t,
+            phase=True)
+        dth_b = dth[row]
+        missing = prop.count_below(dth[nf + row], dth_b) <= targets
+        if np.any(missing):
+            raise NumericalError(
+                f"the fine grid brackets no eigenvalue of index "
+                f"{targets[missing].tolist()} in the search window "
+                f"[{bottom:.12g}, {top:.12g}]")
+        # each bracket: the centre and the window end across the eigenvalue
+        count = prop.count_below(dth[2 * nf:], dth_b)
+        up = count <= targets                  # the centre lies below it
+        centre = 2 * nf + np.arange(fam_idx.size)
+        end = np.where(up, nf + row, row)
+        lo_row, hi_row = np.where(up, centre, end), np.where(up, end, centre)
+        past = (count < targets) | (count > targets + 1)
+        if _log.isEnabledFor(logging.DEBUG) and np.any(past):
+            _log.debug("fine stage: the coarse centres %s of indices %s lie past a "
+                       "neighbouring eigenvalue on the fine grid (counts %s); their "
+                       "searches need the far window end", e_centers[past].tolist(),
+                       targets[past].tolist(), count[past].tolist())
+        e_star, m_abs, width, evals = prop.count_bisect(
+            table, fam_idx, e_rows[lo_row], e_rows[hi_row], targets, dth_b,
+            self.config.e_tol, seed_o, seed_t,
+            ends=[(mval[r], dth[r], slope[r]) for r in (lo_row, hi_row)])
+        return e_star, m_abs, width, evals, domain
 
     def dense_states(self, fam_is, energies, match_res, bracket_widths,
-                     coarse_centers, requested_nodes, domain):
+                     coarse_centers, fine_evals, requested_nodes, domain):
         """Record, normalize and package BoundStates for accepted eigenvalues;
-        diagnostics add the final bracket width and |E - coarse centre|."""
+        diagnostics add the final bracket width, |E - coarse centre| and the
+        number of evaluations of the fine search."""
         ch, cfg = self.channel, self.config
         out_table = _make_table(ch, self.families, domain, prop.uniform_nodes,
                                 cfg.n_grid)
@@ -722,6 +731,7 @@ class _Workspace:
                     "coarse_steps": self.coarse.n_steps,
                     "bracket_width": float(bracket_widths[b]),
                     "coarse_shift": abs(float(energies[b] - coarse_centers[b])),
+                    "fine_evals": int(fine_evals[b]),
                 },
             ))
         return states
@@ -771,8 +781,12 @@ def solve_batch(channel: ChannelSpec, families, n_r_values, config: SolveConfig 
             raise _no_such_state(
                 ws, ends, n_top, f"no state with requested node count(s) "
                 f"{n_r_values} within r_max = {ws.domain.r_max:g}")
-        ws = _Workspace(channel, families, config,
-                        r_max_override=min(ws.domain.r_max * 2.5, ws.ceiling),
+        r_next = min(ws.domain.r_max * 2.5, ws.ceiling)
+        if _log.isEnabledFor(logging.DEBUG):
+            _log.debug("solve_batch: window counts %s miss node count %d; coarse "
+                       "r_max %.6g -> %.6g", n_top.tolist(), n_r_values[-1],
+                       ws.domain.r_max, r_next)
+        ws = _Workspace(channel, families, config, r_max_override=r_next,
                         n_r_max=max(n_r_values))
     fam_is = [f for f in range(len(families)) for _ in n_r_values]
     labels = [n for _ in families for n in n_r_values]
@@ -806,19 +820,19 @@ def solve_batch(channel: ChannelSpec, families, n_r_values, config: SolveConfig 
     e_star = np.empty(len(fam_is))
     m_res = np.empty(len(fam_is))
     widths = np.empty(len(fam_is))
+    evals = np.empty(len(fam_is), dtype=int)
     states_by_slot: dict[int, BoundState] = {}
     for grp in groups:
-        es, ms, wd, gdomain = ws.fine_eigenvalues([fam_is[i] for i in grp],
-                                                  centers[grp],
-                                                  [labels[i] for i in grp])
-        e_star[grp], m_res[grp], widths[grp] = es, ms, wd
+        *fine, gdomain = ws.fine_eigenvalues([fam_is[i] for i in grp], centers[grp],
+                                             [labels[i] for i in grp])
+        e_star[grp], m_res[grp], widths[grp], evals[grp] = fine
         dense_sel = [i for i in grp if dense_flags[fam_is[i]]]
         if not dense_sel:
             continue
         dstates = ws.dense_states([fam_is[i] for i in dense_sel],
                                   e_star[dense_sel], m_res[dense_sel],
                                   widths[dense_sel], centers[dense_sel],
-                                  [labels[i] for i in dense_sel],
+                                  evals[dense_sel], [labels[i] for i in dense_sel],
                                   domain=gdomain)
         for slot, st in zip(dense_sel, dstates):
             if st.nodes != labels[slot]:

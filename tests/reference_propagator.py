@@ -21,7 +21,8 @@ _TINY = 1e-300
 
 def propagate_sequential(table, fam_idx, E, y0, i_from, i_to,
                          record=False, phase=False):
-    """Same contract and return values as ``propagation.propagate``."""
+    """Same contract and return values as ``propagation.propagate``, except
+    that phase mode returns no E-slope: ((y1, y2), theta)."""
     E = np.asarray(E, dtype=float)
     em = E + table.m
     me = table.m - E
