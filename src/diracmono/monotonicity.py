@@ -15,12 +15,20 @@ residuals derived from differentiating the eigensystem:
 * the W combination of the differentiated eigenequations, which vanishes for
   exact eigenstates and bounds the discretization honesty of the whole chain.
 
-All stencil solves share one radial grid (the solver batches them), so grid
-bias cancels in the differences instead of polluting them.
+The five members of a parameter stencil (a, a -+ h, a -+ h/2) share one
+radial grid, so grid bias cancels in the differences instead of polluting
+them. A sweep solves the stencils of all its points in one batch: one
+workspace and coarse stage for every member, then one fine and dense group
+per stencil, streamed, so each stencil becomes its record and drops its
+wavefunctions before the next is solved. If that batch raises a package
+error, the sweep is solved again point by point, one stencil per solve,
+which gives failures their exact per-point report (the aborting point and
+the records before it).
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -60,6 +68,8 @@ __all__ = [
 ]
 
 TOL_SIGN = 1e-8  # slack on the sign of dE/da in verdicts
+
+_log = logging.getLogger("diracmono")
 
 
 @dataclass(frozen=True)
@@ -120,41 +130,73 @@ def _default_step(a: float) -> float:
     return max(1e-4, 1e-3 * abs(a))
 
 
+_OFFSETS = (0.0, -1.0, 1.0, -0.5, 0.5)   # stencil members a + offset * h
+_DENSE = (True, True, True, False, False)  # the a +- h/2 members need only E
+
+
+def _stencils(family: PotentialFamily, channel: ChannelSpec, n_r: int, a_points,
+              h: float | None, config: SolveConfig | None):
+    """The parameter stencils a, a -+ h, a -+ h/2 of every a in a_points, all
+    in one batched solve: one workspace and coarse stage for every member,
+    and one fine and dense group per stencil, so each stencil's members share
+    a grid and grid bias cancels in the differences. Yields, per point in
+    order and as soon as its stencil is solved, the centre state, dE/da from
+    steps h and h/2 Richardson-combined to 4th order, and the
+    central-difference (psi1_a, psi2_a). A package error of any stencil
+    raises from the batch."""
+    p = family.active_param
+    a_points = [float(a) for a in a_points]
+    steps = [_default_step(a) if h is None else h for a in a_points]
+    fams = [family.with_params(**{p: a + d * s})
+            for a, s in zip(a_points, steps) for d in _OFFSETS]
+    config = config or SolveConfig()
+    groups = solve_batch(channel, fams, [n_r],
+                         replace(config, e_tol=min(config.e_tol, 1e-13)),
+                         dense_flags=_DENSE * len(steps),
+                         _ties=[i // len(_OFFSETS) for i in range(len(fams))])
+    for group in groups:
+        res = {f: r for f, _, r in group}
+        first = min(res)
+        s = steps[first // len(_OFFSETS)]
+        st, st_m, st_p, eig_m2, eig_p2 = (res[first + k] for k in range(len(_OFFSETS)))
+        d1 = (st_p.E - st_m.E) / (2 * s)
+        d2 = (eig_p2.E - eig_m2.E) / s
+        psi_a = PsiParamDerivative(center=st,
+                                   psi1a=(st_p.psi1 - st_m.psi1) / (2 * s),
+                                   psi2a=(st_p.psi2 - st_m.psi2) / (2 * s), h=s)
+        yield st, (4 * d2 - d1) / 3, psi_a
+
+
 def _stencil_point(family: PotentialFamily, channel: ChannelSpec, n_r: int,
                    a: float | None, h: float | None, config: SolveConfig | None):
-    """One batched solve of the parameter stencil a, a -+ h, a -+ h/2 on a
-    shared grid, so grid bias cancels in the differences. Returns the centre
-    state, dE/da from steps h and h/2 Richardson-combined to 4th order, and
-    the central-difference (psi1_a, psi2_a). A level not resolvable at every
-    point, or diverging grids, raise LevelCrossingError."""
+    """The one-point case of _stencils, at a (default: the family's own
+    value): returns (centre state, dE/da, psi_a). A level not resolvable at
+    every stencil point raises LevelCrossingError."""
     p = family.active_param
     a = family.params[p] if a is None else float(a)
     h = _default_step(a) if h is None else h
-    fams = [family.with_params(**{p: a + d}) for d in (0.0, -h, h, -h / 2, h / 2)]
-    config = config or SolveConfig()
     try:
-        res = solve_batch(channel, fams, [n_r],
-                          replace(config, e_tol=min(config.e_tol, 1e-13)),
-                          dense_flags=[True, True, True, False, False])
+        return next(_stencils(family, channel, n_r, [a], h, config))
     except NoSuchStateError as exc:
-        vals = [f.params[p] for f in fams]
         raise LevelCrossingError(
             f"state n_r={n_r} is not resolvable at every stencil point "
-            f"{vals} of parameter {p!r}: {exc}"
+            f"{[a + d * h for d in _OFFSETS]} of parameter {p!r}: {exc}"
         ) from exc
-    st, st_m, st_p = res[0][n_r], res[1][n_r], res[2][n_r]
-    e_m2, e_p2 = res[3][n_r].E, res[4][n_r].E
-    if not (np.array_equal(st.grid, st_m.grid) and np.array_equal(st.grid, st_p.grid)):
-        raise LevelCrossingError(
-            f"stencil solves landed on different grids at a = {a:g}; energies "
-            f"moved too far across the parameter step"
-        )
-    d1 = (st_p.E - st_m.E) / (2 * h)
-    d2 = (e_p2 - e_m2) / h
-    psi_a = PsiParamDerivative(center=st,
-                               psi1a=(st_p.psi1 - st_m.psi1) / (2 * h),
-                               psi2a=(st_p.psi2 - st_m.psi2) / (2 * h), h=h)
-    return st, (4 * d2 - d1) / 3, psi_a
+
+
+def _record(a: float, st: BoundState, de_fd: float, psi_a: PsiParamDerivative,
+            channel: ChannelSpec) -> SweepRecord:
+    de_hf = hf_derivative(st, st.family)
+    return SweepRecord(
+        a=float(a),
+        E=st.E,
+        dE_fd=de_fd,
+        dE_hf=de_hf,
+        hf_residual=abs(de_fd - de_hf),
+        orth_residual=orthogonality_residual(st, psi_a),
+        w_residual=w_residual(st, psi_a, st.family, channel),
+        nodes=st.nodes,
+    )
 
 
 def hf_derivative(state: BoundState, family: PotentialFamily) -> float:
@@ -239,31 +281,31 @@ def sweep(family: PotentialFamily, channel: ChannelSpec, n_r: int, a_grid,
           config: SolveConfig | None = None, h: float | None = None) -> list[SweepRecord]:
     """E(a) sweep with both derivative estimates and residuals per point.
 
-    Level identity is tracked by node count within the fixed channel. A
-    package error (DiracmonoError) at any point aborts the sweep, raising
-    SweepAbortedError with the records accumulated so far attached; any
-    other exception propagates unwrapped.
+    Level identity is tracked by node count within the fixed channel. Every
+    point's stencil goes through one batched solve (_stencils), and each
+    stencil becomes its record, its wavefunctions dropped, as soon as it is
+    solved. If the batch raises a package error (DiracmonoError), the sweep
+    is solved again point by point (_stencil_point), which is the reference
+    path for failures: a package error at a point aborts the sweep, raising
+    SweepAbortedError with the records accumulated so far attached. Any other
+    exception propagates unwrapped.
     """
     a_grid = np.asarray(a_grid, dtype=float)
     if a_grid.ndim != 1 or a_grid.size < 2:
         raise ConfigurationError("a sweep needs at least 2 parameter points")
     if np.any(np.diff(a_grid) <= 0):
         raise ConfigurationError("sweep grid must be strictly increasing")
+    try:
+        return [_record(a, *stencil, channel) for a, stencil in
+                zip(a_grid, _stencils(family, channel, n_r, a_grid, h, config))]
+    except DiracmonoError as exc:
+        _log.debug("sweep: the batched solve of n_r = %d failed (%s); solving "
+                   "point by point", n_r, exc)
     records: list[SweepRecord] = []
     for a in a_grid:
         try:
-            st, de_fd, psi_a = _stencil_point(family, channel, n_r, a, h, config)
-            de_hf = hf_derivative(st, st.family)
-            records.append(SweepRecord(
-                a=float(a),
-                E=st.E,
-                dE_fd=de_fd,
-                dE_hf=de_hf,
-                hf_residual=abs(de_fd - de_hf),
-                orth_residual=orthogonality_residual(st, psi_a),
-                w_residual=w_residual(st, psi_a, st.family, channel),
-                nodes=st.nodes,
-            ))
+            records.append(_record(a, *_stencil_point(family, channel, n_r, a, h, config),
+                                   channel))
         except DiracmonoError as exc:
             raise SweepAbortedError(
                 f"sweep aborted at a = {a:g}: {exc}", records, cause=exc

@@ -26,6 +26,12 @@ stages that share the seed and match radii:
 3. dense stage: record the two-sided wavefunction on the output grid,
    normalize (psi1, psi1) + (psi2, psi2) = 1, and fix the overall sign.
 
+The coarse stage is shared by the whole batch. The fine and dense stages run
+per group of states, each group on step tables of its own families only, and
+are streamed one group at a time: solve_batch collects the groups, which are
+energy bands of similar decay rate by default and one group per parameter
+stencil for the sweeps of the monotonicity harness.
+
 Every radial decision reads one potential profile per workspace: V_f sampled
 once on geometric radii from the seed radius out to the explicit r_max or the
 cap 4000/m. It gives the match radius, the bottom of the search window, the
@@ -45,6 +51,7 @@ states.
 
 from __future__ import annotations
 
+import bisect
 import logging
 import math
 from dataclasses import dataclass, field
@@ -456,16 +463,26 @@ def _band_rate(channel, r, env, e_band):
 def _h_rule(channel, param, r, rate, c_step, density):
     """Step-size callable h(x) interpolated from a rate tabulated on the radii
     r, since marching queries it thousands of times; x = log r for the "log"
-    parametrization, x = r for "lin"."""
+    parametrization, x = r for "lin". The slopes are formed once, and each
+    query is a bisection plus np.interp's own formula on Python floats, so
+    the steps are bitwise those of np.interp without its per-call cost."""
     if param == "log":
         x = np.log(r)
         h = np.minimum(0.35, c_step / (abs(channel.k) + r * rate)) / density
     else:
         x = r
         h = np.minimum(0.35 / channel.m, c_step / rate) / density
+    slope = (np.diff(h) / np.diff(x)).tolist()
+    x, h = x.tolist(), h.tolist()
+    last = len(x) - 1
 
     def h_of_x(xq):
-        return float(np.interp(xq, x, h))
+        j = bisect.bisect_right(x, xq) - 1
+        if j < 0:
+            return h[0]
+        if j >= last:
+            return h[last]
+        return slope[j] * (xq - x[j]) + h[j]
 
     return h_of_x
 
@@ -615,12 +632,21 @@ class _Workspace:
         return _Domain(r_seed=self.domain.r_seed, r_max=r_max,
                        r_match=self.domain.r_match, param=self.domain.param)
 
-    def fine_table(self, e_band, domain):
+    def fine_table(self, e_band, domain, fams=None):
+        """Fine step table for energies in e_band; fams (workspace family
+        indices, default all) are the table's families, in that order."""
         c_fine = _FINE_C if domain.param == "log" else _FINE_C_LIN
         h_fine = _h_rule(self.channel, domain.param, self.r,
                          _band_rate(self.channel, self.r, self.env, e_band),
                          c_fine, self.config.step_density)
-        return _make_table(self.channel, self.families, domain, prop.march_nodes, h_fine)
+        families = self.families if fams is None else [self.families[f] for f in fams]
+        return _make_table(self.channel, families, domain, prop.march_nodes, h_fine)
+
+    def local_seeds(self, fams):
+        """The workspace seeds for a table of the families fams: its family
+        index i is workspace family fams[i]."""
+        seed_o, seed_t = self.seeds
+        return (lambda E, idx: seed_o(E, fams[idx])), seed_t
 
     def fine_eigenvalues(self, fam_is, e_centers, targets):
         """Count-bisect each coarse eigenvalue on a fine grid, from its centre.
@@ -642,17 +668,18 @@ class _Workspace:
         band = (max(float(e_centers.min()) - pad, bottom),
                 min(float(e_centers.max()) + pad, top))
         domain = self.trimmed_domain(fam_idx, e_centers)
-        table = self.fine_table(band, domain)
-        seed_o, seed_t = self.seeds
+        # the table holds only the group's families; row indexes them
+        fams, row = np.unique(fam_idx, return_inverse=True)
+        nf = fams.size
+        table = self.fine_table(band, domain, fams)
+        seed_o, seed_t = self.local_seeds(fams)
 
         # one evaluation: the window bottom and top of each family in the
         # group, then the centres
-        fams, row = np.unique(fam_idx, return_inverse=True)
-        nf = fams.size
         e_rows = np.concatenate([np.full(nf, bottom), np.full(nf, top), e_centers])
         mval, dth, slope = prop.match_values(
-            table, np.concatenate([fams, fams, fam_idx]), e_rows, seed_o, seed_t,
-            phase=True)
+            table, np.concatenate([np.arange(nf), np.arange(nf), row]), e_rows,
+            seed_o, seed_t, phase=True)
         dth_b = dth[row]
         missing = prop.count_below(dth[nf + row], dth_b) <= targets
         if np.any(missing):
@@ -673,7 +700,7 @@ class _Workspace:
                        "searches need the far window end", e_centers[past].tolist(),
                        targets[past].tolist(), count[past].tolist())
         e_star, m_abs, width, evals = prop.count_bisect(
-            table, fam_idx, e_rows[lo_row], e_rows[hi_row], targets, dth_b,
+            table, row, e_rows[lo_row], e_rows[hi_row], targets, dth_b,
             self.config.e_tol, seed_o, seed_t,
             ends=[(mval[r], dth[r], slope[r]) for r in (lo_row, hi_row)])
         return e_star, m_abs, width, evals, domain
@@ -684,12 +711,13 @@ class _Workspace:
         diagnostics add the final bracket width, |E - coarse centre| and the
         number of evaluations of the fine search."""
         ch, cfg = self.channel, self.config
-        out_table = _make_table(ch, self.families, domain, prop.uniform_nodes,
-                                cfg.n_grid)
-        seed_o, seed_t = self.seeds
         fam_idx = np.asarray(fam_is, dtype=np.intp)
+        fams, row = np.unique(fam_idx, return_inverse=True)
+        out_table = _make_table(ch, [self.families[f] for f in fams], domain,
+                                prop.uniform_nodes, cfg.n_grid)
+        seed_o, seed_t = self.local_seeds(fams)
         energies = np.asarray(energies, dtype=float)
-        psi1, psi2 = prop.assemble_two_sided(out_table, fam_idx, energies,
+        psi1, psi2 = prop.assemble_two_sided(out_table, row, energies,
                                              seed_o, seed_t)
         grid = out_table.r_nodes
         factor = 2.0 if ch.d == 1 else 1.0
@@ -749,7 +777,7 @@ def _no_such_state(ws: _Workspace, ends, n_top, reason: str, cap: int = 14):
 
 
 def solve_batch(channel: ChannelSpec, families, n_r_values, config: SolveConfig | None = None,
-                dense_flags=None):
+                dense_flags=None, *, _ties=None):
     """Solve the requested node-count states for every family on one shared grid.
 
     Returns a list (one entry per family) of dicts {n_r: BoundState|EigenResult}.
@@ -757,6 +785,14 @@ def solve_batch(channel: ChannelSpec, families, n_r_values, config: SolveConfig 
     (BoundState) or only eigenvalues (EigenResult). Sharing the radial grid
     across the batch is what makes parameter-derivative stencils cancel their
     discretization bias.
+
+    The workspace, the window counts and the coarse centres are shared by
+    the whole batch; the fine and dense stages run per group of states (see
+    _group_results). _ties is private to the stencil sweeps of monotonicity:
+    one key per family, the parameter stencil it belongs to. Each (key, n_r)
+    pair is then its own group, and solve_batch returns the generator of
+    group results instead of collecting them, so that a sweep can drop each
+    stencil's wavefunctions before the next stencil's are made.
     """
     config = config or DEFAULT_CONFIG
     families = list(families)
@@ -802,55 +838,63 @@ def solve_batch(channel: ChannelSpec, families, n_r_values, config: SolveConfig 
                                  f"{room.min():.3g} < {HEADROOM_EFOLDS:g} e-folds of "
                                  f"decay room within the cap r_max = {ws.ceiling:g}")
 
-    # fine + dense stages run per energy-band group: states of similar decay
-    # rate share a trimmed fine grid, which keeps deep and shallow states from
-    # forcing each other onto the union of their domains
-    order = sorted(range(len(fam_is)), key=lambda i: centers[i])
     groups: list[list[int]] = []
-    for i in order:
-        lam_i = math.sqrt(max(m * m - centers[i] ** 2, 1e-12))
-        if groups:
-            first = groups[-1][0]
-            lam_0 = math.sqrt(max(m * m - centers[first] ** 2, 1e-12))
-            if lam_i >= 0.55 * lam_0:
-                groups[-1].append(i)
-                continue
-        groups.append([i])
+    if _ties is not None:
+        # one group per stencil and level, in the order of the batch
+        keyed: dict = {}
+        for i, (f, n) in enumerate(zip(fam_is, labels)):
+            keyed.setdefault((_ties[f], n), []).append(i)
+        groups = list(keyed.values())
+    else:
+        # energy-band groups: states of similar decay rate share a trimmed
+        # fine grid, which keeps deep and shallow states from forcing each
+        # other onto the union of their domains
+        for i in sorted(range(len(fam_is)), key=lambda i: centers[i]):
+            lam_i = math.sqrt(max(m * m - centers[i] ** 2, 1e-12))
+            if groups:
+                first = groups[-1][0]
+                lam_0 = math.sqrt(max(m * m - centers[first] ** 2, 1e-12))
+                if lam_i >= 0.55 * lam_0:
+                    groups[-1].append(i)
+                    continue
+            groups.append([i])
 
-    e_star = np.empty(len(fam_is))
-    m_res = np.empty(len(fam_is))
-    widths = np.empty(len(fam_is))
-    evals = np.empty(len(fam_is), dtype=int)
-    states_by_slot: dict[int, BoundState] = {}
+    stream = _group_results(ws, groups, fam_is, labels, centers, dense_flags)
+    if _ties is not None:
+        return stream
+    results = [dict() for _ in families]
+    for group in stream:
+        for f, n, res in group:
+            results[f][n] = res
+    return results
+
+
+def _group_results(ws: _Workspace, groups, fam_is, labels, centers, dense_flags):
+    """Fine and dense stages of a batch, one group of slots at a time. Yields
+    each group's list of (family index, n_r, BoundState | EigenResult) as
+    soon as it is made; dense states are re-verified by their node count."""
     for grp in groups:
-        *fine, gdomain = ws.fine_eigenvalues([fam_is[i] for i in grp], centers[grp],
-                                             [labels[i] for i in grp])
-        e_star[grp], m_res[grp], widths[grp], evals[grp] = fine
-        dense_sel = [i for i in grp if dense_flags[fam_is[i]]]
-        if not dense_sel:
-            continue
-        dstates = ws.dense_states([fam_is[i] for i in dense_sel],
-                                  e_star[dense_sel], m_res[dense_sel],
-                                  widths[dense_sel], centers[dense_sel],
-                                  evals[dense_sel], [labels[i] for i in dense_sel],
-                                  domain=gdomain)
-        for slot, st in zip(dense_sel, dstates):
-            if st.nodes != labels[slot]:
+        fams = [fam_is[i] for i in grp]
+        targets = [labels[i] for i in grp]
+        e_star, m_res, widths, evals, domain = ws.fine_eigenvalues(
+            fams, centers[grp], targets)
+        dense = [k for k, f in enumerate(fams) if dense_flags[f]]
+        states = {}
+        if dense:
+            states = dict(zip(dense, ws.dense_states(
+                [fams[k] for k in dense], e_star[dense], m_res[dense], widths[dense],
+                centers[grp][dense], evals[dense], [targets[k] for k in dense],
+                domain=domain)))
+        for k, st in states.items():
+            if st.nodes != targets[k]:
                 raise NumericalError(
                     f"node recount on the dense grid gave {st.nodes}, expected "
-                    f"{labels[slot]} (E = {st.E:.12g}); eigenvalue indexing and "
+                    f"{targets[k]} (E = {st.E:.12g}); eigenvalue indexing and "
                     f"node structure disagree"
                 )
-            states_by_slot[slot] = st
-
-    results = [dict() for _ in families]
-    for i, (f, n) in enumerate(zip(fam_is, labels)):
-        if i in states_by_slot:
-            results[f][n] = states_by_slot[i]
-        else:
-            results[f][n] = EigenResult(E=float(e_star[i]), nodes=n,
-                                        match_residual=float(m_res[i]))
-    return results
+        yield [(f, n, states[k] if k in states else
+                EigenResult(E=float(e_star[k]), nodes=n, match_residual=float(m_res[k])))
+               for k, (f, n) in enumerate(zip(fams, targets))]
 
 
 def solve(channel: ChannelSpec, family: PotentialFamily, n_r: int,

@@ -2,6 +2,8 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import diracmono as dm
+from diracmono import monotonicity as mono
+from diracmono.errors import NumericalError
 
 settings.register_profile(
     "default",
@@ -46,3 +48,16 @@ def assert_close(actual, expected, tol, label=""):
             f"{label or 'value'}: {actual!r} differs from {expected!r} "
             f"by {abs(actual - expected):.3e} > {tol:.1e}"
         )
+
+
+def point_by_point(monkeypatch):
+    """Refuse every batch of more than one stencil, so that sweeps take their
+    point-by-point path (the per-point solves of the unbatched code)."""
+    batched = mono._stencils
+
+    def one_point_only(family, channel, n_r, a_points, h, config):
+        if len(a_points) > 1:
+            raise NumericalError("batch refused: point-by-point reference")
+        return batched(family, channel, n_r, a_points, h, config)
+
+    monkeypatch.setattr(mono, "_stencils", one_point_only)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from diracmono import cli
+from diracmono import cli, solver
 from diracmono.cli import CSV_HEADER, main
 from diracmono.errors import (
     ConfigurationError,
@@ -18,6 +18,8 @@ from diracmono.errors import (
     SweepAbortedError,
     UnsupportedRegimeError,
 )
+
+from conftest import point_by_point
 
 CHAN = ["--d", "3", "--tau", "-1", "--j", "0.5"]
 FAST = ["--n-grid", "1200"]
@@ -135,6 +137,77 @@ def test_sweep_abort_partial_file(tmp_path, capsys):
     assert lines[0] == CSV_HEADER
     assert lines[-1] == "# ABORTED"
     assert len(lines) == 4  # header + 2 completed rows + trailer
+
+
+VERIFY_RUNS = [  # a short criterion 2 sweep and a d = 1 even-parity sweep
+    ["--family", "cutoff-coulomb", "--alpha", "1", "--a", "1", "--active", "a",
+     *CHAN, "--from", "0.1", "--to", "2", "--steps", "5", "--nr", "0,1"],
+    ["--family", "cutoff-coulomb", "--alpha", "1", "--a", "1", "--active", "a",
+     "--d", "1", "--parity", "even", "--from", "0.6", "--to", "1.4", "--steps", "3",
+     "--nr", "0,1"],
+]
+
+
+@pytest.mark.parametrize("args", VERIFY_RUNS)
+def test_verify_batched_matches_point_by_point(args, tmp_path, monkeypatch, capsys):
+    # the same verdicts, statuses and checks from one batch per sweep as from
+    # the per-point solves, with E within 1e-9
+    docs = []
+    for path in ("batched", "per-point"):
+        if path == "per-point":
+            point_by_point(monkeypatch)
+        out_file = tmp_path / f"{path}.json"
+        code, _, _ = run(["verify", *args, "--format", "json", "--output", str(out_file)],
+                         capsys)
+        assert code == 0
+        docs.append(json.loads(out_file.read_text()))
+    batched, reference = docs
+    assert batched["status"] == reference["status"] == "pass"
+    assert len(batched["verdicts"]) == len(reference["verdicts"]) == 2
+    for vb, vr in zip(batched["verdicts"], reference["verdicts"]):
+        for key in ("n_r", "status", "hypothesis", "conclusion", "checks"):
+            assert vb[key] == vr[key], key
+        for rb, rr in zip(vb["records"], vr["records"], strict=True):
+            assert rb["a"] == rr["a"]
+            assert abs(rb["E"] - rr["E"]) <= 1e-9
+
+
+def test_verify_builds_one_workspace_per_level(monkeypatch, capsys):
+    # acceptance criterion 2 (20 points, n_r 0 and 1): every stencil of a
+    # level shares one workspace, where each point once built its own
+    builds = []
+    init = solver._Workspace.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(len(args[1]))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(solver._Workspace, "__init__", counting_init)
+    code, _, _ = run(["verify", "--family", "cutoff-coulomb", "--alpha", "1", "--a", "1",
+                      "--active", "a", *CHAN, "--from", "0.1", "--to", "2",
+                      "--steps", "20", "--nr", "0,1"], capsys)
+    assert code == 0
+    assert builds == [100, 100]  # 5 stencil members x 20 points, once per level
+
+
+def test_verify_abort_matches_per_level_path(monkeypatch, capsys):
+    # screening unbinds n_r = 1 at b ~ 0.2 (-0.5 exp(-b r)/r, d = 3) while
+    # n_r = 0 stays bound: verify prints the whole n_r = 0 report, exactly as
+    # a run of n_r = 0 alone does, then aborts n_r = 1 (exit 5) with the
+    # message of the per-point solves
+    args = ["verify", "--family", "coupling", "--shape", "yukawa", "--a", "0.5",
+            "--b", "0.1", "--active", "b", *CHAN, "--from", "0.05", "--to", "0.3",
+            "--steps", "4"]
+    code, out, err = run([*args, "--nr", "0,1"], capsys)
+    assert code == 5
+    code_0, out_0, _ = run([*args, "--nr", "0"], capsys)
+    assert code_0 == 0
+    assert out_0.endswith("status: pass\n")
+    assert out == out_0[:-len("status: pass\n")]
+    assert err.startswith("error: sweep aborted at a = 0.216667: state n_r=1 is not "
+                          "resolvable at every stencil point")
+    point_by_point(monkeypatch)
+    assert run([*args, "--nr", "1"], capsys)[2] == err
 
 
 def test_verify_cutoff_passes(capsys):

@@ -225,6 +225,37 @@ def test_propagator_direction_matches_scipy():
     assert ours == pytest.approx(ref, abs=1.5e-9)
 
 
+def test_step_rule_marches_the_np_interp_nodes():
+    # the step rule's bisection lookup gives bitwise the steps, and so the
+    # marched nodes, of np.interp on the same table: coarse and fine rules
+    # of a d = 3 (log) and a d = 1 (lin) workspace, marched over the whole
+    # profile, and single queries below, inside and beyond it
+    for channel, family in ((dm.ChannelSpec(d=3, tau=-1, j=0.5), dm.pure_coulomb(0.5)),
+                            (dm.ChannelSpec(d=1, parity="even"),
+                             dm.cutoff_coulomb(1.0, 1.0))):
+        ws = S._Workspace(channel, [family], S.DEFAULT_CONFIG)
+        d = ws.domain
+        log = d.param == "log"
+        x = np.log(ws.r) if log else ws.r
+        for rate, c in ((S._coarse_rate(channel, ws.env), S._COARSE_C),
+                        (S._band_rate(channel, ws.r, ws.env, ws.window()), S._FINE_C)):
+            rule = S._h_rule(channel, d.param, ws.r, rate, c, 1.3)
+            h = (np.minimum(0.35, c / (abs(channel.k) + ws.r * rate)) if log
+                 else np.minimum(0.35 / channel.m, c / rate)) / 1.3
+
+            def interp(xq, h=h):
+                return float(np.interp(xq, x, h))
+
+            queries = np.concatenate([x, 0.5 * (x[1:] + x[:-1]),
+                                      [x[0] - 1.0, x[-1] + 1.0]])
+            assert [rule(q) for q in queries.tolist()] == [interp(q) for q in queries]
+            span = ((math.log(d.r_seed), math.log(ws.ceiling), math.log(d.r_match)) if log
+                    else (0.0, ws.ceiling, d.r_match))
+            nodes = prop.march_nodes(*span[:2], rule, [span[2]])
+            assert nodes.size > 1000
+            assert np.array_equal(nodes, prop.march_nodes(*span[:2], interp, [span[2]]))
+
+
 def _match(path, legs):
     """Match value and matching angle from the outward and inward legs (the
     package's phase mode also returns a slope, which is not compared here)."""
