@@ -44,6 +44,7 @@ from .numerics import expm_traceless_2x2
 _SQRT3 = np.sqrt(3.0)
 _TINY = 1e-300
 _SCAN_ELEMENTS = 1 << 16  # step x batch entries formed at once by the numpy scan
+_MAX_ITER = 200  # count_bisect iterations at most, a backstop behind its pace rule
 
 _log = logging.getLogger("diracmono")
 
@@ -527,8 +528,7 @@ def count_below(dtheta, dtheta_bottom):
 
 
 def count_bisect(table: StepTable, fam_idx, lo, hi, targets, dtheta_bottom,
-                 tol: float, seed_origin, seed_tail, ends=None,
-                 max_iter: int = 200):
+                 tol: float, seed_origin, seed_tail, ends):
     """Locate the eigenvalue of index targets[b] within the bracket [lo, hi].
 
     Preconditions (checked by the caller): count(lo) <= target and
@@ -536,40 +536,38 @@ def count_bisect(table: StepTable, fam_idx, lo, hi, targets, dtheta_bottom,
     bracket where the matching angle crosses K*pi with
     K = floor(dtheta_bottom/pi) - target. The angle is smooth and strictly
     decreasing, and every evaluation also gives its slope, so the bracket is
-    narrowed on g = dtheta - K*pi by safeguarded Newton steps:
+    narrowed on g = dtheta - K*pi by safeguarded Newton steps (Dekker-Brent,
+    with the bracket midpoint as the safe step):
 
     - a Newton step starts from the bracket end nearer the root by its own
       estimate, the smaller |g/g'|, and is taken when it lands at least
       min(0.45 tol, width/4) inside the bracket (the end with the smaller |g|
       overshoots again and again where the slope varies fast, as near the
       jump of the angle at a level confined behind a barrier);
-    - once the Newton correction is below tol/2, the step goes 0.45 tol past
+    - once the Newton correction is below res/2, the step goes 0.45 res past
       the root estimate, away from its end, so the point lands just across
-      the root and the bracket closes below tol;
-    - otherwise the step is a bracketed secant with the Illinois weighting
-      (the value kept at an end that survives twice in a row is halved,
-      which pushes the next point across the root), clipped to the same
-      margin inside the bracket (Dekker-Brent);
-    - a step is a plain midpoint whenever the element has fallen more than
-      one step behind a pace of three steps per halving of its bracket, so no
-      element takes more than 3 ceil(log2(w0/tol)) + 2 steps, whatever the
-      Newton and secant steps do, while fast steps keep the lead they have
-      built up.
+      the root and the bracket closes below res, where res = max(tol, two
+      float spacings of the end): a tol below the float resolution still
+      closes in a few steps;
+    - every other step is the bracket midpoint, as is every step of an
+      element more than one step behind a pace of three steps per halving
+      of its bracket, so no element takes more than 3 ceil(log2(w0/tol)) + 2
+      steps, while fast Newton steps keep the lead they have built up.
 
     Every point replaces the end its eigenvalue count says, so
     count(lo) <= target < count(hi) holds at every iteration and the search
     is as safe as pure bisection. Each iteration propagates only the
     elements whose bracket is still wider than tol (and has a float inside
     it); the others are frozen. With the "diracmono" logger at DEBUG, every
-    iteration in which some element steps by secant or midpoint instead of
-    Newton is logged.
+    iteration in which some element steps by midpoint instead of Newton is
+    logged.
 
-    ends = ((m_lo, dtheta_lo, slope_lo), (m_hi, dtheta_hi, slope_hi)), the
-    match_values(..., phase=True) results at lo and at hi, saves their
-    evaluation when the caller has them. Returns (E, |M|, final width,
-    evaluations): the bracket midpoint; |M| at the element's last evaluated
-    point, or the larger of the two end values when its bracket was already
-    within tol; and the number of points the element evaluated.
+    ends = ((m_lo, dtheta_lo, slope_lo), (m_hi, dtheta_hi, slope_hi)) are
+    the match_values(..., phase=True) results at lo and at hi. Returns
+    (E, |M|, final width, evaluations): the bracket midpoint; |M| at the
+    element's last evaluated point, or the larger of the two end values when
+    its bracket was already within tol; and the number of points the element
+    evaluated.
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
@@ -577,20 +575,13 @@ def count_bisect(table: StepTable, fam_idx, lo, hi, targets, dtheta_bottom,
     k = np.broadcast_to(np.floor(dtheta_bottom / np.pi) - np.asarray(targets),
                         lo.shape)
     k_pi = k * np.pi
-    if ends is None:
-        ends = [match_values(table, fam_idx, e, seed_origin, seed_tail, phase=True)
-                for e in (lo, hi)]
     (m_lo, th_lo, d_lo), (m_hi, th_hi, d_hi) = ends
     g_lo, g_hi = th_lo - k_pi, th_hi - k_pi
     d_lo, d_hi = np.array(d_lo, dtype=float), np.array(d_hi, dtype=float)
     m_abs = np.maximum(np.abs(m_lo), np.abs(m_hi))
     w0 = hi - lo
     n_steps = np.zeros(lo.shape, dtype=int)
-    stale_lo = np.zeros(lo.shape, dtype=int)
-    stale_hi = np.zeros(lo.shape, dtype=int)
-    ill_lo = np.ones(lo.shape)   # Illinois weights of the end values
-    ill_hi = np.ones(lo.shape)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         width = hi - lo
         half = lo + 0.5 * width
         act = np.nonzero((width > tol) & (lo < half) & (half < hi))[0]
@@ -605,26 +596,24 @@ def count_bisect(table: StepTable, fam_idx, lo, hi, targets, dtheta_bottom,
         d_n = np.where(near_lo, d_lo[act], d_hi[act])
         slope_ok = np.isfinite(d_n) & (d_n < 0.0)
         corr = -g_n / np.where(slope_ok, d_n, -1.0)
-        x = np.where(near_lo, a_lo, a_hi) + corr
-        x += np.where(np.abs(corr) < 0.5 * tol, np.where(near_lo, 0.45, -0.45) * tol, 0.0)
+        start = np.where(near_lo, a_lo, a_hi)
+        res = np.maximum(tol, 2.0 * np.abs(np.spacing(start)))
+        x = start + corr
+        x += np.where(np.abs(corr) < 0.5 * res, np.where(near_lo, 0.45, -0.45) * res, 0.0)
         # strictly inside too: with tol below the float spacing the margin
         # rounds away, and a point on an end would be evaluated again and again
         newton = (slope_ok & (a_lo < x) & (x < a_hi)
                   & (a_lo + margin <= x) & (x <= a_hi - margin))
-        # otherwise the Illinois secant, clipped to the margin
-        il, ih = gl * ill_lo[act], gh * ill_hi[act]
-        denom = il - ih
-        frac = np.where(denom > 0, il / np.where(denom > 0, denom, 1.0), 0.5)
-        x = np.where(newton, x, np.clip(a_lo + frac * w, a_lo + margin, a_hi - margin))
-        # a midpoint whenever the element has fallen more than one step behind
-        # a pace of three steps per halving of its bracket
+        # otherwise the midpoint, and a midpoint too whenever the element has
+        # fallen more than one step behind a pace of three steps per halving
+        # of its bracket
         behind = n_steps[act] >= 3.0 * np.log2(w0[act] / w) + 1.0
-        x = np.where(behind, half[act], x)
-        if _log.isEnabledFor(logging.DEBUG) and not np.all(newton & ~behind):
-            _log.debug("count_bisect: %d of %d steps fell back from Newton: "
-                       "%d secant, %d pace midpoint", np.count_nonzero(~newton | behind),
-                       act.size, np.count_nonzero(~newton & ~behind),
-                       np.count_nonzero(behind))
+        newton &= ~behind
+        x = np.where(newton, x, half[act])
+        if _log.isEnabledFor(logging.DEBUG) and not np.all(newton):
+            _log.debug("count_bisect: %d of %d steps fell back from Newton to the "
+                       "bracket midpoint, %d of them behind pace",
+                       np.count_nonzero(~newton), act.size, np.count_nonzero(behind))
         n_steps[act] += 1
         m_x, th_x, d_x = match_values(table, fam_idx[act], x, seed_origin, seed_tail,
                                       phase=True)
@@ -636,11 +625,6 @@ def count_bisect(table: StepTable, fam_idx, lo, hi, targets, dtheta_bottom,
         g_hi[act] = np.where(below, gh, g_x)
         d_lo[act] = np.where(below, d_x, d_lo[act])
         d_hi[act] = np.where(below, d_hi[act], d_x)
-        s_lo = np.where(below, 0, stale_lo[act] + 1)
-        s_hi = np.where(below, stale_hi[act] + 1, 0)
-        ill_lo[act] = np.where(below, 1.0, np.where(s_lo >= 2, 0.5, 1.0) * ill_lo[act])
-        ill_hi[act] = np.where(below, np.where(s_hi >= 2, 0.5, 1.0) * ill_hi[act], 1.0)
-        stale_lo[act], stale_hi[act] = s_lo, s_hi
         m_abs[act] = np.abs(m_x)
     return 0.5 * (lo + hi), m_abs, hi - lo, n_steps
 

@@ -276,21 +276,21 @@ def _seed_correction(channel: ChannelSpec, family: PotentialFamily, r0: float) -
         g = _coulomb_gamma(channel.k, family.origin_class.strength)
         return 4.0 * r0 * (m + e_worst) * (1.0 + family.origin_class.strength) / (2 * g + 1)
     v0 = family.origin_value()
-    quad = (r0 * (abs(e_worst - v0) + 2 * m)) ** 2
-    vvar = r0 * abs(family.evaluate(2 * r0) - v0)
+    quad = (r0 * (np.abs(e_worst - v0) + 2 * m)) ** 2
+    vvar = r0 * np.abs(family.evaluate(2 * r0) - v0)
     return quad + vvar
 
 
 def _seed_radius(channel: ChannelSpec, families) -> float:
-    """Largest r0 keeping every family's origin-series truncation below tolerance."""
-    target = 0.3 * SEED_CORRECTION_TOL
-    r0 = 1e-3 / channel.m
-    for _ in range(60):
-        worst = max(_seed_correction(channel, f, r0) for f in families)
-        if worst <= target:
-            return r0
-        r0 *= 0.5
-    raise NumericalError("could not find a valid origin seed radius")
+    """Largest r0 = (1e-3/m) 2^-i, i < 60, keeping every family's
+    origin-series truncation below tolerance; all candidates of a family are
+    checked in one call."""
+    r0 = (1e-3 / channel.m) * 0.5 ** np.arange(60)
+    worst = np.max([_seed_correction(channel, f, r0) for f in families], axis=0)
+    ok = np.nonzero(worst <= 0.3 * SEED_CORRECTION_TOL)[0]
+    if ok.size == 0:
+        raise NumericalError("could not find a valid origin seed radius")
+    return float(r0[ok[0]])
 
 
 def origin_seed(channel: ChannelSpec, family: PotentialFamily, E: float, r0: float):
@@ -634,13 +634,17 @@ class _Workspace:
 
     def fine_table(self, e_band, domain, fams=None):
         """Fine step table for energies in e_band; fams (workspace family
-        indices, default all) are the table's families, in that order."""
+        indices, default all) are the table's families, in that order, and
+        their own envelope max_f |V_f| sets the step rule."""
+        if fams is None:
+            fams = np.arange(len(self.families))
+        env = np.abs(self.v[fams]).max(axis=0)
         c_fine = _FINE_C if domain.param == "log" else _FINE_C_LIN
         h_fine = _h_rule(self.channel, domain.param, self.r,
-                         _band_rate(self.channel, self.r, self.env, e_band),
+                         _band_rate(self.channel, self.r, env, e_band),
                          c_fine, self.config.step_density)
-        families = self.families if fams is None else [self.families[f] for f in fams]
-        return _make_table(self.channel, families, domain, prop.march_nodes, h_fine)
+        return _make_table(self.channel, [self.families[f] for f in fams], domain,
+                           prop.march_nodes, h_fine)
 
     def local_seeds(self, fams):
         """The workspace seeds for a table of the families fams: its family
@@ -903,10 +907,11 @@ def solve(channel: ChannelSpec, family: PotentialFamily, n_r: int,
 
     Counts eigenvalues over the whole gap from the matching phase, which
     passes a multiple of pi at each one, brackets the n_r-th by that count,
-    narrows the bracket by a count-preserving bracketed secant (see
-    propagation.count_bisect), and returns the normalized, sign-fixed state
-    whose node count equals n_r. Raises NoSuchStateError (listing what was
-    found) if the requested state does not exist.
+    narrows the bracket by count-preserving Newton steps on the angle with a
+    midpoint fallback (see propagation.count_bisect), and returns the
+    normalized, sign-fixed state whose node count equals n_r. Raises
+    NoSuchStateError (listing what was found) if the requested state does
+    not exist.
     """
     return solve_batch(channel, [family], [n_r], config)[0][n_r]
 

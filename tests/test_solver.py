@@ -534,10 +534,11 @@ def test_count_bisect_end_reuse_and_repeats_are_bitwise(search_tables):
     for table, seeds, window in search_tables:
         lo, hi, dtb = _random_brackets(table, seeds, window, rng)
         args = (table, idx, lo, hi, SEARCH_TARGETS, dtb, SEARCH_TOL, *seeds)
-        own = prop.count_bisect(*args)
-        again = prop.count_bisect(*args)
-        reused = prop.count_bisect(*args, ends=_ends(table, seeds, lo, hi))
-        for a, b, c in zip(own, again, reused):
+        ends = _ends(table, seeds, lo, hi)
+        once = prop.count_bisect(*args, ends=ends)
+        again = prop.count_bisect(*args, ends=ends)
+        fresh = prop.count_bisect(*args, ends=_ends(table, seeds, lo, hi))
+        for a, b, c in zip(once, again, fresh):
             assert np.array_equal(a, b) and np.array_equal(a, c)
 
 
@@ -560,14 +561,15 @@ def test_count_bisect_closed_bracket_reports_end_residual(search_tables, monkeyp
     assert evals[0] == 0
 
 
-FINE_EVALS_CRITERION_1 = 55
+FINE_EVALS_CRITERION_1 = 49
+MATCH_CALLS_CRITERION_1 = 65
 
 
 def test_search_below_one_ulp_ends_promptly(channel_s, coulomb_half):
-    # e_tol far below the float spacing, where the straddle offset and the
-    # margin round away: no Newton point on a bracket end is evaluated, so the
-    # fine bracket closes on two adjacent floats in a few evaluations instead
-    # of running out the pace bound
+    # e_tol far below the float spacing, where the margin rounds away: the
+    # Newton straddle widens to two float spacings and no point on a bracket
+    # end is evaluated, so the fine bracket closes on two adjacent floats in
+    # a few evaluations instead of running out the pace bound
     cfg = dm.SolveConfig(e_tol=1e-18)
     states = [dm.solve(channel_s, coulomb_half, 1, cfg),
               *dm.solve_batch(channel_s, [coulomb_half], [0, 1, 2], cfg)[0].values()]
@@ -577,17 +579,38 @@ def test_search_below_one_ulp_ends_promptly(channel_s, coulomb_half):
     assert_close(states[0].E, 0.9659258262890683, 1e-9, "E(n=2, alpha=0.5)")
 
 
+def _criterion_1_batches():
+    return [dm.solve_batch(dm.ChannelSpec(d=3, tau=-1, j=j),
+                           [dm.pure_coulomb(a) for a in (0.2, 0.5, 0.9)], [0, 1, 2])
+            for j in (0.5, 1.5)]
+
+
 def test_fine_search_evaluations_on_criterion_1():
     # Newton from the coarse centre: acceptance criterion 1's 18 fine
     # searches take at most FINE_EVALS_CRITERION_1 evaluations in all (a
-    # deterministic count, pinned at the value measured when Newton came in)
+    # deterministic count, pinned at the value measured with the two-step
+    # Newton-or-midpoint search)
     total = 0
-    for j in (0.5, 1.5):
-        res = dm.solve_batch(dm.ChannelSpec(d=3, tau=-1, j=j),
-                             [dm.pure_coulomb(a) for a in (0.2, 0.5, 0.9)], [0, 1, 2])
+    for res in _criterion_1_batches():
         total += sum(st.diagnostics["fine_evals"] for per_fam in res
                      for st in per_fam.values())
     assert total <= FINE_EVALS_CRITERION_1
+
+
+def test_search_evaluations_on_criterion_1(monkeypatch):
+    # every batched match evaluation of criterion 1's two solves, window ends,
+    # coarse and fine searches and fine brackets alike, counted at the
+    # propagation boundary: at most MATCH_CALLS_CRITERION_1 calls
+    calls = []
+    real = prop.match_values
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(prop, "match_values", counting)
+    _criterion_1_batches()
+    assert len(calls) <= MATCH_CALLS_CRITERION_1
 
 
 def _cubic_tail_well(g):
@@ -603,8 +626,8 @@ def _cubic_tail_well(g):
 
 def test_recoveries_are_logged(channel_s, coulomb_half, monkeypatch, caplog):
     caplog.set_level(logging.DEBUG, logger="diracmono")
-    # the whole-window coarse search steps by secant where Newton leaves
-    # the bracket
+    # the whole-window coarse search steps to the bracket midpoint where
+    # Newton leaves the bracket
     dm.solve(channel_s, coulomb_half, 0)
     assert any("fell back from Newton" in r.getMessage() for r in caplog.records)
 
