@@ -324,12 +324,13 @@ def _scan_states(mats, y1, y2, quad=None):
 
     mats = [m11, m12, m21, m22, logf] holds the scaled step matrices,
     M_j = exp(logf[j]) * [[m11[j], m12[j]], [m21[j], m22[j]]], each of shape
-    (S, *batch); the list is emptied once its arrays are blocked, and every
-    segment-sized array is dropped as soon as its phase is done. Returns (Y1, Y2, L) of shape (S+1, *batch): node j is
+    (S, *batch); the list is emptied once its arrays are packed, and the scan
+    may overwrite logf. Returns (Y1, Y2, L) of shape (S+1, *batch): node j is
     exp(L[j]) * (Y1[j], Y2[j]), with (Y1[0], Y2[0]) = (y1, y2), L[0] = 0, and
     every later node max-normalized.
 
-    The S steps are cut into about sqrt(S) blocks of about sqrt(S) steps:
+    The S steps are cut into nb = ceil(S / bs) blocks of bs = ceil(sqrt(S))
+    steps:
     (1) inclusive prefix products inside every block, all blocks at once;
     (2) the state at each block start, one block total after another;
     (3) every node as its in-block prefix applied to its block-start state.
@@ -340,11 +341,23 @@ def _scan_states(mats, y1, y2, quad=None):
     and the association order depends only on S, so repeated runs are
     bitwise reproducible.
 
+    The matrices are packed: P[i, k, b, t] is entry (i, k) of step t of
+    block b, shape (2, 2, nb, bs, *batch), with the identity (log scale 0)
+    in the steps past S, and phase (1) overwrites each step with its
+    in-block prefix product. A phase (1) round is one packed product,
+    n[i, j] = M[i, 0] P[0, j] + M[i, 1] P[1, j] over the 2x2 axes by
+    broadcasting, its max over them, one division and one log update: about
+    10 numpy calls on (2, 2, nb, *batch) arrays, whatever the batch, where
+    the four scalar entries took 32. A phase (2) round is the same on a
+    (2, *batch) state, about 9 calls where it took 18. Every entry is still
+    the same two products summed in the same order as the four scalar-entry
+    formulas give, so the packing changes no bit.
+
     Given quad = (wa, wb, wc), weights of shape (S,) for nodes 1..S, also
     returns log I as a fourth value, I = sum_j exp(2 L[j]) (wa Y1[j]^2 +
-    wb Y2[j]^2 + wc Y1[j] Y2[j]) over those nodes (see _norm_weights). It is
-    formed in the buffers of phase (1), which phase (3) leaves dead, so it
-    costs no segment-sized array.
+    wb Y2[j]^2 + wc Y1[j] Y2[j]) over those nodes (see _norm_weights). Phase
+    (3) forms the node states in place in P[:, 0], and I is formed in P[:, 1],
+    which it leaves as scratch, so neither costs a segment-sized array.
     """
     n_steps = mats[4].shape[0]
     bs = math.isqrt(max(n_steps - 1, 0)) + 1   # ceil(sqrt(S)), at least 1
@@ -352,68 +365,65 @@ def _scan_states(mats, y1, y2, quad=None):
     fill = nb * bs - n_steps
     batch = mats[4].shape[1:]
 
-    def blocked(a, pad_value):
-        if fill:
-            a = np.concatenate([a, np.full((fill, *batch), pad_value)])
-        return a.reshape(nb, bs, *batch)
-
-    a11, a12, a21, a22, la = (blocked(a, v) for a, v in zip(mats, (1.0, 0.0, 0.0, 1.0, 0.0)))
+    P = np.empty((4, nb * bs, *batch))
+    for p, m, v in zip(P, mats, (1.0, 0.0, 0.0, 1.0)):
+        p[:n_steps] = m
+        p[n_steps:] = v
+    P = P.reshape(2, 2, nb, bs, *batch)
+    lp = mats[4]
+    if fill:
+        lp = np.concatenate([lp, np.zeros((fill, *batch))])
+    lp = lp.reshape(nb, bs, *batch)
     mats.clear()
 
-    # (1) in-block prefix products P[:, t] = M[:, t] ... M[:, 0]
-    p11, p12, p21, p22, lp = (np.empty_like(a11) for _ in range(5))
-    p11[:, 0], p12[:, 0], p21[:, 0], p22[:, 0] = a11[:, 0], a12[:, 0], a21[:, 0], a22[:, 0]
-    lp[:, 0] = la[:, 0]
+    # (1) in-block prefix products P[:, :, :, t] = M[:, t] ... M[:, 0], in
+    # place: round t reads step t before it overwrites it
+    Pt, lpt = np.moveaxis(P, 3, 0), np.moveaxis(lp, 1, 0)   # step-major views
     for t in range(1, bs):
-        n11 = a11[:, t] * p11[:, t - 1] + a12[:, t] * p21[:, t - 1]
-        n12 = a11[:, t] * p12[:, t - 1] + a12[:, t] * p22[:, t - 1]
-        n21 = a21[:, t] * p11[:, t - 1] + a22[:, t] * p21[:, t - 1]
-        n22 = a21[:, t] * p12[:, t - 1] + a22[:, t] * p22[:, t - 1]
-        nrm = np.maximum(np.maximum(np.abs(n11), np.abs(n12)),
-                         np.maximum(np.abs(n21), np.abs(n22)))
-        nrm = np.maximum(nrm, _TINY)
-        p11[:, t], p12[:, t], p21[:, t], p22[:, t] = n11 / nrm, n12 / nrm, n21 / nrm, n22 / nrm
-        lp[:, t] = lp[:, t - 1] + la[:, t] + np.log(nrm)
-    del a11, a12, a21, a22, la
+        m, p = Pt[t], Pt[t - 1]
+        n = m[:, 0:1] * p[0:1] + m[:, 1:2] * p[1:2]
+        nrm = np.abs(n).max(axis=(0, 1), initial=_TINY)
+        np.divide(n, nrm, out=m)
+        lpt[t] = lpt[t - 1] + lpt[t] + np.log(nrm)
 
-    # (2) block-start states s[b] = P[b - 1, -1] s[b - 1]
-    s1 = np.empty((nb + 1, *batch))
-    s2 = np.empty((nb + 1, *batch))
+    # (2) block-start states s[:, b] = P[:, :, b - 1, -1] s[:, b - 1]
+    s = np.empty((2, nb + 1, *batch))
     ls = np.empty((nb + 1, *batch))
-    s1[0], s2[0], ls[0] = y1, y2, 0.0
+    s[0, 0], s[1, 0], ls[0] = y1, y2, 0.0
     for b in range(nb):
-        t1 = p11[b, -1] * s1[b] + p12[b, -1] * s2[b]
-        t2 = p21[b, -1] * s1[b] + p22[b, -1] * s2[b]
-        nrm = np.maximum(np.maximum(np.abs(t1), np.abs(t2)), _TINY)
-        s1[b + 1], s2[b + 1] = t1 / nrm, t2 / nrm
+        v = P[:, 0, b, -1] * s[0, b] + P[:, 1, b, -1] * s[1, b]
+        nrm = np.abs(v).max(axis=0, initial=_TINY)
+        np.divide(v, nrm, out=s[:, b + 1])
         ls[b + 1] = ls[b] + lp[b, -1] + np.log(nrm)
 
-    # (3) node states inside each block
-    z1 = p11 * s1[:-1, None] + p12 * s2[:-1, None]
-    z2 = p21 * s1[:-1, None] + p22 * s2[:-1, None]
-    del p21, p22
-    nrm = np.maximum(np.maximum(np.abs(z1), np.abs(z2)), _TINY)
-    lz = ls[:-1, None] + lp + np.log(nrm)
-    del lp
-    z1 /= nrm
-    z2 /= nrm
-    del nrm
+    # (3) node states inside each block, z_i = P[i, 0] s_0 + P[i, 1] s_1,
+    # formed in place in P[:, 0]; P[:, 1] is scratch from then on
+    P[:, 0] *= s[0, :-1, None]
+    P[:, 1] *= s[1, :-1, None]
+    P[:, 0] += P[:, 1]
+    z, scratch = P[:, 0], P[:, 1]
+    nrm = np.maximum(*np.abs(z, out=scratch), out=scratch[0])
+    np.maximum(nrm, _TINY, out=nrm)
+    lz = lp
+    lz += ls[:-1, None]
+    lz += np.log(nrm, out=scratch[1])
+    z /= nrm
 
     log_int = ()
     if quad is not None:
         wa, wb, wc = np.concatenate([quad, np.zeros((3, fill))], axis=1).reshape(
             3, nb, bs, *(1,) * len(batch))
-        # exp(2 (L - ref)) (wa Y1^2 + wb Y2^2 + wc Y1 Y2) in the dead buffers
-        # of phase (1), with ref the largest log scale of the segment, so
-        # nothing overflows
+        # exp(2 (L - ref)) (wa Y1^2 + wb Y2^2 + wc Y1 Y2) in the scratch half
+        # of P, with ref the largest log scale of the segment, so nothing
+        # overflows
         ref = lz.max(axis=(0, 1))
-        q, t = p11, p12
-        np.multiply(z1, z1, out=q)
+        q, t = scratch
+        np.multiply(z[0], z[0], out=q)
         q *= wa
-        np.multiply(z2, z2, out=t)
+        np.multiply(z[1], z[1], out=t)
         t *= wb
         q += t
-        np.multiply(z1, z2, out=t)
+        np.multiply(z[0], z[1], out=t)
         t *= wc
         q += t
         np.subtract(lz, ref, out=t)
@@ -421,13 +431,11 @@ def _scan_states(mats, y1, y2, quad=None):
         np.exp(t, out=t)
         q *= t
         log_int = (np.log(q.sum(axis=(0, 1))) + 2.0 * ref,)
-        del q, t
-    del p11, p12
 
     def nodes(start, inner):
         return np.concatenate([start[None], inner.reshape(nb * bs, *batch)[:n_steps]])
 
-    return nodes(y1, z1), nodes(y2, z2), nodes(np.zeros(batch), lz), *log_int
+    return nodes(y1, z[0]), nodes(y2, z[1]), nodes(np.zeros(batch), lz), *log_int
 
 
 def _norm_weights(table: StepTable, i_from: int, i_to: int):

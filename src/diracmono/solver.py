@@ -769,10 +769,15 @@ class _Workspace:
         return states
 
 
-def _no_such_state(ws: _Workspace, ends, n_top, reason: str, cap: int = 14):
+def _no_such_state(ws: _Workspace, ends, n_top, reason: str, ties=None, cap: int = 14):
     """NoSuchStateError listing refined (E, node-index) pairs: every index
     below min(n_top, cap), the window's eigenvalue count, count-bisected on
-    the whole window."""
+    the whole window. A batch of more than one stencil (ties, see
+    solve_batch) lists nothing: its sweep discards the message and solves
+    point by point, and each one-stencil batch there lists its own pairs."""
+    if ties is not None and len(set(ties)) > 1:
+        return NoSuchStateError(f"{reason} (a batch of {len(set(ties))} stencils; "
+                                f"found pairs not listed)")
     pairs = [(f, i) for f, n in enumerate(n_top) for i in range(min(int(n), cap))]
     e_ref = (ws.coarse_eigenvalues(ends, *zip(*pairs), tol=1e-6 * ws.channel.m)
              if pairs else [])
@@ -796,7 +801,9 @@ def solve_batch(channel: ChannelSpec, families, n_r_values, config: SolveConfig 
     one key per family, the parameter stencil it belongs to. Each (key, n_r)
     pair is then its own group, and solve_batch returns the generator of
     group results instead of collecting them, so that a sweep can drop each
-    stencil's wavefunctions before the next stencil's are made.
+    stencil's wavefunctions before the next stencil's are made. A batch of
+    more than one stencil raises NoSuchStateError without listing the pairs
+    it found (see _no_such_state).
     """
     config = config or DEFAULT_CONFIG
     families = list(families)
@@ -820,7 +827,7 @@ def solve_batch(channel: ChannelSpec, families, n_r_values, config: SolveConfig 
         if ws.domain.r_max >= ws.ceiling or config.r_max is not None or tail_dead:
             raise _no_such_state(
                 ws, ends, n_top, f"no state with requested node count(s) "
-                f"{n_r_values} within r_max = {ws.domain.r_max:g}")
+                f"{n_r_values} within r_max = {ws.domain.r_max:g}", _ties)
         r_next = min(ws.domain.r_max * 2.5, ws.ceiling)
         if _log.isEnabledFor(logging.DEBUG):
             _log.debug("solve_batch: window counts %s miss node count %d; coarse "
@@ -840,7 +847,8 @@ def solve_batch(channel: ChannelSpec, families, n_r_values, config: SolveConfig 
         if np.any(room < HEADROOM_EFOLDS):
             raise _no_such_state(ws, ends, n_top, f"a requested state ({n_r_values}) has "
                                  f"{room.min():.3g} < {HEADROOM_EFOLDS:g} e-folds of "
-                                 f"decay room within the cap r_max = {ws.ceiling:g}")
+                                 f"decay room within the cap r_max = {ws.ceiling:g}",
+                                 _ties)
 
     groups: list[list[int]] = []
     if _ties is not None:
@@ -873,10 +881,32 @@ def solve_batch(channel: ChannelSpec, families, n_r_values, config: SolveConfig 
     return results
 
 
+def _refuse_deep_well(ws: _Workspace, f: int, n_r: int, st: BoundState):
+    """Raise UnsupportedRegimeError for a node recount that disagrees with the
+    gap index of a regular-origin family whose profile dips below -2m.
+
+    Such a well pulls states up from the lower continuum into the gap, so
+    the gap index no longer equals the node count of the upper component.
+    That is the physics of strong fields, not a numerical failure, and
+    labelling states by node count there is not supported. A singular
+    (Coulomb) origin is left to the caller's NumericalError."""
+    m = ws.channel.m
+    v_min = float(ws.v[f].min())
+    if ws.families[f].origin_class.is_singular or not v_min < -2.0 * m:
+        return
+    raise UnsupportedRegimeError(
+        f"deep regular well (min V = {v_min / m:.4g} m < -2m): states dive into "
+        f"the gap from the lower continuum, and the state of gap index {n_r} "
+        f"(E = {st.E:.12g}) has {st.nodes} nodes in its upper component; "
+        f"node-count labels are not supported in this regime"
+    )
+
+
 def _group_results(ws: _Workspace, groups, fam_is, labels, centers, dense_flags):
     """Fine and dense stages of a batch, one group of slots at a time. Yields
     each group's list of (family index, n_r, BoundState | EigenResult) as
-    soon as it is made; dense states are re-verified by their node count."""
+    soon as it is made; dense states are re-verified by their node count (a
+    deep regular well is refused, see _refuse_deep_well)."""
     for grp in groups:
         fams = [fam_is[i] for i in grp]
         targets = [labels[i] for i in grp]
@@ -891,6 +921,7 @@ def _group_results(ws: _Workspace, groups, fam_is, labels, centers, dense_flags)
                 domain=domain)))
         for k, st in states.items():
             if st.nodes != targets[k]:
+                _refuse_deep_well(ws, fams[k], targets[k], st)
                 raise NumericalError(
                     f"node recount on the dense grid gave {st.nodes}, expected "
                     f"{targets[k]} (E = {st.E:.12g}); eigenvalue indexing and "
@@ -911,7 +942,8 @@ def solve(channel: ChannelSpec, family: PotentialFamily, n_r: int,
     midpoint fallback (see propagation.count_bisect), and returns the
     normalized, sign-fixed state whose node count equals n_r. Raises
     NoSuchStateError (listing what was found) if the requested state does
-    not exist.
+    not exist, and UnsupportedRegimeError for a regular-origin well deeper
+    than 2m whose gap index and node count disagree.
     """
     return solve_batch(channel, [family], [n_r], config)[0][n_r]
 

@@ -356,6 +356,19 @@ def test_supercritical_is_config_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["--family", "coupling", "--shape", "cutoff", "--a", "19.5", "--b", "0.15",
+     "--d", "4", "--tau", "-1", "--j", "0.5"],
+    ["--family", "cutoff-coulomb", "--alpha", "1.58", "--a", "0.054",
+     "--d", "1", "--parity", "odd"],
+])
+def test_deep_regular_well_exits_2(args, capsys):
+    code, out, err = run(["solve", *args, "--nr", "0"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: deep regular well")
+
+
 def test_r_max_above_cap_is_config_error(capsys):
     code, out, err = run(["solve", "--family", "pure-coulomb", "--alpha", "0.5",
                           *CHAN, "--nr", "0", "--r-max", "1e6"], capsys)

@@ -8,10 +8,12 @@ import pytest
 
 import diracmono as dm
 from diracmono import monotonicity as mono
+from diracmono import propagation as prop
 from diracmono.coulomb import CoulombLevel, coulomb_energy_derivative
 from diracmono.errors import (
     ConfigurationError,
     LevelCrossingError,
+    NoSuchStateError,
     PointwiseOrderError,
     SweepAbortedError,
 )
@@ -172,6 +174,31 @@ def test_sweep_abort_attaches_partial_records(channel_s):
     aborted = exc_info.value
     assert len(aborted.records) == 2  # alpha = 0.8 and 0.9 precede the wall
     assert aborted.cause is not None
+
+
+def test_multi_stencil_batch_lists_no_found_pairs(channel_s, monkeypatch):
+    # screening unbinds n_r = 1 at b ~ 0.2: the batch of the whole sweep
+    # refuses without count-bisecting the pairs it found (the sweep discards
+    # that message and solves point by point), while the one-stencil batch
+    # of the failing point still lists them
+    fam = dm.coupling(0.5, 0.1, "yukawa", active="b")
+    searches = []
+    count_bisect = prop.count_bisect
+
+    def counting(*args, **kwargs):
+        searches.append(np.size(args[2]))
+        return count_bisect(*args, **kwargs)
+
+    monkeypatch.setattr(prop, "count_bisect", counting)
+    with pytest.raises(NoSuchStateError) as batch:
+        list(mono._stencils(fam, channel_s, 1, np.linspace(0.05, 0.3, 4), None, None))
+    assert searches == []
+    assert batch.value.found == []
+    assert "found pairs not listed" in str(batch.value)
+    with pytest.raises(NoSuchStateError) as point:
+        list(mono._stencils(fam, channel_s, 1, [0.216667], None, None))
+    assert searches == [5]   # index 0 of the five stencil members
+    assert [n for _, n in point.value.found] == [0] * 5
 
 
 def test_sweep_lets_programming_errors_through(channel_s):

@@ -332,6 +332,41 @@ def test_scan_matches_sequential_reference():
                 _assert_all_close([g_log], [r_log], 1e-11)
 
 
+def test_scan_keeps_batch_columns_apart():
+    # the packed scan broadcasts over the 2x2 axes only: in one segment
+    # covering the whole traversal, with identity steps filling the last
+    # block, every column of a mixed batch (two families, three energies)
+    # gets bitwise the values it gets alone in phase, record and plain
+    # modes. Only the E-slope may differ, in its last bits: its quadrature
+    # sum over the blocks rounds in an order that depends on the batch width.
+    channel = dm.ChannelSpec(d=3, tau=-1, j=0.5)
+    ws = S._Workspace(channel, [dm.pure_coulomb(0.5), dm.pure_coulomb(0.9)],
+                      S.DEFAULT_CONFIG)
+    table = ws.coarse
+    idx, e = np.array([0, 1, 0]), np.array([0.5, 0.7, 0.9])
+
+    def arrays(out):   # the returned arrays, the end state unpacked
+        return [*out[0], *out[1:]] if isinstance(out[0], tuple) else list(out)
+
+    for seed, i_from in zip(ws.seeds, (0, table.n_steps)):
+        n_steps = abs(table.i_match - i_from)
+        bs = math.isqrt(n_steps - 1) + 1
+        assert n_steps % bs and n_steps * e.size <= prop._SCAN_ELEMENTS
+        y0 = seed(e, idx)
+        for record, phase in ((False, False), (True, False), (False, True)):
+            batch = arrays(prop.propagate(table, idx, e, y0, i_from, table.i_match,
+                                          record, phase))
+            for b in range(e.size):
+                col = slice(b, b + 1)
+                alone = arrays(prop.propagate(table, idx[col], e[col],
+                                              (y0[0][col], y0[1][col]), i_from,
+                                              table.i_match, record, phase))
+                if phase:
+                    assert np.allclose(batch[-1][col], alone[-1], rtol=1e-13, atol=0)
+                for g, a in zip(batch[:-1] if phase else batch, alone):
+                    assert np.array_equal(g[..., col], a)
+
+
 def test_phase_slope_matches_central_difference():
     # each leg's E-slope of its angle, from the integral of |y|^2 along it
     # (W' = -|y|^2), against a central difference of the same leg's angle,
@@ -889,6 +924,34 @@ def test_state_too_shallow_for_the_cap_is_refused():
                          dense_flags=[False])[0]
     exact = coulomb_energy(CoulombLevel(n=2, j=0.5, alpha=0.03))
     assert_close(res[0].E, exact, 1e-9, "alpha=0.03 n=2")
+
+
+DEEP_REGULAR_WELLS = [  # (channel, family, nodes of the gap-index-0 state)
+    (dm.ChannelSpec(d=4, tau=-1, j=0.5), dm.coupling(19.5, 0.15, "cutoff"), 21),
+    (dm.ChannelSpec(d=1, parity="odd"), dm.cutoff_coulomb(1.58, 0.054), 1),
+]
+
+
+@pytest.mark.parametrize("channel, family, nodes", DEEP_REGULAR_WELLS)
+def test_deep_regular_well_is_an_unsupported_regime(channel, family, nodes):
+    # a regular-origin well deeper than 2m pulls states up from the lower
+    # continuum, so the gap index is no longer the node count: the recount
+    # disagreement is refused as a regime, naming the index and the count
+    with pytest.raises(UnsupportedRegimeError) as exc_info:
+        dm.solve_batch(channel, [family], [0])
+    message = str(exc_info.value)
+    assert message.startswith("deep regular well")
+    assert "gap index 0 " in message
+    assert f"has {nodes} nodes in its upper component" in message
+
+
+def test_deep_well_refusal_leaves_singular_origins_alone(channel_s):
+    # pure Coulomb dips far below -2m near its singular origin, yet a
+    # recount disagreement there is left to NumericalError
+    ws = S._Workspace(channel_s, [dm.pure_coulomb(0.5)], S.DEFAULT_CONFIG)
+    assert ws.v[0].min() < -2.0 * channel_s.m
+    state = dm.solve(channel_s, dm.pure_coulomb(0.5), 0)
+    S._refuse_deep_well(ws, 0, 1, state)  # returns: not this regime
 
 
 def test_explicit_r_max_pins_every_domain(channel_s):
