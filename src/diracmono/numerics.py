@@ -106,24 +106,28 @@ def expm_traceless_2x2(oa, ob, oc):
     With q = oa^2 + ob oc and s = sqrt(|q|) it is ch + sh * matrix: for
     q > 0, ch = 1 + em1/2 and sh = -em1/(2s) with em1 = expm1(-2s), which are
     e^-s cosh s and e^-s sinh(s)/s, and logscale = s; for q <= 0, ch = cos s
-    and sh = sin(s)/s (np.sinc, 1 at q = 0). The entries m* are O(1) even when
-    the true exponential is astronomically large, which is what lets the
-    propagator take long steps through classically forbidden regions without
-    overflow. All inputs may be arrays of a common shape.
+    and sh = sin(s)/s (np.sinc, 1 at q = 0). Each element is evaluated by its
+    own closed form only: the elements of each kind are gathered, computed
+    and scattered back. The entries m* are O(1) even when the true
+    exponential is astronomically large, which is what lets the propagator
+    take long steps through classically forbidden regions without overflow.
+    All inputs may be arrays of a common shape.
     """
-    oa = np.asarray(oa, dtype=float)
-    ob = np.asarray(ob, dtype=float)
-    oc = np.asarray(oc, dtype=float)
-    q = oa * oa + ob * oc
-    hyp = q > 0
-    s = np.sqrt(np.abs(q))
-    em1 = np.expm1(-2.0 * s)
-    ch = np.where(hyp, 1.0 + 0.5 * em1, np.cos(s))
-    sh = np.asarray(np.sinc(s / np.pi))
-    np.divide(-0.5 * em1, s, out=sh, where=hyp)  # s > 0 where q > 0
-    logscale = np.where(hyp, s, 0.0)
-    m11 = ch + sh * oa
-    m22 = ch - sh * oa
-    m12 = sh * ob
-    m21 = sh * oc
-    return m11, m12, m21, m22, logscale
+    oa, ob, oc = (np.asarray(o, dtype=float) for o in (oa, ob, oc))
+    s = np.asarray(oa * oa + ob * oc)   # q, then s, then the logscale
+    hyp = s > 0
+    np.sqrt(np.abs(s, out=s), out=s)
+    ch, sh = np.empty_like(s), np.empty_like(s)
+    sk = s[hyp]
+    em1 = np.expm1(-2.0 * sk)
+    sh[hyp] = np.divide(-0.5 * em1, sk, out=sk)
+    em1 *= 0.5
+    ch[hyp] = np.add(1.0, em1, out=em1)
+    trig = ~hyp
+    sk = s[trig]
+    ch[trig] = np.cos(sk)
+    sh[trig] = np.sinc(sk / np.pi)
+    s[trig] = 0.0
+    t = np.asarray(sh * oa)
+    m22 = ch - t
+    return np.add(ch, t, out=ch), np.multiply(sh, ob, out=t), np.multiply(sh, oc, out=sh), m22, s

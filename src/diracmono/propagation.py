@@ -55,31 +55,59 @@ _log = logging.getLogger("diracmono")
 
 @dataclass
 class StepTable:
-    """Precomputed per-step data for one radial grid and a family batch.
+    """Precomputed per-step data for one radial grid and a family batch, or
+    for a stack of such tables (see stack_tables).
 
     r_nodes has S+1 entries; step i advances from r_nodes[i] to r_nodes[i+1].
     w[i, g, f] = (dr/dx at gauss node g) * V_f(r at gauss node g), the only
-    family-dependent ingredient of the coefficient matrix.
+    family-dependent ingredient of the coefficient matrix. The last axis of
+    r_nodes, h, rmul and the norm weights is a grid axis: family f steps on
+    grid column grid[f]. A table on one grid has a single column, shared by
+    every family (see _per_element).
     """
 
     k: float
     m: float
-    r_nodes: np.ndarray     # (S+1,)
-    h: np.ndarray           # (S,)
-    rmul: np.ndarray        # (S, 2) dr/dx at the two gauss nodes
+    r_nodes: np.ndarray     # (S+1,), or (S+1, G) in a stack
+    h: np.ndarray           # (S, G)
+    rmul: np.ndarray        # (S, 2, G) dr/dx at the two gauss nodes
     w: np.ndarray           # (S, 2, F)
     i_match: int
+    grid: np.ndarray        # (F,) the grid column of each family
     _norm: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n_steps(self) -> int:
-        return self.h.size
+        return self.h.shape[0]
 
     def norm_weights(self, i_from: int, i_to: int) -> np.ndarray:
-        """_norm_weights of the traversal, formed once per table and leg."""
+        """_norm_weights of the traversal with a grid axis, shape
+        (3, |i_to - i_from| + 1, G), formed once per table and leg; a stack
+        holds those of its two match legs only."""
         if (i_from, i_to) not in self._norm:
-            self._norm[i_from, i_to] = _norm_weights(self, i_from, i_to)
+            if self.r_nodes.ndim > 1:
+                raise DomainError("a stack of step tables holds the norm weights "
+                                  "of its two match legs only")
+            self._norm[i_from, i_to] = _norm_weights(self, i_from, i_to)[..., None]
         return self._norm[i_from, i_to]
+
+    def columns(self, fam_idx):
+        """(family, grid column) of each batch element, as index arrays of
+        the batch's shape or broadcasting to it: fam_idx maps elements to
+        families, and None is the (F, nE) scan layout, whose row f is family
+        f."""
+        fam = (np.arange(self.w.shape[2])[:, None] if fam_idx is None
+               else np.asarray(fam_idx))
+        return fam, self.grid[fam]
+
+
+def _per_element(a, idx, ndim: int):
+    """a, whose last axis is a family or grid axis, shaped to broadcast against
+    a batch of ndim axes whose elements take entry idx: a single entry is
+    shared by the whole batch, without an index."""
+    if a.shape[-1] == 1:
+        return a.reshape(a.shape[:-1] + (1,) * ndim)
+    return np.take(a, idx, axis=-1)
 
 
 def march_nodes(x_lo: float, x_hi: float, h_of_x, x_breaks=()) -> np.ndarray:
@@ -153,8 +181,51 @@ def build_step_table(param: str, k: float, m: float, families,
     flat = rg.reshape(-1)
     for f, fam in enumerate(families):
         w[:, :, f] = (rmul * fam.evaluate(flat).reshape(rg.shape))
-    return StepTable(k=float(k), m=float(m), r_nodes=r_nodes, h=h, rmul=rmul,
-                     w=w, i_match=int(i_match))
+    return StepTable(k=float(k), m=float(m), r_nodes=r_nodes, h=h[:, None],
+                     rmul=rmul[..., None], w=w, i_match=int(i_match),
+                     grid=np.zeros(w.shape[2], dtype=np.intp))
+
+
+def stack_tables(tables) -> StepTable:
+    """One step table holding the families of all the tables (each on one
+    grid, all with the same k and m), so that their match traversals run as
+    one batch. Table g's grid is column g, and its families follow those of
+    the tables before it.
+
+    The tables are aligned at a common match node, the largest i_match I:
+    table g keeps its own steps, shifted by I - i_match_g, and zero-length
+    steps pad the front of its outward leg and the back of its inward leg
+    (its nodes there repeat its first and last radius). A zero-length step
+    zeroes every Magnus entry, and expm_traceless_2x2 turns that into exactly
+    the identity, so the padding moves no state. The norm weights of the
+    padded nodes are zero, and each leg's start weight stays at the leg's
+    start node, where the state is still the seed's. A stack serves the two
+    match legs, 0 -> I and S -> I, whose norm weights are formed here.
+    """
+    i_match = max(t.i_match for t in tables)
+    n_steps = i_match + max(t.n_steps - t.i_match for t in tables)
+    n_grid = len(tables)
+    r_nodes, h = np.empty((n_steps + 1, n_grid)), np.zeros((n_steps, n_grid))
+    rmul = np.zeros((n_steps, 2, n_grid))
+    first = np.cumsum([0] + [t.w.shape[2] for t in tables])   # of each table's families
+    w = np.zeros((n_steps, 2, first[-1]))
+    legs = {(0, i_match): np.zeros((3, i_match + 1, n_grid)),
+            (n_steps, i_match): np.zeros((3, n_steps - i_match + 1, n_grid))}
+    for g, t in enumerate(tables):
+        lead = i_match - t.i_match
+        steps = slice(lead, lead + t.n_steps)
+        h[steps, g], rmul[steps, :, g] = t.h[:, 0], t.rmul[..., 0]
+        w[steps, :, first[g]:first[g + 1]] = t.w
+        r_nodes[:, g] = np.pad(t.r_nodes, (lead, n_steps - steps.stop), mode="edge")
+        for quad, own_from in zip(legs.values(), (0, t.n_steps)):
+            own = t.norm_weights(own_from, t.i_match)[..., 0]
+            quad[:, 0, g] = own[:, 0]
+            quad[:, quad.shape[1] - own.shape[1] + 1:, g] = own[:, 1:]
+    table = StepTable(k=tables[0].k, m=tables[0].m, r_nodes=r_nodes, h=h,
+                      rmul=rmul, w=w, i_match=i_match,
+                      grid=np.repeat(np.arange(n_grid), np.diff(first)))
+    table._norm.update(legs)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -169,27 +240,22 @@ def _step_omega(table: StepTable, steps, fam_idx, em, me):
     for the (F, nE) scan layout, where each family's potential is broadcast
     over its row of energies. Returns arrays of shape (S, *batch).
     """
-    pad = (1,) * em.ndim
+    fam, col = table.columns(fam_idx)
 
-    def per_step(a):
-        return a.reshape(a.shape + pad)
+    def per_element(a, idx):
+        return _per_element(a[steps], idx, em.ndim)
 
-    h = per_step(table.h[steps])
-    r1 = per_step(table.rmul[steps, 0])
-    r2 = per_step(table.rmul[steps, 1])
-    w = table.w[steps]                              # (S, 2, F)
-    if fam_idx is None:
-        w1, w2 = w[:, 0, :, None], w[:, 1, :, None]
-    else:
-        w1, w2 = w[:, 0][:, fam_idx], w[:, 1][:, fam_idx]
-    b1 = r1 * em - w1
-    b2 = r2 * em - w2
-    c1 = w1 + r1 * me
-    c2 = w2 + r2 * me
+    def b_c(g):   # (b, c) at gauss node g; r and w die on return
+        r, w = per_element(table.rmul[:, g], col), per_element(table.w[:, g], fam)
+        return r * em - w, w + r * me
+
+    (b1, c1), (b2, c2) = b_c(0), b_c(1)
+    h = per_element(table.h, col)
     cc = _SQRT3 * h * h / 12.0
     k = table.k
     oa = (-k) * h - cc * (b1 * c2 - b2 * c1)
     ob = 0.5 * h * (b1 + b2) + cc * (2.0 * k) * (b2 - b1)
+    del b1, b2
     oc = 0.5 * h * (c1 + c2) + cc * (2.0 * k) * (c1 - c2)
     return oa, ob, oc
 
@@ -246,9 +312,14 @@ def propagate(table: StepTable, fam_idx, E, y0, i_from: int, i_to: int,
     log0 = np.zeros(E.shape)
     if phase:
         quad = table.norm_weights(i_from, i_to)
+        col = table.columns(fam_idx)[1]
+
+        def weights(i, nodes):   # weight i at those traversal nodes, per element
+            return _per_element(quad[i, nodes], col, E.ndim)
+
         # log of the integral of |y|^2 so far: beyond the start plus node 0
-        log_int = np.log(beyond + quad[0, 0] * y1 * y1 + quad[1, 0] * y2 * y2
-                         + quad[2, 0] * y1 * y2)
+        wa, wb, wc = (weights(i, 0) for i in range(3))
+        log_int = np.log(beyond + wa * y1 * y1 + wb * y2 * y2 + wc * y1 * y2)
     history = [(y1[None], y2[None], log0[None])]
     th_cont = np.arctan2(y2, y1)
     per_segment = max(1, _SCAN_ELEMENTS // max(E.size, 1))
@@ -257,15 +328,18 @@ def propagate(table: StepTable, fam_idx, E, y0, i_from: int, i_to: int,
         seg = steps[start:start + per_segment]
         mats = _step_matrices(table, seg, fam_idx, em, me, outward, phase)
         if phase:
-            Y1, Y2, L, log_seg = _scan_states(mats, y1, y2,
-                                              quad[:, start + 1:start + 1 + seg.size])
+            Y1, Y2, L, log_seg = _scan_states(
+                mats, y1, y2, lambda i: weights(i, slice(start + 1, start + 1 + seg.size)))
             th_cont = _unwrap(th_cont, Y1, Y2, outward)
             log_int = np.logaddexp(log_int, 2.0 * log0 + log_seg)
         else:
             Y1, Y2, L = _scan_states(mats, y1, y2)
         if record:
             history.append((Y1[1:], Y2[1:], log0 + L[1:]))
-        y1, y2, log0 = Y1[-1], Y2[-1], log0 + L[-1]
+        # copies, so that the segment's node arrays are not held while the
+        # next segment is formed
+        y1, y2, log0 = Y1[-1].copy(), Y2[-1].copy(), log0 + L[-1]
+        del Y1, Y2, L
 
     if record:
         rec1, rec2, logs = (np.concatenate(h) for h in zip(*history))
@@ -286,7 +360,8 @@ def _step_matrices(table: StepTable, steps, fam_idx, em, me, outward: bool,
     while the scan runs."""
     oa, ob, oc = _step_omega(table, steps, fam_idx, em, me)
     if not outward:
-        oa, ob, oc = -oa, -ob, -oc
+        for o in (oa, ob, oc):
+            np.negative(o, out=o)
     if check:
         _check_rotation(steps, oa, ob, oc)
     return list(expm_traceless_2x2(oa, ob, oc))
@@ -353,11 +428,16 @@ def _scan_states(mats, y1, y2, quad=None):
     the same two products summed in the same order as the four scalar-entry
     formulas give, so the packing changes no bit.
 
-    Given quad = (wa, wb, wc), weights of shape (S,) for nodes 1..S, also
-    returns log I as a fourth value, I = sum_j exp(2 L[j]) (wa Y1[j]^2 +
-    wb Y2[j]^2 + wc Y1[j] Y2[j]) over those nodes (see _norm_weights). Phase
-    (3) forms the node states in place in P[:, 0], and I is formed in P[:, 1],
-    which it leaves as scratch, so neither costs a segment-sized array.
+    Given quad, a callable whose quad(i) is weight i of (wa, wb, wc) at nodes
+    1..S, shape (S, ...) broadcasting against the batch, also returns log I
+    as a fourth value, I = sum_j exp(2 L[j]) (wa Y1[j]^2 + wb Y2[j]^2 +
+    wc Y1[j] Y2[j]) over those nodes (see _norm_weights). It is called once
+    the step matrices are gone. Phase (3) forms the node states in place in
+    P[:, 0], and I is formed in P[:, 1], which it leaves as scratch, so
+    neither costs a segment-sized array. Each column of I is summed alone, in
+    step order, from a transposed copy in that scratch, so its rounding does
+    not depend on the other columns of the batch (numpy picks the order of a
+    sum over the leading axes from the array's shape).
     """
     n_steps = mats[4].shape[0]
     bs = math.isqrt(max(n_steps - 1, 0)) + 1   # ceil(sqrt(S)), at least 1
@@ -366,15 +446,14 @@ def _scan_states(mats, y1, y2, quad=None):
     batch = mats[4].shape[1:]
 
     P = np.empty((4, nb * bs, *batch))
-    for p, m, v in zip(P, mats, (1.0, 0.0, 0.0, 1.0)):
-        p[:n_steps] = m
+    for p, v in zip(P, (1.0, 0.0, 0.0, 1.0)):
+        p[:n_steps] = mats.pop(0)   # each step matrix entry dies once packed
         p[n_steps:] = v
     P = P.reshape(2, 2, nb, bs, *batch)
-    lp = mats[4]
+    lp = mats.pop()
     if fill:
         lp = np.concatenate([lp, np.zeros((fill, *batch))])
     lp = lp.reshape(nb, bs, *batch)
-    mats.clear()
 
     # (1) in-block prefix products P[:, :, :, t] = M[:, t] ... M[:, 0], in
     # place: round t reads step t before it overwrites it
@@ -411,26 +490,34 @@ def _scan_states(mats, y1, y2, quad=None):
 
     log_int = ()
     if quad is not None:
-        wa, wb, wc = np.concatenate([quad, np.zeros((3, fill))], axis=1).reshape(
-            3, nb, bs, *(1,) * len(batch))
         # exp(2 (L - ref)) (wa Y1^2 + wb Y2^2 + wc Y1 Y2) in the scratch half
-        # of P, with ref the largest log scale of the segment, so nothing
-        # overflows
+        # of P, zero in the fill, with ref the largest log scale of the
+        # segment, so nothing overflows
         ref = lz.max(axis=(0, 1))
         q, t = scratch
-        np.multiply(z[0], z[0], out=q)
-        q *= wa
-        np.multiply(z[1], z[1], out=t)
-        t *= wb
-        q += t
-        np.multiply(z[0], z[1], out=t)
-        t *= wc
-        q += t
+        z1, z2, qs, ts = (a.reshape(nb * bs, *batch)[:n_steps]
+                          for a in (z[0], z[1], q, t))
+        np.multiply(z1, z1, out=qs)
+        qs *= quad(0)
+        np.multiply(z2, z2, out=ts)
+        ts *= quad(1)
+        qs += ts
+        np.multiply(z1, z2, out=ts)
+        ts *= quad(2)
+        qs += ts
+        q.reshape(nb * bs, *batch)[n_steps:] = 0.0
         np.subtract(lz, ref, out=t)
         t *= 2.0
         np.exp(t, out=t)
         q *= t
-        log_int = (np.log(q.sum(axis=(0, 1))) + 2.0 * ref,)
+        n_cols = q.size // (nb * bs)
+        by_column = t.reshape(n_cols, nb * bs)
+        np.copyto(by_column, q.reshape(nb * bs, n_cols).T)
+        total = by_column.sum(axis=1)
+        # zero for a column whose nodes in this segment are all padding (see
+        # stack_tables): its log I is -inf, which adds nothing
+        log_int = (np.log(total, out=np.full_like(total, -np.inf), where=total != 0)
+                   .reshape(batch) + 2.0 * ref,)
 
     def nodes(start, inner):
         return np.concatenate([start[None], inner.reshape(nb * bs, *batch)[:n_steps]])

@@ -27,10 +27,13 @@ stages that share the seed and match radii:
    normalize (psi1, psi1) + (psi2, psi2) = 1, and fix the overall sign.
 
 The coarse stage is shared by the whole batch. The fine and dense stages run
-per group of states, each group on step tables of its own families only, and
-are streamed one group at a time: solve_batch collects the groups, which are
-energy bands of similar decay rate by default and one group per parameter
-stencil for the sweeps of the monotonicity harness.
+per group of states, each group on step tables of its own families only; the
+groups are energy bands of similar decay rate by default and one group per
+parameter stencil for the sweeps of the monotonicity harness. The fine stage
+searches consecutive groups in lockstep, on one stack of their fine tables
+aligned at a common match node, so that they share the scan's sequential
+rounds; the dense stage is then streamed one group at a time, and
+solve_batch collects the groups.
 
 Every radial decision reads one potential profile per workspace: V_f sampled
 once on geometric radii from the seed radius out to the explicit r_max or the
@@ -512,6 +515,10 @@ _FINE_C_LIN = 0.022  # the linear d = 1 parametrization lacks the log-grid near-
 _R_MAX_CAP = 4000.0  # in units of 1/m; binding below ~5e-5 m is out of reach
 
 _PROFILE_POINTS = 1200  # geometric radii of the workspace's potential profile
+# step x batch entries of one leg of a fine-stage evaluation in lockstep: half
+# a scan segment, so that the widest calls stay near those of groups searched
+# one at a time (the working set of a full segment is about 5 MB)
+_LOCKSTEP_ENTRIES = prop._SCAN_ELEMENTS // 2
 
 
 class _Workspace:
@@ -652,38 +659,78 @@ class _Workspace:
         seed_o, seed_t = self.seeds
         return (lambda E, idx: seed_o(E, fams[idx])), seed_t
 
-    def fine_eigenvalues(self, fam_is, e_centers, targets):
-        """Count-bisect each coarse eigenvalue on a fine grid, from its centre.
+    def fine_eigenvalues(self, groups):
+        """Count-bisect each coarse eigenvalue on a fine grid, from its centre,
+        groups in lockstep.
 
-        One evaluation on the fine table gives the window bottom and top of
-        every family in the group and every coarse centre. A state's bracket
-        is its centre and the window end on the other side of the centre's
-        fine count, so index targeting stays exact however far the coarse and
-        fine grids disagree, and the search starts with Newton from the
-        centre. Returns (E*, |M|, final bracket width, evaluations) per batch
-        element and the fine domain used.
+        groups lists (fam_is, e_centers, targets) per group. Each group gets
+        a fine table of its own families on its own trimmed domain, and
+        consecutive groups search together on the stack of their tables
+        (prop.stack_tables): a first evaluation gives the window bottom and
+        top of every family and every coarse centre, and one count_bisect
+        call narrows every bracket. A stack takes groups while its search's
+        evaluations, one column per state over the longer match leg, hold at
+        most _LOCKSTEP_ENTRIES step x batch entries; the first evaluation,
+        three columns per state for stencils, runs in pieces of that width,
+        or of the widest group's own first evaluation if that is wider. A
+        state's bracket is its centre and the window end on the other side of
+        the centre's fine count, so index targeting stays exact however far
+        the coarse and fine grids disagree, and the search starts with Newton
+        from the centre. Returns (E*, |M|, final bracket width, evaluations,
+        fine domain) per group, in order.
         """
         m = self.channel.m
-        e_centers = np.asarray(e_centers, dtype=float)
-        targets = np.asarray(targets)
-        fam_idx = np.asarray(fam_is, dtype=np.intp)
         bottom, top = self.window()
         pad = 2e-3 * m
-        band = (max(float(e_centers.min()) - pad, bottom),
-                min(float(e_centers.max()) + pad, top))
-        domain = self.trimmed_domain(fam_idx, e_centers)
-        # the table holds only the group's families; row indexes them
-        fams, row = np.unique(fam_idx, return_inverse=True)
+        tables, info, results = [], [], []
+
+        def search():
+            table = prop.stack_tables(tables)
+            tables.clear()    # the group tables are not held while it is searched
+            results.extend(self._lockstep(table, info))
+            info.clear()
+
+        for fam_is, e_centers, targets in groups:
+            e_centers = np.asarray(e_centers, dtype=float)
+            band = (max(float(e_centers.min()) - pad, bottom),
+                    min(float(e_centers.max()) + pad, top))
+            domain = self.trimmed_domain(fam_is, e_centers)
+            # a table holds only its group's families; row indexes them
+            fams, row = np.unique(np.asarray(fam_is, dtype=np.intp), return_inverse=True)
+            table = self.fine_table(band, domain, fams)
+            n_states = row.size + sum(g[1].size for g in info)
+            if tables and n_states * _longest_leg(tables + [table]) > _LOCKSTEP_ENTRIES:
+                search()
+            tables.append(table)
+            info.append((fams, row, e_centers, np.asarray(targets), domain))
+        search()
+        return results
+
+    def _lockstep(self, table, info):
+        """The search of fine_eigenvalues on one stack of the groups' tables,
+        given (families, row, e_centers, targets, domain) per group; returns
+        the results of each group."""
+        bottom, top = self.window()
+        fams, rows, e_centers, targets, domains = zip(*info)
+        # columns of a group's own first evaluation: its families' window
+        # ends and its centres
+        own_width = max(2 * f.size + r.size for f, r in zip(fams, rows))
+        first = np.cumsum([0] + [f.size for f in fams])
+        row = np.concatenate([r + f0 for r, f0 in zip(rows, first)])
+        fams, e_centers, targets = map(np.concatenate, (fams, e_centers, targets))
         nf = fams.size
-        table = self.fine_table(band, domain, fams)
         seed_o, seed_t = self.local_seeds(fams)
 
-        # one evaluation: the window bottom and top of each family in the
-        # group, then the centres
+        # the window bottom and top of each family in the stack, then the
+        # centres, in pieces no wider than the search's own evaluations (one
+        # column per state) or than the widest group's own first evaluation
         e_rows = np.concatenate([np.full(nf, bottom), np.full(nf, top), e_centers])
-        mval, dth, slope = prop.match_values(
-            table, np.concatenate([np.arange(nf), np.arange(nf), row]), e_rows,
-            seed_o, seed_t, phase=True)
+        cols = np.concatenate([np.arange(nf), np.arange(nf), row])
+        width = max(row.size, own_width)
+        mval, dth, slope = (np.concatenate(v) for v in zip(*(
+            prop.match_values(table, cols[i:i + width], e_rows[i:i + width],
+                              seed_o, seed_t, phase=True)
+            for i in range(0, e_rows.size, width))))
         dth_b = dth[row]
         missing = prop.count_below(dth[nf + row], dth_b) <= targets
         if np.any(missing):
@@ -694,7 +741,7 @@ class _Workspace:
         # each bracket: the centre and the window end across the eigenvalue
         count = prop.count_below(dth[2 * nf:], dth_b)
         up = count <= targets                  # the centre lies below it
-        centre = 2 * nf + np.arange(fam_idx.size)
+        centre = 2 * nf + np.arange(row.size)
         end = np.where(up, nf + row, row)
         lo_row, hi_row = np.where(up, centre, end), np.where(up, end, centre)
         past = (count < targets) | (count > targets + 1)
@@ -703,11 +750,13 @@ class _Workspace:
                        "neighbouring eigenvalue on the fine grid (counts %s); their "
                        "searches need the far window end", e_centers[past].tolist(),
                        targets[past].tolist(), count[past].tolist())
-        e_star, m_abs, width, evals = prop.count_bisect(
+        found = prop.count_bisect(
             table, row, e_rows[lo_row], e_rows[hi_row], targets, dth_b,
             self.config.e_tol, seed_o, seed_t,
             ends=[(mval[r], dth[r], slope[r]) for r in (lo_row, hi_row)])
-        return e_star, m_abs, width, evals, domain
+        bounds = np.cumsum([0] + [r.size for r in rows])
+        return [(*(a[lo:hi] for a in found), domain)
+                for lo, hi, domain in zip(bounds[:-1], bounds[1:], domains)]
 
     def dense_states(self, fam_is, energies, match_res, bracket_widths,
                      coarse_centers, fine_evals, requested_nodes, domain):
@@ -769,6 +818,12 @@ class _Workspace:
         return states
 
 
+def _longest_leg(tables) -> int:
+    """Steps of the longer match leg of the stack of the tables
+    (prop.stack_tables)."""
+    return max(max(t.i_match for t in tables), max(t.n_steps - t.i_match for t in tables))
+
+
 def _no_such_state(ws: _Workspace, ends, n_top, reason: str, ties=None, cap: int = 14):
     """NoSuchStateError listing refined (E, node-index) pairs: every index
     below min(n_top, cap), the window's eigenvalue count, count-bisected on
@@ -797,7 +852,10 @@ def solve_batch(channel: ChannelSpec, families, n_r_values, config: SolveConfig 
 
     The workspace, the window counts and the coarse centres are shared by
     the whole batch; the fine and dense stages run per group of states (see
-    _group_results). _ties is private to the stencil sweeps of monotonicity:
+    _group_results), the fine stage in lockstep: consecutive groups search
+    together on one stack of their own fine tables, zero-length steps
+    padding each to a common match node (propagation.stack_tables). A batch
+    of one group searches exactly as on its own table. _ties is private to the stencil sweeps of monotonicity:
     one key per family, the parameter stencil it belongs to. Each (key, n_r)
     pair is then its own group, and solve_batch returns the generator of
     group results instead of collecting them, so that a sweep can drop each
@@ -903,15 +961,19 @@ def _refuse_deep_well(ws: _Workspace, f: int, n_r: int, st: BoundState):
 
 
 def _group_results(ws: _Workspace, groups, fam_is, labels, centers, dense_flags):
-    """Fine and dense stages of a batch, one group of slots at a time. Yields
-    each group's list of (family index, n_r, BoundState | EigenResult) as
-    soon as it is made; dense states are re-verified by their node count (a
-    deep regular well is refused, see _refuse_deep_well)."""
-    for grp in groups:
+    """Fine and dense stages of a batch. The fine stage searches the groups
+    in lockstep, on stacks of their own fine tables (see
+    _Workspace.fine_eigenvalues), before any dense state exists; the dense
+    stage then runs one group at a time, and each group's list of (family
+    index, n_r, BoundState | EigenResult) is yielded as soon as it is made.
+    Dense states are re-verified by their node count (a deep regular well is
+    refused, see _refuse_deep_well)."""
+    fine = ws.fine_eigenvalues(
+        [([fam_is[i] for i in grp], centers[grp], [labels[i] for i in grp])
+         for grp in groups])
+    for grp, (e_star, m_res, widths, evals, domain) in zip(groups, fine):
         fams = [fam_is[i] for i in grp]
         targets = [labels[i] for i in grp]
-        e_star, m_res, widths, evals, domain = ws.fine_eigenvalues(
-            fams, centers[grp], targets)
         dense = [k for k, f in enumerate(fams) if dense_flags[f]]
         states = {}
         if dense:

@@ -240,6 +240,29 @@ def test_batched_sweep_matches_point_by_point(channel, grid, monkeypatch):
                 assert rec.orth_residual <= 1e-5 and rec.w_residual <= 1e-4
 
 
+MATCH_CALLS_SWEEP_LEVEL = 40
+
+
+def test_sweep_level_match_calls(channel_s, monkeypatch):
+    # one level of acceptance criterion 2 (20 points, 100 stencil families)
+    # makes at most MATCH_CALLS_SWEEP_LEVEL batched match evaluations, coarse
+    # and fine alike, counted at the propagation boundary: the fine stage
+    # searches its stencils in lockstep, not one after another (about 95
+    # calls)
+    calls = []
+    real = prop.match_values
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(prop, "match_values", counting)
+    records = mono.sweep(dm.cutoff_coulomb(1.0, 1.0, active="a"), channel_s, 0,
+                         np.linspace(0.1, 2.0, 20))
+    assert len(records) == 20
+    assert len(calls) <= MATCH_CALLS_SWEEP_LEVEL
+
+
 def test_sweep_streams_its_stencils(channel_s):
     # each stencil becomes its record as soon as it is solved, so five times
     # the points keep the traced peak within 1.5x: the wavefunctions of one

@@ -1,5 +1,6 @@
 """Quadrature, discrete derivative, and propagator kernel checks."""
 
+import itertools
 import math
 
 import numpy as np
@@ -119,6 +120,24 @@ def test_derivative_fourth_order_on_sin():
 def test_expm_identity_at_zero():
     m11, m12, m21, m22, logf = expm_traceless_2x2(0.0, 0.0, 0.0)
     assert (m11, m12, m21, m22, logf) == (1.0, 0.0, 0.0, 1.0, 0.0)
+    # zeros of either sign, as a zero-length step forms them, in a batch
+    zeros = np.array(list(itertools.product((0.0, -0.0), repeat=3))).T
+    for got, want in zip(expm_traceless_2x2(*zeros), (1.0, 0.0, 0.0, 1.0, 0.0)):
+        assert np.all(got == want)
+
+
+def test_expm_batch_is_elementwise():
+    # each element of a batch, of either kind (q > 0 or q <= 0) and in any
+    # memory layout, gets bitwise what it gets alone
+    rng = np.random.default_rng(7)
+    oa, ob, oc = rng.uniform(-2.0, 2.0, (3, 40, 7))
+    oc[:, ::3] = 0.0                   # q = oa^2 >= 0
+    oa[::2, 1] = ob[::2, 1] = 0.0      # q = 0
+    for batch in ((oa, ob, oc), tuple(a.T for a in (oa, ob, oc))):
+        got = expm_traceless_2x2(*batch)
+        for i in np.ndindex(batch[0].shape):
+            alone = expm_traceless_2x2(*(a[i] for a in batch))
+            assert all(g[i] == v for g, v in zip(got, alone))
 
 
 @given(st.floats(-3, 3), st.floats(-3, 3), st.floats(-3, 3))

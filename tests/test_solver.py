@@ -332,21 +332,25 @@ def test_scan_matches_sequential_reference():
                 _assert_all_close([g_log], [r_log], 1e-11)
 
 
+def _arrays(out):
+    """The arrays a propagate call returns, its end state unpacked."""
+    return [*out[0], *out[1:]] if isinstance(out[0], tuple) else list(out)
+
+
 def test_scan_keeps_batch_columns_apart():
     # the packed scan broadcasts over the 2x2 axes only: in one segment
     # covering the whole traversal, with identity steps filling the last
     # block, every column of a mixed batch (two families, three energies)
     # gets bitwise the values it gets alone in phase, record and plain
-    # modes. Only the E-slope may differ, in its last bits: its quadrature
-    # sum over the blocks rounds in an order that depends on the batch width.
+    # modes, the E-slope included: each column's quadrature sum is taken
+    # alone, in step order, whatever the batch width. Energies near the top
+    # of the gap spread |y|^2 over many nodes, where a sum over the batch's
+    # blocks rounds differently from a column's own.
     channel = dm.ChannelSpec(d=3, tau=-1, j=0.5)
     ws = S._Workspace(channel, [dm.pure_coulomb(0.5), dm.pure_coulomb(0.9)],
                       S.DEFAULT_CONFIG)
     table = ws.coarse
-    idx, e = np.array([0, 1, 0]), np.array([0.5, 0.7, 0.9])
-
-    def arrays(out):   # the returned arrays, the end state unpacked
-        return [*out[0], *out[1:]] if isinstance(out[0], tuple) else list(out)
+    idx, e = np.array([0, 1, 0]), np.array([0.5, 0.99, 0.999])
 
     for seed, i_from in zip(ws.seeds, (0, table.n_steps)):
         n_steps = abs(table.i_match - i_from)
@@ -354,17 +358,142 @@ def test_scan_keeps_batch_columns_apart():
         assert n_steps % bs and n_steps * e.size <= prop._SCAN_ELEMENTS
         y0 = seed(e, idx)
         for record, phase in ((False, False), (True, False), (False, True)):
-            batch = arrays(prop.propagate(table, idx, e, y0, i_from, table.i_match,
-                                          record, phase))
+            batch = _arrays(prop.propagate(table, idx, e, y0, i_from, table.i_match,
+                                           record, phase))
             for b in range(e.size):
                 col = slice(b, b + 1)
-                alone = arrays(prop.propagate(table, idx[col], e[col],
-                                              (y0[0][col], y0[1][col]), i_from,
-                                              table.i_match, record, phase))
-                if phase:
-                    assert np.allclose(batch[-1][col], alone[-1], rtol=1e-13, atol=0)
-                for g, a in zip(batch[:-1] if phase else batch, alone):
+                alone = _arrays(prop.propagate(table, idx[col], e[col],
+                                               (y0[0][col], y0[1][col]), i_from,
+                                               table.i_match, record, phase))
+                for g, a in zip(batch, alone):
                     assert np.array_equal(g[..., col], a)
+
+
+def _criterion_1_tables():
+    """(workspace, {(family, n_r): fine table}) for acceptance criterion 1's
+    j = 1/2 states, each table on its own trimmed domain and band E +- 2e-3,
+    as the fine stage builds them for a group of that state alone."""
+    alphas = (0.2, 0.5, 0.9)
+    ws = S._Workspace(dm.ChannelSpec(d=3, tau=-1, j=0.5),
+                      [dm.pure_coulomb(a) for a in alphas], S.DEFAULT_CONFIG, n_r_max=2)
+    tables = {}
+    for f, alpha in enumerate(alphas):
+        for n_r in range(3):
+            energy = coulomb_energy(CoulombLevel(n=n_r + 1, j=0.5, alpha=alpha))
+            tables[f, n_r] = ws.fine_table((energy - 2e-3, energy + 2e-3),
+                                           ws.trimmed_domain([f], [energy]), np.array([f]))
+    return ws, tables
+
+
+def _legs(table):
+    return ((0, table.i_match), (table.n_steps, table.i_match))
+
+
+def test_stack_keeps_an_unpadded_table_bitwise():
+    # a table stacked alone, or first with a table shorter on both legs,
+    # needs no padding: its columns get bitwise its own results on both match
+    # legs in plain, record and phase modes (the stack gathers its grid
+    # columns per element, where a table on one grid broadcasts its one)
+    ws, tables = _criterion_1_tables()
+    long, short = tables[2, 2], tables[1, 0]
+    assert long.i_match > short.i_match
+    assert long.n_steps - long.i_match > short.n_steps - short.i_match
+    e = np.linspace(0.88, 0.95, 5)
+    idx = np.zeros(e.size, dtype=np.intp)
+    for stack in (prop.stack_tables([long]), prop.stack_tables([long, short])):
+        assert stack.n_steps == long.n_steps and stack.i_match == long.i_match
+        for seed, (i_from, i_to) in zip(ws.local_seeds(np.array([2, 1])), _legs(long)):
+            y0 = seed(e, idx)
+            for record, phase in ((False, False), (True, False), (False, True)):
+                got = _arrays(prop.propagate(stack, idx, e, y0, i_from, i_to, record, phase))
+                own = _arrays(prop.propagate(long, idx, e, y0, i_from, i_to, record, phase))
+                for g, o in zip(got, own):
+                    assert np.array_equal(g, o)
+
+
+def test_zero_length_steps_end_on_the_unpadded_state():
+    # zero-length steps after a leg are exact identities: filling the scan's
+    # last block, they end the leg bitwise on the state, angle and E-slope of
+    # the leg without them, and every padded node records that end state
+    ws, tables = _criterion_1_tables()
+    t = tables[0, 1]
+    n = t.i_match                              # the outward leg, 0 -> n
+    bs = math.isqrt(n - 1) + 1
+    pad = -n % bs                              # the identity fill of its last block
+    assert pad > 1 and n % bs != 1             # its last step is not first in its block
+    padded = prop.StepTable(
+        k=t.k, m=t.m, r_nodes=np.pad(t.r_nodes[:n + 1], (0, pad), mode="edge"),
+        h=np.pad(t.h[:n], ((0, pad), (0, 0))), rmul=np.pad(t.rmul[:n], ((0, pad), (0, 0), (0, 0))),
+        w=np.pad(t.w[:n], ((0, pad), (0, 0), (0, 0))), i_match=n + pad, grid=t.grid)
+    padded._norm[0, n + pad] = np.pad(t.norm_weights(0, n), ((0, 0), (0, pad), (0, 0)))
+    e = np.linspace(0.9, 0.99, 4)
+    idx = np.zeros(e.size, dtype=np.intp)
+    y0 = ws.seeds[0](e, idx)
+    for record, phase in ((False, False), (True, False), (False, True)):
+        got = _arrays(prop.propagate(padded, idx, e, y0, 0, n + pad, record, phase))
+        own = _arrays(prop.propagate(t, idx, e, y0, 0, n, record, phase))
+        if record:
+            got, own = [a[:n + 1] for a in got[2:]], own[2:]
+            assert all(np.array_equal(g[n:], np.broadcast_to(g[n], g[n:].shape))
+                       for g in got)
+        for g, o in zip(got, own):
+            assert np.array_equal(g, o)
+
+
+def test_stack_matches_sequential_reference():
+    # two of criterion 1's groups with different match nodes and step counts,
+    # each padded on one leg: in the stack, whole and in short segments, the
+    # match values and angles of every column agree with the sequential
+    # reference on the stack and with the column's own table, within the
+    # tolerances of test_scan_matches_sequential_reference, and count the
+    # same eigenvalues; the E-slopes agree with the own tables' to 1e-10
+    ws, tables = _criterion_1_tables()
+    pair = [tables[0, 2], tables[2, 0]]
+    stack = prop.stack_tables(pair)
+    assert pair[0].i_match < stack.i_match == pair[1].i_match
+    assert (pair[1].n_steps - pair[1].i_match
+            < stack.n_steps - stack.i_match == pair[0].n_steps - pair[0].i_match)
+    levels = [coulomb_energy(CoulombLevel(n=n_r + 1, j=0.5, alpha=alpha))
+              for alpha, n_r in ((0.2, 2), (0.9, 0))]
+    e = np.concatenate([np.linspace(lv - 2e-3, lv + 2e-3, 40) for lv in levels])
+    idx = np.repeat([0, 1], 40)
+    seeds = ws.local_seeds(np.array([0, 2]))
+    legs = [(stack, idx, e, seed(e, idx), *leg) for seed, leg in zip(seeds, _legs(stack))]
+    m_ref, dth_ref = _match(propagate_sequential, legs)
+    for path in (prop.propagate, _scan_in_segments):
+        mval, dth = _match(path, legs)
+        assert np.allclose(mval, m_ref, rtol=1e-12, atol=1e-13)
+        assert np.allclose(dth, dth_ref, rtol=1e-12, atol=1e-11)
+    mval, dth, slope = prop.match_values(stack, idx, e, *seeds, phase=True)
+    for g, (table, f) in enumerate(zip(pair, (0, 2))):
+        col = idx == g
+        own_m, own_dth, own_slope = prop.match_values(
+            table, np.zeros(40, dtype=np.intp), e[col], *ws.local_seeds(np.array([f])),
+            phase=True)
+        assert np.allclose(mval[col], own_m, rtol=1e-12, atol=1e-13)
+        assert np.allclose(dth[col], own_dth, rtol=1e-12, atol=1e-11)
+        assert np.array_equal(prop.count_below(dth[col], dth[col][0]),
+                              prop.count_below(own_dth, own_dth[0]))
+        assert prop.count_below(own_dth, own_dth[0])[-1] >= 1
+        assert np.allclose(slope[col], own_slope, rtol=1e-10, atol=0)
+
+
+def test_lockstep_matches_groups_searched_alone(monkeypatch):
+    # criterion 1's batches search their energy groups in lockstep; searched
+    # one group at a time (a lockstep bound of zero) they give the same node
+    # counts and E within 1e-9, and a one-group batch is bitwise the same
+    batches = _criterion_1_batches()
+    single = dm.solve(dm.ChannelSpec(d=3, tau=-1, j=0.5), dm.pure_coulomb(0.5), 1)
+    monkeypatch.setattr(S, "_LOCKSTEP_ENTRIES", 0)
+    for together, alone in zip(batches, _criterion_1_batches()):
+        for per_fam, per_fam_alone in zip(together, alone):
+            assert per_fam.keys() == per_fam_alone.keys()
+            for n_r, st in per_fam.items():
+                assert st.nodes == per_fam_alone[n_r].nodes == n_r
+                assert abs(st.E - per_fam_alone[n_r].E) <= 1e-9
+    again = dm.solve(dm.ChannelSpec(d=3, tau=-1, j=0.5), dm.pure_coulomb(0.5), 1)
+    assert single.E == again.E
+    assert np.array_equal(single.psi1, again.psi1) and np.array_equal(single.psi2, again.psi2)
 
 
 def test_phase_slope_matches_central_difference():
@@ -597,7 +726,7 @@ def test_count_bisect_closed_bracket_reports_end_residual(search_tables, monkeyp
 
 
 FINE_EVALS_CRITERION_1 = 49
-MATCH_CALLS_CRITERION_1 = 65
+MATCH_CALLS_CRITERION_1 = 46
 
 
 def test_search_below_one_ulp_ends_promptly(channel_s, coulomb_half):
@@ -635,7 +764,8 @@ def test_fine_search_evaluations_on_criterion_1():
 def test_search_evaluations_on_criterion_1(monkeypatch):
     # every batched match evaluation of criterion 1's two solves, window ends,
     # coarse and fine searches and fine brackets alike, counted at the
-    # propagation boundary: at most MATCH_CALLS_CRITERION_1 calls
+    # propagation boundary: at most MATCH_CALLS_CRITERION_1 calls (the value
+    # measured with each solve's energy groups searched in lockstep)
     calls = []
     real = prop.match_values
 
