@@ -165,6 +165,8 @@ def _stencils(family: PotentialFamily, channel: ChannelSpec, n_r: int, a_points,
                                    psi1a=(st_p.psi1 - st_m.psi1) / (2 * s),
                                    psi2a=(st_p.psi2 - st_m.psi2) / (2 * s), h=s)
         yield st, (4 * d2 - d1) / 3, psi_a
+        # not held while the next stencil is solved
+        del group, res, st, st_m, st_p, eig_m2, eig_p2, psi_a
 
 
 def _stencil_point(family: PotentialFamily, channel: ChannelSpec, n_r: int,
@@ -296,8 +298,10 @@ def sweep(family: PotentialFamily, channel: ChannelSpec, n_r: int, a_grid,
     if np.any(np.diff(a_grid) <= 0):
         raise ConfigurationError("sweep grid must be strictly increasing")
     try:
-        return [_record(a, *stencil, channel) for a, stencil in
-                zip(a_grid, _stencils(family, channel, n_r, a_grid, h, config))]
+        # one stencil per point, each passed on without a name, so that no
+        # loop variable holds it while the next one is solved
+        stencils = _stencils(family, channel, n_r, a_grid, h, config)
+        return [_record(a, *next(stencils), channel) for a in a_grid]
     except DiracmonoError as exc:
         _log.debug("sweep: the batched solve of n_r = %d failed (%s); solving "
                    "point by point", n_r, exc)

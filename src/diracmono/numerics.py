@@ -96,7 +96,7 @@ def apply_derivative(table: tuple[np.ndarray, np.ndarray], f: np.ndarray) -> np.
     return np.sum(weights * np.asarray(f, dtype=float)[offsets], axis=1)
 
 
-def expm_traceless_2x2(oa, ob, oc):
+def expm_traceless_2x2(oa, ob, oc, out=None):
     """Scaled exponential of the traceless matrix [[oa, ob], [oc, -oa]].
 
     Returns (m11, m12, m21, m22, logscale) with
@@ -112,12 +112,21 @@ def expm_traceless_2x2(oa, ob, oc):
     exponential is astronomically large, which is what lets the propagator
     take long steps through classically forbidden regions without overflow.
     All inputs may be arrays of a common shape.
+
+    With out, five arrays of that shape, the results are written there and
+    only one more array of the shape is allocated; oa, ob and oc may be
+    out[0], out[1] and out[2] themselves, which are then overwritten.
     """
     oa, ob, oc = (np.asarray(o, dtype=float) for o in (oa, ob, oc))
-    s = np.asarray(oa * oa + ob * oc)   # q, then s, then the logscale
+    if out is None:
+        shape = np.broadcast_shapes(oa.shape, ob.shape, oc.shape)
+        out = [np.empty(shape) for _ in range(5)]
+    m11, m12, m21, m22, s = out
+    np.multiply(oa, oa, out=s)       # q, then s, then the logscale
+    s += np.multiply(ob, oc, out=m22)
     hyp = s > 0
     np.sqrt(np.abs(s, out=s), out=s)
-    ch, sh = np.empty_like(s), np.empty_like(s)
+    ch, sh = m22, np.empty_like(s)
     sk = s[hyp]
     em1 = np.expm1(-2.0 * sk)
     sh[hyp] = np.divide(-0.5 * em1, sk, out=sk)
@@ -128,6 +137,9 @@ def expm_traceless_2x2(oa, ob, oc):
     ch[trig] = np.cos(sk)
     sh[trig] = np.sinc(sk / np.pi)
     s[trig] = 0.0
-    t = np.asarray(sh * oa)
-    m22 = ch - t
-    return np.add(ch, t, out=ch), np.multiply(sh, ob, out=t), np.multiply(sh, oc, out=sh), m22, s
+    np.multiply(sh, ob, out=m12)
+    np.multiply(sh, oc, out=m21)
+    t = np.multiply(sh, oa, out=sh)
+    np.add(ch, t, out=m11)
+    np.subtract(ch, t, out=m22)
+    return m11, m12, m21, m22, s

@@ -8,9 +8,11 @@ its commutator correction), evaluated in closed form through the traceless
 2x2 exponential. The step matrices do not depend on each other, so all of
 them are formed in one vectorized pass; only their ordered product is
 sequential, and since it is associative it is evaluated as a blocked prefix
-scan rather than one step at a time. Propagator entries, partial products
-and node states are kept max-normalized with their scales carried as
-logarithms, so traversing hundreds of exponential e-folds is overflow-free.
+scan rather than one step at a time. The outward and inward legs of a
+two-sided match are two chains of one scan. Propagator entries, partial
+products and node states are kept max-normalized with their scales carried
+as logarithms, so traversing hundreds of exponential e-folds is
+overflow-free.
 
 Radial steps are parametrized either in x = ln r ("log", used for d > 1,
 where the 1/r channel term becomes a constant and the origin power-law layer
@@ -32,9 +34,11 @@ two-sided sweeps that the solver layer assembles into bound states.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,6 +48,7 @@ from .numerics import expm_traceless_2x2
 _SQRT3 = np.sqrt(3.0)
 _TINY = 1e-300
 _SCAN_ELEMENTS = 1 << 16  # step x batch entries formed at once by the numpy scan
+_STEP_ELEMENTS = 1 << 13  # step x batch entries of step matrices formed at once
 _MAX_ITER = 200  # count_bisect iterations at most, a backstop behind its pace rule
 
 _log = logging.getLogger("diracmono")
@@ -232,42 +237,170 @@ def stack_tables(tables) -> StepTable:
 # stepping
 # ---------------------------------------------------------------------------
 
-def _step_omega(table: StepTable, steps, fam_idx, em, me):
+def _step_omega(table: StepTable, steps, fam_idx, em, me, sign=None, out=None):
     """Magnus matrix entries (oa, ob, oc) for the given steps and batch energies.
 
     steps is an index array of length S; em = E + m and me = m - E have the
     batch shape. fam_idx maps batch elements to table families, or is None
     for the (F, nE) scan layout, where each family's potential is broadcast
-    over its row of energies. Returns arrays of shape (S, *batch).
+    over its row of energies. sign (-1 for a step taken inward, an array of
+    one per step or one for all) multiplies the entries; it is folded into
+    the per-step coefficients, which negates every entry exactly, as rounding
+    is symmetric. The entries, of shape (S, *batch), are formed in out[0:3]
+    of out, shape (5, S, *batch) (allocated when None), whose out[3:5] serve
+    as scratch, so that at most two more arrays of that size are held.
     """
     fam, col = table.columns(fam_idx)
 
-    def per_element(a, idx):
-        return _per_element(a[steps], idx, em.ndim)
+    def per_element(a, idx=col):
+        return _per_element(a, idx, em.ndim)
 
-    def b_c(g):   # (b, c) at gauss node g; r and w die on return
-        r, w = per_element(table.rmul[:, g], col), per_element(table.w[:, g], fam)
-        return r * em - w, w + r * me
-
-    (b1, c1), (b2, c2) = b_c(0), b_c(1)
-    h = per_element(table.h, col)
+    # per-step coefficients on the grid axis, taken per element where used
+    h = table.h[steps]
     cc = _SQRT3 * h * h / 12.0
-    k = table.k
-    oa = (-k) * h - cc * (b1 * c2 - b2 * c1)
-    ob = 0.5 * h * (b1 + b2) + cc * (2.0 * k) * (b2 - b1)
-    del b1, b2
-    oc = 0.5 * h * (c1 + c2) + cc * (2.0 * k) * (c1 - c2)
+    half_h, k2cc, kh = 0.5 * h, cc * (2.0 * table.k), (-table.k) * h
+    if sign is not None:
+        sign = np.reshape(sign, (-1, 1))
+        half_h, k2cc, kh, cc = (sign * a for a in (half_h, k2cc, kh, cc))
+    if out is None:
+        out = np.empty((5, len(steps), *em.shape))
+    oa, ob, oc, b1, b2 = out
+    # (b, c) = (r em - w, w + r me) at gauss node g: b1 and c1 (in oa), then
+    # b2, with the node's r and w kept for c2
+    for g, b in ((0, b1), (1, b2)):
+        r = w = None    # node 0's are released before node 1's are taken
+        r, w = per_element(table.rmul[steps, g]), per_element(table.w[steps, g], fam)
+        np.multiply(r, em, out=b)
+        b -= w
+        if g == 0:
+            np.multiply(r, me, out=oa)
+            np.add(w, oa, out=oa)
+    # ob = h/2 (b1 + b2) + 2k cc (b2 - b1), with oc as scratch
+    np.add(b1, b2, out=ob)
+    ob *= per_element(half_h)
+    np.subtract(b2, b1, out=oc)
+    oc *= per_element(k2cc)
+    ob += oc
+    # c2 in oc; oa = -k h - cc (b1 c2 - b2 c1), oc = h/2 (c1 + c2) + 2k cc (c1 - c2)
+    np.multiply(r, me, out=oc)
+    np.add(w, oc, out=oc)
+    del r, w
+    b1 *= oc
+    b2 *= oa
+    b1 -= b2
+    np.subtract(oa, oc, out=b2)
+    b2 *= per_element(k2cc)
+    np.add(oa, oc, out=oc)
+    oc *= per_element(half_h)
+    oc += b2
+    b1 *= per_element(cc)
+    np.subtract(per_element(kh), b1, out=oa)
     return oa, ob, oc
 
 
-def _wrap_pi(x):
-    """Map angles to [-pi, pi)."""
-    return (x + np.pi) % (2.0 * np.pi) - np.pi
+_W2_MAX = 8.7  # 2.95^2: a step rotated too far for the crossing count
+
+
+def _rotation_q(P):
+    """q = oa^2 + ob oc of every step and batch element, from the Magnus
+    entries in P[0:3], formed in P[3] with P[4] as scratch: the step rotates
+    the element by sqrt(-q) where q < 0."""
+    q = np.multiply(P[0], P[0], out=P[3])
+    q += np.multiply(P[1], P[2], out=P[4])
+    return q
+
+
+def _rotation_error(table, fam_idx, em, me, legs, per_segment):
+    """The NumericalError for the first step that rotates some batch element
+    too far for the crossing count: the first leg's first such step in
+    traversal order, else the next leg's. Each leg is checked in its own
+    segments, as propagated alone."""
+    for leg in legs:
+        for start in range(0, leg.n_steps, per_segment):
+            steps = leg.steps(start, min(per_segment, leg.n_steps - start))
+            P = np.empty((5, steps.size, *em.shape))
+            _step_omega(table, steps, fam_idx, em, me, out=P)
+            q = _rotation_q(P)
+            wosc = -np.min(q, axis=tuple(range(1, q.ndim)), initial=np.inf)
+            bad = np.nonzero(wosc > _W2_MAX)[0]
+            if bad.size:
+                j = bad[0]
+                return NumericalError(
+                    f"step {steps[j]} rotates the solution too fast for phase "
+                    f"tracking (w^2 = {wosc[j]:.3f}); the step rule is too coarse"
+                )
+    return None
+
+
+def _side(y1, y2):
+    """True where the direction (y1, y2) lies on the psi1 > 0 side of the
+    psi1 = 0 axis. A point on the axis counts to the side of -psi2, which
+    makes it the lower edge of its sector (see _Leg): its offset f is then
+    atan2(+-0, 1) = 0, where the other side would put it on atan2's branch
+    cut, at +pi or -pi by the sign of a zero."""
+    return (y1 > 0.0) | ((y1 == 0.0) & (y2 < 0.0))
+
+
+class _Leg:
+    """One traversal of a propagate call, node i_from to node i_to, and what
+    its mode keeps of it as its segments are taken: the state (y1, y2) with
+    its log scale log0, the recorded nodes (rec), or the angle's sector and
+    side and log I (phase).
+
+    The continuous angle is theta = pi/2 + K pi + f, with f in [0, pi) the
+    direction's offset from the lower edge of sector K, whose parity the side
+    gives (odd on the psi1 > 0 side). The direction crosses psi1 = 0 only
+    clockwise outward (counter-clockwise inward) and, by the rotation limit,
+    at most once a step, so each change of side between consecutive nodes
+    moves K by one, down outward and up inward: the angle at the end is read
+    from the start sector, the number of side changes and the end direction,
+    with no angle formed per node.
+    """
+
+    def __init__(self, table, fam_idx, E, y0, i_from, i_to, record, phase, beyond):
+        self.i_from, self.outward = i_from, i_to >= i_from
+        self.n_steps = abs(i_to - i_from)
+        y1 = self.y1 = np.array(np.broadcast_to(y0[0], E.shape), dtype=float)
+        y2 = self.y2 = np.array(np.broadcast_to(y0[1], E.shape), dtype=float)
+        self.log0 = np.zeros(E.shape)
+        if record:
+            self.rec = np.empty((3, self.n_steps + 1, *E.shape))
+            self.rec[0, 0], self.rec[1, 0], self.rec[2, 0] = y1, y2, 0.0
+        if phase:
+            self.quad = table.norm_weights(i_from, i_to)
+            col = table.columns(fam_idx)[1]
+            # log of the integral of |y|^2 so far: beyond the start plus node 0
+            wa, wb, wc = (_per_element(self.quad[i, 0], col, E.ndim) for i in range(3))
+            self.log_int = np.log(beyond + wa * y1 * y1 + wb * y2 * y2 + wc * y1 * y2)
+            # the sector of atan2(y2, y1), in (-pi, pi]
+            self.side = _side(y1, y2)
+            self.sector = np.where(self.side, -1.0, np.where(np.signbit(y2), -2.0, 0.0))
+
+    def steps(self, start, n):
+        """Table indices of traversal steps start .. start + n - 1."""
+        if self.outward:
+            return np.arange(self.i_from + start, self.i_from + start + n)
+        return np.arange(self.i_from - 1 - start, self.i_from - 1 - start - n, -1)
+
+    def result(self, record, phase):
+        y1, y2 = self.y1, self.y2
+        if record:
+            rec1, rec2, logs = self.rec if self.outward else self.rec[:, ::-1]
+            return (y1, y2), rec1, rec2, logs
+        if phase:
+            side = self.side
+            f = np.arctan2(np.where(side, y1, -y1), np.where(side, -y2, y2))
+            theta = (self.sector + 0.5) * np.pi + f
+            slope = np.exp(self.log_int - 2.0 * self.log0) / (y1 * y1 + y2 * y2)
+            return (y1, y2), theta, (-slope if self.outward else slope)
+        return y1, y2
 
 
 def propagate(table: StepTable, fam_idx, E, y0, i_from: int, i_to: int,
-              record: bool = False, phase: bool = False, beyond=0.0):
-    """Advance y0 from node i_from to node i_to (either direction).
+              record: bool = False, phase: bool = False, beyond=0.0, meet=None):
+    """Advance y0 from node i_from to node i_to (either direction); with meet,
+    advance two legs, y0[0] from node i_from to node meet and y0[1] from
+    node i_to to node meet, in the same call.
 
     E is the batch of energies; fam_idx maps batch elements to table families
     (None means the (F, nE) scan layout). The state is renormalized after
@@ -275,254 +408,358 @@ def propagate(table: StepTable, fam_idx, E, y0, i_from: int, i_to: int,
     accumulated log-magnitudes needed to undo the renormalization.
 
     With phase=True, additionally tracks the continuous polar angle
-    theta = atan2(psi2, psi1) of the solution direction along the traversal.
+    theta = atan2(psi2, psi1) of the solution direction along the traversal,
+    starting from its value in (-pi, pi] at the start node.
     For attractive potentials the coefficient of psi2 in psi1' is positive
     throughout the gap, so the direction crosses the psi1 = 0 axis only
     clockwise along increasing r (counter-clockwise along the inward
-    traversal); each step rotates by less than pi beyond its axis crossings,
-    which makes the per-step unwrapping exact. This angle is what eigenvalue
-    counting is built on. Phase mode returns ((y1, y2), theta, slope), with
-    slope = dtheta/dE at the end node: -I/|y_end|^2 outward and
-    +I/|y_end|^2 inward. I is the integral of |y|^2 dr over the traversal
-    (_norm_weights, on the node states), carried across segments in log
-    form like log0, plus beyond: the integral of |y|^2 on the far side of
-    the start, in the units of y0, for start values that continue an exact
-    solution there. It accounts for their own E-dependence: the tail seed's
-    free decaying solution turns at dtheta/dE = 1/(2 lambda), which is
-    beyond = |y0|^2 / (2 lambda). With beyond = 0 the slope is that of y0
-    held fixed.
+    traversal), and a step that rotates by less than pi crosses it at most
+    once: the angle at the end follows from its start sector, the number of
+    sign changes of psi1 over the nodes and the end direction (see _Leg).
+    A step that rotates too far for this is refused with NumericalError,
+    naming the first such step of the first leg in traversal order, else of
+    the second. This angle is what eigenvalue counting is built on. Phase
+    mode returns ((y1, y2), theta, slope), with slope = dtheta/dE at the end
+    node: -I/|y_end|^2 outward and +I/|y_end|^2 inward. I is the integral of
+    |y|^2 dr over the traversal (_norm_weights, on the node states), carried
+    across segments in log form like log0, plus beyond: the integral of
+    |y|^2 on the far side of the start, in the units of y0, for start values
+    that continue an exact solution there. It accounts for their own
+    E-dependence: the tail seed's free decaying solution turns at
+    dtheta/dE = 1/(2 lambda), which is beyond = |y0|^2 / (2 lambda). With
+    beyond = 0 the slope is that of y0 held fixed. With meet, y0 and beyond
+    are pairs, one per leg (a scalar beyond serves both), and the result is
+    the pair of the legs' results.
 
     The steps are evaluated as a step-parallel scan: the step matrices of a
     whole segment of steps at once, then a blocked prefix scan for its node
-    states (see _scan_states). Segments hold at most _SCAN_ELEMENTS
-    step-batch pairs, which bounds the memory of very large batches; they are
-    taken in traversal order, each starting from the last state of the one
-    before. The test suite checks the scan against a sequential step-by-step
-    reference (tests/reference_propagator.py).
+    states (see _scan_states). A leg is cut into segments of at most
+    _SCAN_ELEMENTS step-batch pairs, which bounds the memory of very large
+    batches; they are taken in traversal order, each starting from the last
+    state of the one before. The k-th segments of two legs share one scan,
+    as two chains, while their step-batch pairs together fit in
+    _SCAN_ELEMENTS, and run one after the other otherwise; either way each
+    leg's results are bitwise those of the leg propagated alone. The test
+    suite checks the scan against a sequential step-by-step reference
+    (tests/reference_propagator.py).
     """
     if record and phase:
         raise ConfigurationError("record and phase modes are mutually exclusive")
     E = np.asarray(E, dtype=float)
-    outward = i_to >= i_from
-    steps = (np.arange(i_from, i_to) if outward
-             else np.arange(i_from - 1, i_to - 1, -1))
+    if meet is None:
+        ends, starts, beyonds = [(i_from, i_to)], [y0], [beyond]
+    else:
+        ends, starts = [(i_from, meet), (i_to, meet)], y0
+        beyonds = beyond if isinstance(beyond, tuple) else (beyond, beyond)
+    legs = [_Leg(table, fam_idx, E, y, a, b, record, phase, extra)
+            for (a, b), y, extra in zip(ends, starts, beyonds)]
     em, me = E + table.m, table.m - E
-    y1 = np.array(np.broadcast_to(y0[0], E.shape), dtype=float)
-    y2 = np.array(np.broadcast_to(y0[1], E.shape), dtype=float)
-    log0 = np.zeros(E.shape)
-    if phase:
-        quad = table.norm_weights(i_from, i_to)
-        col = table.columns(fam_idx)[1]
-
-        def weights(i, nodes):   # weight i at those traversal nodes, per element
-            return _per_element(quad[i, nodes], col, E.ndim)
-
-        # log of the integral of |y|^2 so far: beyond the start plus node 0
-        wa, wb, wc = (weights(i, 0) for i in range(3))
-        log_int = np.log(beyond + wa * y1 * y1 + wb * y2 * y2 + wc * y1 * y2)
-    history = [(y1[None], y2[None], log0[None])]
-    th_cont = np.arctan2(y2, y1)
     per_segment = max(1, _SCAN_ELEMENTS // max(E.size, 1))
+    for members in _scans(legs, per_segment):
+        if not _advance(table, fam_idx, em, me, members, record, phase):
+            raise _rotation_error(table, fam_idx, em, me, legs, per_segment)
+    results = [leg.result(record, phase) for leg in legs]
+    return results[0] if meet is None else tuple(results)
 
-    for start in range(0, steps.size, per_segment):
-        seg = steps[start:start + per_segment]
-        mats = _step_matrices(table, seg, fam_idx, em, me, outward, phase)
-        if phase:
-            Y1, Y2, L, log_seg = _scan_states(
-                mats, y1, y2, lambda i: weights(i, slice(start + 1, start + 1 + seg.size)))
-            th_cont = _unwrap(th_cont, Y1, Y2, outward)
-            log_int = np.logaddexp(log_int, 2.0 * log0 + log_seg)
+
+def _scans(legs, per_segment):
+    """The scans of a call, in order, as lists of (leg, start, steps): each
+    leg is cut into segments of per_segment steps, and the k-th segments of
+    the legs share a scan while they fit in per_segment steps together."""
+    count = max((-(-leg.n_steps // per_segment) for leg in legs), default=0)
+    for k in range(count):
+        start = k * per_segment
+        members = [(leg, start, min(per_segment, leg.n_steps - start))
+                   for leg in legs if leg.n_steps > start]
+        if sum(n for _, _, n in members) <= per_segment:
+            yield members
         else:
-            Y1, Y2, L = _scan_states(mats, y1, y2)
-        if record:
-            history.append((Y1[1:], Y2[1:], log0 + L[1:]))
-        # copies, so that the segment's node arrays are not held while the
-        # next segment is formed
-        y1, y2, log0 = Y1[-1].copy(), Y2[-1].copy(), log0 + L[-1]
-        del Y1, Y2, L
+            yield from ([m] for m in members)
 
-    if record:
-        rec1, rec2, logs = (np.concatenate(h) for h in zip(*history))
-        if not outward:
-            rec1, rec2, logs = rec1[::-1], rec2[::-1], logs[::-1]
-        return (y1, y2), rec1, rec2, logs
+
+def _advance(table, fam_idx, em, me, members, record, phase):
+    """Take the next segment of each member leg, (leg, start, steps), in one
+    scan: one step-matrix pass over the segments' steps in packed order (see
+    _layout), the rotation check in phase mode, and _scan_states. Returns
+    False, with no leg advanced, when a step rotates too far."""
+    lay = _layout(tuple(n for _, _, n in members))
+    packed = np.empty(lay.n, dtype=np.intp)
+    packed[lay.trav] = np.concatenate([leg.steps(start, n) for leg, start, n in members])
+    inward = [not leg.outward for leg, _, _ in members]
+    sign = None
+    if all(inward):
+        sign = -1.0
+    elif any(inward):
+        sign = np.empty(lay.n)
+        sign[lay.trav] = np.repeat(np.where(inward, -1.0, 1.0), [n for _, _, n in members])
+    P = np.empty((5, lay.n, *em.shape))
+    # the step matrices in place, in pieces that bound the temporaries
+    per_piece = max(1, _STEP_ELEMENTS // max(em.size, 1))
+    for lo in range(0, lay.n, per_piece):
+        part, piece = P[:, lo:lo + per_piece], slice(lo, lo + per_piece)
+        _step_omega(table, packed[piece], fam_idx, em, me,
+                    sign[piece] if np.ndim(sign) else sign, out=part)
+        if phase and (_rotation_q(part) < -_W2_MAX).any():
+            return False
+        expm_traceless_2x2(part[0], part[1], part[2], out=part)
+    s, ls = _scan_states(P, lay, [(leg.y1, leg.y2) for leg, _, _ in members],
+                         nodes=record or phase)
     if phase:
-        slope = np.exp(log_int - 2.0 * log0) / (y1 * y1 + y2 * y2)
-        return (y1, y2), th_cont, (-slope if outward else slope)
-    return y1, y2
+        _read_phase(P, lay, members, table.columns(fam_idx)[1])
+    for c, (leg, start, n) in enumerate(members):
+        if record:
+            rows = slice(start + 1, start + 1 + n)
+            pos = lay.trav[lay.first[c]:lay.first[c] + n]
+            for dst, src in zip(leg.rec, (P[0], P[2], P[4])):
+                np.take(src, pos, axis=0, out=dst[rows], mode="clip")
+            leg.rec[2, rows] += leg.log0
+            leg.y1, leg.y2, leg.log0 = leg.rec[:, rows.stop - 1]
+        elif not phase:    # plain: the end state of phase (2)
+            q = lay.blocks[c]
+            leg.y1, leg.y2, leg.log0 = s[q, 0, c], s[q, 1, c], leg.log0 + ls[q, c]
+    return True
 
 
-def _step_matrices(table: StepTable, steps, fam_idx, em, me, outward: bool,
-                   check: bool):
-    """[m11, m12, m21, m22, logf] of the given steps in traversal order (see
-    expm_traceless_2x2), refusing with check a step that rotates too far for
-    phase unwrapping. The Magnus entries die on return, so they are not held
-    while the scan runs."""
-    oa, ob, oc = _step_omega(table, steps, fam_idx, em, me)
-    if not outward:
-        for o in (oa, ob, oc):
-            np.negative(o, out=o)
-    if check:
-        _check_rotation(steps, oa, ob, oc)
-    return list(expm_traceless_2x2(oa, ob, oc))
+def _read_phase(P, lay, members, col):
+    """Phase mode's reading of a scan's node states (P[0], P[2]) and log
+    scales (P[4]), formed in place by _scan_states: each member leg's side
+    changes, its log I and its end state. The nodes are first gathered into
+    traversal order, chain after chain, in the scan's free planes; the
+    quadrature is then formed in the others."""
+    batch = P.shape[2:]
+    n_cols = math.prod(batch)
+    # traversal order: psi1 into P[1], psi2 into P[0], log scales into P[2]
+    for src, dst in ((0, 1), (2, 0), (4, 2)):
+        np.take(P[src], lay.trav, axis=0, out=P[dst], mode="clip")
+    z1, z2, lz, q, t = P[1], P[0], P[2], P[3], P[4]
+    # wa z1^2 + wb z2^2 + wc z1 z2 at every node, weights in traversal order,
+    # taken per element in pieces
+    quad = np.concatenate([leg.quad[:, start + 1:start + 1 + n]
+                           for leg, start, n in members], axis=1)
+
+    def weight(i, piece):
+        return _per_element(quad[i, piece], col, len(batch))
+
+    per_piece = max(1, _STEP_ELEMENTS // max(n_cols, 1))
+    for lo in range(0, lay.n, per_piece):
+        piece = slice(lo, lo + per_piece)
+        z1p, z2p, qp, tp = z1[piece], z2[piece], q[piece], t[piece]
+        np.multiply(z1p, z1p, out=qp)
+        qp *= weight(0, piece)
+        np.multiply(z2p, z2p, out=tp)
+        tp *= weight(1, piece)
+        qp += tp
+        np.multiply(z1p, z2p, out=tp)
+        tp *= weight(2, piece)
+        qp += tp
+    ends = []
+    for c, (leg, start, n) in enumerate(members):
+        rows = slice(lay.first[c], lay.first[c] + n)
+        side = _side(z1[rows], z2[rows])
+        changes = (np.count_nonzero(side[1:] != side[:-1], axis=0)
+                   + (side[0] != leg.side))
+        leg.sector = leg.sector - changes if leg.outward else leg.sector + changes
+        leg.side = side[-1]
+        # exp(2 (L - ref)) with ref the chain's largest log scale, so nothing
+        # overflows
+        ref = lz[rows].max(axis=0)
+        tc = np.subtract(lz[rows], ref, out=t[rows])
+        tc *= 2.0
+        np.exp(tc, out=tc)
+        q[rows] *= tc
+        last = rows.stop - 1
+        ends.append((ref, z1[last].copy(), z2[last].copy(), lz[last].copy()))
+    # each column of I summed alone, in step order, over nb * bs nodes with
+    # zeros past the chain's last (numpy picks the order of a sum over the
+    # leading axes from the array's shape), in the planes of the gathered
+    # nodes, which are read by now
+    free = P[:3].reshape(-1)
+    for c, ((leg, start, n), (ref, y1, y2, l_end)) in enumerate(zip(members, ends)):
+        rows = slice(lay.first[c], lay.first[c] + n)
+        by_column = free[:n_cols * lay.padded[c]].reshape(n_cols, lay.padded[c])
+        np.copyto(by_column[:, :n], q[rows].reshape(n, n_cols).T)
+        by_column[:, n:] = 0.0
+        total = by_column.sum(axis=1)
+        # zero for a column whose nodes in this segment are all padding (see
+        # stack_tables): its log I is -inf, which adds nothing
+        log_seg = (np.log(total, out=np.full_like(total, -np.inf), where=total != 0)
+                   .reshape(batch) + 2.0 * ref)
+        leg.log_int = np.logaddexp(leg.log_int, 2.0 * leg.log0 + log_seg)
+        leg.y1, leg.y2, leg.log0 = y1, y2, leg.log0 + l_end
 
 
-def _check_rotation(steps, oa, ob, oc):
-    """Refuse the first step, in traversal order, that rotates some batch
-    element too far for the crossing-based phase unwrapping."""
-    wosc = np.max(-(oa * oa + ob * oc), axis=tuple(range(1, oa.ndim)),
-                  initial=-np.inf)
-    bad = np.nonzero(wosc > 8.7)[0]  # 2.95^2: a step rotated too far to unwrap
-    if bad.size:
-        j = bad[0]
-        raise NumericalError(
-            f"step {steps[j]} rotates the solution too fast for phase "
-            f"tracking (w^2 = {wosc[j]:.3f}); the step rule is too coarse"
-        )
+class _Layout(NamedTuple):
+    """Where the steps of a scan's chains sit in its packed arrays (see
+    _layout and _scan_states); positions index the step axis."""
+    n: int               # steps of all chains
+    width: int           # blocks in the widest phase (1) round (row 0)
+    rounds: tuple        # phase (1), row t >= 1: (offset, blocks, offset of
+                         # the same blocks in row t - 1)
+    totals: np.ndarray   # (nq, C): position of the last step of block q of
+                         # chain c (0 past the chain's last block)
+    block_q: np.ndarray  # each block, in position order: its index in its chain
+    block_c: np.ndarray  # and its chain
+    regions: tuple       # phase (3): (o0, o1, rows, lo, hi), runs of rows that
+                         # hold the same blocks lo .. hi - 1
+    trav: np.ndarray     # position of each step, chain after chain, each in
+                         # traversal order
+    first: tuple         # index in trav of each chain's first step
+    blocks: tuple        # nb of each chain
+    padded: tuple        # nb * bs of each chain
 
 
-def _unwrap(th_cont, Y1, Y2, outward):
-    """Continue the continuous polar angle th_cont (at node 0) along the node
-    states (Y1, Y2), accumulating the per-step increments in traversal order.
+@functools.lru_cache(maxsize=2)
+def _layout(lengths) -> _Layout:
+    """The packed layout of a scan over one or two chains of lengths[c]
+    steps (see _scan_states).
 
-    The direction crosses psi1 = 0 only one way (clockwise outward), so a
-    sign change of psi1 across a step pins its rotation to that side.
+    Chain c is cut into nb_c = ceil(S_c / bs_c) blocks of bs_c = ceil(sqrt(S_c))
+    steps, the last one shorter unless bs_c divides S_c: the blocks of a
+    chain scanned alone. The packed order is step-major: row t holds step t
+    of every block that has one, block after block. The blocks are ordered
+    so that the blocks of every row are consecutive: the chain with the
+    shorter blocks first, its last block leading, then the other chain, its
+    last block trailing. No position is padding, so every row is a slice,
+    and row t's blocks are a slice of row t - 1's. The last two layouts are
+    kept: a search evaluates the same table again and again.
     """
-    th = np.arctan2(Y2, Y1)
-    corr = np.where(Y1[:-1] * Y1[1:] < 0.0, np.pi if outward else -np.pi, 0.0)
-    dth = _wrap_pi(th[1:] - th[:-1] + corr) - corr
-    return np.cumsum(np.concatenate([th_cont[None], dth]), axis=0)[-1]
+    lengths = np.asarray(lengths)
+    bs = np.array([math.isqrt(s - 1) + 1 for s in lengths.tolist()])
+    nb = -(-lengths // bs)
+    chains = np.argsort(bs, kind="stable")
+    block_c = np.repeat(chains, nb[chains])
+    block_q = np.concatenate([np.roll(np.arange(nb[c]), 1 if k < chains.size - 1 else 0)
+                              for k, c in enumerate(chains)])
+    count = np.minimum(bs[block_c], lengths[block_c] - block_q * bs[block_c])
+    # row t: blocks lo[t] .. hi[t] - 1, from position off[t]
+    active = count > np.arange(bs.max())[:, None]
+    lo = active.argmax(axis=1)
+    hi = lo + active.sum(axis=1)
+    off = np.concatenate([[0], np.cumsum(hi - lo)[:-1]])
+    # the position of every step of every chain, in traversal order
+    index = np.empty((len(lengths), nb.max()), dtype=np.intp)
+    index[block_c, block_q] = np.arange(block_c.size)
+    trav = []
+    totals = np.zeros((nb.max(), len(lengths)), dtype=np.intp)
+    for c, (s, b) in enumerate(zip(lengths.tolist(), bs.tolist())):
+        q, t = np.divmod(np.arange(s), b)
+        trav.append(off[t] + index[c, q] - lo[t])
+        totals[:nb[c], c] = trav[-1][np.minimum(np.arange(1, nb[c] + 1) * b, s) - 1]
+    edges = np.flatnonzero(np.diff(lo, prepend=-1) | np.diff(hi, prepend=-1)).tolist()
+    regions = tuple((int(off[t0]), int(off[t0] + (t1 - t0) * (hi[t0] - lo[t0])), t1 - t0,
+                     int(lo[t0]), int(hi[t0]))
+                    for t0, t1 in zip(edges, edges[1:] + [lo.size]))
+    lo, hi, off = lo.tolist(), hi.tolist(), off.tolist()
+    rounds = tuple((off[t], hi[t] - lo[t], off[t - 1] + lo[t] - lo[t - 1])
+                   for t in range(1, len(lo)))
+    trav = np.concatenate(trav)
+    for a in (totals, block_q, block_c, trav):
+        a.setflags(write=False)
+    return _Layout(n=int(lengths.sum()), width=hi[0] - lo[0], rounds=rounds,
+                   totals=totals, block_q=block_q, block_c=block_c, regions=regions,
+                   trav=trav, first=tuple(np.cumsum([0, *lengths[:-1]]).tolist()),
+                   blocks=tuple(nb.tolist()), padded=tuple((nb * bs).tolist()))
 
 
-def _scan_states(mats, y1, y2, quad=None):
-    """Node states of y_{j+1} = M_j y_j for all j, by a two-level blocked scan.
+def _scan_states(P, lay: _Layout, starts, nodes: bool):
+    """States of y_{j+1} = M_j y_j along each chain of a scan, by a two-level
+    blocked scan over all chains at once.
 
-    mats = [m11, m12, m21, m22, logf] holds the scaled step matrices,
-    M_j = exp(logf[j]) * [[m11[j], m12[j]], [m21[j], m22[j]]], each of shape
-    (S, *batch); the list is emptied once its arrays are packed, and the scan
-    may overwrite logf. Returns (Y1, Y2, L) of shape (S+1, *batch): node j is
-    exp(L[j]) * (Y1[j], Y2[j]), with (Y1[0], Y2[0]) = (y1, y2), L[0] = 0, and
-    every later node max-normalized.
+    P, shape (5, n, *batch), holds the scaled step matrices of every chain
+    in the packed order of lay (_layout): M_j = exp(P[4, j]) *
+    [[P[0, j], P[1, j]], [P[2, j], P[3, j]]], as expm_traceless_2x2 forms
+    them. starts lists each chain's start state (y1, y2). Returns (s, ls),
+    shape (nq + 1, 2, C, *batch) and (nq + 1, C, *batch): the state at the
+    start of block q of chain c is exp(ls[q, c]) * s[q, :, c], and its end
+    state is entry lay.blocks[c], every one after the start max-normalized.
+    With nodes, also forms every node state in place: node j (the state
+    after step j) is exp(P[4, j]) * (P[0, j], P[2, j]), max-normalized, with
+    the log scale counted from the chain's start; P[1] and P[3] are left as
+    scratch.
 
-    The S steps are cut into nb = ceil(S / bs) blocks of bs = ceil(sqrt(S))
-    steps:
-    (1) inclusive prefix products inside every block, all blocks at once;
-    (2) the state at each block start, one block total after another;
+    Each chain is cut into blocks of bs = ceil(sqrt(S)) steps as if it were
+    scanned alone:
+    (1) inclusive prefix products inside every block, all blocks of all
+        chains at once, one round per step of the longest block;
+    (2) the state at each block start, one block total after another, the
+        chains side by side;
     (3) every node as its in-block prefix applied to its block-start state.
     Products and states are max-normalized as they are formed, with the
     dropped scale carried in log form, (A, la)(B, lb) = (AB/|AB|,
     la + lb + log|AB|), so no range of growth or decay overflows. The work is
     O(S * batch) in about 2 sqrt(S) sequential rounds of batched arithmetic,
-    and the association order depends only on S, so repeated runs are
-    bitwise reproducible.
+    for two chains as for the longer one, and the association order depends
+    only on each chain's S, so every chain is bitwise the chain scanned
+    alone and repeated runs are bitwise reproducible.
 
-    The matrices are packed: P[i, k, b, t] is entry (i, k) of step t of
-    block b, shape (2, 2, nb, bs, *batch), with the identity (log scale 0)
-    in the steps past S, and phase (1) overwrites each step with its
-    in-block prefix product. A phase (1) round is one packed product,
-    n[i, j] = M[i, 0] P[0, j] + M[i, 1] P[1, j] over the 2x2 axes by
-    broadcasting, its max over them, one division and one log update: about
-    10 numpy calls on (2, 2, nb, *batch) arrays, whatever the batch, where
-    the four scalar entries took 32. A phase (2) round is the same on a
-    (2, *batch) state, about 9 calls where it took 18. Every entry is still
-    the same two products summed in the same order as the four scalar-entry
-    formulas give, so the packing changes no bit.
-
-    Given quad, a callable whose quad(i) is weight i of (wa, wb, wc) at nodes
-    1..S, shape (S, ...) broadcasting against the batch, also returns log I
-    as a fourth value, I = sum_j exp(2 L[j]) (wa Y1[j]^2 + wb Y2[j]^2 +
-    wc Y1[j] Y2[j]) over those nodes (see _norm_weights). It is called once
-    the step matrices are gone. Phase (3) forms the node states in place in
-    P[:, 0], and I is formed in P[:, 1], which it leaves as scratch, so
-    neither costs a segment-sized array. Each column of I is summed alone, in
-    step order, from a transposed copy in that scratch, so its rounding does
-    not depend on the other columns of the batch (numpy picks the order of a
-    sum over the leading axes from the array's shape).
+    The packing is step-major with no padding (see _layout): round t of (1)
+    is one product of slices, n[i, j] = M[i, 0] P[0, j] + M[i, 1] P[1, j]
+    over the 2x2 axes by broadcasting, into preallocated buffers, its max
+    over them, one division and one log update. Every entry is the same two
+    products summed in the same order as the four scalar-entry formulas
+    give.
     """
-    n_steps = mats[4].shape[0]
-    bs = math.isqrt(max(n_steps - 1, 0)) + 1   # ceil(sqrt(S)), at least 1
-    nb = -(-n_steps // bs)
-    fill = nb * bs - n_steps
-    batch = mats[4].shape[1:]
+    batch = P.shape[2:]
+    M, lp = P[:4].reshape(2, 2, *P.shape[1:]), P[4]
 
-    P = np.empty((4, nb * bs, *batch))
-    for p, v in zip(P, (1.0, 0.0, 0.0, 1.0)):
-        p[:n_steps] = mats.pop(0)   # each step matrix entry dies once packed
-        p[n_steps:] = v
-    P = P.reshape(2, 2, nb, bs, *batch)
-    lp = mats.pop()
-    if fill:
-        lp = np.concatenate([lp, np.zeros((fill, *batch))])
-    lp = lp.reshape(nb, bs, *batch)
+    # (1) in-block prefix products, in place: round t reads row t before it
+    # overwrites it
+    prod, other = np.empty((2, 2, 2, lay.width, *batch))
+    nrm_buf = np.empty((lay.width, *batch))
+    for off, n, prev in lay.rounds:
+        m, p = M[:, :, off:off + n], M[:, :, prev:prev + n]
+        pr, ot = prod[:, :, :n], other[:, :, :n]
+        np.multiply(m[:, 0:1], p[0:1], out=pr)
+        pr += np.multiply(m[:, 1:2], p[1:2], out=ot)
+        nrm = np.maximum.reduce(np.abs(pr, out=ot), axis=(0, 1), initial=_TINY,
+                                out=nrm_buf[:n])
+        np.divide(pr, nrm, out=m)
+        lm = lp[off:off + n]
+        np.add(lp[prev:prev + n], lm, out=lm)
+        lm += np.log(nrm, out=nrm)
 
-    # (1) in-block prefix products P[:, :, :, t] = M[:, t] ... M[:, 0], in
-    # place: round t reads step t before it overwrites it
-    Pt, lpt = np.moveaxis(P, 3, 0), np.moveaxis(lp, 1, 0)   # step-major views
-    for t in range(1, bs):
-        m, p = Pt[t], Pt[t - 1]
-        n = m[:, 0:1] * p[0:1] + m[:, 1:2] * p[1:2]
-        nrm = np.abs(n).max(axis=(0, 1), initial=_TINY)
-        np.divide(n, nrm, out=m)
-        lpt[t] = lpt[t - 1] + lpt[t] + np.log(nrm)
+    # (2) block-start states s[q + 1, :, c] = (total of block q) s[q, :, c],
+    # all chains in each round: past a chain's last block its totals are the
+    # identity, which leaves its normalized state as it is
+    n_q, n_c = lay.totals.shape
+    tot = np.moveaxis(M[:, :, lay.totals], 2, 0)    # (nq, 2, 2, C, *batch)
+    l_tot = lp[lay.totals]
+    for c, nb in enumerate(lay.blocks):
+        tot[nb:, :, :, c] = np.eye(2).reshape(2, 2, *(1,) * len(batch))
+        l_tot[nb:, c] = 0.0
+    s = np.empty((n_q + 1, 2, n_c, *batch))
+    ls = np.empty((n_q + 1, n_c, *batch))
+    for c, (y1, y2) in enumerate(starts):
+        s[0, 0, c], s[0, 1, c] = y1, y2
+    ls[0] = 0.0
+    v, w = np.empty((2, 2, n_c, *batch))
+    for q in range(n_q):
+        t, sq = tot[q], s[q]
+        np.multiply(t[:, 0], sq[0], out=v)
+        v += np.multiply(t[:, 1], sq[1], out=w)
+        nrm = np.maximum.reduce(np.abs(v, out=w), axis=0, initial=_TINY)
+        np.divide(v, nrm, out=s[q + 1])
+        np.add(ls[q], l_tot[q], out=ls[q + 1])
+        ls[q + 1] += np.log(nrm, out=nrm)
+    if not nodes:
+        return s, ls
 
-    # (2) block-start states s[:, b] = P[:, :, b - 1, -1] s[:, b - 1]
-    s = np.empty((2, nb + 1, *batch))
-    ls = np.empty((nb + 1, *batch))
-    s[0, 0], s[1, 0], ls[0] = y1, y2, 0.0
-    for b in range(nb):
-        v = P[:, 0, b, -1] * s[0, b] + P[:, 1, b, -1] * s[1, b]
-        nrm = np.abs(v).max(axis=0, initial=_TINY)
-        np.divide(v, nrm, out=s[:, b + 1])
-        ls[b + 1] = ls[b] + lp[b, -1] + np.log(nrm)
-
-    # (3) node states inside each block, z_i = P[i, 0] s_0 + P[i, 1] s_1,
-    # formed in place in P[:, 0]; P[:, 1] is scratch from then on
-    P[:, 0] *= s[0, :-1, None]
-    P[:, 1] *= s[1, :-1, None]
-    P[:, 0] += P[:, 1]
-    z, scratch = P[:, 0], P[:, 1]
+    # (3) node states inside each block, z_i = M[i, 0] s_0 + M[i, 1] s_1,
+    # formed in place in M[:, 0], a run of rows over the same blocks at once
+    start, l_start = s[lay.block_q, :, lay.block_c], ls[lay.block_q, lay.block_c]
+    for o0, o1, rows, lo, hi in lay.regions:
+        run = M[:, :, o0:o1].reshape(2, 2, rows, hi - lo, *batch)
+        run[:, 0] *= start[lo:hi, 0]
+        run[:, 1] *= start[lo:hi, 1]
+        run[:, 0] += run[:, 1]
+        l_run = lp[o0:o1].reshape(rows, hi - lo, *batch)
+        l_run += l_start[lo:hi]
+    z, scratch = M[:, 0], M[:, 1]
     nrm = np.maximum(*np.abs(z, out=scratch), out=scratch[0])
     np.maximum(nrm, _TINY, out=nrm)
-    lz = lp
-    lz += ls[:-1, None]
-    lz += np.log(nrm, out=scratch[1])
+    lp += np.log(nrm, out=scratch[1])
     z /= nrm
-
-    log_int = ()
-    if quad is not None:
-        # exp(2 (L - ref)) (wa Y1^2 + wb Y2^2 + wc Y1 Y2) in the scratch half
-        # of P, zero in the fill, with ref the largest log scale of the
-        # segment, so nothing overflows
-        ref = lz.max(axis=(0, 1))
-        q, t = scratch
-        z1, z2, qs, ts = (a.reshape(nb * bs, *batch)[:n_steps]
-                          for a in (z[0], z[1], q, t))
-        np.multiply(z1, z1, out=qs)
-        qs *= quad(0)
-        np.multiply(z2, z2, out=ts)
-        ts *= quad(1)
-        qs += ts
-        np.multiply(z1, z2, out=ts)
-        ts *= quad(2)
-        qs += ts
-        q.reshape(nb * bs, *batch)[n_steps:] = 0.0
-        np.subtract(lz, ref, out=t)
-        t *= 2.0
-        np.exp(t, out=t)
-        q *= t
-        n_cols = q.size // (nb * bs)
-        by_column = t.reshape(n_cols, nb * bs)
-        np.copyto(by_column, q.reshape(nb * bs, n_cols).T)
-        total = by_column.sum(axis=1)
-        # zero for a column whose nodes in this segment are all padding (see
-        # stack_tables): its log I is -inf, which adds nothing
-        log_int = (np.log(total, out=np.full_like(total, -np.inf), where=total != 0)
-                   .reshape(batch) + 2.0 * ref,)
-
-    def nodes(start, inner):
-        return np.concatenate([start[None], inner.reshape(nb * bs, *batch)[:n_steps]])
-
-    return nodes(y1, z[0]), nodes(y2, z[1]), nodes(np.zeros(batch), lz), *log_int
+    return s, ls
 
 
 def _norm_weights(table: StepTable, i_from: int, i_to: int):
@@ -578,8 +815,11 @@ def match_values(table: StepTable, fam_idx, E, seed_origin, seed_tail,
     """Scale-invariant mismatch of the two-sided shooting at the match node.
 
     seed_origin/seed_tail are callables (E, fam_idx) -> (y1, y2) producing
-    start values for the energy batch. The mismatch is the cross product of
-    the two unit directions, so it lies in [-2, 2] and vanishes exactly at
+    start values for the energy batch. The outward leg (origin seed, node 0
+    to the match node) and the inward leg (tail seed, node S to the match
+    node) are one propagate call, as two chains of one scan where they fit
+    in a segment together (see propagate). The mismatch is the cross product
+    of the two unit directions, so it lies in [-2, 2] and vanishes exactly at
     eigenvalues.
 
     With phase=True returns (mval, dtheta, dtheta_dE): the matching angle
@@ -591,19 +831,18 @@ def match_values(table: StepTable, fam_idx, E, seed_origin, seed_tail,
     |y_in|^2 from r_match to infinity (the tail seed's decaying solution
     beyond r_max in closed form).
     """
-    y0 = seed_origin(E, fam_idx)
-    yt = seed_tail(E, fam_idx)
+    seeds = seed_origin(E, fam_idx), seed_tail(E, fam_idx)
     if phase:
-        (o1, o2), th_out, s_out = propagate(table, fam_idx, E, y0, 0,
-                                            table.i_match, phase=True)
         # the tail seed continues the free decaying solution beyond r_max
+        yt = seeds[1]
         lam = np.sqrt((table.m - E) * (table.m + E))
-        (t1, t2), th_in, s_in = propagate(
-            table, fam_idx, E, yt, table.n_steps, table.i_match, phase=True,
-            beyond=(yt[0] * yt[0] + yt[1] * yt[1]) / (2.0 * lam))
+        ((o1, o2), th_out, s_out), ((t1, t2), th_in, s_in) = propagate(
+            table, fam_idx, E, seeds, 0, table.n_steps, phase=True,
+            beyond=(0.0, (yt[0] * yt[0] + yt[1] * yt[1]) / (2.0 * lam)),
+            meet=table.i_match)
     else:
-        o1, o2 = propagate(table, fam_idx, E, y0, 0, table.i_match)
-        t1, t2 = propagate(table, fam_idx, E, yt, table.n_steps, table.i_match)
+        (o1, o2), (t1, t2) = propagate(table, fam_idx, E, seeds, 0, table.n_steps,
+                                       meet=table.i_match)
     no = np.sqrt(o1 * o1 + o2 * o2)
     ni = np.sqrt(t1 * t1 + t2 * t2)
     mval = (o1 * t2 - o2 * t1) / np.maximum(no * ni, _TINY)
@@ -733,12 +972,11 @@ def assemble_two_sided(table: StepTable, fam_idx, E, seed_origin, seed_tail):
     inward direction so both sides agree at the match node when E is an
     eigenvalue. Magnitudes are reconstructed from the renormalization logs;
     amplitudes more than ~700 e-folds below the match point flush to zero.
+    Both legs are recorded in one propagate call (see match_values).
     """
-    im = table.i_match
-    y0 = seed_origin(E, fam_idx)
-    (_, _), o1, o2, lo = propagate(table, fam_idx, E, y0, 0, im, record=True)
-    yt = seed_tail(E, fam_idx)
-    (_, _), t1, t2, lt = propagate(table, fam_idx, E, yt, table.n_steps, im, record=True)
+    seeds = seed_origin(E, fam_idx), seed_tail(E, fam_idx)
+    (_, o1, o2, lo), (_, t1, t2, lt) = propagate(
+        table, fam_idx, E, seeds, 0, table.n_steps, record=True, meet=table.i_match)
 
     # outward piece, gauged so its match-node value has log-magnitude 0
     ref_o = lo[-1]

@@ -992,6 +992,7 @@ def _group_results(ws: _Workspace, groups, fam_is, labels, centers, dense_flags)
         yield [(f, n, states[k] if k in states else
                 EigenResult(E=float(e_star[k]), nodes=n, match_residual=float(m_res[k])))
                for k, (f, n) in enumerate(zip(fams, targets))]
+        states = st = None   # not held while the next group's states are formed
 
 
 def solve(channel: ChannelSpec, family: PotentialFamily, n_r: int,

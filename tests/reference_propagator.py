@@ -19,10 +19,20 @@ from diracmono.numerics import expm_traceless_2x2
 _TINY = 1e-300
 
 
+def _wrap_pi(x):
+    """Map angles to [-pi, pi)."""
+    return (x + np.pi) % (2.0 * np.pi) - np.pi
+
+
 def propagate_sequential(table, fam_idx, E, y0, i_from, i_to,
-                         record=False, phase=False):
+                         record=False, phase=False, beyond=0.0, meet=None):
     """Same contract and return values as ``propagation.propagate``, except
-    that phase mode returns no E-slope: ((y1, y2), theta)."""
+    that phase mode computes no E-slope: it returns NaN in its place, and
+    beyond is ignored. With meet, the two legs are propagated one after the
+    other, the first one first."""
+    if meet is not None:
+        return tuple(propagate_sequential(table, fam_idx, E, y, start, meet, record, phase)
+                     for y, start in zip(y0, (i_from, i_to)))
     E = np.asarray(E, dtype=float)
     em = E + table.m
     me = table.m - E
@@ -62,7 +72,7 @@ def propagate_sequential(table, fam_idx, E, y0, i_from, i_to,
             n_c = (y1 * y1_new < 0.0).astype(float)
             th_new = np.arctan2(y2_new, y1_new)
             corr = n_c * cross_sign
-            th_cont = th_cont + prop._wrap_pi(th_new - th_raw + corr) - corr
+            th_cont = th_cont + _wrap_pi(th_new - th_raw + corr) - corr
             th_raw = th_new
         y1, y2 = y1_new, y2_new
         nrm = np.maximum(np.maximum(np.abs(y1), np.abs(y2)), _TINY)
@@ -78,5 +88,5 @@ def propagate_sequential(table, fam_idx, E, y0, i_from, i_to,
             rec1, rec2, logs = rec1[::-1], rec2[::-1], logs[::-1]
         return (y1, y2), rec1, rec2, logs
     if phase:
-        return (y1, y2), th_cont
+        return (y1, y2), th_cont, np.full(E.shape, np.nan)
     return y1, y2

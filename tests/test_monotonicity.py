@@ -9,6 +9,7 @@ import pytest
 import diracmono as dm
 from diracmono import monotonicity as mono
 from diracmono import propagation as prop
+from diracmono import solver as S
 from diracmono.coulomb import CoulombLevel, coulomb_energy_derivative
 from diracmono.errors import (
     ConfigurationError,
@@ -283,6 +284,31 @@ def test_sweep_streams_its_stencils(channel_s):
             tracemalloc.stop()
         assert len(records) == n
     assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
+def test_sweep_drops_each_stencil_before_the_next(channel_s, monkeypatch):
+    # a stencil's dense states (its centre, its a -+ h members and psi_a)
+    # are released once its record is made, before the next stencil's are
+    # formed: the traced memory at the start of every dense stage is within
+    # 0.5 MB of the first one's, where holding the previous stencil's states
+    # adds about 1.25 MB at n_grid = 12000
+    fam = dm.cutoff_coulomb(1.0, 1.0, active="a")
+    entry = []
+    real = S._Workspace.dense_states
+
+    def recording(self, *args, **kwargs):
+        entry.append(tracemalloc.get_traced_memory()[0])
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(S._Workspace, "dense_states", recording)
+    tracemalloc.start()
+    try:
+        records = mono.sweep(fam, channel_s, 0, np.linspace(0.1, 2.0, 4),
+                             dm.SolveConfig(n_grid=12000))
+    finally:
+        tracemalloc.stop()
+    assert len(records) == len(entry) == 4
+    assert max(entry) - entry[0] < 0.5e6, entry
 
 
 def test_sweep_continuity_guard_refines(channel_s):

@@ -128,7 +128,8 @@ def test_expm_identity_at_zero():
 
 def test_expm_batch_is_elementwise():
     # each element of a batch, of either kind (q > 0 or q <= 0) and in any
-    # memory layout, gets bitwise what it gets alone
+    # memory layout, gets bitwise what it gets alone, and so does the batch
+    # formed in place, over its own inputs (out=)
     rng = np.random.default_rng(7)
     oa, ob, oc = rng.uniform(-2.0, 2.0, (3, 40, 7))
     oc[:, ::3] = 0.0                   # q = oa^2 >= 0
@@ -138,6 +139,10 @@ def test_expm_batch_is_elementwise():
         for i in np.ndindex(batch[0].shape):
             alone = expm_traceless_2x2(*(a[i] for a in batch))
             assert all(g[i] == v for g, v in zip(got, alone))
+        planes = np.empty((5, *batch[0].shape))
+        planes[:3] = batch
+        in_place = expm_traceless_2x2(planes[0], planes[1], planes[2], out=planes)
+        assert all(np.array_equal(p, g) for p, g in zip(in_place, got))
 
 
 @given(st.floats(-3, 3), st.floats(-3, 3), st.floats(-3, 3))

@@ -265,11 +265,24 @@ def _match(path, legs):
     return mval, th_out - th_in
 
 
-def _scan_in_segments(*args, **kwargs):
-    """The numpy scan, forced to split every traversal into 7-step segments."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(prop, "_SCAN_ELEMENTS", 7 * np.size(args[2]))
-        return prop.propagate(*args, **kwargs)
+def _in_segments(entry, steps=7):
+    """A propagation entry point (propagate, match_values or
+    assemble_two_sided), forced to cut every traversal into segments of
+    `steps` steps (its third argument is the energy batch)."""
+    def run(*args, **kwargs):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(prop, "_SCAN_ELEMENTS", steps * np.size(args[2]))
+            return entry(*args, **kwargs)
+    return run
+
+
+def _on_reference(entry):
+    """match_values or assemble_two_sided on the sequential reference."""
+    def run(*args, **kwargs):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(prop, "propagate", propagate_sequential)
+            return entry(*args, **kwargs)
+    return run
 
 
 def _assert_all_close(got, ref, atol):
@@ -280,13 +293,15 @@ def _assert_all_close(got, ref, atol):
 def _scan_cases():
     """(workspace, table, family indices, energies, least eigenvalue count):
     coarse and whole-window fine tables of d = 3 pure Coulomb and d = 1 cutoff
-    Coulomb, and the state-sized fine table of each acceptance criterion 1
-    j = 1/2 state, on the band E +- 2e-3 that production uses around it (40
-    energies, so that none sits on the eigenvalue, where the count is a
-    rounding decision)."""
+    Coulomb, even and odd (whose origin seed has psi1 = 0 at node 0), and the
+    state-sized fine table of each acceptance criterion 1 j = 1/2 state, on
+    the band E +- 2e-3 that production uses around it (40 energies, so that
+    none sits on the eigenvalue, where the count is a rounding decision)."""
     cases = []
     for channel, family in ((dm.ChannelSpec(d=3, tau=-1, j=0.5), dm.pure_coulomb(0.5)),
                             (dm.ChannelSpec(d=1, parity="even"),
+                             dm.cutoff_coulomb(1.0, 1.0)),
+                            (dm.ChannelSpec(d=1, parity="odd"),
                              dm.cutoff_coulomb(1.0, 1.0))):
         ws = S._Workspace(channel, [family], S.DEFAULT_CONFIG)
         bottom, top = ws.window()
@@ -309,8 +324,8 @@ def _scan_cases():
 def test_scan_matches_sequential_reference():
     # the step-parallel scan, whole and in short segments, reproduces the
     # sequential reference in phase, record and plain modes, and counts the
-    # same eigenvalues
-    paths = [prop.propagate, _scan_in_segments]
+    # same eigenvalues; so do match_values and assemble_two_sided, which
+    # propagate both legs in one call
     for ws, table, idx, e, least_count in _scan_cases():
         seed_o, seed_t = ws.seeds
         legs = ((table, idx, e, seed_o(e, idx), 0, table.i_match),
@@ -318,18 +333,26 @@ def test_scan_matches_sequential_reference():
         m_ref, dth_ref = _match(propagate_sequential, legs)
         counts_ref = prop.count_below(dth_ref, dth_ref[0])
         assert counts_ref[-1] >= least_count  # the energies span eigenvalues
-        for path in paths:
+        # the reference's plain mode ends on its record mode's end state
+        records = [propagate_sequential(*args, True, False) for args in legs]
+        psi_ref = _on_reference(prop.assemble_two_sided)(table, idx, e, *ws.seeds)
+        for entry in (lambda f: f, _in_segments):
+            path = entry(prop.propagate)
             mval, dth = _match(path, legs)
             assert np.allclose(mval, m_ref, rtol=1e-12, atol=1e-13)
             assert np.allclose(dth, dth_ref, rtol=1e-12, atol=1e-11)
             assert np.array_equal(prop.count_below(dth, dth[0]), counts_ref)
-            for args in legs:
-                _assert_all_close(path(*args, False, False),
-                                  propagate_sequential(*args, False, False), 1e-13)
+            for args, (r_end, *r_rec, r_log) in zip(legs, records):
+                _assert_all_close(path(*args, False, False), r_end, 1e-13)
                 g_end, *g_rec, g_log = path(*args, True, False)
-                r_end, *r_rec, r_log = propagate_sequential(*args, True, False)
                 _assert_all_close((*g_end, *g_rec), (*r_end, *r_rec), 1e-13)
                 _assert_all_close([g_log], [r_log], 1e-11)
+            mval, dth, _ = entry(prop.match_values)(table, idx, e, *ws.seeds, phase=True)
+            assert np.allclose(mval, m_ref, rtol=1e-12, atol=1e-13)
+            assert np.allclose(dth, dth_ref, rtol=1e-12, atol=1e-11)
+            assert np.array_equal(prop.count_below(dth, dth[0]), counts_ref)
+            _assert_all_close(entry(prop.assemble_two_sided)(table, idx, e, *ws.seeds),
+                              psi_ref, 1e-13)
 
 
 def _arrays(out):
@@ -443,10 +466,12 @@ def test_zero_length_steps_end_on_the_unpadded_state():
 def test_stack_matches_sequential_reference():
     # two of criterion 1's groups with different match nodes and step counts,
     # each padded on one leg: in the stack, whole and in short segments, the
-    # match values and angles of every column agree with the sequential
-    # reference on the stack and with the column's own table, within the
-    # tolerances of test_scan_matches_sequential_reference, and count the
-    # same eigenvalues; the E-slopes agree with the own tables' to 1e-10
+    # match values and angles of every column (from propagate and from
+    # match_values) and the assembled states agree with the sequential
+    # reference on the stack, and the match values and angles with the
+    # column's own table, within the tolerances of
+    # test_scan_matches_sequential_reference, and count the same
+    # eigenvalues; the E-slopes agree with the own tables' to 1e-10
     ws, tables = _criterion_1_tables()
     pair = [tables[0, 2], tables[2, 0]]
     stack = prop.stack_tables(pair)
@@ -460,10 +485,14 @@ def test_stack_matches_sequential_reference():
     seeds = ws.local_seeds(np.array([0, 2]))
     legs = [(stack, idx, e, seed(e, idx), *leg) for seed, leg in zip(seeds, _legs(stack))]
     m_ref, dth_ref = _match(propagate_sequential, legs)
-    for path in (prop.propagate, _scan_in_segments):
-        mval, dth = _match(path, legs)
-        assert np.allclose(mval, m_ref, rtol=1e-12, atol=1e-13)
-        assert np.allclose(dth, dth_ref, rtol=1e-12, atol=1e-11)
+    psi_ref = _on_reference(prop.assemble_two_sided)(stack, idx, e, *seeds)
+    for entry in (lambda f: f, _in_segments):
+        for mval, dth, *_ in (_match(entry(prop.propagate), legs),
+                              entry(prop.match_values)(stack, idx, e, *seeds, phase=True)):
+            assert np.allclose(mval, m_ref, rtol=1e-12, atol=1e-13)
+            assert np.allclose(dth, dth_ref, rtol=1e-12, atol=1e-11)
+        _assert_all_close(entry(prop.assemble_two_sided)(stack, idx, e, *seeds),
+                          psi_ref, 1e-13)
     mval, dth, slope = prop.match_values(stack, idx, e, *seeds, phase=True)
     for g, (table, f) in enumerate(zip(pair, (0, 2))):
         col = idx == g
@@ -476,6 +505,109 @@ def test_stack_matches_sequential_reference():
                               prop.count_below(own_dth, own_dth[0]))
         assert prop.count_below(own_dth, own_dth[0])[-1] >= 1
         assert np.allclose(slope[col], own_slope, rtol=1e-10, atol=0)
+
+
+def _shared_cap(n_a, n_b):
+    """The largest segment length under which legs of n_a and n_b steps take
+    as many segments each, at least two, the first ones too long to share a
+    scan and the last ones short enough to, or None."""
+    for cap in range(min(n_a, n_b) - 1, 1, -1):
+        count = -(-n_a // cap)
+        if count == -(-n_b // cap) and n_a + n_b - 2 * (count - 1) * cap <= cap:
+            return cap
+    return None
+
+
+def test_two_leg_call_is_each_leg_alone(monkeypatch):
+    # the two match legs in one propagate call (meet) are bitwise the legs
+    # propagated alone in plain, record and phase modes, the E-slope (with
+    # the inward leg's beyond) included: on a table whose legs differ in
+    # length, in one shared scan and in segments of which the first run
+    # alone and the last share a scan, and on a stack whose legs differ too
+    # much in length for that, whole and in 7-step segments
+    ws, tables = _criterion_1_tables()
+    chains = []
+    real = prop._scan_states
+
+    def counting(P, lay, starts, nodes):
+        chains.append(len(starts))
+        return real(P, lay, starts, nodes)
+
+    monkeypatch.setattr(prop, "_scan_states", counting)
+    stack = prop.stack_tables([tables[0, 2], tables[2, 0]])
+    for table, fams, idx in ((tables[1, 1], [1], np.zeros(6, dtype=np.intp)),
+                             (stack, [0, 2], np.repeat([0, 1], 3))):
+        n_out, n_in = table.i_match, table.n_steps - table.i_match
+        assert n_out != n_in
+        e = np.linspace(0.9, 0.999, idx.size)
+        y0, yt = (seed(e, idx) for seed in ws.local_seeds(np.array(fams)))
+        beyond = (yt[0] ** 2 + yt[1] ** 2) / (2 * np.sqrt(1.0 - e * e))
+        cap = _shared_cap(n_out, n_in)
+        assert (cap is None) == (table is stack)
+        for steps in (None, cap or 7):
+            entry = prop.propagate if steps is None else _in_segments(prop.propagate, steps)
+            for record, phase in ((False, False), (True, False), (False, True)):
+                chains.clear()
+                both = entry(table, idx, e, (y0, yt), 0, table.n_steps, record, phase,
+                             beyond=(0.0, beyond), meet=table.i_match)
+                assert chains == ([2] if steps is None else [1, 1, 2] if cap
+                                  else [1] * (-(-n_out // 7) - (-n_in // 7)))
+                alone = (entry(table, idx, e, y0, 0, table.i_match, record, phase),
+                         entry(table, idx, e, yt, table.n_steps, table.i_match,
+                               record, phase, beyond=beyond))
+                for got, own in zip(both, alone):
+                    for g, o in zip(_arrays(got), _arrays(own)):
+                        assert np.array_equal(g, o)
+
+
+def test_criterion_1_propagates_both_legs_in_one_call(monkeypatch):
+    # every match evaluation and every dense assembly of criterion 1's two
+    # solves is a single propagate call, carrying both legs
+    calls = {"propagate": 0, "match_values": 0, "assemble_two_sided": 0}
+
+    def counting(name):
+        real = getattr(prop, name)
+
+        def run(*args, **kwargs):
+            calls[name] += 1
+            assert name != "propagate" or kwargs.get("meet") == args[0].i_match
+            return real(*args, **kwargs)
+        return run
+
+    for name in calls:
+        monkeypatch.setattr(prop, name, counting(name))
+    _criterion_1_batches()
+    assert calls["propagate"] == calls["match_values"] + calls["assemble_two_sided"]
+    assert calls["assemble_two_sided"] > 0
+
+
+def test_angle_where_psi1_is_zero_at_nodes():
+    # the angle read from the start sector, the sign changes of psi1 and the
+    # end direction agrees with the sequential reference's unwrapped angle
+    # where psi1 is exactly 0: on the start node and the interior nodes of a
+    # run of zero-length steps (the padding a stack gives the shorter of two
+    # tables, whole and with a segment boundary inside the run), and on the
+    # last node of a leg that ends in such a run; psi2 of either sign, both
+    # directions
+    ws, tables = _criterion_1_tables()
+    long, short = tables[2, 2], tables[1, 0]
+    stack = prop.stack_tables([long, short])
+    lead = stack.i_match - short.i_match
+    back = stack.n_steps - stack.i_match - (short.n_steps - short.i_match)
+    assert lead > 7 and back > 7
+    e = np.linspace(0.88, 0.95, 6)
+    idx = np.ones(e.size, dtype=np.intp)          # the short table's family
+    y0 = (np.zeros(e.size), np.array([1.0, -1.0] * 3))
+    legs = [(0, stack.i_match), (stack.n_steps, stack.i_match),   # zeros, then steps
+            (0, lead), (stack.n_steps, stack.n_steps - back)]     # zeros only
+    for i_from, i_to in legs[2:]:
+        stack._norm[i_from, i_to] = np.ones((3, abs(i_to - i_from) + 1, 2))
+    for i_from, i_to in legs:
+        _, th_ref, _ = propagate_sequential(stack, idx, e, y0, i_from, i_to, False, True)
+        for entry in (lambda f: f, _in_segments):
+            _, th, _ = entry(prop.propagate)(stack, idx, e, y0, i_from, i_to, False, True)
+            assert np.allclose(th, th_ref, rtol=1e-12, atol=1e-11)
+            assert np.array_equal(np.floor(th / np.pi), np.floor(th_ref / np.pi))
 
 
 def test_lockstep_matches_groups_searched_alone(monkeypatch):
@@ -500,13 +632,14 @@ def test_phase_slope_matches_central_difference():
     # each leg's E-slope of its angle, from the integral of |y|^2 along it
     # (W' = -|y|^2), against a central difference of the same leg's angle,
     # with E-dependent seeds; the inward leg adds the tail seed's own slope
-    # 1/(2 lambda). The scan whole and in short segments; match_values
-    # returns the difference of the two legs' slopes.
+    # 1/(2 lambda). The scan whole and in short segments; match_values, run
+    # the same way, returns bitwise the difference of the two legs' slopes.
     h = 1e-8
     for ws, table, idx, e, _ in _scan_cases():
         seeds = ws.seeds
         starts = (0, table.n_steps)
-        for path in (prop.propagate, _scan_in_segments):
+        for entry in (lambda f: f, _in_segments):
+            path = entry(prop.propagate)
             slopes = []
             for seed, i_from in zip(seeds, starts):
                 def angle(energy, **kw):
@@ -520,9 +653,8 @@ def test_phase_slope_matches_central_difference():
                 central = (angle(e + h)[1] - angle(e - h)[1]) / (2 * h)
                 assert np.all(np.abs(slope - central) <= 1e-4 * np.abs(central))
                 slopes.append(slope)
-            if path is prop.propagate:
-                _, _, d_match = prop.match_values(table, idx, e, *seeds, phase=True)
-                assert np.array_equal(d_match, slopes[0] - slopes[1])
+            _, _, d_match = entry(prop.match_values)(table, idx, e, *seeds, phase=True)
+            assert np.array_equal(d_match, slopes[0] - slopes[1])
 
 
 def test_rotation_limit_raises_at_first_offending_step():
@@ -540,7 +672,7 @@ def test_rotation_limit_raises_at_first_offending_step():
         args = (table, idx, e, y0, i_from, table.i_match)
         with pytest.raises(NumericalError) as ref:
             propagate_sequential(*args, False, True)
-        for scan in (prop.propagate, _scan_in_segments):
+        for scan in (prop.propagate, _in_segments(prop.propagate)):
             with pytest.raises(NumericalError) as got:
                 scan(*args, False, True)
             assert str(got.value) == str(ref.value)
@@ -549,6 +681,51 @@ def test_rotation_limit_raises_at_first_offending_step():
         prop.propagate(*args, False, False)
         prop.propagate(*args, True, False)
     assert messages[0] != messages[1]  # traversal order picks the step
+    # match_values propagates both legs in one call, and still names the
+    # outward leg's first offending step
+    seeds = (lambda E, fam_idx: y0,) * 2
+    for entry in (lambda f: f, _in_segments):
+        with pytest.raises(NumericalError) as got:
+            entry(prop.match_values)(table, idx, e, *seeds, phase=True)
+        assert str(got.value) == messages[0]
+
+
+def _two_wells(depth):
+    """V = -depth in two narrow wells, at r = 4 and r = 9.75."""
+    def shape(r):
+        r = np.asarray(r, dtype=float)
+        return -(np.exp(-(r - 4.0) ** 2 / 0.1) + np.exp(-(r - 9.75) ** 2 / 0.1))
+
+    return custom_family("two-wells", lambda p, r: p["g"] * shape(r),
+                         {"g": lambda p, r: shape(r)}, OriginClass("regular"),
+                         {"g": depth}, "g", origin_value=lambda p: 0.0)
+
+
+def test_rotation_error_names_the_outward_leg_first():
+    # both legs of a match in one call: the refusal names the first
+    # offending step of the outward leg when it has one, even where the
+    # inward leg's comes up in an earlier scan (in 7-step segments the
+    # inward leg's first segment holds step 19, the outward leg's second
+    # step 7), and otherwise the inward leg's first, as the legs propagated
+    # one after the other do
+    e = np.array([-0.5, 0.0, 0.5])
+    idx = np.zeros(e.size, dtype=np.intp)
+    y0 = (np.ones(e.size), np.zeros(e.size))
+    seeds = (lambda E, fam_idx: y0,) * 2
+    for i_match, step in ((15, 7), (5, 19)):
+        table = prop.build_step_table("lin", 0.0, 1.0, [_two_wells(20.0)],
+                                      np.linspace(0.0, 10.0, 21), i_match)
+        for i_from in (0, table.n_steps):
+            try:
+                propagate_sequential(table, idx, e, y0, i_from, i_match, False, True)
+            except NumericalError as err:
+                ref = str(err)
+                break
+        assert ref.startswith(f"step {step} ")
+        for entry in (lambda f: f, _in_segments):
+            with pytest.raises(NumericalError) as got:
+                entry(prop.match_values)(table, idx, e, *seeds, phase=True)
+            assert str(got.value) == ref
 
 
 def test_step_table_and_propagate_reject_bad_arguments():
