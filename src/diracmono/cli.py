@@ -264,9 +264,12 @@ def _nr_list(args) -> list[int]:
     if args.nr is None:
         return [0]
     try:
-        return [int(s) for s in str(args.nr).split(",") if s != ""]
+        levels = [int(s) for s in str(args.nr).split(",") if s != ""]
     except ValueError:
         raise ConfigurationError(f"--nr must be integers, got {args.nr!r}") from None
+    if not levels:
+        raise ConfigurationError(f"--nr lists no node count, got {args.nr!r}")
+    return levels
 
 
 def _a_grid(args, family):

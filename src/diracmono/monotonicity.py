@@ -297,6 +297,8 @@ def sweep(family: PotentialFamily, channel: ChannelSpec, n_r: int, a_grid,
         raise ConfigurationError("a sweep needs at least 2 parameter points")
     if np.any(np.diff(a_grid) <= 0):
         raise ConfigurationError("sweep grid must be strictly increasing")
+    if n_r < 0:
+        raise ConfigurationError("node counts are non-negative")
     try:
         # one stencil per point, each passed on without a name, so that no
         # loop variable holds it while the next one is solved
@@ -370,6 +372,8 @@ def compare_potentials(v1: PotentialFamily, v2: PotentialFamily,
     independently and a coarse t-sweep of the interpolation demonstrates the
     monotone passage between them.
     """
+    if t_points < 2:
+        raise ConfigurationError(f"the t-sweep needs t_points >= 2, got {t_points}")
     hom = make_homotopy(v1, v2)
     m = channel.m
     r_probe = 50.0 * max(v1.length_scale(m), v2.length_scale(m))

@@ -452,6 +452,8 @@ def classify_sign(family: PotentialFamily, r_max: float = 50.0,
     """
     if n_samples < 64:
         raise ConfigurationError("classify_sign needs n_samples >= 64")
+    if not (r_max > 0 and np.isfinite(r_max)):
+        raise ConfigurationError(f"classify_sign needs a finite r_max > 0, got {r_max}")
     override = family._sign_overrides.get(family.active_param)
     if override is not None:
         return override(family.params)

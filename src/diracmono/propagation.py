@@ -344,8 +344,8 @@ def _side(y1, y2):
 class _Leg:
     """One traversal of a propagate call, node i_from to node i_to, and what
     its mode keeps of it as its segments are taken: the state (y1, y2) with
-    its log scale log0, the recorded nodes (rec), or the angle's sector and
-    side and log I (phase).
+    its log scale log0, and either the recorded nodes (rec, record mode) or
+    the angle's sector and side and log I (phase mode).
 
     The continuous angle is theta = pi/2 + K pi + f, with f in [0, pi) the
     direction's offset from the lower edge of sector K, whose parity the side
@@ -357,7 +357,7 @@ class _Leg:
     with no angle formed per node.
     """
 
-    def __init__(self, table, fam_idx, E, y0, i_from, i_to, record, phase, beyond):
+    def __init__(self, table, fam_idx, E, y0, i_from, i_to, record, beyond):
         self.i_from, self.outward = i_from, i_to >= i_from
         self.n_steps = abs(i_to - i_from)
         y1 = self.y1 = np.array(np.broadcast_to(y0[0], E.shape), dtype=float)
@@ -366,7 +366,7 @@ class _Leg:
         if record:
             self.rec = np.empty((3, self.n_steps + 1, *E.shape))
             self.rec[0, 0], self.rec[1, 0], self.rec[2, 0] = y1, y2, 0.0
-        if phase:
+        else:
             self.quad = table.norm_weights(i_from, i_to)
             col = table.columns(fam_idx)[1]
             # log of the integral of |y|^2 so far: beyond the start plus node 0
@@ -382,18 +382,16 @@ class _Leg:
             return np.arange(self.i_from + start, self.i_from + start + n)
         return np.arange(self.i_from - 1 - start, self.i_from - 1 - start - n, -1)
 
-    def result(self, record, phase):
+    def result(self, record):
         y1, y2 = self.y1, self.y2
         if record:
             rec1, rec2, logs = self.rec if self.outward else self.rec[:, ::-1]
             return (y1, y2), rec1, rec2, logs
-        if phase:
-            side = self.side
-            f = np.arctan2(np.where(side, y1, -y1), np.where(side, -y2, y2))
-            theta = (self.sector + 0.5) * np.pi + f
-            slope = np.exp(self.log_int - 2.0 * self.log0) / (y1 * y1 + y2 * y2)
-            return (y1, y2), theta, (-slope if self.outward else slope)
-        return y1, y2
+        side = self.side
+        f = np.arctan2(np.where(side, y1, -y1), np.where(side, -y2, y2))
+        theta = (self.sector + 0.5) * np.pi + f
+        slope = np.exp(self.log_int - 2.0 * self.log0) / (y1 * y1 + y2 * y2)
+        return (y1, y2), theta, (-slope if self.outward else slope)
 
 
 def propagate(table: StepTable, fam_idx, E, y0, i_from: int, i_to: int,
@@ -404,10 +402,12 @@ def propagate(table: StepTable, fam_idx, E, y0, i_from: int, i_to: int,
 
     E is the batch of energies; fam_idx maps batch elements to table families
     (None means the (F, nE) scan layout). The state is renormalized after
-    every step. With record=True, returns the per-node history and the
-    accumulated log-magnitudes needed to undo the renormalization.
+    every step. A call takes exactly one of two modes, and ConfigurationError
+    refuses both or neither. With record=True, returns ((y1, y2), psi1, psi2,
+    logs): the end state, the per-node history and the accumulated
+    log-magnitudes needed to undo the renormalization.
 
-    With phase=True, additionally tracks the continuous polar angle
+    With phase=True, tracks the continuous polar angle
     theta = atan2(psi2, psi1) of the solution direction along the traversal,
     starting from its value in (-pi, pi] at the start node.
     For attractive potentials the coefficient of psi2 in psi1' is positive
@@ -443,22 +443,22 @@ def propagate(table: StepTable, fam_idx, E, y0, i_from: int, i_to: int,
     suite checks the scan against a sequential step-by-step reference
     (tests/reference_propagator.py).
     """
-    if record and phase:
-        raise ConfigurationError("record and phase modes are mutually exclusive")
+    if record == phase:
+        raise ConfigurationError("propagate takes exactly one of record and phase")
     E = np.asarray(E, dtype=float)
     if meet is None:
         ends, starts, beyonds = [(i_from, i_to)], [y0], [beyond]
     else:
         ends, starts = [(i_from, meet), (i_to, meet)], y0
         beyonds = beyond if isinstance(beyond, tuple) else (beyond, beyond)
-    legs = [_Leg(table, fam_idx, E, y, a, b, record, phase, extra)
+    legs = [_Leg(table, fam_idx, E, y, a, b, record, extra)
             for (a, b), y, extra in zip(ends, starts, beyonds)]
     em, me = E + table.m, table.m - E
     per_segment = max(1, _SCAN_ELEMENTS // max(E.size, 1))
     for members in _scans(legs, per_segment):
-        if not _advance(table, fam_idx, em, me, members, record, phase):
+        if not _advance(table, fam_idx, em, me, members, record):
             raise _rotation_error(table, fam_idx, em, me, legs, per_segment)
-    results = [leg.result(record, phase) for leg in legs]
+    results = [leg.result(record) for leg in legs]
     return results[0] if meet is None else tuple(results)
 
 
@@ -477,11 +477,12 @@ def _scans(legs, per_segment):
             yield from ([m] for m in members)
 
 
-def _advance(table, fam_idx, em, me, members, record, phase):
+def _advance(table, fam_idx, em, me, members, record):
     """Take the next segment of each member leg, (leg, start, steps), in one
     scan: one step-matrix pass over the segments' steps in packed order (see
-    _layout), the rotation check in phase mode, and _scan_states. Returns
-    False, with no leg advanced, when a step rotates too far."""
+    _layout), the rotation check in phase mode, _scan_states, and the mode's
+    reading of the node states. Returns False, with no leg advanced, when a
+    step rotates too far."""
     lay = _layout(tuple(n for _, _, n in members))
     packed = np.empty(lay.n, dtype=np.intp)
     packed[lay.trav] = np.concatenate([leg.steps(start, n) for leg, start, n in members])
@@ -499,24 +500,20 @@ def _advance(table, fam_idx, em, me, members, record, phase):
         part, piece = P[:, lo:lo + per_piece], slice(lo, lo + per_piece)
         _step_omega(table, packed[piece], fam_idx, em, me,
                     sign[piece] if np.ndim(sign) else sign, out=part)
-        if phase and (_rotation_q(part) < -_W2_MAX).any():
+        if not record and (_rotation_q(part) < -_W2_MAX).any():
             return False
         expm_traceless_2x2(part[0], part[1], part[2], out=part)
-    s, ls = _scan_states(P, lay, [(leg.y1, leg.y2) for leg, _, _ in members],
-                         nodes=record or phase)
-    if phase:
+    _scan_states(P, lay, [(leg.y1, leg.y2) for leg, _, _ in members])
+    if not record:
         _read_phase(P, lay, members, table.columns(fam_idx)[1])
+        return True
     for c, (leg, start, n) in enumerate(members):
-        if record:
-            rows = slice(start + 1, start + 1 + n)
-            pos = lay.trav[lay.first[c]:lay.first[c] + n]
-            for dst, src in zip(leg.rec, (P[0], P[2], P[4])):
-                np.take(src, pos, axis=0, out=dst[rows], mode="clip")
-            leg.rec[2, rows] += leg.log0
-            leg.y1, leg.y2, leg.log0 = leg.rec[:, rows.stop - 1]
-        elif not phase:    # plain: the end state of phase (2)
-            q = lay.blocks[c]
-            leg.y1, leg.y2, leg.log0 = s[q, 0, c], s[q, 1, c], leg.log0 + ls[q, c]
+        rows = slice(start + 1, start + 1 + n)
+        pos = lay.trav[lay.first[c]:lay.first[c] + n]
+        for dst, src in zip(leg.rec, (P[0], P[2], P[4])):
+            np.take(src, pos, axis=0, out=dst[rows], mode="clip")
+        leg.rec[2, rows] += leg.log0
+        leg.y1, leg.y2, leg.log0 = leg.rec[:, rows.stop - 1]
     return True
 
 
@@ -595,8 +592,8 @@ class _Layout(NamedTuple):
     width: int           # blocks in the widest phase (1) round (row 0)
     rounds: tuple        # phase (1), row t >= 1: (offset, blocks, offset of
                          # the same blocks in row t - 1)
-    totals: np.ndarray   # (nq, C): position of the last step of block q of
-                         # chain c (0 past the chain's last block)
+    totals: np.ndarray   # (nq - 1, C): position of the last step of block q
+                         # of chain c (0 from the chain's last block on)
     block_q: np.ndarray  # each block, in position order: its index in its chain
     block_c: np.ndarray  # and its chain
     regions: tuple       # phase (3): (o0, o1, rows, lo, hi), runs of rows that
@@ -604,7 +601,6 @@ class _Layout(NamedTuple):
     trav: np.ndarray     # position of each step, chain after chain, each in
                          # traversal order
     first: tuple         # index in trav of each chain's first step
-    blocks: tuple        # nb of each chain
     padded: tuple        # nb * bs of each chain
 
 
@@ -640,11 +636,11 @@ def _layout(lengths) -> _Layout:
     index = np.empty((len(lengths), nb.max()), dtype=np.intp)
     index[block_c, block_q] = np.arange(block_c.size)
     trav = []
-    totals = np.zeros((nb.max(), len(lengths)), dtype=np.intp)
+    totals = np.zeros((nb.max() - 1, len(lengths)), dtype=np.intp)
     for c, (s, b) in enumerate(zip(lengths.tolist(), bs.tolist())):
         q, t = np.divmod(np.arange(s), b)
         trav.append(off[t] + index[c, q] - lo[t])
-        totals[:nb[c], c] = trav[-1][np.minimum(np.arange(1, nb[c] + 1) * b, s) - 1]
+        totals[:nb[c] - 1, c] = trav[-1][np.arange(1, nb[c]) * b - 1]
     edges = np.flatnonzero(np.diff(lo, prepend=-1) | np.diff(hi, prepend=-1)).tolist()
     regions = tuple((int(off[t0]), int(off[t0] + (t1 - t0) * (hi[t0] - lo[t0])), t1 - t0,
                      int(lo[t0]), int(hi[t0]))
@@ -658,24 +654,20 @@ def _layout(lengths) -> _Layout:
     return _Layout(n=int(lengths.sum()), width=hi[0] - lo[0], rounds=rounds,
                    totals=totals, block_q=block_q, block_c=block_c, regions=regions,
                    trav=trav, first=tuple(np.cumsum([0, *lengths[:-1]]).tolist()),
-                   blocks=tuple(nb.tolist()), padded=tuple((nb * bs).tolist()))
+                   padded=tuple((nb * bs).tolist()))
 
 
-def _scan_states(P, lay: _Layout, starts, nodes: bool):
+def _scan_states(P, lay: _Layout, starts):
     """States of y_{j+1} = M_j y_j along each chain of a scan, by a two-level
     blocked scan over all chains at once.
 
     P, shape (5, n, *batch), holds the scaled step matrices of every chain
     in the packed order of lay (_layout): M_j = exp(P[4, j]) *
     [[P[0, j], P[1, j]], [P[2, j], P[3, j]]], as expm_traceless_2x2 forms
-    them. starts lists each chain's start state (y1, y2). Returns (s, ls),
-    shape (nq + 1, 2, C, *batch) and (nq + 1, C, *batch): the state at the
-    start of block q of chain c is exp(ls[q, c]) * s[q, :, c], and its end
-    state is entry lay.blocks[c], every one after the start max-normalized.
-    With nodes, also forms every node state in place: node j (the state
-    after step j) is exp(P[4, j]) * (P[0, j], P[2, j]), max-normalized, with
-    the log scale counted from the chain's start; P[1] and P[3] are left as
-    scratch.
+    them. starts lists each chain's start state (y1, y2). Every node state
+    is formed in place: node j (the state after step j) is exp(P[4, j]) *
+    (P[0, j], P[2, j]), max-normalized, with the log scale counted from the
+    chain's start; P[1] and P[3] are left as scratch.
 
     Each chain is cut into blocks of bs = ceil(sqrt(S)) steps as if it were
     scanned alone:
@@ -719,21 +711,19 @@ def _scan_states(P, lay: _Layout, starts, nodes: bool):
         lm += np.log(nrm, out=nrm)
 
     # (2) block-start states s[q + 1, :, c] = (total of block q) s[q, :, c],
-    # all chains in each round: past a chain's last block its totals are the
-    # identity, which leaves its normalized state as it is
-    n_q, n_c = lay.totals.shape
-    tot = np.moveaxis(M[:, :, lay.totals], 2, 0)    # (nq, 2, 2, C, *batch)
+    # all chains in each round: block q of chain c starts on
+    # exp(ls[q, c]) s[q, :, c]. A chain's rows past its last block start are
+    # formed from stand-in totals (see _Layout) and never read by (3)
+    n_q, n_c = lay.totals.shape[0] + 1, lay.totals.shape[1]
+    tot = np.moveaxis(M[:, :, lay.totals], 2, 0)    # (nq - 1, 2, 2, C, *batch)
     l_tot = lp[lay.totals]
-    for c, nb in enumerate(lay.blocks):
-        tot[nb:, :, :, c] = np.eye(2).reshape(2, 2, *(1,) * len(batch))
-        l_tot[nb:, c] = 0.0
-    s = np.empty((n_q + 1, 2, n_c, *batch))
-    ls = np.empty((n_q + 1, n_c, *batch))
+    s = np.empty((n_q, 2, n_c, *batch))
+    ls = np.empty((n_q, n_c, *batch))
     for c, (y1, y2) in enumerate(starts):
         s[0, 0, c], s[0, 1, c] = y1, y2
     ls[0] = 0.0
     v, w = np.empty((2, 2, n_c, *batch))
-    for q in range(n_q):
+    for q in range(n_q - 1):
         t, sq = tot[q], s[q]
         np.multiply(t[:, 0], sq[0], out=v)
         v += np.multiply(t[:, 1], sq[1], out=w)
@@ -741,8 +731,6 @@ def _scan_states(P, lay: _Layout, starts, nodes: bool):
         np.divide(v, nrm, out=s[q + 1])
         np.add(ls[q], l_tot[q], out=ls[q + 1])
         ls[q + 1] += np.log(nrm, out=nrm)
-    if not nodes:
-        return s, ls
 
     # (3) node states inside each block, z_i = M[i, 0] s_0 + M[i, 1] s_1,
     # formed in place in M[:, 0], a run of rows over the same blocks at once
@@ -759,7 +747,6 @@ def _scan_states(P, lay: _Layout, starts, nodes: bool):
     np.maximum(nrm, _TINY, out=nrm)
     lp += np.log(nrm, out=scratch[1])
     z /= nrm
-    return s, ls
 
 
 def _norm_weights(table: StepTable, i_from: int, i_to: int):
@@ -810,45 +797,38 @@ def _norm_weights(table: StepTable, i_from: int, i_to: int):
     return np.stack([c - dk, c + dk, 2.0 * table.m * d2])
 
 
-def match_values(table: StepTable, fam_idx, E, seed_origin, seed_tail,
-                 phase: bool = False):
-    """Scale-invariant mismatch of the two-sided shooting at the match node.
+def match_values(table: StepTable, fam_idx, E, seed_origin, seed_tail):
+    """Two-sided shooting at the match node: (mval, dtheta, dtheta_dE).
 
     seed_origin/seed_tail are callables (E, fam_idx) -> (y1, y2) producing
     start values for the energy batch. The outward leg (origin seed, node 0
     to the match node) and the inward leg (tail seed, node S to the match
-    node) are one propagate call, as two chains of one scan where they fit
-    in a segment together (see propagate). The mismatch is the cross product
-    of the two unit directions, so it lies in [-2, 2] and vanishes exactly at
-    eigenvalues.
+    node) are one phase-mode propagate call, as two chains of one scan where
+    they fit in a segment together (see propagate). The scale-invariant
+    mismatch mval is the cross product of the two unit directions, so it
+    lies in [-2, 2] and vanishes exactly at eigenvalues.
 
-    With phase=True returns (mval, dtheta, dtheta_dE): the matching angle
-    theta_out(r_match) - theta_in(r_match), continuous and strictly
-    decreasing in E, passes a multiple of pi exactly at each eigenvalue,
-    which is what makes eigenvalue indexing alias-free; its slope is
+    The matching angle dtheta = theta_out(r_match) - theta_in(r_match),
+    continuous and strictly decreasing in E, passes a multiple of pi exactly
+    at each eigenvalue, which is what makes eigenvalue indexing alias-free;
+    its slope dtheta_dE is
     -I_out/|y_out(r_match)|^2 - I_in/|y_in(r_match)|^2, with I_out the
     integral of |y_out|^2 from the origin seed to r_match and I_in that of
     |y_in|^2 from r_match to infinity (the tail seed's decaying solution
     beyond r_max in closed form).
     """
     seeds = seed_origin(E, fam_idx), seed_tail(E, fam_idx)
-    if phase:
-        # the tail seed continues the free decaying solution beyond r_max
-        yt = seeds[1]
-        lam = np.sqrt((table.m - E) * (table.m + E))
-        ((o1, o2), th_out, s_out), ((t1, t2), th_in, s_in) = propagate(
-            table, fam_idx, E, seeds, 0, table.n_steps, phase=True,
-            beyond=(0.0, (yt[0] * yt[0] + yt[1] * yt[1]) / (2.0 * lam)),
-            meet=table.i_match)
-    else:
-        (o1, o2), (t1, t2) = propagate(table, fam_idx, E, seeds, 0, table.n_steps,
-                                       meet=table.i_match)
+    # the tail seed continues the free decaying solution beyond r_max
+    yt = seeds[1]
+    lam = np.sqrt((table.m - E) * (table.m + E))
+    ((o1, o2), th_out, s_out), ((t1, t2), th_in, s_in) = propagate(
+        table, fam_idx, E, seeds, 0, table.n_steps, phase=True,
+        beyond=(0.0, (yt[0] * yt[0] + yt[1] * yt[1]) / (2.0 * lam)),
+        meet=table.i_match)
     no = np.sqrt(o1 * o1 + o2 * o2)
     ni = np.sqrt(t1 * t1 + t2 * t2)
     mval = (o1 * t2 - o2 * t1) / np.maximum(no * ni, _TINY)
-    if phase:
-        return mval, th_out - th_in, s_out - s_in
-    return mval
+    return mval, th_out - th_in, s_out - s_in
 
 
 def count_below(dtheta, dtheta_bottom):
@@ -897,7 +877,7 @@ def count_bisect(table: StepTable, fam_idx, lo, hi, targets, dtheta_bottom,
     logged.
 
     ends = ((m_lo, dtheta_lo, slope_lo), (m_hi, dtheta_hi, slope_hi)) are
-    the match_values(..., phase=True) results at lo and at hi. Returns
+    the match_values results at lo and at hi. Returns
     (E, |M|, final width, evaluations): the bracket midpoint; |M| at the
     element's last evaluated point, or the larger of the two end values when
     its bracket was already within tol; and the number of points the element
@@ -949,8 +929,7 @@ def count_bisect(table: StepTable, fam_idx, lo, hi, targets, dtheta_bottom,
                        "bracket midpoint, %d of them behind pace",
                        np.count_nonzero(~newton), act.size, np.count_nonzero(behind))
         n_steps[act] += 1
-        m_x, th_x, d_x = match_values(table, fam_idx[act], x, seed_origin, seed_tail,
-                                      phase=True)
+        m_x, th_x, d_x = match_values(table, fam_idx[act], x, seed_origin, seed_tail)
         below = np.floor(th_x / np.pi) >= k[act]   # count(x) <= target
         lo[act] = np.where(below, x, a_lo)
         hi[act] = np.where(below, a_hi, x)

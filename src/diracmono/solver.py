@@ -590,8 +590,7 @@ class _Workspace:
         count_below(dth[f, 1], dth[f, 0]) eigenvalues in the window."""
         seed_o, seed_t = self.seeds
         e_ends = np.broadcast_to(self.window(), (len(self.families), 2))
-        return prop.match_values(self.coarse, None, e_ends, seed_o, seed_t,
-                                 phase=True)
+        return prop.match_values(self.coarse, None, e_ends, seed_o, seed_t)
 
     def coarse_eigenvalues(self, ends, fam_is, targets, tol):
         """Count-bisect each target eigenvalue index on the coarse table.
@@ -729,7 +728,7 @@ class _Workspace:
         width = max(row.size, own_width)
         mval, dth, slope = (np.concatenate(v) for v in zip(*(
             prop.match_values(table, cols[i:i + width], e_rows[i:i + width],
-                              seed_o, seed_t, phase=True)
+                              seed_o, seed_t)
             for i in range(0, e_rows.size, width))))
         dth_b = dth[row]
         missing = prop.count_below(dth[nf + row], dth_b) <= targets
@@ -866,6 +865,8 @@ def solve_batch(channel: ChannelSpec, families, n_r_values, config: SolveConfig 
     config = config or DEFAULT_CONFIG
     families = list(families)
     n_r_values = sorted(set(int(n) for n in n_r_values))
+    if not families or not n_r_values:
+        raise ConfigurationError("a batch needs at least one family and one node count")
     if any(n < 0 for n in n_r_values):
         raise ConfigurationError("node counts are non-negative")
     if dense_flags is None:
@@ -1021,7 +1022,9 @@ def solve_1d(channel: ChannelSpec, family: PotentialFamily, n_r: int,
 
 def match_function(E: float, channel: ChannelSpec, family: PotentialFamily,
                    config: SolveConfig | None = None) -> float:
-    """Scale-invariant two-sided shooting mismatch M(E); zeros are eigenvalues."""
+    """Scale-invariant two-sided shooting mismatch M(E); zeros are eigenvalues.
+
+    Raises NumericalError from the rotation limit of propagate, as solve does."""
     config = config or DEFAULT_CONFIG
     m = channel.m
     if not -m < E < m:
@@ -1032,6 +1035,6 @@ def match_function(E: float, channel: ChannelSpec, family: PotentialFamily,
             min(E + pad, m * (1 - GAP_EDGE_FRACTION)))
     table = ws.fine_table(band, ws.domain)
     seed_o, seed_t = ws.seeds
-    val = prop.match_values(table, np.zeros(1, dtype=np.intp),
-                            np.asarray([E]), seed_o, seed_t)
-    return float(val[0])
+    mval, _, _ = prop.match_values(table, np.zeros(1, dtype=np.intp),
+                                   np.asarray([E]), seed_o, seed_t)
+    return float(mval[0])

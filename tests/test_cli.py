@@ -139,6 +139,24 @@ def test_sweep_abort_partial_file(tmp_path, capsys):
     assert len(lines) == 4  # header + 2 completed rows + trailer
 
 
+@pytest.mark.parametrize("command, nr, message", [
+    ("verify", "--nr=-1", "node counts are non-negative"),
+    ("sweep", "--nr=-1", "node counts are non-negative"),
+    ("verify", "--nr=,", "--nr lists no node count"),    # would check nothing
+])
+def test_bad_level_request_exits_2(command, nr, message, tmp_path, capsys):
+    # refused before any point is solved: a usage error, not an aborted
+    # sweep or a pass, and no file written
+    out_file = tmp_path / "out.csv"
+    argv = [command, "--family", "cutoff-coulomb", "--alpha", "1", "--a", "1",
+            "--active", "a", *CHAN, "--from", "0.5", "--to", "1.0", "--steps", "2",
+            nr, *FAST, "--output", str(out_file)]
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == "" and message in err
+    assert not out_file.exists()
+
+
 VERIFY_RUNS = [  # a short criterion 2 sweep and a d = 1 even-parity sweep
     ["--family", "cutoff-coulomb", "--alpha", "1", "--a", "1", "--active", "a",
      *CHAN, "--from", "0.1", "--to", "2", "--steps", "5", "--nr", "0,1"],

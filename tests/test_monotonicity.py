@@ -373,6 +373,14 @@ def test_compare_crossing_pair_rejected(channel_s):
         mono.compare_potentials(v1, v2, channel_s, 0)
 
 
+def test_compare_needs_two_t_points(channel_s):
+    # a t-sweep of fewer than two points shows no passage between V1 and V2
+    v1, v2 = dm.cutoff_coulomb(1.0, 0.5), dm.cutoff_coulomb(1.0, 1.0)
+    for t_points in (0, 1):
+        with pytest.raises(ConfigurationError):
+            mono.compare_potentials(v1, v2, channel_s, 0, t_points=t_points)
+
+
 def test_compare_homotopy_sandwich(channel_s):
     v1 = dm.cutoff_coulomb(1.0, 0.5)
     v2 = dm.cutoff_coulomb(1.0, 1.0)

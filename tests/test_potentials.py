@@ -97,6 +97,14 @@ def test_classify_sign_needs_samples():
         dm.classify_sign(dm.pure_coulomb(0.5), n_samples=32)
 
 
+@pytest.mark.parametrize("r_max", [0.0, -1.0, math.inf, math.nan])
+def test_classify_sign_needs_a_finite_positive_r_max(r_max):
+    # the b derivative of the exp coupling has no override, so r_max is sampled
+    fam = dm.coupling(0.5, 1.0, "exp", active="b")
+    with pytest.raises(ConfigurationError):
+        dm.classify_sign(fam, r_max=r_max)
+
+
 def test_homotopy_endpoints_and_derivative():
     v1 = dm.cutoff_coulomb(1.0, 0.5)
     v2 = dm.cutoff_coulomb(1.0, 1.0)

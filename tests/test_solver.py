@@ -212,8 +212,8 @@ def test_propagator_direction_matches_scipy():
                        S._band_rate(ch, r, np.abs(fam.evaluate(r)), (e, e)), 0.025, 1.0)
     table = S._make_table(ch, [fam], domain, prop.march_nodes, h_rule)
     y0 = (np.asarray([0.3]), np.asarray([0.7]))
-    y1, y2 = prop.propagate(table, np.zeros(1, dtype=np.intp),
-                            np.asarray([e]), y0, 0, table.i_match)
+    (y1, y2), _, _ = prop.propagate(table, np.zeros(1, dtype=np.intp),
+                                    np.asarray([e]), y0, 0, table.i_match, phase=True)
     ours = math.atan2(y2[0], y1[0])
 
     def odefun(r, y):
@@ -323,9 +323,9 @@ def _scan_cases():
 
 def test_scan_matches_sequential_reference():
     # the step-parallel scan, whole and in short segments, reproduces the
-    # sequential reference in phase, record and plain modes, and counts the
-    # same eigenvalues; so do match_values and assemble_two_sided, which
-    # propagate both legs in one call
+    # sequential reference in phase and record modes, and counts the same
+    # eigenvalues; so do match_values and assemble_two_sided, which propagate
+    # both legs in one call
     for ws, table, idx, e, least_count in _scan_cases():
         seed_o, seed_t = ws.seeds
         legs = ((table, idx, e, seed_o(e, idx), 0, table.i_match),
@@ -333,7 +333,8 @@ def test_scan_matches_sequential_reference():
         m_ref, dth_ref = _match(propagate_sequential, legs)
         counts_ref = prop.count_below(dth_ref, dth_ref[0])
         assert counts_ref[-1] >= least_count  # the energies span eigenvalues
-        # the reference's plain mode ends on its record mode's end state
+        # the end state of either mode is checked against the reference's
+        # record mode
         records = [propagate_sequential(*args, True, False) for args in legs]
         psi_ref = _on_reference(prop.assemble_two_sided)(table, idx, e, *ws.seeds)
         for entry in (lambda f: f, _in_segments):
@@ -343,11 +344,11 @@ def test_scan_matches_sequential_reference():
             assert np.allclose(dth, dth_ref, rtol=1e-12, atol=1e-11)
             assert np.array_equal(prop.count_below(dth, dth[0]), counts_ref)
             for args, (r_end, *r_rec, r_log) in zip(legs, records):
-                _assert_all_close(path(*args, False, False), r_end, 1e-13)
+                _assert_all_close(path(*args, False, True)[0], r_end, 1e-13)
                 g_end, *g_rec, g_log = path(*args, True, False)
                 _assert_all_close((*g_end, *g_rec), (*r_end, *r_rec), 1e-13)
                 _assert_all_close([g_log], [r_log], 1e-11)
-            mval, dth, _ = entry(prop.match_values)(table, idx, e, *ws.seeds, phase=True)
+            mval, dth, _ = entry(prop.match_values)(table, idx, e, *ws.seeds)
             assert np.allclose(mval, m_ref, rtol=1e-12, atol=1e-13)
             assert np.allclose(dth, dth_ref, rtol=1e-12, atol=1e-11)
             assert np.array_equal(prop.count_below(dth, dth[0]), counts_ref)
@@ -364,8 +365,8 @@ def test_scan_keeps_batch_columns_apart():
     # the packed scan broadcasts over the 2x2 axes only: in one segment
     # covering the whole traversal, with identity steps filling the last
     # block, every column of a mixed batch (two families, three energies)
-    # gets bitwise the values it gets alone in phase, record and plain
-    # modes, the E-slope included: each column's quadrature sum is taken
+    # gets bitwise the values it gets alone in phase and record modes, the
+    # E-slope included: each column's quadrature sum is taken
     # alone, in step order, whatever the batch width. Energies near the top
     # of the gap spread |y|^2 over many nodes, where a sum over the batch's
     # blocks rounds differently from a column's own.
@@ -380,7 +381,7 @@ def test_scan_keeps_batch_columns_apart():
         bs = math.isqrt(n_steps - 1) + 1
         assert n_steps % bs and n_steps * e.size <= prop._SCAN_ELEMENTS
         y0 = seed(e, idx)
-        for record, phase in ((False, False), (True, False), (False, True)):
+        for record, phase in ((True, False), (False, True)):
             batch = _arrays(prop.propagate(table, idx, e, y0, i_from, table.i_match,
                                            record, phase))
             for b in range(e.size):
@@ -415,7 +416,7 @@ def _legs(table):
 def test_stack_keeps_an_unpadded_table_bitwise():
     # a table stacked alone, or first with a table shorter on both legs,
     # needs no padding: its columns get bitwise its own results on both match
-    # legs in plain, record and phase modes (the stack gathers its grid
+    # legs in record and phase modes (the stack gathers its grid
     # columns per element, where a table on one grid broadcasts its one)
     ws, tables = _criterion_1_tables()
     long, short = tables[2, 2], tables[1, 0]
@@ -427,7 +428,7 @@ def test_stack_keeps_an_unpadded_table_bitwise():
         assert stack.n_steps == long.n_steps and stack.i_match == long.i_match
         for seed, (i_from, i_to) in zip(ws.local_seeds(np.array([2, 1])), _legs(long)):
             y0 = seed(e, idx)
-            for record, phase in ((False, False), (True, False), (False, True)):
+            for record, phase in ((True, False), (False, True)):
                 got = _arrays(prop.propagate(stack, idx, e, y0, i_from, i_to, record, phase))
                 own = _arrays(prop.propagate(long, idx, e, y0, i_from, i_to, record, phase))
                 for g, o in zip(got, own):
@@ -452,7 +453,7 @@ def test_zero_length_steps_end_on_the_unpadded_state():
     e = np.linspace(0.9, 0.99, 4)
     idx = np.zeros(e.size, dtype=np.intp)
     y0 = ws.seeds[0](e, idx)
-    for record, phase in ((False, False), (True, False), (False, True)):
+    for record, phase in ((True, False), (False, True)):
         got = _arrays(prop.propagate(padded, idx, e, y0, 0, n + pad, record, phase))
         own = _arrays(prop.propagate(t, idx, e, y0, 0, n, record, phase))
         if record:
@@ -488,17 +489,16 @@ def test_stack_matches_sequential_reference():
     psi_ref = _on_reference(prop.assemble_two_sided)(stack, idx, e, *seeds)
     for entry in (lambda f: f, _in_segments):
         for mval, dth, *_ in (_match(entry(prop.propagate), legs),
-                              entry(prop.match_values)(stack, idx, e, *seeds, phase=True)):
+                              entry(prop.match_values)(stack, idx, e, *seeds)):
             assert np.allclose(mval, m_ref, rtol=1e-12, atol=1e-13)
             assert np.allclose(dth, dth_ref, rtol=1e-12, atol=1e-11)
         _assert_all_close(entry(prop.assemble_two_sided)(stack, idx, e, *seeds),
                           psi_ref, 1e-13)
-    mval, dth, slope = prop.match_values(stack, idx, e, *seeds, phase=True)
+    mval, dth, slope = prop.match_values(stack, idx, e, *seeds)
     for g, (table, f) in enumerate(zip(pair, (0, 2))):
         col = idx == g
         own_m, own_dth, own_slope = prop.match_values(
-            table, np.zeros(40, dtype=np.intp), e[col], *ws.local_seeds(np.array([f])),
-            phase=True)
+            table, np.zeros(40, dtype=np.intp), e[col], *ws.local_seeds(np.array([f])))
         assert np.allclose(mval[col], own_m, rtol=1e-12, atol=1e-13)
         assert np.allclose(dth[col], own_dth, rtol=1e-12, atol=1e-11)
         assert np.array_equal(prop.count_below(dth[col], dth[col][0]),
@@ -520,7 +520,7 @@ def _shared_cap(n_a, n_b):
 
 def test_two_leg_call_is_each_leg_alone(monkeypatch):
     # the two match legs in one propagate call (meet) are bitwise the legs
-    # propagated alone in plain, record and phase modes, the E-slope (with
+    # propagated alone in record and phase modes, the E-slope (with
     # the inward leg's beyond) included: on a table whose legs differ in
     # length, in one shared scan and in segments of which the first run
     # alone and the last share a scan, and on a stack whose legs differ too
@@ -529,9 +529,9 @@ def test_two_leg_call_is_each_leg_alone(monkeypatch):
     chains = []
     real = prop._scan_states
 
-    def counting(P, lay, starts, nodes):
+    def counting(P, lay, starts):
         chains.append(len(starts))
-        return real(P, lay, starts, nodes)
+        return real(P, lay, starts)
 
     monkeypatch.setattr(prop, "_scan_states", counting)
     stack = prop.stack_tables([tables[0, 2], tables[2, 0]])
@@ -546,7 +546,7 @@ def test_two_leg_call_is_each_leg_alone(monkeypatch):
         assert (cap is None) == (table is stack)
         for steps in (None, cap or 7):
             entry = prop.propagate if steps is None else _in_segments(prop.propagate, steps)
-            for record, phase in ((False, False), (True, False), (False, True)):
+            for record, phase in ((True, False), (False, True)):
                 chains.clear()
                 both = entry(table, idx, e, (y0, yt), 0, table.n_steps, record, phase,
                              beyond=(0.0, beyond), meet=table.i_match)
@@ -653,7 +653,7 @@ def test_phase_slope_matches_central_difference():
                 central = (angle(e + h)[1] - angle(e - h)[1]) / (2 * h)
                 assert np.all(np.abs(slope - central) <= 1e-4 * np.abs(central))
                 slopes.append(slope)
-            _, _, d_match = entry(prop.match_values)(table, idx, e, *seeds, phase=True)
+            _, _, d_match = entry(prop.match_values)(table, idx, e, *seeds)
             assert np.array_equal(d_match, slopes[0] - slopes[1])
 
 
@@ -677,8 +677,7 @@ def test_rotation_limit_raises_at_first_offending_step():
                 scan(*args, False, True)
             assert str(got.value) == str(ref.value)
         messages.append(str(ref.value))
-        # the check guards phase unwrapping only; the other modes still run
-        prop.propagate(*args, False, False)
+        # the check guards phase unwrapping only; record mode still runs
         prop.propagate(*args, True, False)
     assert messages[0] != messages[1]  # traversal order picks the step
     # match_values propagates both legs in one call, and still names the
@@ -686,7 +685,7 @@ def test_rotation_limit_raises_at_first_offending_step():
     seeds = (lambda E, fam_idx: y0,) * 2
     for entry in (lambda f: f, _in_segments):
         with pytest.raises(NumericalError) as got:
-            entry(prop.match_values)(table, idx, e, *seeds, phase=True)
+            entry(prop.match_values)(table, idx, e, *seeds)
         assert str(got.value) == messages[0]
 
 
@@ -724,7 +723,7 @@ def test_rotation_error_names_the_outward_leg_first():
         assert ref.startswith(f"step {step} ")
         for entry in (lambda f: f, _in_segments):
             with pytest.raises(NumericalError) as got:
-                entry(prop.match_values)(table, idx, e, *seeds, phase=True)
+                entry(prop.match_values)(table, idx, e, *seeds)
             assert str(got.value) == ref
 
 
@@ -739,9 +738,10 @@ def test_step_table_and_propagate_reject_bad_arguments():
         prop.build_step_table("sqrt", 0.0, 1.0, [fam], x, 5)
     table = prop.build_step_table("lin", 0.0, 1.0, [fam], x, 5)
     e = np.array([0.5])
-    with pytest.raises(ConfigurationError):
-        prop.propagate(table, np.zeros(1, dtype=np.intp), e, (e, e), 0, 5,
-                       record=True, phase=True)
+    for record in (False, True):    # both modes, or neither
+        with pytest.raises(ConfigurationError):
+            prop.propagate(table, np.zeros(1, dtype=np.intp), e, (e, e), 0, 5,
+                           record=record, phase=record)
 
 
 # ---------------------------------------------------------------------------
@@ -774,8 +774,7 @@ def _random_brackets(table, seeds, window, rng):
     Returns (lo, hi, dtheta_bottom) with the precondition checked."""
     bottom, top = window
     e = np.linspace(bottom, top, 400)
-    _, th, _ = prop.match_values(table, np.zeros(e.size, dtype=np.intp), e, *seeds,
-                                 phase=True)
+    _, th, _ = prop.match_values(table, np.zeros(e.size, dtype=np.intp), e, *seeds)
     counts = prop.count_below(th, th[0])
     lo, hi = [], []
     for t in SEARCH_TARGETS:
@@ -795,14 +794,14 @@ def _centre_brackets(table, seeds, window, rng):
     centre = _bisection_oracle(table, seeds, lo, hi, dtb, 1e-6)
     centre += rng.uniform(-3e-6, 3e-6, centre.size)
     idx = np.zeros(centre.size, dtype=np.intp)
-    _, th, _ = prop.match_values(table, idx, centre, *seeds, phase=True)
+    _, th, _ = prop.match_values(table, idx, centre, *seeds)
     up = prop.count_below(th, dtb) <= SEARCH_TARGETS
     return np.where(up, centre, bottom), np.where(up, top, centre), dtb
 
 
 def _ends(table, seeds, lo, hi):
     idx = np.zeros(lo.size, dtype=np.intp)
-    return [prop.match_values(table, idx, e, *seeds, phase=True) for e in (lo, hi)]
+    return [prop.match_values(table, idx, e, *seeds) for e in (lo, hi)]
 
 
 def _bisection_oracle(table, seeds, lo, hi, dtb, tol):
@@ -810,7 +809,7 @@ def _bisection_oracle(table, seeds, lo, hi, dtb, tol):
     idx = np.zeros(lo.size, dtype=np.intp)
     while np.max(hi - lo) > tol:
         mid = 0.5 * (lo + hi)
-        _, th, _ = prop.match_values(table, idx, mid, *seeds, phase=True)
+        _, th, _ = prop.match_values(table, idx, mid, *seeds)
         below = prop.count_below(th, dtb) <= SEARCH_TARGETS
         lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
     return 0.5 * (lo + hi)
@@ -863,7 +862,7 @@ def test_count_bisect_against_bisection_oracle(search_tables, monkeypatch):
 
         # the eigenvalue counts on either side of E are the target's
         for shift, want in ((-SEARCH_TOL, targets), (SEARCH_TOL, targets + 1)):
-            _, th, _ = prop.match_values(table, idx, e_star + shift, *seeds, phase=True)
+            _, th, _ = prop.match_values(table, idx, e_star + shift, *seeds)
             assert np.array_equal(prop.count_below(th, dtb), want)
         e_ref = _bisection_oracle(table, seeds, lo, hi, dtb, SEARCH_TOL)
         assert np.all(np.abs(e_star - e_ref) <= SEARCH_TOL)
@@ -1280,6 +1279,13 @@ def test_no_nodeless_state_in_positive_k(coulomb_half):
 def test_supercritical_rejected(channel_s):
     with pytest.raises(UnsupportedRegimeError):
         dm.solve(channel_s, dm.pure_coulomb(1.1), 0)
+
+
+def test_empty_batch_rejected(channel_s):
+    # no family, or no node count: nothing to solve, refused before any work
+    for families, n_r_values in (([], [0]), ([dm.pure_coulomb(0.5)], [])):
+        with pytest.raises(ConfigurationError):
+            dm.solve_batch(channel_s, families, n_r_values)
 
 
 def test_negative_energy_state(channel_s):
