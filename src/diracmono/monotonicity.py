@@ -372,8 +372,8 @@ def compare_potentials(v1: PotentialFamily, v2: PotentialFamily,
     independently and a coarse t-sweep of the interpolation demonstrates the
     monotone passage between them.
     """
-    if t_points < 2:
-        raise ConfigurationError(f"the t-sweep needs t_points >= 2, got {t_points}")
+    if not isinstance(t_points, (int, np.integer)) or t_points < 2:
+        raise ConfigurationError(f"the t-sweep needs an integer t_points >= 2, got {t_points}")
     hom = make_homotopy(v1, v2)
     m = channel.m
     r_probe = 50.0 * max(v1.length_scale(m), v2.length_scale(m))

@@ -9,7 +9,9 @@ its commutator correction), evaluated in closed form through the traceless
 them are formed in one vectorized pass; only their ordered product is
 sequential, and since it is associative it is evaluated as a blocked prefix
 scan rather than one step at a time. The outward and inward legs of a
-two-sided match are two chains of one scan. Propagator entries, partial
+two-sided match are two chains of one scan over all their steps; memory is
+bounded by cutting the batch into pieces of rows instead, so no element's
+values depend on the rest of its batch. Propagator entries, partial
 products and node states are kept max-normalized with their scales carried
 as logarithms, so traversing hundreds of exponential e-folds is
 overflow-free.
@@ -47,9 +49,10 @@ from .numerics import expm_traceless_2x2
 
 _SQRT3 = np.sqrt(3.0)
 _TINY = 1e-300
-_SCAN_ELEMENTS = 1 << 16  # step x batch entries formed at once by the numpy scan
+_SCAN_ELEMENTS = 1 << 16  # step x batch entries of one scan, unless one batch row has more
 _STEP_ELEMENTS = 1 << 13  # step x batch entries of step matrices formed at once
 _MAX_ITER = 200  # count_bisect iterations at most, a backstop behind its pace rule
+_DEAD_BAND_REL = 1e-12  # count_sign_changes ignores |values| below this times the peak
 
 _log = logging.getLogger("diracmono")
 
@@ -301,37 +304,6 @@ def _step_omega(table: StepTable, steps, fam_idx, em, me, sign=None, out=None):
 _W2_MAX = 8.7  # 2.95^2: a step rotated too far for the crossing count
 
 
-def _rotation_q(P):
-    """q = oa^2 + ob oc of every step and batch element, from the Magnus
-    entries in P[0:3], formed in P[3] with P[4] as scratch: the step rotates
-    the element by sqrt(-q) where q < 0."""
-    q = np.multiply(P[0], P[0], out=P[3])
-    q += np.multiply(P[1], P[2], out=P[4])
-    return q
-
-
-def _rotation_error(table, fam_idx, em, me, legs, per_segment):
-    """The NumericalError for the first step that rotates some batch element
-    too far for the crossing count: the first leg's first such step in
-    traversal order, else the next leg's. Each leg is checked in its own
-    segments, as propagated alone."""
-    for leg in legs:
-        for start in range(0, leg.n_steps, per_segment):
-            steps = leg.steps(start, min(per_segment, leg.n_steps - start))
-            P = np.empty((5, steps.size, *em.shape))
-            _step_omega(table, steps, fam_idx, em, me, out=P)
-            q = _rotation_q(P)
-            wosc = -np.min(q, axis=tuple(range(1, q.ndim)), initial=np.inf)
-            bad = np.nonzero(wosc > _W2_MAX)[0]
-            if bad.size:
-                j = bad[0]
-                return NumericalError(
-                    f"step {steps[j]} rotates the solution too fast for phase "
-                    f"tracking (w^2 = {wosc[j]:.3f}); the step rule is too coarse"
-                )
-    return None
-
-
 def _side(y1, y2):
     """True where the direction (y1, y2) lies on the psi1 > 0 side of the
     psi1 = 0 axis. A point on the axis counts to the side of -psi2, which
@@ -342,10 +314,11 @@ def _side(y1, y2):
 
 
 class _Leg:
-    """One traversal of a propagate call, node i_from to node i_to, and what
-    its mode keeps of it as its segments are taken: the state (y1, y2) with
-    its log scale log0, and either the recorded nodes (rec, record mode) or
-    the angle's sector and side and log I (phase mode).
+    """One traversal of a propagate call, node i_from to node i_to, for the
+    whole batch: its start state y0 and what its mode makes of it, filled in
+    one piece of batch rows at a time: the recorded nodes (rec, record mode;
+    the end state is the last), or the end state, the angle and its E-slope
+    (out, phase mode).
 
     The continuous angle is theta = pi/2 + K pi + f, with f in [0, pi) the
     direction's offset from the lower edge of sector K, whose parity the side
@@ -357,41 +330,30 @@ class _Leg:
     with no angle formed per node.
     """
 
-    def __init__(self, table, fam_idx, E, y0, i_from, i_to, record, beyond):
+    def __init__(self, table, E, y0, i_from, i_to, record, beyond):
         self.i_from, self.outward = i_from, i_to >= i_from
         self.n_steps = abs(i_to - i_from)
-        y1 = self.y1 = np.array(np.broadcast_to(y0[0], E.shape), dtype=float)
-        y2 = self.y2 = np.array(np.broadcast_to(y0[1], E.shape), dtype=float)
-        self.log0 = np.zeros(E.shape)
+        self.y0 = [np.broadcast_to(np.asarray(y, dtype=float), E.shape) for y in y0]
         if record:
             self.rec = np.empty((3, self.n_steps + 1, *E.shape))
-            self.rec[0, 0], self.rec[1, 0], self.rec[2, 0] = y1, y2, 0.0
+            self.rec[:2, 0], self.rec[2, 0] = self.y0, 0.0
         else:
             self.quad = table.norm_weights(i_from, i_to)
-            col = table.columns(fam_idx)[1]
-            # log of the integral of |y|^2 so far: beyond the start plus node 0
-            wa, wb, wc = (_per_element(self.quad[i, 0], col, E.ndim) for i in range(3))
-            self.log_int = np.log(beyond + wa * y1 * y1 + wb * y2 * y2 + wc * y1 * y2)
-            # the sector of atan2(y2, y1), in (-pi, pi]
-            self.side = _side(y1, y2)
-            self.sector = np.where(self.side, -1.0, np.where(np.signbit(y2), -2.0, 0.0))
+            self.beyond = np.broadcast_to(beyond, E.shape)
+            self.out = np.empty((4, *E.shape))    # y1, y2, theta, slope at the end
 
-    def steps(self, start, n):
-        """Table indices of traversal steps start .. start + n - 1."""
+    def steps(self):
+        """Table indices of the traversal's steps, in traversal order."""
         if self.outward:
-            return np.arange(self.i_from + start, self.i_from + start + n)
-        return np.arange(self.i_from - 1 - start, self.i_from - 1 - start - n, -1)
+            return np.arange(self.i_from, self.i_from + self.n_steps)
+        return np.arange(self.i_from - 1, self.i_from - 1 - self.n_steps, -1)
 
     def result(self, record):
-        y1, y2 = self.y1, self.y2
         if record:
             rec1, rec2, logs = self.rec if self.outward else self.rec[:, ::-1]
-            return (y1, y2), rec1, rec2, logs
-        side = self.side
-        f = np.arctan2(np.where(side, y1, -y1), np.where(side, -y2, y2))
-        theta = (self.sector + 0.5) * np.pi + f
-        slope = np.exp(self.log_int - 2.0 * self.log0) / (y1 * y1 + y2 * y2)
-        return (y1, y2), theta, (-slope if self.outward else slope)
+            return (self.rec[0, -1], self.rec[1, -1]), rec1, rec2, logs
+        y1, y2, theta, slope = self.out
+        return (y1, y2), theta, slope
 
 
 def propagate(table: StepTable, fam_idx, E, y0, i_from: int, i_to: int,
@@ -400,11 +362,12 @@ def propagate(table: StepTable, fam_idx, E, y0, i_from: int, i_to: int,
     advance two legs, y0[0] from node i_from to node meet and y0[1] from
     node i_to to node meet, in the same call.
 
-    E is the batch of energies; fam_idx maps batch elements to table families
-    (None means the (F, nE) scan layout). The state is renormalized after
-    every step. A call takes exactly one of two modes, and ConfigurationError
-    refuses both or neither. With record=True, returns ((y1, y2), psi1, psi2,
-    logs): the end state, the per-node history and the accumulated
+    E is the batch of energies, of one axis at least; fam_idx maps batch
+    elements to table families (None means the (F, nE) scan layout). The
+    state is renormalized after every step. A call takes exactly one of two
+    modes, and ConfigurationError refuses both or neither; DomainError
+    refuses a leg of no steps. With record=True, returns ((y1, y2), psi1,
+    psi2, logs): the end state, the per-node history and the accumulated
     log-magnitudes needed to undo the renormalization.
 
     With phase=True, tracks the continuous polar angle
@@ -416,31 +379,32 @@ def propagate(table: StepTable, fam_idx, E, y0, i_from: int, i_to: int,
     traversal), and a step that rotates by less than pi crosses it at most
     once: the angle at the end follows from its start sector, the number of
     sign changes of psi1 over the nodes and the end direction (see _Leg).
-    A step that rotates too far for this is refused with NumericalError,
-    naming the first such step of the first leg in traversal order, else of
-    the second. This angle is what eigenvalue counting is built on. Phase
-    mode returns ((y1, y2), theta, slope), with slope = dtheta/dE at the end
-    node: -I/|y_end|^2 outward and +I/|y_end|^2 inward. I is the integral of
-    |y|^2 dr over the traversal (_norm_weights, on the node states), carried
-    across segments in log form like log0, plus beyond: the integral of
-    |y|^2 on the far side of the start, in the units of y0, for start values
-    that continue an exact solution there. It accounts for their own
+    A step that rotates too far for this for some batch element is refused
+    with NumericalError, naming the first such step of the first leg in
+    traversal order, else of the second. This angle is what eigenvalue
+    counting is built on. Phase mode returns ((y1, y2), theta, slope), with
+    slope = dtheta/dE at the end node: -I/|y_end|^2 outward and
+    +I/|y_end|^2 inward. I is the integral of |y|^2 dr over the traversal
+    (_norm_weights, on the node states), plus beyond: the integral of |y|^2
+    on the far side of the start, in the units of y0, for start values that
+    continue an exact solution there. It accounts for their own
     E-dependence: the tail seed's free decaying solution turns at
     dtheta/dE = 1/(2 lambda), which is beyond = |y0|^2 / (2 lambda). With
     beyond = 0 the slope is that of y0 held fixed. With meet, y0 and beyond
     are pairs, one per leg (a scalar beyond serves both), and the result is
     the pair of the legs' results.
 
-    The steps are evaluated as a step-parallel scan: the step matrices of a
-    whole segment of steps at once, then a blocked prefix scan for its node
-    states (see _scan_states). A leg is cut into segments of at most
-    _SCAN_ELEMENTS step-batch pairs, which bounds the memory of very large
-    batches; they are taken in traversal order, each starting from the last
-    state of the one before. The k-th segments of two legs share one scan,
-    as two chains, while their step-batch pairs together fit in
-    _SCAN_ELEMENTS, and run one after the other otherwise; either way each
-    leg's results are bitwise those of the leg propagated alone. The test
-    suite checks the scan against a sequential step-by-step reference
+    The steps are evaluated as a step-parallel scan: the step matrices of
+    every step at once, then a blocked prefix scan for the node states (see
+    _scan_states), with the legs of a call as the chains of one scan. Memory
+    is bounded by cutting the batch along its leading axis (the family rows
+    of the (F, nE) layout) into pieces of as many rows as keep the scan
+    within _SCAN_ELEMENTS step-element pairs, one row at least; each piece
+    is one scan over the whole of every leg. The arithmetic of a batch
+    element depends only on its own energy, family and start values, so
+    each leg's results, column by column, are bitwise those of the leg
+    propagated alone, for one element or for any batch. The test suite
+    checks the scan against a sequential step-by-step reference
     (tests/reference_propagator.py).
     """
     if record == phase:
@@ -451,88 +415,95 @@ def propagate(table: StepTable, fam_idx, E, y0, i_from: int, i_to: int,
     else:
         ends, starts = [(i_from, meet), (i_to, meet)], y0
         beyonds = beyond if isinstance(beyond, tuple) else (beyond, beyond)
-    legs = [_Leg(table, fam_idx, E, y, a, b, record, extra)
+    legs = [_Leg(table, E, y, a, b, record, extra)
             for (a, b), y, extra in zip(ends, starts, beyonds)]
-    em, me = E + table.m, table.m - E
-    per_segment = max(1, _SCAN_ELEMENTS // max(E.size, 1))
-    for members in _scans(legs, per_segment):
-        if not _advance(table, fam_idx, em, me, members, record):
-            raise _rotation_error(table, fam_idx, em, me, legs, per_segment)
+    if not all(leg.n_steps for leg in legs):
+        raise DomainError("a propagate leg takes one step at least")
+    steps = np.concatenate([leg.steps() for leg in legs])
+    # the largest rotation w^2 = -q of every step, leg after leg in
+    # traversal order, over the batch
+    worst = None if record else np.full(steps.size, -np.inf)
+    fam = table.columns(fam_idx)[0]
+    n_rows = max(1, _SCAN_ELEMENTS // max(steps.size * math.prod(E.shape[1:]), 1))
+    for lo in range(0, E.shape[0], n_rows):
+        at = (..., slice(lo, lo + n_rows), *[slice(None)] * (E.ndim - 1))
+        fam_at = fam[at] if fam.ndim == E.ndim and fam.shape[:1] == E.shape[:1] else fam
+        _advance(table, fam_at, E[at], at, legs, steps, worst)
+    if worst is not None and (worst > _W2_MAX).any():
+        j = np.argmax(worst > _W2_MAX)
+        raise NumericalError(
+            f"step {steps[j]} rotates the solution too fast for phase "
+            f"tracking (w^2 = {worst[j]:.3f}); the step rule is too coarse"
+        )
     results = [leg.result(record) for leg in legs]
     return results[0] if meet is None else tuple(results)
 
 
-def _scans(legs, per_segment):
-    """The scans of a call, in order, as lists of (leg, start, steps): each
-    leg is cut into segments of per_segment steps, and the k-th segments of
-    the legs share a scan while they fit in per_segment steps together."""
-    count = max((-(-leg.n_steps // per_segment) for leg in legs), default=0)
-    for k in range(count):
-        start = k * per_segment
-        members = [(leg, start, min(per_segment, leg.n_steps - start))
-                   for leg in legs if leg.n_steps > start]
-        if sum(n for _, _, n in members) <= per_segment:
-            yield members
-        else:
-            yield from ([m] for m in members)
-
-
-def _advance(table, fam_idx, em, me, members, record):
-    """Take the next segment of each member leg, (leg, start, steps), in one
-    scan: one step-matrix pass over the segments' steps in packed order (see
-    _layout), the rotation check in phase mode, _scan_states, and the mode's
-    reading of the node states. Returns False, with no leg advanced, when a
-    step rotates too far."""
-    lay = _layout(tuple(n for _, _, n in members))
+def _advance(table, fam_idx, E, at, legs, steps, worst):
+    """Propagate one piece of a call's batch rows, E and fam_idx theirs and
+    at their index in a leg's arrays, along every leg in one scan: one
+    step-matrix pass over all the legs' steps (table indices, leg after leg
+    in traversal order) in packed order (see _layout), _scan_states, and
+    the mode's reading of the node states into the legs. In phase mode, a
+    step that rotates some element of the piece too far skips the scan, and
+    worst takes the piece's rotation w^2 of every step where it is larger
+    (every step of a step-matrix pass that has such a step: the others
+    rotate less than the limit)."""
+    em, me = E + table.m, table.m - E
+    lay = _layout(tuple(leg.n_steps for leg in legs))
     packed = np.empty(lay.n, dtype=np.intp)
-    packed[lay.trav] = np.concatenate([leg.steps(start, n) for leg, start, n in members])
-    inward = [not leg.outward for leg, _, _ in members]
+    packed[lay.trav] = steps
+    inward = [not leg.outward for leg in legs]
     sign = None
     if all(inward):
         sign = -1.0
     elif any(inward):
         sign = np.empty(lay.n)
-        sign[lay.trav] = np.repeat(np.where(inward, -1.0, 1.0), [n for _, _, n in members])
+        sign[lay.trav] = np.repeat(np.where(inward, -1.0, 1.0), [leg.n_steps for leg in legs])
     P = np.empty((5, lay.n, *em.shape))
+    q_min = np.full(lay.n, np.inf)    # formed only where some step rotates too far
     # the step matrices in place, in pieces that bound the temporaries
     per_piece = max(1, _STEP_ELEMENTS // max(em.size, 1))
     for lo in range(0, lay.n, per_piece):
         part, piece = P[:, lo:lo + per_piece], slice(lo, lo + per_piece)
         _step_omega(table, packed[piece], fam_idx, em, me,
                     sign[piece] if np.ndim(sign) else sign, out=part)
-        if not record and (_rotation_q(part) < -_W2_MAX).any():
-            return False
+        if worst is not None:
+            # q = oa^2 + ob oc: the step rotates the element by sqrt(-q)
+            # where q < 0
+            q = np.multiply(part[0], part[0], out=part[3])
+            q += np.multiply(part[1], part[2], out=part[4])
+            if (q < -_W2_MAX).any():
+                np.min(q, axis=tuple(range(1, q.ndim)), out=q_min[piece])
         expm_traceless_2x2(part[0], part[1], part[2], out=part)
-    _scan_states(P, lay, [(leg.y1, leg.y2) for leg, _, _ in members])
-    if not record:
-        _read_phase(P, lay, members, table.columns(fam_idx)[1])
-        return True
-    for c, (leg, start, n) in enumerate(members):
-        rows = slice(start + 1, start + 1 + n)
-        pos = lay.trav[lay.first[c]:lay.first[c] + n]
+    if q_min.min() < -_W2_MAX:
+        np.maximum(worst, -q_min[lay.trav], out=worst)
+        return
+    _scan_states(P, lay, [[y[at] for y in leg.y0] for leg in legs])
+    if worst is not None:
+        _read_phase(P, lay, legs, table.columns(fam_idx)[1], at)
+        return
+    for c, leg in enumerate(legs):
+        pos = lay.trav[lay.first[c]:lay.first[c] + leg.n_steps]
         for dst, src in zip(leg.rec, (P[0], P[2], P[4])):
-            np.take(src, pos, axis=0, out=dst[rows], mode="clip")
-        leg.rec[2, rows] += leg.log0
-        leg.y1, leg.y2, leg.log0 = leg.rec[:, rows.stop - 1]
-    return True
+            np.take(src, pos, axis=0, out=dst[1:][at], mode="clip")
 
 
-def _read_phase(P, lay, members, col):
+def _read_phase(P, lay, legs, col, at):
     """Phase mode's reading of a scan's node states (P[0], P[2]) and log
-    scales (P[4]), formed in place by _scan_states: each member leg's side
-    changes, its log I and its end state. The nodes are first gathered into
-    traversal order, chain after chain, in the scan's free planes; the
-    quadrature is then formed in the others."""
+    scales (P[4]), formed in place by _scan_states: each leg's side changes,
+    its log I and its end state, into the leg's rows at. The nodes are first
+    gathered into traversal order, chain after chain, in the scan's free
+    planes; the quadrature is then formed in the others."""
     batch = P.shape[2:]
     n_cols = math.prod(batch)
     # traversal order: psi1 into P[1], psi2 into P[0], log scales into P[2]
     for src, dst in ((0, 1), (2, 0), (4, 2)):
         np.take(P[src], lay.trav, axis=0, out=P[dst], mode="clip")
     z1, z2, lz, q, t = P[1], P[0], P[2], P[3], P[4]
-    # wa z1^2 + wb z2^2 + wc z1 z2 at every node, weights in traversal order,
-    # taken per element in pieces
-    quad = np.concatenate([leg.quad[:, start + 1:start + 1 + n]
-                           for leg, start, n in members], axis=1)
+    # wa z1^2 + wb z2^2 + wc z1 z2 at every node past the start, weights in
+    # traversal order, taken per element in pieces
+    quad = np.concatenate([leg.quad[:, 1:] for leg in legs], axis=1)
 
     def weight(i, piece):
         return _per_element(quad[i, piece], col, len(batch))
@@ -550,13 +521,25 @@ def _read_phase(P, lay, members, col):
         tp *= weight(2, piece)
         qp += tp
     ends = []
-    for c, (leg, start, n) in enumerate(members):
-        rows = slice(lay.first[c], lay.first[c] + n)
-        side = _side(z1[rows], z2[rows])
-        changes = (np.count_nonzero(side[1:] != side[:-1], axis=0)
-                   + (side[0] != leg.side))
-        leg.sector = leg.sector - changes if leg.outward else leg.sector + changes
-        leg.side = side[-1]
+    for c, leg in enumerate(legs):
+        rows = slice(lay.first[c], lay.first[c] + leg.n_steps)
+        y1, y2 = (y[at] for y in leg.y0)
+        # log of the start's part of I: beyond the start plus node 0
+        wa, wb, wc = (_per_element(leg.quad[i, 0], col, len(batch)) for i in range(3))
+        log_start = np.log(leg.beyond[at] + wa * y1 * y1 + wb * y2 * y2 + wc * y1 * y2)
+        # the start sector of atan2(y2, y1), in (-pi, pi], moved by one per
+        # change of side
+        side = _side(y1, y2)
+        sector = np.where(side, -1.0, np.where(np.signbit(y2), -2.0, 0.0))
+        nodes = _side(z1[rows], z2[rows])
+        changes = np.count_nonzero(nodes[1:] != nodes[:-1], axis=0) + (nodes[0] != side)
+        sector = sector - changes if leg.outward else sector + changes
+        end1, end2, theta, _ = (a[at] for a in leg.out)
+        last = rows.stop - 1
+        end1[...], end2[...] = z1[last], z2[last]
+        side = nodes[-1]
+        f = np.arctan2(np.where(side, end1, -end1), np.where(side, -end2, end2))
+        theta[...] = (sector + 0.5) * np.pi + f
         # exp(2 (L - ref)) with ref the chain's largest log scale, so nothing
         # overflows
         ref = lz[rows].max(axis=0)
@@ -564,25 +547,27 @@ def _read_phase(P, lay, members, col):
         tc *= 2.0
         np.exp(tc, out=tc)
         q[rows] *= tc
-        last = rows.stop - 1
-        ends.append((ref, z1[last].copy(), z2[last].copy(), lz[last].copy()))
+        ends.append((ref, log_start, lz[last].copy()))
     # each column of I summed alone, in step order, over nb * bs nodes with
     # zeros past the chain's last (numpy picks the order of a sum over the
     # leading axes from the array's shape), in the planes of the gathered
     # nodes, which are read by now
     free = P[:3].reshape(-1)
-    for c, ((leg, start, n), (ref, y1, y2, l_end)) in enumerate(zip(members, ends)):
-        rows = slice(lay.first[c], lay.first[c] + n)
+    for c, (leg, (ref, log_start, l_end)) in enumerate(zip(legs, ends)):
+        rows = slice(lay.first[c], lay.first[c] + leg.n_steps)
         by_column = free[:n_cols * lay.padded[c]].reshape(n_cols, lay.padded[c])
-        np.copyto(by_column[:, :n], q[rows].reshape(n, n_cols).T)
-        by_column[:, n:] = 0.0
+        np.copyto(by_column[:, :leg.n_steps], q[rows].reshape(leg.n_steps, n_cols).T)
+        by_column[:, leg.n_steps:] = 0.0
         total = by_column.sum(axis=1)
-        # zero for a column whose nodes in this segment are all padding (see
-        # stack_tables): its log I is -inf, which adds nothing
-        log_seg = (np.log(total, out=np.full_like(total, -np.inf), where=total != 0)
-                   .reshape(batch) + 2.0 * ref)
-        leg.log_int = np.logaddexp(leg.log_int, 2.0 * leg.log0 + log_seg)
-        leg.y1, leg.y2, leg.log0 = y1, y2, leg.log0 + l_end
+        # zero for a column whose nodes are all padding (see stack_tables):
+        # its log I is -inf, which adds nothing
+        log_nodes = (np.log(total, out=np.full_like(total, -np.inf), where=total != 0)
+                     .reshape(batch) + 2.0 * ref)
+        end1, end2, _, slope = (a[at] for a in leg.out)
+        slope[...] = (np.exp(np.logaddexp(log_start, log_nodes) - 2.0 * l_end)
+                      / (end1 * end1 + end2 * end2))
+        if leg.outward:
+            np.negative(slope, out=slope)
 
 
 class _Layout(NamedTuple):
@@ -803,8 +788,8 @@ def match_values(table: StepTable, fam_idx, E, seed_origin, seed_tail):
     seed_origin/seed_tail are callables (E, fam_idx) -> (y1, y2) producing
     start values for the energy batch. The outward leg (origin seed, node 0
     to the match node) and the inward leg (tail seed, node S to the match
-    node) are one phase-mode propagate call, as two chains of one scan where
-    they fit in a segment together (see propagate). The scale-invariant
+    node) are one phase-mode propagate call, as two chains of one scan (see
+    propagate). The scale-invariant
     mismatch mval is the cross product of the two unit directions, so it
     lies in [-2, 2] and vanishes exactly at eigenvalues.
 
@@ -976,13 +961,14 @@ def assemble_two_sided(table: StepTable, fam_idx, E, seed_origin, seed_tail):
     return psi1, psi2
 
 
-def count_sign_changes(values: np.ndarray, dead_band_rel: float = 1e-12) -> int:
-    """Strict sign changes of a sampled function, ignoring a relative dead band."""
+def count_sign_changes(values: np.ndarray) -> int:
+    """Strict sign changes of a sampled function, ignoring values within
+    _DEAD_BAND_REL of its peak magnitude."""
     v = np.asarray(values, dtype=float)
     peak = np.max(np.abs(v))
     if peak == 0.0:
         return 0
-    live = v[np.abs(v) > dead_band_rel * peak]
+    live = v[np.abs(v) > _DEAD_BAND_REL * peak]
     if live.size < 2:
         return 0
     s = np.sign(live)

@@ -515,9 +515,10 @@ _FINE_C_LIN = 0.022  # the linear d = 1 parametrization lacks the log-grid near-
 _R_MAX_CAP = 4000.0  # in units of 1/m; binding below ~5e-5 m is out of reach
 
 _PROFILE_POINTS = 1200  # geometric radii of the workspace's potential profile
+_LISTED_INDICES = 14  # node indices per family that a NoSuchStateError lists at most
 # step x batch entries of one leg of a fine-stage evaluation in lockstep: half
-# a scan segment, so that the widest calls stay near those of groups searched
-# one at a time (the working set of a full segment is about 5 MB)
+# those of a scan piece, so that the widest calls stay near those of groups
+# searched one at a time (the working set of a full piece is about 5 MB)
 _LOCKSTEP_ENTRIES = prop._SCAN_ELEMENTS // 2
 
 
@@ -823,16 +824,18 @@ def _longest_leg(tables) -> int:
     return max(max(t.i_match for t in tables), max(t.n_steps - t.i_match for t in tables))
 
 
-def _no_such_state(ws: _Workspace, ends, n_top, reason: str, ties=None, cap: int = 14):
+def _no_such_state(ws: _Workspace, ends, n_top, reason: str, ties=None):
     """NoSuchStateError listing refined (E, node-index) pairs: every index
-    below min(n_top, cap), the window's eigenvalue count, count-bisected on
-    the whole window. A batch of more than one stencil (ties, see
-    solve_batch) lists nothing: its sweep discards the message and solves
-    point by point, and each one-stencil batch there lists its own pairs."""
+    below min(n_top, _LISTED_INDICES), n_top the window's eigenvalue count,
+    count-bisected on the whole window. A batch of more than one stencil
+    (ties, see solve_batch) lists nothing: its sweep discards the message and
+    solves point by point, and each one-stencil batch there lists its own
+    pairs."""
     if ties is not None and len(set(ties)) > 1:
         return NoSuchStateError(f"{reason} (a batch of {len(set(ties))} stencils; "
                                 f"found pairs not listed)")
-    pairs = [(f, i) for f, n in enumerate(n_top) for i in range(min(int(n), cap))]
+    pairs = [(f, i) for f, n in enumerate(n_top)
+             for i in range(min(int(n), _LISTED_INDICES))]
     e_ref = (ws.coarse_eigenvalues(ends, *zip(*pairs), tol=1e-6 * ws.channel.m)
              if pairs else [])
     found = sorted({(round(float(e), 9), t) for e, (_, t) in zip(e_ref, pairs)})
@@ -869,8 +872,10 @@ def solve_batch(channel: ChannelSpec, families, n_r_values, config: SolveConfig 
         raise ConfigurationError("a batch needs at least one family and one node count")
     if any(n < 0 for n in n_r_values):
         raise ConfigurationError("node counts are non-negative")
-    if dense_flags is None:
-        dense_flags = [True] * len(families)
+    dense_flags = [True] * len(families) if dense_flags is None else list(dense_flags)
+    if len(dense_flags) != len(families):
+        raise ConfigurationError(f"dense_flags has {len(dense_flags)} entries for "
+                                 f"{len(families)} families")
 
     ws = _Workspace(channel, families, config, n_r_max=max(n_r_values))
     while True:

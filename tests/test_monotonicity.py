@@ -270,7 +270,7 @@ def test_sweep_streams_its_stencils(channel_s):
     # stencil at a time are alive, not those of every point. n_grid = 12000
     # makes the dense states (which the streaming bounds) dominate the peak
     # over the shared coarse stage, whose scan grows with the batch up to
-    # its segment cap; holding every stencil's states instead peaks at
+    # its piece bound; holding every stencil's states instead peaks at
     # about 2.7 times the 4-point sweep.
     fam = dm.cutoff_coulomb(1.0, 1.0, active="a")
     config = dm.SolveConfig(n_grid=12000)
@@ -374,9 +374,10 @@ def test_compare_crossing_pair_rejected(channel_s):
 
 
 def test_compare_needs_two_t_points(channel_s):
-    # a t-sweep of fewer than two points shows no passage between V1 and V2
+    # a t-sweep of fewer than two points shows no passage between V1 and V2,
+    # and a t-sweep needs a whole number of points
     v1, v2 = dm.cutoff_coulomb(1.0, 0.5), dm.cutoff_coulomb(1.0, 1.0)
-    for t_points in (0, 1):
+    for t_points in (0, 1, 2.5):
         with pytest.raises(ConfigurationError):
             mono.compare_potentials(v1, v2, channel_s, 0, t_points=t_points)
 

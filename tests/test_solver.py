@@ -265,13 +265,12 @@ def _match(path, legs):
     return mval, th_out - th_in
 
 
-def _in_segments(entry, steps=7):
+def _in_pieces(entry):
     """A propagation entry point (propagate, match_values or
-    assemble_two_sided), forced to cut every traversal into segments of
-    `steps` steps (its third argument is the energy batch)."""
+    assemble_two_sided), forced to propagate its batch one row per piece."""
     def run(*args, **kwargs):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(prop, "_SCAN_ELEMENTS", steps * np.size(args[2]))
+            mp.setattr(prop, "_SCAN_ELEMENTS", 1)
             return entry(*args, **kwargs)
     return run
 
@@ -322,7 +321,7 @@ def _scan_cases():
 
 
 def test_scan_matches_sequential_reference():
-    # the step-parallel scan, whole and in short segments, reproduces the
+    # the step-parallel scan, whole and one row per piece, reproduces the
     # sequential reference in phase and record modes, and counts the same
     # eigenvalues; so do match_values and assemble_two_sided, which propagate
     # both legs in one call
@@ -337,7 +336,7 @@ def test_scan_matches_sequential_reference():
         # record mode
         records = [propagate_sequential(*args, True, False) for args in legs]
         psi_ref = _on_reference(prop.assemble_two_sided)(table, idx, e, *ws.seeds)
-        for entry in (lambda f: f, _in_segments):
+        for entry in (lambda f: f, _in_pieces):
             path = entry(prop.propagate)
             mval, dth = _match(path, legs)
             assert np.allclose(mval, m_ref, rtol=1e-12, atol=1e-13)
@@ -362,7 +361,7 @@ def _arrays(out):
 
 
 def test_scan_keeps_batch_columns_apart():
-    # the packed scan broadcasts over the 2x2 axes only: in one segment
+    # the packed scan broadcasts over the 2x2 axes only: in one scan
     # covering the whole traversal, with identity steps filling the last
     # block, every column of a mixed batch (two families, three energies)
     # gets bitwise the values it gets alone in phase and record modes, the
@@ -466,7 +465,7 @@ def test_zero_length_steps_end_on_the_unpadded_state():
 
 def test_stack_matches_sequential_reference():
     # two of criterion 1's groups with different match nodes and step counts,
-    # each padded on one leg: in the stack, whole and in short segments, the
+    # each padded on one leg: in the stack, whole and one row per piece, the
     # match values and angles of every column (from propagate and from
     # match_values) and the assembled states agree with the sequential
     # reference on the stack, and the match values and angles with the
@@ -487,7 +486,7 @@ def test_stack_matches_sequential_reference():
     legs = [(stack, idx, e, seed(e, idx), *leg) for seed, leg in zip(seeds, _legs(stack))]
     m_ref, dth_ref = _match(propagate_sequential, legs)
     psi_ref = _on_reference(prop.assemble_two_sided)(stack, idx, e, *seeds)
-    for entry in (lambda f: f, _in_segments):
+    for entry in (lambda f: f, _in_pieces):
         for mval, dth, *_ in (_match(entry(prop.propagate), legs),
                               entry(prop.match_values)(stack, idx, e, *seeds)):
             assert np.allclose(mval, m_ref, rtol=1e-12, atol=1e-13)
@@ -507,57 +506,106 @@ def test_stack_matches_sequential_reference():
         assert np.allclose(slope[col], own_slope, rtol=1e-10, atol=0)
 
 
-def _shared_cap(n_a, n_b):
-    """The largest segment length under which legs of n_a and n_b steps take
-    as many segments each, at least two, the first ones too long to share a
-    scan and the last ones short enough to, or None."""
-    for cap in range(min(n_a, n_b) - 1, 1, -1):
-        count = -(-n_a // cap)
-        if count == -(-n_b // cap) and n_a + n_b - 2 * (count - 1) * cap <= cap:
-            return cap
-    return None
-
-
-def test_two_leg_call_is_each_leg_alone(monkeypatch):
+def test_two_leg_call_is_each_leg_alone():
     # the two match legs in one propagate call (meet) are bitwise the legs
-    # propagated alone in record and phase modes, the E-slope (with
-    # the inward leg's beyond) included: on a table whose legs differ in
-    # length, in one shared scan and in segments of which the first run
-    # alone and the last share a scan, and on a stack whose legs differ too
-    # much in length for that, whole and in 7-step segments
+    # propagated alone in record and phase modes, the E-slope (with the
+    # inward leg's beyond) included: on a table whose legs differ in length,
+    # and on a stack whose legs differ more, whole and one row per piece
     ws, tables = _criterion_1_tables()
-    chains = []
-    real = prop._scan_states
-
-    def counting(P, lay, starts):
-        chains.append(len(starts))
-        return real(P, lay, starts)
-
-    monkeypatch.setattr(prop, "_scan_states", counting)
     stack = prop.stack_tables([tables[0, 2], tables[2, 0]])
     for table, fams, idx in ((tables[1, 1], [1], np.zeros(6, dtype=np.intp)),
                              (stack, [0, 2], np.repeat([0, 1], 3))):
-        n_out, n_in = table.i_match, table.n_steps - table.i_match
-        assert n_out != n_in
+        assert table.i_match != table.n_steps - table.i_match
         e = np.linspace(0.9, 0.999, idx.size)
         y0, yt = (seed(e, idx) for seed in ws.local_seeds(np.array(fams)))
         beyond = (yt[0] ** 2 + yt[1] ** 2) / (2 * np.sqrt(1.0 - e * e))
-        cap = _shared_cap(n_out, n_in)
-        assert (cap is None) == (table is stack)
-        for steps in (None, cap or 7):
-            entry = prop.propagate if steps is None else _in_segments(prop.propagate, steps)
+        for entry in (prop.propagate, _in_pieces(prop.propagate)):
             for record, phase in ((True, False), (False, True)):
-                chains.clear()
                 both = entry(table, idx, e, (y0, yt), 0, table.n_steps, record, phase,
                              beyond=(0.0, beyond), meet=table.i_match)
-                assert chains == ([2] if steps is None else [1, 1, 2] if cap
-                                  else [1] * (-(-n_out // 7) - (-n_in // 7)))
                 alone = (entry(table, idx, e, y0, 0, table.i_match, record, phase),
                          entry(table, idx, e, yt, table.n_steps, table.i_match,
                                record, phase, beyond=beyond))
                 for got, own in zip(both, alone):
                     for g, o in zip(_arrays(got), _arrays(own)):
                         assert np.array_equal(g, o)
+
+
+def _wide_table():
+    """(workspace, fine table of about 3500 steps, family indices, energies):
+    55 columns of a 16-coupling d = 3 pure Coulomb workspace near the top of
+    the gap, a batch that a match evaluation propagates in four pieces."""
+    ws = S._Workspace(dm.ChannelSpec(d=3, tau=-1, j=0.5),
+                      [dm.pure_coulomb(a) for a in np.linspace(0.3, 0.9, 16)],
+                      S.DEFAULT_CONFIG, n_r_max=3)
+    table = ws.fine_table((0.9, 0.99), ws.trimmed_domain([0], [0.99]))
+    idx, e = np.arange(55) % 16, np.linspace(0.9, 0.99, 55)
+    assert -(-e.size // (prop._SCAN_ELEMENTS // table.n_steps)) == 4
+    return ws, table, idx, e
+
+
+def test_columns_do_not_depend_on_the_batch():
+    # each column of a batch wide enough for several pieces gets bitwise
+    # what it gets propagated alone: its match value, angle and E-slope
+    # from match_values, and its end states and recorded nodes from a
+    # record-mode call of both legs
+    ws, table, idx, e = _wide_table()
+    seed_o, seed_t = ws.seeds
+
+    def record(idx, e):
+        seeds = seed_o(e, idx), seed_t(e, idx)
+        return [a for leg in prop.propagate(table, idx, e, seeds, 0, table.n_steps,
+                                            record=True, meet=table.i_match)
+                for a in _arrays(leg)]
+
+    batch = [prop.match_values(table, idx, e, seed_o, seed_t), record(idx, e)]
+    for b in range(e.size):
+        col = slice(b, b + 1)
+        alone = [prop.match_values(table, idx[col], e[col], seed_o, seed_t),
+                 record(idx[col], e[col])]
+        for got, own in zip(batch, alone):
+            for g, o in zip(got, own):
+                assert np.array_equal(g[..., col], o)
+
+
+def test_each_scan_holds_whole_legs_of_bounded_pieces(monkeypatch):
+    # every scan of a call holds all the steps of all its legs, for a piece
+    # of the batch's leading axis of at most max(_SCAN_ELEMENTS, the steps
+    # of one row) step x element entries, and the pieces cover the batch:
+    # match_values on a 1-d batch and on the (F, nE) layout, with rows that
+    # fit the bound several times and rows wider than it, single legs in
+    # phase mode and both legs in record mode
+    ws, table, idx, e = _wide_table()
+    seed_o, seed_t = ws.seeds
+    scans = []
+    real = prop._scan_states
+
+    def spying(P, lay, starts):
+        scans.append((P.shape, lay.n))
+        return real(P, lay, starts)
+
+    monkeypatch.setattr(prop, "_scan_states", spying)
+    grid = np.linspace(0.9, 0.99, 200)
+    calls = [(ws.coarse, None, np.broadcast_to(grid, (16, 200))),
+             (ws.coarse, None, np.broadcast_to(grid[:20], (16, 20))),
+             (table, idx, e)]
+    pieces = []
+    for tab, fam_idx, energies in calls:
+        seeds = seed_o(energies, fam_idx), seed_t(energies, fam_idx)
+        legs = [(tab, fam_idx, energies, seeds[0], 0, tab.i_match, False, True),
+                (tab, fam_idx, energies, seeds, 0, tab.n_steps, True, False)]
+        for args in legs:
+            scans.clear()
+            kwargs = {"meet": tab.i_match} if args[6] else {}
+            prop.propagate(*args, **kwargs)
+            steps = tab.n_steps if args[6] else tab.i_match
+            row = steps * math.prod(energies.shape[1:])
+            assert all(n == steps and shape[2:] == (shape[2], *energies.shape[1:])
+                       and shape[1] * math.prod(shape[2:]) <= max(prop._SCAN_ELEMENTS, row)
+                       for shape, n in scans)
+            assert sum(shape[2] for shape, _ in scans) == energies.shape[0]
+            pieces.append(len(scans))
+    assert pieces == [8, 16, 1, 2, 1, 4]
 
 
 def test_criterion_1_propagates_both_legs_in_one_call(monkeypatch):
@@ -586,7 +634,7 @@ def test_angle_where_psi1_is_zero_at_nodes():
     # end direction agrees with the sequential reference's unwrapped angle
     # where psi1 is exactly 0: on the start node and the interior nodes of a
     # run of zero-length steps (the padding a stack gives the shorter of two
-    # tables, whole and with a segment boundary inside the run), and on the
+    # tables, whole and one row per piece), and on the
     # last node of a leg that ends in such a run; psi2 of either sign, both
     # directions
     ws, tables = _criterion_1_tables()
@@ -604,7 +652,7 @@ def test_angle_where_psi1_is_zero_at_nodes():
         stack._norm[i_from, i_to] = np.ones((3, abs(i_to - i_from) + 1, 2))
     for i_from, i_to in legs:
         _, th_ref, _ = propagate_sequential(stack, idx, e, y0, i_from, i_to, False, True)
-        for entry in (lambda f: f, _in_segments):
+        for entry in (lambda f: f, _in_pieces):
             _, th, _ = entry(prop.propagate)(stack, idx, e, y0, i_from, i_to, False, True)
             assert np.allclose(th, th_ref, rtol=1e-12, atol=1e-11)
             assert np.array_equal(np.floor(th / np.pi), np.floor(th_ref / np.pi))
@@ -632,13 +680,13 @@ def test_phase_slope_matches_central_difference():
     # each leg's E-slope of its angle, from the integral of |y|^2 along it
     # (W' = -|y|^2), against a central difference of the same leg's angle,
     # with E-dependent seeds; the inward leg adds the tail seed's own slope
-    # 1/(2 lambda). The scan whole and in short segments; match_values, run
+    # 1/(2 lambda). The scan whole and one row per piece; match_values, run
     # the same way, returns bitwise the difference of the two legs' slopes.
     h = 1e-8
     for ws, table, idx, e, _ in _scan_cases():
         seeds = ws.seeds
         starts = (0, table.n_steps)
-        for entry in (lambda f: f, _in_segments):
+        for entry in (lambda f: f, _in_pieces):
             path = entry(prop.propagate)
             slopes = []
             for seed, i_from in zip(seeds, starts):
@@ -672,7 +720,7 @@ def test_rotation_limit_raises_at_first_offending_step():
         args = (table, idx, e, y0, i_from, table.i_match)
         with pytest.raises(NumericalError) as ref:
             propagate_sequential(*args, False, True)
-        for scan in (prop.propagate, _in_segments(prop.propagate)):
+        for scan in (prop.propagate, _in_pieces(prop.propagate)):
             with pytest.raises(NumericalError) as got:
                 scan(*args, False, True)
             assert str(got.value) == str(ref.value)
@@ -683,7 +731,7 @@ def test_rotation_limit_raises_at_first_offending_step():
     # match_values propagates both legs in one call, and still names the
     # outward leg's first offending step
     seeds = (lambda E, fam_idx: y0,) * 2
-    for entry in (lambda f: f, _in_segments):
+    for entry in (lambda f: f, _in_pieces):
         with pytest.raises(NumericalError) as got:
             entry(prop.match_values)(table, idx, e, *seeds)
         assert str(got.value) == messages[0]
@@ -702,11 +750,9 @@ def _two_wells(depth):
 
 def test_rotation_error_names_the_outward_leg_first():
     # both legs of a match in one call: the refusal names the first
-    # offending step of the outward leg when it has one, even where the
-    # inward leg's comes up in an earlier scan (in 7-step segments the
-    # inward leg's first segment holds step 19, the outward leg's second
-    # step 7), and otherwise the inward leg's first, as the legs propagated
-    # one after the other do
+    # offending step of the outward leg when it has one, and otherwise the
+    # inward leg's first, as the legs propagated one after the other do,
+    # with w^2 the largest over the batch, whole and one row per piece
     e = np.array([-0.5, 0.0, 0.5])
     idx = np.zeros(e.size, dtype=np.intp)
     y0 = (np.ones(e.size), np.zeros(e.size))
@@ -721,7 +767,7 @@ def test_rotation_error_names_the_outward_leg_first():
                 ref = str(err)
                 break
         assert ref.startswith(f"step {step} ")
-        for entry in (lambda f: f, _in_segments):
+        for entry in (lambda f: f, _in_pieces):
             with pytest.raises(NumericalError) as got:
                 entry(prop.match_values)(table, idx, e, *seeds)
             assert str(got.value) == ref
@@ -742,6 +788,13 @@ def test_step_table_and_propagate_reject_bad_arguments():
         with pytest.raises(ConfigurationError):
             prop.propagate(table, np.zeros(1, dtype=np.intp), e, (e, e), 0, 5,
                            record=record, phase=record)
+        # a leg of no steps, alone or with another
+        with pytest.raises(DomainError):
+            prop.propagate(table, np.zeros(1, dtype=np.intp), e, (e, e), 5, 5,
+                           record=record, phase=not record)
+        with pytest.raises(DomainError):
+            prop.propagate(table, np.zeros(1, dtype=np.intp), e, ((e, e), (e, e)), 0, 10,
+                           record=record, phase=not record, meet=10)
 
 
 # ---------------------------------------------------------------------------
@@ -1286,6 +1339,18 @@ def test_empty_batch_rejected(channel_s):
     for families, n_r_values in (([], [0]), ([dm.pure_coulomb(0.5)], [])):
         with pytest.raises(ConfigurationError):
             dm.solve_batch(channel_s, families, n_r_values)
+
+
+def test_dense_flags_of_another_length_rejected(channel_s, monkeypatch):
+    # one dense flag per family: fewer or more are refused before any work
+    def no_workspace(*args, **kwargs):
+        raise AssertionError("a workspace was built")
+
+    monkeypatch.setattr(S, "_Workspace", no_workspace)
+    families = [dm.pure_coulomb(0.5), dm.pure_coulomb(0.3)]
+    for flags in ([True], [True, False, True]):
+        with pytest.raises(ConfigurationError):
+            dm.solve_batch(channel_s, families, [0], dense_flags=flags)
 
 
 def test_negative_energy_state(channel_s):
