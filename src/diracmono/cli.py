@@ -483,7 +483,13 @@ def cmd_oracle(args) -> int:
     if args.n is None or args.j is None:
         raise ConfigurationError("oracle needs --n and --j")
     if args.alpha_list:
-        alphas = [float(s) for s in args.alpha_list.split(",") if s]
+        try:
+            alphas = [float(s) for s in args.alpha_list.split(",") if s]
+        except ValueError:
+            raise ConfigurationError(
+                f"--alpha-list must be numbers, got {args.alpha_list!r}") from None
+        if not alphas:
+            raise ConfigurationError(f"--alpha-list lists no alpha, got {args.alpha_list!r}")
     elif args.alpha is not None:
         alphas = [args.alpha]
     else:

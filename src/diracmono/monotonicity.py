@@ -29,6 +29,7 @@ the records before it).
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -130,6 +131,14 @@ def _default_step(a: float) -> float:
     return max(1e-4, 1e-3 * abs(a))
 
 
+def _checked_step(h: float | None) -> float | None:
+    """h, refused if it is zero or not finite (a negative step gives the
+    mirrored stencil)."""
+    if h is not None and not (math.isfinite(h) and h != 0.0):
+        raise ConfigurationError(f"the parameter step must be finite and non-zero, got {h!r}")
+    return h
+
+
 _OFFSETS = (0.0, -1.0, 1.0, -0.5, 0.5)   # stencil members a + offset * h
 _DENSE = (True, True, True, False, False)  # the a +- h/2 members need only E
 
@@ -176,7 +185,7 @@ def _stencil_point(family: PotentialFamily, channel: ChannelSpec, n_r: int,
     every stencil point raises LevelCrossingError."""
     p = family.active_param
     a = family.params[p] if a is None else float(a)
-    h = _default_step(a) if h is None else h
+    h = _default_step(a) if h is None else _checked_step(h)
     try:
         return next(_stencils(family, channel, n_r, [a], h, config))
     except NoSuchStateError as exc:
@@ -299,6 +308,7 @@ def sweep(family: PotentialFamily, channel: ChannelSpec, n_r: int, a_grid,
         raise ConfigurationError("sweep grid must be strictly increasing")
     if n_r < 0:
         raise ConfigurationError("node counts are non-negative")
+    _checked_step(h)
     try:
         # one stencil per point, each passed on without a name, so that no
         # loop variable holds it while the next one is solved

@@ -118,29 +118,29 @@ def _per_element(a, idx, ndim: int):
     return np.take(a, idx, axis=-1)
 
 
-def march_nodes(x_lo: float, x_hi: float, h_of_x, x_breaks=()) -> np.ndarray:
-    """Step-size-controlled node positions covering [x_lo, x_hi].
-
-    h_of_x(x) proposes a local step; nodes are marched and then each segment
-    between consecutive break points (always including the endpoints) is
-    rescaled so breaks land exactly on nodes.
+def march_nodes(x_lo: float, x_hi: float, rule, x_breaks=()) -> np.ndarray:
+    """Nodes covering [x_lo, x_hi], every break and both ends on a node, that
+    equidistribute the step rule (x, h): h > 0 tabulated at increasing x,
+    linear between table points and held at its end values beyond them. Each
+    segment [a, b] between breaks takes ceil(N(b)) steps of equal N, with
+    N(x) the integral of dx / h from a, inverted linearly between the table
+    points, so no step is longer than the largest h of the table intervals
+    it overlaps (Russell & Christiansen 1978, SIAM J. Numer. Anal. 15).
     """
     breaks = sorted({float(x_lo), float(x_hi), *map(float, x_breaks)})
-    nodes = [breaks[0]]
-    for left, right in zip(breaks[:-1], breaks[1:]):
-        xs = [left]
-        x = left
-        while x < right:
-            x = x + max(h_of_x(x), 1e-12)
-            xs.append(min(x, right))
-        # rescale interior spacing so the segment end is hit exactly
-        xs = np.asarray(xs)
-        if xs.size > 2 and xs[-1] - xs[-2] < 0.25 * (xs[-2] - xs[-3]):
-            xs = np.delete(xs, -2)  # avoid a sliver step at the end
-        span = right - left
-        rel = (xs - left) / (xs[-1] - left)
-        nodes.extend((left + rel[1:] * span).tolist())
-    return np.asarray(nodes)
+    x_t, h_t = rule
+    nodes = [breaks[:1]]
+    for a, b in zip(breaks[:-1], breaks[1:]):
+        x = np.concatenate(([a], x_t[(x_t > a) & (x_t < b)], [b]))
+        h = np.interp(x, x_t, h_t)
+        # N over an interval, h linear: dx log(h1 / h0) / (h1 - h0)
+        u = np.diff(h) / h[:-1]
+        flat = u == 0.0
+        dn = np.diff(x) / h[:-1] * np.where(flat, 1.0, np.log1p(u) / np.where(flat, 1.0, u))
+        n_x = np.concatenate(([0.0], np.cumsum(dn)))
+        steps = max(math.ceil(n_x[-1]), 1)  # dn may underflow to 0
+        nodes += [np.interp(np.arange(1, steps) * (n_x[-1] / steps), n_x, x), [b]]
+    return np.concatenate(nodes)
 
 
 def uniform_nodes(x_lo: float, x_hi: float, n_total: int, x_breaks=()) -> np.ndarray:

@@ -54,7 +54,6 @@ states.
 
 from __future__ import annotations
 
-import bisect
 import logging
 import math
 from dataclasses import dataclass, field
@@ -464,36 +463,18 @@ def _band_rate(channel, r, env, e_band):
 
 
 def _h_rule(channel, param, r, rate, c_step, density):
-    """Step-size callable h(x) interpolated from a rate tabulated on the radii
-    r, since marching queries it thousands of times; x = log r for the "log"
-    parametrization, x = r for "lin". The slopes are formed once, and each
-    query is a bisection plus np.interp's own formula on Python floats, so
-    the steps are bitwise those of np.interp without its per-call cost."""
+    """The step rule (x, h) tabulated on the radii r from a rate there:
+    x = log r for the "log" parametrization, x = r for "lin", and h the
+    largest step at x (prop.march_nodes interpolates it linearly)."""
     if param == "log":
-        x = np.log(r)
-        h = np.minimum(0.35, c_step / (abs(channel.k) + r * rate)) / density
-    else:
-        x = r
-        h = np.minimum(0.35 / channel.m, c_step / rate) / density
-    slope = (np.diff(h) / np.diff(x)).tolist()
-    x, h = x.tolist(), h.tolist()
-    last = len(x) - 1
-
-    def h_of_x(xq):
-        j = bisect.bisect_right(x, xq) - 1
-        if j < 0:
-            return h[0]
-        if j >= last:
-            return h[last]
-        return slope[j] * (xq - x[j]) + h[j]
-
-    return h_of_x
+        return np.log(r), np.minimum(0.35, c_step / (abs(channel.k) + r * rate)) / density
+    return r, np.minimum(0.35 / channel.m, c_step / rate) / density
 
 
 def _make_table(channel, families, domain, place_nodes, spacing):
     """Step table over the domain with a node at r_match. place_nodes is
-    prop.march_nodes (spacing: the step rule h(x)) or prop.uniform_nodes
-    (spacing: the node count)."""
+    prop.march_nodes (spacing: the step rule (x, h) of _h_rule) or
+    prop.uniform_nodes (spacing: the node count)."""
     if domain.param == "log":
         x_lo, x_hi = math.log(domain.r_seed), math.log(domain.r_max)
         x_match = math.log(domain.r_match)

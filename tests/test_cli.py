@@ -157,6 +157,22 @@ def test_bad_level_request_exits_2(command, nr, message, tmp_path, capsys):
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize("command, step", [
+    ("sweep", "0"), ("verify", "0"), ("verify", "nan"), ("verify", "inf"),
+])
+def test_bad_parameter_step_exits_2(command, step, tmp_path, capsys):
+    # refused before any stencil is solved: no division by zero, and no
+    # aborted sweep from a stencil of non-finite parameters
+    out_file = tmp_path / "out.csv"
+    argv = [command, "--family", "cutoff-coulomb", "--alpha", "1", "--a", "1",
+            "--active", "a", *CHAN, "--from", "0.5", "--to", "1.0", "--steps", "2",
+            "--nr", "0", "--h-step", step, *FAST, "--output", str(out_file)]
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == "" and "parameter step must be finite and non-zero" in err
+    assert not out_file.exists()
+
+
 VERIFY_RUNS = [  # a short criterion 2 sweep and a d = 1 even-parity sweep
     ["--family", "cutoff-coulomb", "--alpha", "1", "--a", "1", "--active", "a",
      *CHAN, "--from", "0.1", "--to", "2", "--steps", "5", "--nr", "0,1"],
@@ -313,6 +329,17 @@ def test_oracle_second_level(capsys):
 def test_oracle_invalid_level(capsys):
     code, _, _ = run(["oracle", "--n", "1", "--j", "0.5", "--alpha", "1.1"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("alphas, message", [
+    ("0.2,abc", "--alpha-list must be numbers"),
+    (",", "--alpha-list lists no alpha"),
+])
+def test_oracle_bad_alpha_list_exits_2(alphas, message, capsys):
+    code, out, err = run(["oracle", "--n", "1", "--j", "0.5", "--alpha-list", alphas],
+                         capsys)
+    assert code == 2
+    assert out == "" and message in err
 
 
 def test_config_file_precedence(tmp_path, capsys):

@@ -72,6 +72,27 @@ def test_fd_near_stationary_point_of_indefinite_family(channel_s):
     assert abs(fd) < 1e-6
 
 
+@pytest.mark.parametrize("h", [0.0, math.inf, math.nan])
+def test_zero_or_non_finite_step_rejected(channel_s, cutoff_family, h, monkeypatch):
+    # refused before any solve; sweep refuses before its batched path, whose
+    # fallback would turn the refusal into an aborted sweep
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a stencil was solved")
+
+    monkeypatch.setattr(mono, "solve_batch", no_solve)
+    for call in (mono.fd_derivative, mono.wavefunction_param_derivative):
+        with pytest.raises(ConfigurationError, match="finite and non-zero"):
+            call(cutoff_family, channel_s, 0, h=h)
+    with pytest.raises(ConfigurationError, match="finite and non-zero"):
+        mono.sweep(cutoff_family, channel_s, 0, [0.5, 1.0], h=h)
+
+
+def test_negative_step_mirrors_the_stencil(channel_s, cutoff_family, cutoff_ground):
+    fd = mono.fd_derivative(cutoff_family, channel_s, 0, h=-1e-3)
+    hf = mono.hf_derivative(cutoff_ground, cutoff_family)
+    assert abs(fd - hf) <= 1e-5 * abs(hf)
+
+
 def test_fd_level_crossing_is_loud(channel_s):
     # the exponential well first binds near a ~ 0.7; a stencil spanning the
     # threshold cannot resolve the same level at every point

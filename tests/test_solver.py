@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 import diracmono as dm
 from diracmono import propagation as prop
@@ -225,35 +226,82 @@ def test_propagator_direction_matches_scipy():
     assert ours == pytest.approx(ref, abs=1.5e-9)
 
 
-def test_step_rule_marches_the_np_interp_nodes():
-    # the step rule's bisection lookup gives bitwise the steps, and so the
-    # marched nodes, of np.interp on the same table: coarse and fine rules
-    # of a d = 3 (log) and a d = 1 (lin) workspace, marched over the whole
-    # profile, and single queries below, inside and beyond it
+def _integral_of_inverse(a, b, x_t, h_t):
+    """The integral of dx / h over [a, b] for the step rule (x_t, h_t): h
+    linear between table points and held at its end values beyond them,
+    summed interval by interval."""
+    points = [a, *(x for x in x_t.tolist() if a < x < b), b]
+    total = 0.0
+    for p, q in zip(points[:-1], points[1:]):
+        hp, hq = np.interp([p, q], x_t, h_t).tolist()
+        total += (q - p) / hp if hq == hp else (q - p) * math.log1p((hq - hp) / hp) / (hq - hp)
+    return total
+
+
+def _check_march(x_lo, x_hi, rule, x_breaks):
+    """march_nodes' contract on one call: strictly increasing nodes, every
+    break on a node, ceil(integral of dx / h) steps per break-to-break
+    segment (at least one), no step longer than the largest h of the table
+    intervals it overlaps, and equal steps beyond the table, where h is
+    constant."""
+    x_t, h_t = (np.asarray(a, dtype=float) for a in rule)
+    nodes = prop.march_nodes(x_lo, x_hi, rule, x_breaks)
+    breaks = sorted({x_lo, x_hi, *x_breaks})
+    assert np.all(np.diff(nodes) > 0)
+    at = np.searchsorted(nodes, breaks)
+    assert nodes[[0, -1]].tolist() == breaks[::len(breaks) - 1] and nodes[at].tolist() == breaks
+    for a, b, i, j in zip(breaks[:-1], breaks[1:], at[:-1], at[1:]):
+        n_int = _integral_of_inverse(a, b, x_t, h_t)
+        assert n_int * (1 - 1e-9) <= j - i and (j - i - 1 < n_int * (1 + 1e-9) or j - i == 1)
+        if b <= x_t[0] or a >= x_t[-1]:
+            assert np.allclose(np.diff(nodes[i:j + 1]), (b - a) / (j - i), rtol=1e-9, atol=0)
+    for p, q in zip(nodes[:-1].tolist(), nodes[1:].tolist()):
+        lo = max(np.searchsorted(x_t, p, side="right") - 1, 0)
+        hi = min(np.searchsorted(x_t, q, side="left"), x_t.size - 1)
+        assert q - p <= h_t[lo:hi + 1].max() * (1 + 1e-12)
+    return nodes
+
+
+@st.composite
+def _step_rules(draw):
+    """A positive step table and a span with breaks, which may reach past
+    the table on either side and meet its points."""
+    n = draw(st.integers(2, 8))
+    x0 = draw(st.floats(-5, 5))
+    x_t = np.cumsum([x0] + draw(st.lists(st.floats(0.01, 2.0), min_size=n - 1,
+                                          max_size=n - 1)))
+    h_t = draw(st.lists(st.floats(0.01, 3.0), min_size=n, max_size=n))
+    x_lo = float(x_t[0]) + draw(st.floats(-3, 3))
+    x_hi = x_lo + draw(st.floats(0.01, 25.0))
+    fractions = draw(st.lists(st.floats(0.0, 1.0), max_size=3))
+    return x_lo, x_hi, (x_t, np.asarray(h_t)), [x_lo + f * (x_hi - x_lo) for f in fractions]
+
+
+# a break inside a steep table interval, and a span past both table ends;
+# a segment so narrow that its integral of dx / h underflows to 0
+@example((-0.5, 2.5, (np.array([0.0, 2.0]), np.array([0.01, 3.0])), [0.3]))
+@example((0.0, 1.0, (np.array([0.0, 1.0]), np.array([3.0, 3.0])), [5e-324]))
+@given(_step_rules())
+def test_march_nodes_equidistributes_random_rules(case):
+    _check_march(*case)
+
+
+def test_march_nodes_keeps_its_contract_on_workspace_rules():
+    # the coarse and fine rules of a d = 3 (log) and a d = 1 (lin) workspace,
+    # over their domains with the match break, start below the profile (the
+    # seed radius, and r = 0 on the d = 1 grid)
     for channel, family in ((dm.ChannelSpec(d=3, tau=-1, j=0.5), dm.pure_coulomb(0.5)),
                             (dm.ChannelSpec(d=1, parity="even"),
                              dm.cutoff_coulomb(1.0, 1.0))):
         ws = S._Workspace(channel, [family], S.DEFAULT_CONFIG)
         d = ws.domain
-        log = d.param == "log"
-        x = np.log(ws.r) if log else ws.r
+        span = ((math.log(d.r_seed), math.log(d.r_max), math.log(d.r_match))
+                if d.param == "log" else (0.0, d.r_max, d.r_match))
         for rate, c in ((S._coarse_rate(channel, ws.env), S._COARSE_C),
                         (S._band_rate(channel, ws.r, ws.env, ws.window()), S._FINE_C)):
             rule = S._h_rule(channel, d.param, ws.r, rate, c, 1.3)
-            h = (np.minimum(0.35, c / (abs(channel.k) + ws.r * rate)) if log
-                 else np.minimum(0.35 / channel.m, c / rate)) / 1.3
-
-            def interp(xq, h=h):
-                return float(np.interp(xq, x, h))
-
-            queries = np.concatenate([x, 0.5 * (x[1:] + x[:-1]),
-                                      [x[0] - 1.0, x[-1] + 1.0]])
-            assert [rule(q) for q in queries.tolist()] == [interp(q) for q in queries]
-            span = ((math.log(d.r_seed), math.log(ws.ceiling), math.log(d.r_match)) if log
-                    else (0.0, ws.ceiling, d.r_match))
-            nodes = prop.march_nodes(*span[:2], rule, [span[2]])
-            assert nodes.size > 1000
-            assert np.array_equal(nodes, prop.march_nodes(*span[:2], interp, [span[2]]))
+            assert span[0] < rule[0][0]
+            assert _check_march(*span[:2], rule, [span[2]]).size > 100
 
 
 def _match(path, legs):
