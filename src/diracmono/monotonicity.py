@@ -37,6 +37,7 @@ import numpy as np
 from .errors import (
     ConfigurationError,
     DiracmonoError,
+    DomainError,
     LevelCrossingError,
     NoSuchStateError,
     PointwiseOrderError,
@@ -143,21 +144,34 @@ _OFFSETS = (0.0, -1.0, 1.0, -0.5, 0.5)   # stencil members a + offset * h
 _DENSE = (True, True, True, False, False)  # the a +- h/2 members need only E
 
 
-def _stencils(family: PotentialFamily, channel: ChannelSpec, n_r: int, a_points,
-              h: float | None, config: SolveConfig | None):
-    """The parameter stencils a, a -+ h, a -+ h/2 of every a in a_points, all
-    in one batched solve: one workspace and coarse stage for every member,
-    and one fine and dense group per stencil, so each stencil's members share
-    a grid and grid bias cancels in the differences. Yields, per point in
-    order and as soon as its stencil is solved, the centre state, dE/da from
-    steps h and h/2 Richardson-combined to 4th order, and the
-    central-difference (psi1_a, psi2_a). A package error of any stencil
-    raises from the batch."""
+def _stencil_families(family: PotentialFamily, a_points, h: float | None):
+    """(members, steps): the families a, a -+ h, a -+ h/2 of the parameter
+    stencil of every a in a_points, point after point, and each point's step.
+    A member outside the family's domain is refused with ConfigurationError
+    naming the parameter, the stencil point and the step."""
     p = family.active_param
-    a_points = [float(a) for a in a_points]
     steps = [_default_step(a) if h is None else h for a in a_points]
-    fams = [family.with_params(**{p: a + d * s})
-            for a, s in zip(a_points, steps) for d in _OFFSETS]
+    fams = []
+    for a, s in zip(a_points, steps):
+        for d in _OFFSETS:
+            try:
+                fams.append(family.with_params(**{p: a + d * s}))
+            except (ConfigurationError, DomainError) as exc:
+                raise ConfigurationError(
+                    f"the stencil of {p} = {a:g} with step h = {s:g} reaches "
+                    f"{p} = {a + d * s:g}, outside the family's domain: {exc}") from exc
+    return fams, steps
+
+
+def _stencils(channel: ChannelSpec, n_r: int, fams, steps, config: SolveConfig | None):
+    """The parameter stencils (fams, steps) of _stencil_families, all in one
+    batched solve: one workspace and coarse stage for every member, and one
+    fine and dense group per stencil, so each stencil's members share a grid
+    and grid bias cancels in the differences. Yields, per point in order and
+    as soon as its stencil is solved, the centre state, dE/da from steps h
+    and h/2 Richardson-combined to 4th order, and the central-difference
+    (psi1_a, psi2_a). A package error of any stencil raises from the
+    batch."""
     config = config or SolveConfig()
     groups = solve_batch(channel, fams, [n_r],
                          replace(config, e_tol=min(config.e_tol, 1e-13)),
@@ -186,8 +200,9 @@ def _stencil_point(family: PotentialFamily, channel: ChannelSpec, n_r: int,
     p = family.active_param
     a = family.params[p] if a is None else float(a)
     h = _default_step(a) if h is None else _checked_step(h)
+    stencil = _stencil_families(family, [a], h)
     try:
-        return next(_stencils(family, channel, n_r, [a], h, config))
+        return next(_stencils(channel, n_r, *stencil, config))
     except NoSuchStateError as exc:
         raise LevelCrossingError(
             f"state n_r={n_r} is not resolvable at every stencil point "
@@ -295,7 +310,9 @@ def sweep(family: PotentialFamily, channel: ChannelSpec, n_r: int, a_grid,
     Level identity is tracked by node count within the fixed channel. Every
     point's stencil goes through one batched solve (_stencils), and each
     stencil becomes its record, its wavefunctions dropped, as soon as it is
-    solved. If the batch raises a package error (DiracmonoError), the sweep
+    solved. A stencil member outside the family's domain is refused with
+    ConfigurationError before any solve. If the batch raises a package
+    error (DiracmonoError), the sweep
     is solved again point by point (_stencil_point), which is the reference
     path for failures: a package error at a point aborts the sweep, raising
     SweepAbortedError with the records accumulated so far attached. Any other
@@ -309,10 +326,11 @@ def sweep(family: PotentialFamily, channel: ChannelSpec, n_r: int, a_grid,
     if n_r < 0:
         raise ConfigurationError("node counts are non-negative")
     _checked_step(h)
+    stencil = _stencil_families(family, a_grid.tolist(), h)
     try:
         # one stencil per point, each passed on without a name, so that no
         # loop variable holds it while the next one is solved
-        stencils = _stencils(family, channel, n_r, a_grid, h, config)
+        stencils = _stencils(channel, n_r, *stencil, config)
         return [_record(a, *next(stencils), channel) for a in a_grid]
     except DiracmonoError as exc:
         _log.debug("sweep: the batched solve of n_r = %d failed (%s); solving "

@@ -118,19 +118,19 @@ def _per_element(a, idx, ndim: int):
     return np.take(a, idx, axis=-1)
 
 
-def march_nodes(x_lo: float, x_hi: float, rule, x_breaks=()) -> np.ndarray:
-    """Nodes covering [x_lo, x_hi], every break and both ends on a node, that
-    equidistribute the step rule (x, h): h > 0 tabulated at increasing x,
-    linear between table points and held at its end values beyond them. Each
-    segment [a, b] between breaks takes ceil(N(b)) steps of equal N, with
-    N(x) the integral of dx / h from a, inverted linearly between the table
-    points, so no step is longer than the largest h of the table intervals
-    it overlaps (Russell & Christiansen 1978, SIAM J. Numer. Anal. 15).
+def march_nodes(x_lo: float, x_match: float, x_hi: float, rule):
+    """(nodes, i_match): nodes covering [x_lo, x_hi], x_match on node
+    i_match, that equidistribute the step rule (x, h): h > 0 tabulated at
+    increasing x, linear between table points and held at its end values
+    beyond them. Each of the two segments [x_lo, x_match] and [x_match,
+    x_hi] takes ceil(N(b)) steps of equal N, with N(x) the integral of
+    dx / h from its start a, inverted linearly between the table points, so
+    no step is longer than the largest h of the table intervals it overlaps
+    (Russell & Christiansen 1978, SIAM J. Numer. Anal. 15).
     """
-    breaks = sorted({float(x_lo), float(x_hi), *map(float, x_breaks)})
     x_t, h_t = rule
-    nodes = [breaks[:1]]
-    for a, b in zip(breaks[:-1], breaks[1:]):
+    nodes, counts = [[x_lo]], []
+    for a, b in ((x_lo, x_match), (x_match, x_hi)):
         x = np.concatenate(([a], x_t[(x_t > a) & (x_t < b)], [b]))
         h = np.interp(x, x_t, h_t)
         # N over an interval, h linear: dx log(h1 / h0) / (h1 - h0)
@@ -138,25 +138,18 @@ def march_nodes(x_lo: float, x_hi: float, rule, x_breaks=()) -> np.ndarray:
         flat = u == 0.0
         dn = np.diff(x) / h[:-1] * np.where(flat, 1.0, np.log1p(u) / np.where(flat, 1.0, u))
         n_x = np.concatenate(([0.0], np.cumsum(dn)))
-        steps = max(math.ceil(n_x[-1]), 1)  # dn may underflow to 0
-        nodes += [np.interp(np.arange(1, steps) * (n_x[-1] / steps), n_x, x), [b]]
-    return np.concatenate(nodes)
+        counts.append(max(math.ceil(n_x[-1]), 1))  # dn may underflow to 0
+        nodes += [np.interp(np.arange(1, counts[-1]) * (n_x[-1] / counts[-1]), n_x, x), [b]]
+    return np.concatenate(nodes), counts[0]
 
 
-def uniform_nodes(x_lo: float, x_hi: float, n_total: int, x_breaks=()) -> np.ndarray:
-    """Piecewise-uniform nodes with n_total points, breaks landing on nodes."""
-    breaks = sorted({float(x_lo), float(x_hi), *map(float, x_breaks)})
-    span = breaks[-1] - breaks[0]
-    nodes = [breaks[0]]
-    remaining = n_total - 1
-    for seg, (left, right) in enumerate(zip(breaks[:-1], breaks[1:])):
-        if seg == len(breaks) - 2:
-            n_seg = remaining
-        else:
-            n_seg = max(2, round((n_total - 1) * (right - left) / span))
-            remaining -= n_seg
-        nodes.extend(np.linspace(left, right, n_seg + 1)[1:].tolist())
-    return np.asarray(nodes)
+def uniform_nodes(x_lo: float, x_match: float, x_hi: float, n_total: int):
+    """(nodes, i_match): n_total nodes, uniform on either side of x_match,
+    which is node i_match, the share of [x_lo, x_hi] below it (two steps
+    at least)."""
+    i_match = max(2, round((n_total - 1) * (x_match - x_lo) / (x_hi - x_lo)))
+    return np.concatenate([np.linspace(x_lo, x_match, i_match + 1),
+                           np.linspace(x_match, x_hi, n_total - i_match)[1:]]), i_match
 
 
 def build_step_table(param: str, k: float, m: float, families,
@@ -314,11 +307,11 @@ def _side(y1, y2):
 
 
 class _Leg:
-    """One traversal of a propagate call, node i_from to node i_to, for the
-    whole batch: its start state y0 and what its mode makes of it, filled in
-    one piece of batch rows at a time: the recorded nodes (rec, record mode;
-    the end state is the last), or the end state, the angle and its E-slope
-    (out, phase mode).
+    """One leg of a propagate call, node i_from to the table's match node,
+    for the whole batch: its start state y0 and what its mode makes of it,
+    filled in one piece of batch rows at a time: the recorded nodes (rec,
+    record mode; the end state is the last), or the end state, the angle and
+    its E-slope (out, phase mode).
 
     The continuous angle is theta = pi/2 + K pi + f, with f in [0, pi) the
     direction's offset from the lower edge of sector K, whose parity the side
@@ -330,23 +323,20 @@ class _Leg:
     with no angle formed per node.
     """
 
-    def __init__(self, table, E, y0, i_from, i_to, record, beyond):
-        self.i_from, self.outward = i_from, i_to >= i_from
-        self.n_steps = abs(i_to - i_from)
+    def __init__(self, table, E, y0, i_from, record, beyond):
+        self.outward = table.i_match >= i_from
+        self.n_steps = abs(table.i_match - i_from)
+        # table indices of the leg's steps, in traversal order
+        self.steps = (np.arange(i_from, table.i_match) if self.outward
+                      else np.arange(i_from - 1, table.i_match - 1, -1))
         self.y0 = [np.broadcast_to(np.asarray(y, dtype=float), E.shape) for y in y0]
         if record:
             self.rec = np.empty((3, self.n_steps + 1, *E.shape))
             self.rec[:2, 0], self.rec[2, 0] = self.y0, 0.0
         else:
-            self.quad = table.norm_weights(i_from, i_to)
+            self.quad = table.norm_weights(i_from, table.i_match)
             self.beyond = np.broadcast_to(beyond, E.shape)
             self.out = np.empty((4, *E.shape))    # y1, y2, theta, slope at the end
-
-    def steps(self):
-        """Table indices of the traversal's steps, in traversal order."""
-        if self.outward:
-            return np.arange(self.i_from, self.i_from + self.n_steps)
-        return np.arange(self.i_from - 1, self.i_from - 1 - self.n_steps, -1)
 
     def result(self, record):
         if record:
@@ -357,21 +347,24 @@ class _Leg:
 
 
 def propagate(table: StepTable, fam_idx, E, y0, i_from: int, i_to: int,
-              record: bool = False, phase: bool = False, beyond=0.0, meet=None):
-    """Advance y0 from node i_from to node i_to (either direction); with meet,
-    advance two legs, y0[0] from node i_from to node meet and y0[1] from
-    node i_to to node meet, in the same call.
+              record: bool = False, phase: bool = False, beyond=0.0):
+    """Advance the two legs of a match to the table's match node i_match:
+    y0[0] from node i_from and y0[1] from node i_to, in one call. For
+    i_from <= i_match <= i_to the first leg runs outward, the second inward,
+    and |i_to - i_from| is the steps of both.
 
     E is the batch of energies, of one axis at least; fam_idx maps batch
     elements to table families (None means the (F, nE) scan layout). The
     state is renormalized after every step. A call takes exactly one of two
     modes, and ConfigurationError refuses both or neither; DomainError
-    refuses a leg of no steps. With record=True, returns ((y1, y2), psi1,
-    psi2, logs): the end state, the per-node history and the accumulated
-    log-magnitudes needed to undo the renormalization.
+    refuses a leg of no steps. The result is the pair of the legs' results,
+    in the order of y0. With record=True, a leg's result is ((y1, y2), psi1,
+    psi2, logs): the end state, the per-node history in the order of the
+    table's nodes and the accumulated log-magnitudes needed to undo the
+    renormalization.
 
-    With phase=True, tracks the continuous polar angle
-    theta = atan2(psi2, psi1) of the solution direction along the traversal,
+    With phase=True, each leg tracks the continuous polar angle
+    theta = atan2(psi2, psi1) of the solution direction along its traversal,
     starting from its value in (-pi, pi] at the start node.
     For attractive potentials the coefficient of psi2 in psi1' is positive
     throughout the gap, so the direction crosses the psi1 = 0 axis only
@@ -382,44 +375,38 @@ def propagate(table: StepTable, fam_idx, E, y0, i_from: int, i_to: int,
     A step that rotates too far for this for some batch element is refused
     with NumericalError, naming the first such step of the first leg in
     traversal order, else of the second. This angle is what eigenvalue
-    counting is built on. Phase mode returns ((y1, y2), theta, slope), with
-    slope = dtheta/dE at the end node: -I/|y_end|^2 outward and
+    counting is built on. A leg's phase result is ((y1, y2), theta, slope),
+    with slope = dtheta/dE at the match node: -I/|y_end|^2 outward and
     +I/|y_end|^2 inward. I is the integral of |y|^2 dr over the traversal
-    (_norm_weights, on the node states), plus beyond: the integral of |y|^2
-    on the far side of the start, in the units of y0, for start values that
-    continue an exact solution there. It accounts for their own
-    E-dependence: the tail seed's free decaying solution turns at
-    dtheta/dE = 1/(2 lambda), which is beyond = |y0|^2 / (2 lambda). With
-    beyond = 0 the slope is that of y0 held fixed. With meet, y0 and beyond
-    are pairs, one per leg (a scalar beyond serves both), and the result is
-    the pair of the legs' results.
+    (_norm_weights, on the node states), plus, for the leg from i_to,
+    beyond: the integral of |y|^2 on the far side of its start, in the units
+    of y0[1], for start values that continue an exact solution there. It
+    accounts for their own E-dependence: the tail seed's free decaying
+    solution turns at dtheta/dE = 1/(2 lambda), which is beyond =
+    |y0[1]|^2 / (2 lambda). With beyond = 0, and always for the leg from
+    i_from, the slope is that of the start values held fixed.
 
     The steps are evaluated as a step-parallel scan: the step matrices of
     every step at once, then a blocked prefix scan for the node states (see
-    _scan_states), with the legs of a call as the chains of one scan. Memory
-    is bounded by cutting the batch along its leading axis (the family rows
-    of the (F, nE) layout) into pieces of as many rows as keep the scan
-    within _SCAN_ELEMENTS step-element pairs, one row at least; each piece
-    is one scan over the whole of every leg. The arithmetic of a batch
-    element depends only on its own energy, family and start values, so
-    each leg's results, column by column, are bitwise those of the leg
-    propagated alone, for one element or for any batch. The test suite
+    _scan_states), with the two legs as the chains of one scan. Memory is
+    bounded by cutting the batch along its leading axis (the family rows of
+    the (F, nE) layout) into pieces of as many rows as keep the scan within
+    _SCAN_ELEMENTS step-element pairs, one row at least; each piece is one
+    scan over the whole of both legs. The arithmetic of a batch element
+    depends only on its own energy, family and start values, and that of a
+    leg only on its own steps, so a leg's results, column by column, do not
+    depend on the rest of the batch or on the other leg. The test suite
     checks the scan against a sequential step-by-step reference
     (tests/reference_propagator.py).
     """
     if record == phase:
         raise ConfigurationError("propagate takes exactly one of record and phase")
     E = np.asarray(E, dtype=float)
-    if meet is None:
-        ends, starts, beyonds = [(i_from, i_to)], [y0], [beyond]
-    else:
-        ends, starts = [(i_from, meet), (i_to, meet)], y0
-        beyonds = beyond if isinstance(beyond, tuple) else (beyond, beyond)
-    legs = [_Leg(table, E, y, a, b, record, extra)
-            for (a, b), y, extra in zip(ends, starts, beyonds)]
+    legs = [_Leg(table, E, y0[0], i_from, record, 0.0),
+            _Leg(table, E, y0[1], i_to, record, beyond)]
     if not all(leg.n_steps for leg in legs):
         raise DomainError("a propagate leg takes one step at least")
-    steps = np.concatenate([leg.steps() for leg in legs])
+    steps = np.concatenate([leg.steps for leg in legs])
     # the largest rotation w^2 = -q of every step, leg after leg in
     # traversal order, over the batch
     worst = None if record else np.full(steps.size, -np.inf)
@@ -435,13 +422,12 @@ def propagate(table: StepTable, fam_idx, E, y0, i_from: int, i_to: int,
             f"step {steps[j]} rotates the solution too fast for phase "
             f"tracking (w^2 = {worst[j]:.3f}); the step rule is too coarse"
         )
-    results = [leg.result(record) for leg in legs]
-    return results[0] if meet is None else tuple(results)
+    return tuple(leg.result(record) for leg in legs)
 
 
 def _advance(table, fam_idx, E, at, legs, steps, worst):
     """Propagate one piece of a call's batch rows, E and fam_idx theirs and
-    at their index in a leg's arrays, along every leg in one scan: one
+    at their index in a leg's arrays, along both legs in one scan: one
     step-matrix pass over all the legs' steps (table indices, leg after leg
     in traversal order) in packed order (see _layout), _scan_states, and
     the mode's reading of the node states into the legs. In phase mode, a
@@ -453,21 +439,16 @@ def _advance(table, fam_idx, E, at, legs, steps, worst):
     lay = _layout(tuple(leg.n_steps for leg in legs))
     packed = np.empty(lay.n, dtype=np.intp)
     packed[lay.trav] = steps
-    inward = [not leg.outward for leg in legs]
-    sign = None
-    if all(inward):
-        sign = -1.0
-    elif any(inward):
-        sign = np.empty(lay.n)
-        sign[lay.trav] = np.repeat(np.where(inward, -1.0, 1.0), [leg.n_steps for leg in legs])
+    sign = np.empty(lay.n)
+    sign[lay.trav] = np.repeat([1.0 if leg.outward else -1.0 for leg in legs],
+                               [leg.n_steps for leg in legs])
     P = np.empty((5, lay.n, *em.shape))
     q_min = np.full(lay.n, np.inf)    # formed only where some step rotates too far
     # the step matrices in place, in pieces that bound the temporaries
     per_piece = max(1, _STEP_ELEMENTS // max(em.size, 1))
     for lo in range(0, lay.n, per_piece):
         part, piece = P[:, lo:lo + per_piece], slice(lo, lo + per_piece)
-        _step_omega(table, packed[piece], fam_idx, em, me,
-                    sign[piece] if np.ndim(sign) else sign, out=part)
+        _step_omega(table, packed[piece], fam_idx, em, me, sign[piece], out=part)
         if worst is not None:
             # q = oa^2 + ob oc: the step rotates the element by sqrt(-q)
             # where q < 0
@@ -591,8 +572,8 @@ class _Layout(NamedTuple):
 
 @functools.lru_cache(maxsize=2)
 def _layout(lengths) -> _Layout:
-    """The packed layout of a scan over one or two chains of lengths[c]
-    steps (see _scan_states).
+    """The packed layout of a scan over the two chains of a propagate call,
+    the legs, of lengths[c] steps (see _scan_states).
 
     Chain c is cut into nb_c = ceil(S_c / bs_c) blocks of bs_c = ceil(sqrt(S_c))
     steps, the last one shorter unless bs_c divides S_c: the blocks of a
@@ -609,8 +590,7 @@ def _layout(lengths) -> _Layout:
     nb = -(-lengths // bs)
     chains = np.argsort(bs, kind="stable")
     block_c = np.repeat(chains, nb[chains])
-    block_q = np.concatenate([np.roll(np.arange(nb[c]), 1 if k < chains.size - 1 else 0)
-                              for k, c in enumerate(chains)])
+    block_q = np.concatenate([np.roll(np.arange(nb[chains[0]]), 1), np.arange(nb[chains[1]])])
     count = np.minimum(bs[block_c], lengths[block_c] - block_q * bs[block_c])
     # row t: blocks lo[t] .. hi[t] - 1, from position off[t]
     active = count > np.arange(bs.max())[:, None]
@@ -743,9 +723,10 @@ def _norm_weights(table: StepTable, i_from: int, i_to: int):
     The rule takes f = |y|^2 and its derivative at the nodes, three nodes
     (two steps) at a time, and is exact for f of degree 5 on any two step
     lengths a, b. Its middle weight turns negative for b/a outside
-    [0.38, 2.62], so a pair with b/a outside [1/2, 2] (the sliver step the
-    node march may leave at r_max) and a last odd step take the two-node
-    rule dr/2 (f_0 + f_1) + dr^2/12 (f'_0 - f'_1) instead (degree 3). The
+    [0.38, 2.62], so a pair with b/a outside [1/2, 2] (a step rule that
+    changes by more than a factor 2 from one step to the next) and a last
+    odd step take the two-node rule dr/2 (f_0 + f_1) + dr^2/12 (f'_0 - f'_1)
+    instead (degree 3). The
     radial equations give f' = 2 (2m y1 y2 + (k/r)(y2^2 - y1^2)) in closed
     form, free of V.
     """
@@ -782,16 +763,24 @@ def _norm_weights(table: StepTable, i_from: int, i_to: int):
     return np.stack([c - dk, c + dk, 2.0 * table.m * d2])
 
 
-def match_values(table: StepTable, fam_idx, E, seed_origin, seed_tail):
+def tail_seed(m: float, E):
+    """Start values (1, -sqrt((m - E)/(m + E))) of the inward leg: the
+    direction of the free solution that decays beyond r_max, exp(-lambda r)
+    with lambda = sqrt(m^2 - E^2), where V is negligible."""
+    E = np.asarray(E, dtype=float)
+    return np.ones_like(E), -np.sqrt((m - E) / (m + E))
+
+
+def match_values(table: StepTable, fam_idx, E, seed_origin):
     """Two-sided shooting at the match node: (mval, dtheta, dtheta_dE).
 
-    seed_origin/seed_tail are callables (E, fam_idx) -> (y1, y2) producing
-    start values for the energy batch. The outward leg (origin seed, node 0
-    to the match node) and the inward leg (tail seed, node S to the match
-    node) are one phase-mode propagate call, as two chains of one scan (see
-    propagate). The scale-invariant
-    mismatch mval is the cross product of the two unit directions, so it
-    lies in [-2, 2] and vanishes exactly at eigenvalues.
+    seed_origin is a callable (E, fam_idx) -> (y1, y2) producing the
+    outward leg's start values for the energy batch. The outward leg (origin
+    seed, node 0 to the match node) and the inward leg (tail_seed, node S to
+    the match node) are one phase-mode propagate call, as two chains of one
+    scan. The scale-invariant mismatch mval is the cross product of the two
+    unit directions, so it lies in [-2, 2] and vanishes exactly at
+    eigenvalues.
 
     The matching angle dtheta = theta_out(r_match) - theta_in(r_match),
     continuous and strictly decreasing in E, passes a multiple of pi exactly
@@ -800,16 +789,13 @@ def match_values(table: StepTable, fam_idx, E, seed_origin, seed_tail):
     -I_out/|y_out(r_match)|^2 - I_in/|y_in(r_match)|^2, with I_out the
     integral of |y_out|^2 from the origin seed to r_match and I_in that of
     |y_in|^2 from r_match to infinity (the tail seed's decaying solution
-    beyond r_max in closed form).
+    beyond r_max in closed form, |y_t|^2 / (2 lambda)).
     """
-    seeds = seed_origin(E, fam_idx), seed_tail(E, fam_idx)
-    # the tail seed continues the free decaying solution beyond r_max
-    yt = seeds[1]
+    yt = tail_seed(table.m, E)
     lam = np.sqrt((table.m - E) * (table.m + E))
     ((o1, o2), th_out, s_out), ((t1, t2), th_in, s_in) = propagate(
-        table, fam_idx, E, seeds, 0, table.n_steps, phase=True,
-        beyond=(0.0, (yt[0] * yt[0] + yt[1] * yt[1]) / (2.0 * lam)),
-        meet=table.i_match)
+        table, fam_idx, E, (seed_origin(E, fam_idx), yt), 0, table.n_steps, phase=True,
+        beyond=(yt[0] * yt[0] + yt[1] * yt[1]) / (2.0 * lam))
     no = np.sqrt(o1 * o1 + o2 * o2)
     ni = np.sqrt(t1 * t1 + t2 * t2)
     mval = (o1 * t2 - o2 * t1) / np.maximum(no * ni, _TINY)
@@ -827,7 +813,7 @@ def count_below(dtheta, dtheta_bottom):
 
 
 def count_bisect(table: StepTable, fam_idx, lo, hi, targets, dtheta_bottom,
-                 tol: float, seed_origin, seed_tail, ends):
+                 tol: float, seed_origin, ends):
     """Locate the eigenvalue of index targets[b] within the bracket [lo, hi].
 
     Preconditions (checked by the caller): count(lo) <= target and
@@ -855,9 +841,10 @@ def count_bisect(table: StepTable, fam_idx, lo, hi, targets, dtheta_bottom,
 
     Every point replaces the end its eigenvalue count says, so
     count(lo) <= target < count(hi) holds at every iteration and the search
-    is as safe as pure bisection. Each iteration propagates only the
-    elements whose bracket is still wider than tol (and has a float inside
-    it); the others are frozen. With the "diracmono" logger at DEBUG, every
+    is as safe as pure bisection. Each iteration is one match_values call
+    (seed_origin its outward leg's start values) on only the elements whose
+    bracket is still wider than tol (and has a float inside it); the others
+    are frozen. With the "diracmono" logger at DEBUG, every
     iteration in which some element steps by midpoint instead of Newton is
     logged.
 
@@ -914,7 +901,7 @@ def count_bisect(table: StepTable, fam_idx, lo, hi, targets, dtheta_bottom,
                        "bracket midpoint, %d of them behind pace",
                        np.count_nonzero(~newton), act.size, np.count_nonzero(behind))
         n_steps[act] += 1
-        m_x, th_x, d_x = match_values(table, fam_idx[act], x, seed_origin, seed_tail)
+        m_x, th_x, d_x = match_values(table, fam_idx[act], x, seed_origin)
         below = np.floor(th_x / np.pi) >= k[act]   # count(x) <= target
         lo[act] = np.where(below, x, a_lo)
         hi[act] = np.where(below, a_hi, x)
@@ -927,20 +914,21 @@ def count_bisect(table: StepTable, fam_idx, lo, hi, targets, dtheta_bottom,
     return 0.5 * (lo + hi), m_abs, hi - lo, n_steps
 
 
-def assemble_two_sided(table: StepTable, fam_idx, E, seed_origin, seed_tail):
+def assemble_two_sided(table: StepTable, fam_idx, E, seed_origin):
     """Recorded two-sided sweep joined at the match node.
 
     Returns (psi1, psi2) with shape (S+1, batch) in a common (arbitrary)
-    normalization: the outward piece is kept below the match node, the inward
-    piece above it, scaled by the projection of the outward vector on the
-    inward direction so both sides agree at the match node when E is an
-    eigenvalue. Magnitudes are reconstructed from the renormalization logs;
-    amplitudes more than ~700 e-folds below the match point flush to zero.
-    Both legs are recorded in one propagate call (see match_values).
+    normalization: the outward piece (seed_origin, as in match_values) is
+    kept below the match node, the inward piece (tail_seed) above it, scaled
+    by the projection of the outward vector on the inward direction so both
+    sides agree at the match node when E is an eigenvalue. Magnitudes are
+    reconstructed from the renormalization logs; amplitudes more than ~700
+    e-folds below the match point flush to zero. Both legs are recorded in
+    one propagate call.
     """
-    seeds = seed_origin(E, fam_idx), seed_tail(E, fam_idx)
     (_, o1, o2, lo), (_, t1, t2, lt) = propagate(
-        table, fam_idx, E, seeds, 0, table.n_steps, record=True, meet=table.i_match)
+        table, fam_idx, E, (seed_origin(E, fam_idx), tail_seed(table.m, E)),
+        0, table.n_steps, record=True)
 
     # outward piece, gauged so its match-node value has log-magnitude 0
     ref_o = lo[-1]

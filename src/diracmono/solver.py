@@ -330,7 +330,7 @@ def tail_seed(channel: ChannelSpec, E: float):
     m = channel.m
     if not -m < E < m:
         raise DomainError(f"no bound-state tail outside the gap: E = {E}, m = {m}")
-    y1, y2 = _tail_seed_fn(channel)(E, None)
+    y1, y2 = prop.tail_seed(m, E)
     return float(y1), float(y2)
 
 
@@ -339,7 +339,8 @@ def tail_seed(channel: ChannelSpec, E: float):
 # ---------------------------------------------------------------------------
 
 def _origin_seed_fn(channel: ChannelSpec, families, r0: float):
-    """Vectorized origin seeds seed(E, fam_idx); the scale r0^gamma (singular
+    """Vectorized origin seeds seed(E, fam_idx) for the outward leg; the
+    inward leg starts on prop.tail_seed. The scale r0^gamma (singular
     origin) or r0^|k| (regular origin) is dropped, since matching is
     scale-invariant. fam_idx = None means the (F, nE) layout of window_ends,
     otherwise it maps flat batch elements to families."""
@@ -378,16 +379,6 @@ def _origin_seed_fn(channel: ChannelSpec, families, r0: float):
         c2 = np.where(sing, (g + k) / st, reg2)
         return (np.array(np.broadcast_to(c1, E.shape)),
                 np.array(np.broadcast_to(c2, E.shape)))
-
-    return seed
-
-
-def _tail_seed_fn(channel: ChannelSpec):
-    m = channel.m
-
-    def seed(E, fam_idx):
-        E = np.asarray(E, dtype=float)
-        return np.ones_like(E), -np.sqrt((m - E) / (m + E))
 
     return seed
 
@@ -472,16 +463,15 @@ def _h_rule(channel, param, r, rate, c_step, density):
 
 
 def _make_table(channel, families, domain, place_nodes, spacing):
-    """Step table over the domain with a node at r_match. place_nodes is
-    prop.march_nodes (spacing: the step rule (x, h) of _h_rule) or
-    prop.uniform_nodes (spacing: the node count)."""
+    """Step table over the domain, its match node at r_match, where the
+    placer puts it: place_nodes is prop.march_nodes (spacing: the step rule
+    (x, h) of _h_rule) or prop.uniform_nodes (spacing: the node count), and
+    returns the nodes and the match node's index."""
     if domain.param == "log":
-        x_lo, x_hi = math.log(domain.r_seed), math.log(domain.r_max)
-        x_match = math.log(domain.r_match)
+        x = (math.log(domain.r_seed), math.log(domain.r_match), math.log(domain.r_max))
     else:
-        x_lo, x_hi, x_match = 0.0, domain.r_max, domain.r_match
-    nodes = place_nodes(x_lo, x_hi, spacing, x_breaks=[x_match])
-    i_match = int(np.argmin(np.abs(nodes - x_match)))
+        x = (0.0, domain.r_match, domain.r_max)
+    nodes, i_match = place_nodes(*x, spacing)
     return prop.build_step_table(domain.param, channel.k, channel.m,
                                  families, nodes, i_match)
 
@@ -544,8 +534,7 @@ class _Workspace:
                            config.step_density)
         self.coarse = _make_table(channel, families, self.domain,
                                   prop.march_nodes, h_coarse)
-        self.seeds = (_origin_seed_fn(channel, self.families, r_seed),
-                      _tail_seed_fn(channel))
+        self.seed = _origin_seed_fn(channel, self.families, r_seed)
 
     # -- search window ------------------------------------------------------
     def window(self):
@@ -570,9 +559,8 @@ class _Workspace:
         on the coarse table at the window ends, each of shape (F, 2): column 0
         at the bottom, column 1 at the top. Family f has
         count_below(dth[f, 1], dth[f, 0]) eigenvalues in the window."""
-        seed_o, seed_t = self.seeds
         e_ends = np.broadcast_to(self.window(), (len(self.families), 2))
-        return prop.match_values(self.coarse, None, e_ends, seed_o, seed_t)
+        return prop.match_values(self.coarse, None, e_ends, self.seed)
 
     def coarse_eigenvalues(self, ends, fam_is, targets, tol):
         """Count-bisect each target eigenvalue index on the coarse table.
@@ -583,10 +571,9 @@ class _Workspace:
         _, dth, _ = ends
         fam_idx = np.asarray(fam_is, dtype=np.intp)
         lo, hi = (np.full(fam_idx.size, e) for e in self.window())
-        seed_o, seed_t = self.seeds
         e_ref, _, _, _ = prop.count_bisect(
             self.coarse, fam_idx, lo, hi, targets, dth[fam_idx, 0], tol,
-            seed_o, seed_t, ends=[tuple(a[fam_idx, i] for a in ends) for i in (0, 1)])
+            self.seed, ends=[tuple(a[fam_idx, i] for a in ends) for i in (0, 1)])
         return e_ref
 
     # -- fine + dense stages --------------------------------------------------
@@ -620,12 +607,10 @@ class _Workspace:
         return _Domain(r_seed=self.domain.r_seed, r_max=r_max,
                        r_match=self.domain.r_match, param=self.domain.param)
 
-    def fine_table(self, e_band, domain, fams=None):
+    def fine_table(self, e_band, domain, fams):
         """Fine step table for energies in e_band; fams (workspace family
-        indices, default all) are the table's families, in that order, and
-        their own envelope max_f |V_f| sets the step rule."""
-        if fams is None:
-            fams = np.arange(len(self.families))
+        indices) are the table's families, in that order, and their own
+        envelope max_f |V_f| sets the step rule."""
         env = np.abs(self.v[fams]).max(axis=0)
         c_fine = _FINE_C if domain.param == "log" else _FINE_C_LIN
         h_fine = _h_rule(self.channel, domain.param, self.r,
@@ -634,11 +619,10 @@ class _Workspace:
         return _make_table(self.channel, [self.families[f] for f in fams], domain,
                            prop.march_nodes, h_fine)
 
-    def local_seeds(self, fams):
-        """The workspace seeds for a table of the families fams: its family
-        index i is workspace family fams[i]."""
-        seed_o, seed_t = self.seeds
-        return (lambda E, idx: seed_o(E, fams[idx])), seed_t
+    def local_seed(self, fams):
+        """The workspace origin seed for a table of the families fams: its
+        family index i is workspace family fams[i]."""
+        return lambda E, idx: self.seed(E, fams[idx])
 
     def fine_eigenvalues(self, groups):
         """Count-bisect each coarse eigenvalue on a fine grid, from its centre,
@@ -700,7 +684,7 @@ class _Workspace:
         row = np.concatenate([r + f0 for r, f0 in zip(rows, first)])
         fams, e_centers, targets = map(np.concatenate, (fams, e_centers, targets))
         nf = fams.size
-        seed_o, seed_t = self.local_seeds(fams)
+        seed = self.local_seed(fams)
 
         # the window bottom and top of each family in the stack, then the
         # centres, in pieces no wider than the search's own evaluations (one
@@ -709,8 +693,7 @@ class _Workspace:
         cols = np.concatenate([np.arange(nf), np.arange(nf), row])
         width = max(row.size, own_width)
         mval, dth, slope = (np.concatenate(v) for v in zip(*(
-            prop.match_values(table, cols[i:i + width], e_rows[i:i + width],
-                              seed_o, seed_t)
+            prop.match_values(table, cols[i:i + width], e_rows[i:i + width], seed)
             for i in range(0, e_rows.size, width))))
         dth_b = dth[row]
         missing = prop.count_below(dth[nf + row], dth_b) <= targets
@@ -733,7 +716,7 @@ class _Workspace:
                        targets[past].tolist(), count[past].tolist())
         found = prop.count_bisect(
             table, row, e_rows[lo_row], e_rows[hi_row], targets, dth_b,
-            self.config.e_tol, seed_o, seed_t,
+            self.config.e_tol, seed,
             ends=[(mval[r], dth[r], slope[r]) for r in (lo_row, hi_row)])
         bounds = np.cumsum([0] + [r.size for r in rows])
         return [(*(a[lo:hi] for a in found), domain)
@@ -749,10 +732,9 @@ class _Workspace:
         fams, row = np.unique(fam_idx, return_inverse=True)
         out_table = _make_table(ch, [self.families[f] for f in fams], domain,
                                 prop.uniform_nodes, cfg.n_grid)
-        seed_o, seed_t = self.local_seeds(fams)
         energies = np.asarray(energies, dtype=float)
         psi1, psi2 = prop.assemble_two_sided(out_table, row, energies,
-                                             seed_o, seed_t)
+                                             self.local_seed(fams))
         grid = out_table.r_nodes
         factor = 2.0 if ch.d == 1 else 1.0
         scheme = InnerProductScheme.for_grid(grid, measure_factor=factor)
@@ -1019,8 +1001,7 @@ def match_function(E: float, channel: ChannelSpec, family: PotentialFamily,
     pad = 0.01 * m
     band = (max(E - pad, -m * (1 - GAP_EDGE_FRACTION)),
             min(E + pad, m * (1 - GAP_EDGE_FRACTION)))
-    table = ws.fine_table(band, ws.domain)
-    seed_o, seed_t = ws.seeds
+    table = ws.fine_table(band, ws.domain, [0])
     mval, _, _ = prop.match_values(table, np.zeros(1, dtype=np.intp),
-                                   np.asarray([E]), seed_o, seed_t)
+                                   np.asarray([E]), ws.seed)
     return float(mval[0])

@@ -55,9 +55,9 @@ def point_by_point(monkeypatch):
     point-by-point path (the per-point solves of the unbatched code)."""
     batched = mono._stencils
 
-    def one_point_only(family, channel, n_r, a_points, h, config):
-        if len(a_points) > 1:
+    def one_point_only(channel, n_r, fams, steps, config):
+        if len(steps) > 1:
             raise NumericalError("batch refused: point-by-point reference")
-        return batched(family, channel, n_r, a_points, h, config)
+        return batched(channel, n_r, fams, steps, config)
 
     monkeypatch.setattr(mono, "_stencils", one_point_only)

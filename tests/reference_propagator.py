@@ -25,14 +25,17 @@ def _wrap_pi(x):
 
 
 def propagate_sequential(table, fam_idx, E, y0, i_from, i_to,
-                         record=False, phase=False, beyond=0.0, meet=None):
-    """Same contract and return values as ``propagation.propagate``, except
-    that phase mode computes no E-slope: it returns NaN in its place, and
-    beyond is ignored. With meet, the two legs are propagated one after the
-    other, the first one first."""
-    if meet is not None:
-        return tuple(propagate_sequential(table, fam_idx, E, y, start, meet, record, phase)
-                     for y, start in zip(y0, (i_from, i_to)))
+                         record=False, phase=False, beyond=0.0):
+    """Same contract and return values as ``propagation.propagate``: the
+    legs y0[0] from node i_from and y0[1] from node i_to to the match node,
+    propagated one after the other, the first one first. Phase mode computes
+    no E-slope: it returns NaN in its place, and beyond is ignored."""
+    return tuple(_leg(table, fam_idx, E, y, start, table.i_match, record, phase)
+                 for y, start in zip(y0, (i_from, i_to)))
+
+
+def _leg(table, fam_idx, E, y0, i_from, i_to, record, phase):
+    """One leg, node i_from to node i_to, one step at a time."""
     E = np.asarray(E, dtype=float)
     em = E + table.m
     me = table.m - E
@@ -87,6 +90,4 @@ def propagate_sequential(table, fam_idx, E, y0, i_from, i_to,
         if not outward:
             rec1, rec2, logs = rec1[::-1], rec2[::-1], logs[::-1]
         return (y1, y2), rec1, rec2, logs
-    if phase:
-        return (y1, y2), th_cont, np.full(E.shape, np.nan)
-    return y1, y2
+    return (y1, y2), th_cont, np.full(E.shape, np.nan)

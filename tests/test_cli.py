@@ -173,6 +173,21 @@ def test_bad_parameter_step_exits_2(command, step, tmp_path, capsys):
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize("command", ["sweep", "verify"])
+def test_stencil_outside_the_domain_exits_2(command, tmp_path, capsys):
+    # a = 0.5 with h = 5 puts stencil members at a = -4.5 and -2, where
+    # cutoff-coulomb is undefined: refused before any solve, naming the
+    # parameter, the point and the step, not an aborted sweep
+    out_file = tmp_path / "out.csv"
+    argv = [command, "--family", "cutoff-coulomb", "--alpha", "1", "--a", "1",
+            "--active", "a", *CHAN, "--from", "0.5", "--to", "1", "--steps", "2",
+            "--nr", "0", "--h-step", "5", *FAST, "--output", str(out_file)]
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == "" and "stencil of a = 0.5 with step h = 5 reaches a = -4.5" in err
+    assert not out_file.exists()
+
+
 VERIFY_RUNS = [  # a short criterion 2 sweep and a d = 1 even-parity sweep
     ["--family", "cutoff-coulomb", "--alpha", "1", "--a", "1", "--active", "a",
      *CHAN, "--from", "0.1", "--to", "2", "--steps", "5", "--nr", "0,1"],

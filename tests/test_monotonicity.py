@@ -87,6 +87,27 @@ def test_zero_or_non_finite_step_rejected(channel_s, cutoff_family, h, monkeypat
         mono.sweep(cutoff_family, channel_s, 0, [0.5, 1.0], h=h)
 
 
+def test_stencil_outside_the_domain_rejected(channel_s, cutoff_family, monkeypatch):
+    # a stencil member outside the family's domain is refused before any
+    # solve, naming the parameter, the point and the step: cutoff-coulomb
+    # needs a > 0, and a homotopy's t - h leaves [0, 1] at t = 0
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a stencil was solved")
+
+    monkeypatch.setattr(mono, "solve_batch", no_solve)
+    for call in (mono.fd_derivative, mono.wavefunction_param_derivative):
+        with pytest.raises(ConfigurationError,
+                           match=r"stencil of a = 0\.5 with step h = 5 reaches a = -4\.5"):
+            call(cutoff_family, channel_s, 0, h=5.0)
+    with pytest.raises(ConfigurationError,
+                       match=r"stencil of a = 0\.5 with step h = 5 reaches a = -4\.5"):
+        mono.sweep(cutoff_family, channel_s, 0, [0.5, 1.0], h=5.0)
+    hom = dm.make_homotopy(dm.pure_coulomb(0.5), dm.pure_coulomb(0.6))
+    with pytest.raises(ConfigurationError,
+                       match=r"stencil of t = 0 with step h = 0\.0001 reaches t = -0\.0001"):
+        mono.sweep(hom, channel_s, 0, [0.0, 0.5])
+
+
 def test_negative_step_mirrors_the_stencil(channel_s, cutoff_family, cutoff_ground):
     fd = mono.fd_derivative(cutoff_family, channel_s, 0, h=-1e-3)
     hf = mono.hf_derivative(cutoff_ground, cutoff_family)
@@ -213,12 +234,14 @@ def test_multi_stencil_batch_lists_no_found_pairs(channel_s, monkeypatch):
 
     monkeypatch.setattr(prop, "count_bisect", counting)
     with pytest.raises(NoSuchStateError) as batch:
-        list(mono._stencils(fam, channel_s, 1, np.linspace(0.05, 0.3, 4), None, None))
+        list(mono._stencils(channel_s, 1, *mono._stencil_families(
+            fam, np.linspace(0.05, 0.3, 4).tolist(), None), None))
     assert searches == []
     assert batch.value.found == []
     assert "found pairs not listed" in str(batch.value)
     with pytest.raises(NoSuchStateError) as point:
-        list(mono._stencils(fam, channel_s, 1, [0.216667], None, None))
+        list(mono._stencils(channel_s, 1, *mono._stencil_families(fam, [0.216667], None),
+                            None))
     assert searches == [5]   # index 0 of the five stencil members
     assert [n for _, n in point.value.found] == [0] * 5
 

@@ -1,12 +1,13 @@
 """Shooting solver: seeds, matching, eigenvalues, state invariants."""
 
+import dataclasses
 import itertools
 import logging
 import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 import diracmono as dm
 from diracmono import propagation as prop
@@ -195,6 +196,16 @@ def test_tail_seed_values():
         dm.tail_seed(ch, 1.0)
 
 
+def test_tail_seed_is_the_inward_leg_start():
+    # the public tail seed is the inward leg's start values, bitwise
+    e = np.linspace(-0.999, 0.999, 37)
+    for m in (1.0, 2.5):
+        ch = dm.ChannelSpec(d=3, tau=-1, j=0.5, m=m)
+        y1, y2 = prop.tail_seed(m, m * e)
+        for b, energy in enumerate((m * e).tolist()):
+            assert dm.tail_seed(ch, energy) == (y1[b], y2[b])
+
+
 # ---------------------------------------------------------------------------
 # propagator cross-check against an adaptive library integrator
 # ---------------------------------------------------------------------------
@@ -213,8 +224,8 @@ def test_propagator_direction_matches_scipy():
                        S._band_rate(ch, r, np.abs(fam.evaluate(r)), (e, e)), 0.025, 1.0)
     table = S._make_table(ch, [fam], domain, prop.march_nodes, h_rule)
     y0 = (np.asarray([0.3]), np.asarray([0.7]))
-    (y1, y2), _, _ = prop.propagate(table, np.zeros(1, dtype=np.intp),
-                                    np.asarray([e]), y0, 0, table.i_match, phase=True)
+    ((y1, y2), _, _), _ = prop.propagate(table, np.zeros(1, dtype=np.intp), np.asarray([e]),
+                                         (y0, y0), 0, table.n_steps, phase=True)
     ours = math.atan2(y2[0], y1[0])
 
     def odefun(r, y):
@@ -238,19 +249,17 @@ def _integral_of_inverse(a, b, x_t, h_t):
     return total
 
 
-def _check_march(x_lo, x_hi, rule, x_breaks):
-    """march_nodes' contract on one call: strictly increasing nodes, every
-    break on a node, ceil(integral of dx / h) steps per break-to-break
-    segment (at least one), no step longer than the largest h of the table
-    intervals it overlaps, and equal steps beyond the table, where h is
-    constant."""
+def _check_march(x_lo, x_match, x_hi, rule):
+    """march_nodes' contract on one call: strictly increasing nodes from
+    x_lo to x_hi, x_match on the returned node i_match, ceil(integral of
+    dx / h) steps on either side of it (at least one), no step longer than
+    the largest h of the table intervals it overlaps, and equal steps beyond
+    the table, where h is constant."""
     x_t, h_t = (np.asarray(a, dtype=float) for a in rule)
-    nodes = prop.march_nodes(x_lo, x_hi, rule, x_breaks)
-    breaks = sorted({x_lo, x_hi, *x_breaks})
+    nodes, i_match = prop.march_nodes(x_lo, x_match, x_hi, rule)
     assert np.all(np.diff(nodes) > 0)
-    at = np.searchsorted(nodes, breaks)
-    assert nodes[[0, -1]].tolist() == breaks[::len(breaks) - 1] and nodes[at].tolist() == breaks
-    for a, b, i, j in zip(breaks[:-1], breaks[1:], at[:-1], at[1:]):
+    assert nodes[[0, i_match, -1]].tolist() == [x_lo, x_match, x_hi]
+    for a, b, i, j in ((x_lo, x_match, 0, i_match), (x_match, x_hi, i_match, nodes.size - 1)):
         n_int = _integral_of_inverse(a, b, x_t, h_t)
         assert n_int * (1 - 1e-9) <= j - i and (j - i - 1 < n_int * (1 + 1e-9) or j - i == 1)
         if b <= x_t[0] or a >= x_t[-1]:
@@ -264,8 +273,8 @@ def _check_march(x_lo, x_hi, rule, x_breaks):
 
 @st.composite
 def _step_rules(draw):
-    """A positive step table and a span with breaks, which may reach past
-    the table on either side and meet its points."""
+    """A span with its match break, and a positive step table, which the
+    span may reach past on either side and whose points it may meet."""
     n = draw(st.integers(2, 8))
     x0 = draw(st.floats(-5, 5))
     x_t = np.cumsum([x0] + draw(st.lists(st.floats(0.01, 2.0), min_size=n - 1,
@@ -273,14 +282,15 @@ def _step_rules(draw):
     h_t = draw(st.lists(st.floats(0.01, 3.0), min_size=n, max_size=n))
     x_lo = float(x_t[0]) + draw(st.floats(-3, 3))
     x_hi = x_lo + draw(st.floats(0.01, 25.0))
-    fractions = draw(st.lists(st.floats(0.0, 1.0), max_size=3))
-    return x_lo, x_hi, (x_t, np.asarray(h_t)), [x_lo + f * (x_hi - x_lo) for f in fractions]
+    x_match = x_lo + draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)) * (x_hi - x_lo)
+    assume(x_lo < x_match < x_hi)
+    return x_lo, x_match, x_hi, (x_t, np.asarray(h_t))
 
 
-# a break inside a steep table interval, and a span past both table ends;
-# a segment so narrow that its integral of dx / h underflows to 0
-@example((-0.5, 2.5, (np.array([0.0, 2.0]), np.array([0.01, 3.0])), [0.3]))
-@example((0.0, 1.0, (np.array([0.0, 1.0]), np.array([3.0, 3.0])), [5e-324]))
+# the match break inside a steep table interval, and a span past both table
+# ends; a segment so narrow that its integral of dx / h underflows to 0
+@example((-0.5, 0.3, 2.5, (np.array([0.0, 2.0]), np.array([0.01, 3.0]))))
+@example((0.0, 5e-324, 1.0, (np.array([0.0, 1.0]), np.array([3.0, 3.0]))))
 @given(_step_rules())
 def test_march_nodes_equidistributes_random_rules(case):
     _check_march(*case)
@@ -295,20 +305,34 @@ def test_march_nodes_keeps_its_contract_on_workspace_rules():
                              dm.cutoff_coulomb(1.0, 1.0))):
         ws = S._Workspace(channel, [family], S.DEFAULT_CONFIG)
         d = ws.domain
-        span = ((math.log(d.r_seed), math.log(d.r_max), math.log(d.r_match))
-                if d.param == "log" else (0.0, d.r_max, d.r_match))
+        span = ((math.log(d.r_seed), math.log(d.r_match), math.log(d.r_max))
+                if d.param == "log" else (0.0, d.r_match, d.r_max))
         for rate, c in ((S._coarse_rate(channel, ws.env), S._COARSE_C),
                         (S._band_rate(channel, ws.r, ws.env, ws.window()), S._FINE_C)):
             rule = S._h_rule(channel, d.param, ws.r, rate, c, 1.3)
             assert span[0] < rule[0][0]
-            assert _check_march(*span[:2], rule, [span[2]]).size > 100
+            assert _check_march(*span, rule).size > 100
 
 
-def _match(path, legs):
-    """Match value and matching angle from the outward and inward legs (the
-    package's phase mode also returns a slope, which is not compared here)."""
-    ((o1, o2), th_out, *_), ((t1, t2), th_in, *_) = (path(*args, False, True)
-                                                     for args in legs)
+@pytest.mark.parametrize("x_lo, x_match, x_hi, n_total",
+                         [(0.0, 0.3, 10.0, 201), (-9.2, 1.5, 4.0, 4000), (0.0, 9.0, 10.0, 200)])
+def test_uniform_nodes_put_the_match_on_the_returned_node(x_lo, x_match, x_hi, n_total):
+    # n_total nodes, uniform on either side of x_match, which is node
+    # i_match: the share of the span below it, two steps at least
+    nodes, i_match = prop.uniform_nodes(x_lo, x_match, x_hi, n_total)
+    assert nodes.size == n_total
+    assert nodes[[0, i_match, -1]].tolist() == [x_lo, x_match, x_hi]
+    assert i_match == max(2, round((n_total - 1) * (x_match - x_lo) / (x_hi - x_lo)))
+    for a, b in ((0, i_match), (i_match, n_total - 1)):
+        assert np.allclose(np.diff(nodes[a:b + 1]), (nodes[b] - nodes[a]) / (b - a),
+                           rtol=1e-9, atol=0)
+
+
+def _match(legs):
+    """Match value and matching angle from the phase-mode results of the
+    outward and inward legs (the package's phase mode also returns a slope,
+    which is not compared here)."""
+    ((o1, o2), th_out, *_), ((t1, t2), th_in, *_) = legs
     mval = (o1 * t2 - o2 * t1) / (np.hypot(o1, o2) * np.hypot(t1, t2))
     return mval, th_out - th_in
 
@@ -321,6 +345,12 @@ def _in_pieces(entry):
             mp.setattr(prop, "_SCAN_ELEMENTS", 1)
             return entry(*args, **kwargs)
     return run
+
+
+def _match_args(table, seed, idx, e):
+    """The leading propagate arguments of a match: both legs' start values
+    (seed at node 0, the tail seed at node S) and nodes."""
+    return table, idx, e, (seed(e, idx), prop.tail_seed(table.m, e)), 0, table.n_steps
 
 
 def _on_reference(entry):
@@ -353,7 +383,7 @@ def _scan_cases():
         ws = S._Workspace(channel, [family], S.DEFAULT_CONFIG)
         bottom, top = ws.window()
         e = np.linspace(bottom, top, 41)
-        for table in (ws.coarse, ws.fine_table((bottom, top), ws.domain)):
+        for table in (ws.coarse, ws.fine_table((bottom, top), ws.domain, [0])):
             cases.append((ws, table, np.zeros(e.size, dtype=np.intp), e, 2))
     alphas = (0.2, 0.5, 0.9)
     ws = S._Workspace(dm.ChannelSpec(d=3, tau=-1, j=0.5),
@@ -362,7 +392,8 @@ def _scan_cases():
         for n_r in range(3):
             energy = coulomb_energy(CoulombLevel(n=n_r + 1, j=0.5, alpha=alpha))
             band = (energy - 2e-3, energy + 2e-3)
-            table = ws.fine_table(band, ws.trimmed_domain([f], [energy]))
+            table = ws.fine_table(band, ws.trimmed_domain([f], [energy]),
+                                  np.arange(len(alphas)))
             cases.append((ws, table, np.full(40, f, dtype=np.intp),
                           np.linspace(*band, 40), 1))
     return cases
@@ -374,70 +405,67 @@ def test_scan_matches_sequential_reference():
     # eigenvalues; so do match_values and assemble_two_sided, which propagate
     # both legs in one call
     for ws, table, idx, e, least_count in _scan_cases():
-        seed_o, seed_t = ws.seeds
-        legs = ((table, idx, e, seed_o(e, idx), 0, table.i_match),
-                (table, idx, e, seed_t(e, idx), table.n_steps, table.i_match))
-        m_ref, dth_ref = _match(propagate_sequential, legs)
+        args = _match_args(table, ws.seed, idx, e)
+        m_ref, dth_ref = _match(propagate_sequential(*args, False, True))
         counts_ref = prop.count_below(dth_ref, dth_ref[0])
         assert counts_ref[-1] >= least_count  # the energies span eigenvalues
         # the end state of either mode is checked against the reference's
         # record mode
-        records = [propagate_sequential(*args, True, False) for args in legs]
-        psi_ref = _on_reference(prop.assemble_two_sided)(table, idx, e, *ws.seeds)
+        records = propagate_sequential(*args, True, False)
+        psi_ref = _on_reference(prop.assemble_two_sided)(table, idx, e, ws.seed)
         for entry in (lambda f: f, _in_pieces):
             path = entry(prop.propagate)
-            mval, dth = _match(path, legs)
+            phase = path(*args, False, True)
+            mval, dth = _match(phase)
             assert np.allclose(mval, m_ref, rtol=1e-12, atol=1e-13)
             assert np.allclose(dth, dth_ref, rtol=1e-12, atol=1e-11)
             assert np.array_equal(prop.count_below(dth, dth[0]), counts_ref)
-            for args, (r_end, *r_rec, r_log) in zip(legs, records):
-                _assert_all_close(path(*args, False, True)[0], r_end, 1e-13)
-                g_end, *g_rec, g_log = path(*args, True, False)
+            for (p_end, *_), (g_end, *g_rec, g_log), (r_end, *r_rec, r_log) in zip(
+                    phase, path(*args, True, False), records):
+                _assert_all_close(p_end, r_end, 1e-13)
                 _assert_all_close((*g_end, *g_rec), (*r_end, *r_rec), 1e-13)
                 _assert_all_close([g_log], [r_log], 1e-11)
-            mval, dth, _ = entry(prop.match_values)(table, idx, e, *ws.seeds)
+            mval, dth, _ = entry(prop.match_values)(table, idx, e, ws.seed)
             assert np.allclose(mval, m_ref, rtol=1e-12, atol=1e-13)
             assert np.allclose(dth, dth_ref, rtol=1e-12, atol=1e-11)
             assert np.array_equal(prop.count_below(dth, dth[0]), counts_ref)
-            _assert_all_close(entry(prop.assemble_two_sided)(table, idx, e, *ws.seeds),
+            _assert_all_close(entry(prop.assemble_two_sided)(table, idx, e, ws.seed),
                               psi_ref, 1e-13)
 
 
 def _arrays(out):
-    """The arrays a propagate call returns, its end state unpacked."""
-    return [*out[0], *out[1:]] if isinstance(out[0], tuple) else list(out)
+    """The arrays a propagate call returns, leg after leg, end states
+    unpacked."""
+    return [a for leg in out for a in (*leg[0], *leg[1:])]
 
 
 def test_scan_keeps_batch_columns_apart():
     # the packed scan broadcasts over the 2x2 axes only: in one scan
-    # covering the whole traversal, with identity steps filling the last
-    # block, every column of a mixed batch (two families, three energies)
-    # gets bitwise the values it gets alone in phase and record modes, the
-    # E-slope included: each column's quadrature sum is taken
-    # alone, in step order, whatever the batch width. Energies near the top
-    # of the gap spread |y|^2 over many nodes, where a sum over the batch's
-    # blocks rounds differently from a column's own.
+    # covering both legs, each with a short last block, every column of a
+    # mixed batch (two families, three energies) gets bitwise the values it
+    # gets alone in phase and record modes, the E-slope included: each
+    # column's quadrature sum is taken alone, in step order, whatever the
+    # batch width. Energies near the top of the gap spread |y|^2 over many
+    # nodes, where a sum over the batch's blocks rounds differently from a
+    # column's own.
     channel = dm.ChannelSpec(d=3, tau=-1, j=0.5)
     ws = S._Workspace(channel, [dm.pure_coulomb(0.5), dm.pure_coulomb(0.9)],
                       S.DEFAULT_CONFIG)
     table = ws.coarse
     idx, e = np.array([0, 1, 0]), np.array([0.5, 0.99, 0.999])
+    assert table.n_steps * e.size <= prop._SCAN_ELEMENTS
+    for n_steps in (table.i_match, table.n_steps - table.i_match):
+        assert n_steps % (math.isqrt(n_steps - 1) + 1)
 
-    for seed, i_from in zip(ws.seeds, (0, table.n_steps)):
-        n_steps = abs(table.i_match - i_from)
-        bs = math.isqrt(n_steps - 1) + 1
-        assert n_steps % bs and n_steps * e.size <= prop._SCAN_ELEMENTS
-        y0 = seed(e, idx)
-        for record, phase in ((True, False), (False, True)):
-            batch = _arrays(prop.propagate(table, idx, e, y0, i_from, table.i_match,
+    args = _match_args(table, ws.seed, idx, e)
+    for record, phase in ((True, False), (False, True)):
+        batch = _arrays(prop.propagate(*args, record, phase))
+        for b in range(e.size):
+            col = slice(b, b + 1)
+            alone = _arrays(prop.propagate(*_match_args(table, ws.seed, idx[col], e[col]),
                                            record, phase))
-            for b in range(e.size):
-                col = slice(b, b + 1)
-                alone = _arrays(prop.propagate(table, idx[col], e[col],
-                                               (y0[0][col], y0[1][col]), i_from,
-                                               table.i_match, record, phase))
-                for g, a in zip(batch, alone):
-                    assert np.array_equal(g[..., col], a)
+            for g, a in zip(batch, alone):
+                assert np.array_equal(g[..., col], a)
 
 
 def _criterion_1_tables():
@@ -456,10 +484,6 @@ def _criterion_1_tables():
     return ws, tables
 
 
-def _legs(table):
-    return ((0, table.i_match), (table.n_steps, table.i_match))
-
-
 def test_stack_keeps_an_unpadded_table_bitwise():
     # a table stacked alone, or first with a table shorter on both legs,
     # needs no padding: its columns get bitwise its own results on both match
@@ -471,43 +495,48 @@ def test_stack_keeps_an_unpadded_table_bitwise():
     assert long.n_steps - long.i_match > short.n_steps - short.i_match
     e = np.linspace(0.88, 0.95, 5)
     idx = np.zeros(e.size, dtype=np.intp)
+    seed = ws.local_seed(np.array([2, 1]))
     for stack in (prop.stack_tables([long]), prop.stack_tables([long, short])):
         assert stack.n_steps == long.n_steps and stack.i_match == long.i_match
-        for seed, (i_from, i_to) in zip(ws.local_seeds(np.array([2, 1])), _legs(long)):
-            y0 = seed(e, idx)
-            for record, phase in ((True, False), (False, True)):
-                got = _arrays(prop.propagate(stack, idx, e, y0, i_from, i_to, record, phase))
-                own = _arrays(prop.propagate(long, idx, e, y0, i_from, i_to, record, phase))
-                for g, o in zip(got, own):
-                    assert np.array_equal(g, o)
+        for record, phase in ((True, False), (False, True)):
+            got = _arrays(prop.propagate(*_match_args(stack, seed, idx, e), record, phase))
+            own = _arrays(prop.propagate(*_match_args(long, seed, idx, e), record, phase))
+            for g, o in zip(got, own):
+                assert np.array_equal(g, o)
 
 
 def test_zero_length_steps_end_on_the_unpadded_state():
-    # zero-length steps after a leg are exact identities: filling the scan's
-    # last block, they end the leg bitwise on the state, angle and E-slope of
-    # the leg without them, and every padded node records that end state
+    # zero-length steps at the end of a leg are exact identities: filling
+    # the scan's last block of the outward leg, they end it bitwise on the
+    # state, angle and E-slope of the leg without them, and every padded node
+    # records that end state; the inward leg, the same steps either way, is
+    # bitwise the same
     ws, tables = _criterion_1_tables()
     t = tables[0, 1]
     n = t.i_match                              # the outward leg, 0 -> n
     bs = math.isqrt(n - 1) + 1
     pad = -n % bs                              # the identity fill of its last block
     assert pad > 1 and n % bs != 1             # its last step is not first in its block
+
+    def padded_at_match(a, fill=0.0):
+        return np.concatenate([a[:n], np.full((pad, *a.shape[1:]), fill), a[n:]])
+
     padded = prop.StepTable(
-        k=t.k, m=t.m, r_nodes=np.pad(t.r_nodes[:n + 1], (0, pad), mode="edge"),
-        h=np.pad(t.h[:n], ((0, pad), (0, 0))), rmul=np.pad(t.rmul[:n], ((0, pad), (0, 0), (0, 0))),
-        w=np.pad(t.w[:n], ((0, pad), (0, 0), (0, 0))), i_match=n + pad, grid=t.grid)
+        k=t.k, m=t.m, r_nodes=padded_at_match(t.r_nodes, t.r_nodes[n]),
+        h=padded_at_match(t.h), rmul=padded_at_match(t.rmul), w=padded_at_match(t.w),
+        i_match=n + pad, grid=t.grid)
     padded._norm[0, n + pad] = np.pad(t.norm_weights(0, n), ((0, 0), (0, pad), (0, 0)))
     e = np.linspace(0.9, 0.99, 4)
     idx = np.zeros(e.size, dtype=np.intp)
-    y0 = ws.seeds[0](e, idx)
     for record, phase in ((True, False), (False, True)):
-        got = _arrays(prop.propagate(padded, idx, e, y0, 0, n + pad, record, phase))
-        own = _arrays(prop.propagate(t, idx, e, y0, 0, n, record, phase))
+        got = prop.propagate(*_match_args(padded, ws.seed, idx, e), record, phase)
+        own = prop.propagate(*_match_args(t, ws.seed, idx, e), record, phase)
         if record:
-            got, own = [a[:n + 1] for a in got[2:]], own[2:]
+            out_rec = got[0][1:]
             assert all(np.array_equal(g[n:], np.broadcast_to(g[n], g[n:].shape))
-                       for g in got)
-        for g, o in zip(got, own):
+                       for g in out_rec)
+            got = ((got[0][0], *(g[:n + 1] for g in out_rec)), got[1])
+        for g, o in zip(_arrays(got), _arrays(own)):
             assert np.array_equal(g, o)
 
 
@@ -530,22 +559,22 @@ def test_stack_matches_sequential_reference():
               for alpha, n_r in ((0.2, 2), (0.9, 0))]
     e = np.concatenate([np.linspace(lv - 2e-3, lv + 2e-3, 40) for lv in levels])
     idx = np.repeat([0, 1], 40)
-    seeds = ws.local_seeds(np.array([0, 2]))
-    legs = [(stack, idx, e, seed(e, idx), *leg) for seed, leg in zip(seeds, _legs(stack))]
-    m_ref, dth_ref = _match(propagate_sequential, legs)
-    psi_ref = _on_reference(prop.assemble_two_sided)(stack, idx, e, *seeds)
+    seed = ws.local_seed(np.array([0, 2]))
+    args = _match_args(stack, seed, idx, e)
+    m_ref, dth_ref = _match(propagate_sequential(*args, False, True))
+    psi_ref = _on_reference(prop.assemble_two_sided)(stack, idx, e, seed)
     for entry in (lambda f: f, _in_pieces):
-        for mval, dth, *_ in (_match(entry(prop.propagate), legs),
-                              entry(prop.match_values)(stack, idx, e, *seeds)):
+        for mval, dth, *_ in (_match(entry(prop.propagate)(*args, False, True)),
+                              entry(prop.match_values)(stack, idx, e, seed)):
             assert np.allclose(mval, m_ref, rtol=1e-12, atol=1e-13)
             assert np.allclose(dth, dth_ref, rtol=1e-12, atol=1e-11)
-        _assert_all_close(entry(prop.assemble_two_sided)(stack, idx, e, *seeds),
+        _assert_all_close(entry(prop.assemble_two_sided)(stack, idx, e, seed),
                           psi_ref, 1e-13)
-    mval, dth, slope = prop.match_values(stack, idx, e, *seeds)
+    mval, dth, slope = prop.match_values(stack, idx, e, seed)
     for g, (table, f) in enumerate(zip(pair, (0, 2))):
         col = idx == g
         own_m, own_dth, own_slope = prop.match_values(
-            table, np.zeros(40, dtype=np.intp), e[col], *ws.local_seeds(np.array([f])))
+            table, np.zeros(40, dtype=np.intp), e[col], ws.local_seed(np.array([f])))
         assert np.allclose(mval[col], own_m, rtol=1e-12, atol=1e-13)
         assert np.allclose(dth[col], own_dth, rtol=1e-12, atol=1e-11)
         assert np.array_equal(prop.count_below(dth[col], dth[col][0]),
@@ -554,28 +583,38 @@ def test_stack_matches_sequential_reference():
         assert np.allclose(slope[col], own_slope, rtol=1e-10, atol=0)
 
 
-def test_two_leg_call_is_each_leg_alone():
-    # the two match legs in one propagate call (meet) are bitwise the legs
-    # propagated alone in record and phase modes, the E-slope (with the
-    # inward leg's beyond) included: on a table whose legs differ in length,
-    # and on a stack whose legs differ more, whole and one row per piece
+def test_a_leg_does_not_depend_on_the_other_leg():
+    # a leg's results in record and phase modes, the E-slope (with the
+    # inward leg's beyond) included, are bitwise the same whatever the other
+    # leg of the call: the outward leg with the inward leg from node S or,
+    # with other start values, of one step, and the inward leg with the
+    # outward leg from node 0 or of one step, which lay the scan's blocks
+    # out differently; on a table whose legs differ in length, and on a
+    # stack whose legs differ more, whole and one row per piece
     ws, tables = _criterion_1_tables()
     stack = prop.stack_tables([tables[0, 2], tables[2, 0]])
+    # a stack forms the norm weights of its match legs only; the other legs'
+    # slopes are not compared
+    for start in (stack.i_match - 1, stack.i_match + 1):
+        stack._norm[start, stack.i_match] = np.ones((3, abs(start - stack.i_match) + 1, 2))
     for table, fams, idx in ((tables[1, 1], [1], np.zeros(6, dtype=np.intp)),
                              (stack, [0, 2], np.repeat([0, 1], 3))):
         assert table.i_match != table.n_steps - table.i_match
         e = np.linspace(0.9, 0.999, idx.size)
-        y0, yt = (seed(e, idx) for seed in ws.local_seeds(np.array(fams)))
+        *_, (y0, yt), i_from, i_to = _match_args(table, ws.local_seed(np.array(fams)),
+                                                 idx, e)
         beyond = (yt[0] ** 2 + yt[1] ** 2) / (2 * np.sqrt(1.0 - e * e))
+        other = (np.full(e.size, 0.3), np.full(e.size, -0.8))
         for entry in (prop.propagate, _in_pieces(prop.propagate)):
             for record, phase in ((True, False), (False, True)):
-                both = entry(table, idx, e, (y0, yt), 0, table.n_steps, record, phase,
-                             beyond=(0.0, beyond), meet=table.i_match)
-                alone = (entry(table, idx, e, y0, 0, table.i_match, record, phase),
-                         entry(table, idx, e, yt, table.n_steps, table.i_match,
-                               record, phase, beyond=beyond))
-                for got, own in zip(both, alone):
-                    for g, o in zip(_arrays(got), _arrays(own)):
+                def run(starts, i_out, i_in):
+                    return entry(table, idx, e, starts, i_out, i_in, record, phase,
+                                 beyond=beyond)
+
+                outward, inward = run((y0, yt), i_from, i_to)
+                for got, own in ((run((y0, other), i_from, table.i_match + 1)[0], outward),
+                                 (run((other, yt), table.i_match - 1, i_to)[1], inward)):
+                    for g, o in zip(_arrays([got]), _arrays([own])):
                         assert np.array_equal(g, o)
 
 
@@ -586,7 +625,7 @@ def _wide_table():
     ws = S._Workspace(dm.ChannelSpec(d=3, tau=-1, j=0.5),
                       [dm.pure_coulomb(a) for a in np.linspace(0.3, 0.9, 16)],
                       S.DEFAULT_CONFIG, n_r_max=3)
-    table = ws.fine_table((0.9, 0.99), ws.trimmed_domain([0], [0.99]))
+    table = ws.fine_table((0.9, 0.99), ws.trimmed_domain([0], [0.99]), np.arange(16))
     idx, e = np.arange(55) % 16, np.linspace(0.9, 0.99, 55)
     assert -(-e.size // (prop._SCAN_ELEMENTS // table.n_steps)) == 4
     return ws, table, idx, e
@@ -598,18 +637,14 @@ def test_columns_do_not_depend_on_the_batch():
     # from match_values, and its end states and recorded nodes from a
     # record-mode call of both legs
     ws, table, idx, e = _wide_table()
-    seed_o, seed_t = ws.seeds
 
     def record(idx, e):
-        seeds = seed_o(e, idx), seed_t(e, idx)
-        return [a for leg in prop.propagate(table, idx, e, seeds, 0, table.n_steps,
-                                            record=True, meet=table.i_match)
-                for a in _arrays(leg)]
+        return _arrays(prop.propagate(*_match_args(table, ws.seed, idx, e), record=True))
 
-    batch = [prop.match_values(table, idx, e, seed_o, seed_t), record(idx, e)]
+    batch = [prop.match_values(table, idx, e, ws.seed), record(idx, e)]
     for b in range(e.size):
         col = slice(b, b + 1)
-        alone = [prop.match_values(table, idx[col], e[col], seed_o, seed_t),
+        alone = [prop.match_values(table, idx[col], e[col], ws.seed),
                  record(idx[col], e[col])]
         for got, own in zip(batch, alone):
             for g, o in zip(got, own):
@@ -617,14 +652,13 @@ def test_columns_do_not_depend_on_the_batch():
 
 
 def test_each_scan_holds_whole_legs_of_bounded_pieces(monkeypatch):
-    # every scan of a call holds all the steps of all its legs, for a piece
+    # every scan of a call holds all the steps of both its legs, for a piece
     # of the batch's leading axis of at most max(_SCAN_ELEMENTS, the steps
     # of one row) step x element entries, and the pieces cover the batch:
-    # match_values on a 1-d batch and on the (F, nE) layout, with rows that
-    # fit the bound several times and rows wider than it, single legs in
-    # phase mode and both legs in record mode
+    # match evaluations on a 1-d batch and on the (F, nE) layout, with rows
+    # that fit the bound several times and rows wider than it, in phase and
+    # in record mode
     ws, table, idx, e = _wide_table()
-    seed_o, seed_t = ws.seeds
     scans = []
     real = prop._scan_states
 
@@ -639,21 +673,16 @@ def test_each_scan_holds_whole_legs_of_bounded_pieces(monkeypatch):
              (table, idx, e)]
     pieces = []
     for tab, fam_idx, energies in calls:
-        seeds = seed_o(energies, fam_idx), seed_t(energies, fam_idx)
-        legs = [(tab, fam_idx, energies, seeds[0], 0, tab.i_match, False, True),
-                (tab, fam_idx, energies, seeds, 0, tab.n_steps, True, False)]
-        for args in legs:
+        for record, phase in ((False, True), (True, False)):
             scans.clear()
-            kwargs = {"meet": tab.i_match} if args[6] else {}
-            prop.propagate(*args, **kwargs)
-            steps = tab.n_steps if args[6] else tab.i_match
-            row = steps * math.prod(energies.shape[1:])
-            assert all(n == steps and shape[2:] == (shape[2], *energies.shape[1:])
+            prop.propagate(*_match_args(tab, ws.seed, fam_idx, energies), record, phase)
+            row = tab.n_steps * math.prod(energies.shape[1:])
+            assert all(n == tab.n_steps and shape[2:] == (shape[2], *energies.shape[1:])
                        and shape[1] * math.prod(shape[2:]) <= max(prop._SCAN_ELEMENTS, row)
                        for shape, n in scans)
             assert sum(shape[2] for shape, _ in scans) == energies.shape[0]
             pieces.append(len(scans))
-    assert pieces == [8, 16, 1, 2, 1, 4]
+    assert pieces == [16, 16, 2, 2, 4, 4]
 
 
 def test_criterion_1_propagates_both_legs_in_one_call(monkeypatch):
@@ -666,7 +695,7 @@ def test_criterion_1_propagates_both_legs_in_one_call(monkeypatch):
 
         def run(*args, **kwargs):
             calls[name] += 1
-            assert name != "propagate" or kwargs.get("meet") == args[0].i_match
+            assert name != "propagate" or args[4:6] == (0, args[0].n_steps)
             return real(*args, **kwargs)
         return run
 
@@ -684,7 +713,8 @@ def test_angle_where_psi1_is_zero_at_nodes():
     # run of zero-length steps (the padding a stack gives the shorter of two
     # tables, whole and one row per piece), and on the
     # last node of a leg that ends in such a run; psi2 of either sign, both
-    # directions
+    # directions. The legs end on the stack's match node, or on the end of
+    # its front or back padding taken as the match node
     ws, tables = _criterion_1_tables()
     long, short = tables[2, 2], tables[1, 0]
     stack = prop.stack_tables([long, short])
@@ -694,16 +724,16 @@ def test_angle_where_psi1_is_zero_at_nodes():
     e = np.linspace(0.88, 0.95, 6)
     idx = np.ones(e.size, dtype=np.intp)          # the short table's family
     y0 = (np.zeros(e.size), np.array([1.0, -1.0] * 3))
-    legs = [(0, stack.i_match), (stack.n_steps, stack.i_match),   # zeros, then steps
-            (0, lead), (stack.n_steps, stack.n_steps - back)]     # zeros only
-    for i_from, i_to in legs[2:]:
-        stack._norm[i_from, i_to] = np.ones((3, abs(i_to - i_from) + 1, 2))
-    for i_from, i_to in legs:
-        _, th_ref, _ = propagate_sequential(stack, idx, e, y0, i_from, i_to, False, True)
+    for i_match in (stack.i_match, lead, stack.n_steps - back):
+        table = dataclasses.replace(stack, i_match=i_match, _norm={
+            (start, i_match): np.ones((3, abs(start - i_match) + 1, 2))
+            for start in (0, stack.n_steps)})
+        args = (table, idx, e, (y0, y0), 0, table.n_steps, False, True)
+        ref = propagate_sequential(*args)
         for entry in (lambda f: f, _in_pieces):
-            _, th, _ = entry(prop.propagate)(stack, idx, e, y0, i_from, i_to, False, True)
-            assert np.allclose(th, th_ref, rtol=1e-12, atol=1e-11)
-            assert np.array_equal(np.floor(th / np.pi), np.floor(th_ref / np.pi))
+            for (_, th, _), (_, th_ref, _) in zip(entry(prop.propagate)(*args), ref):
+                assert np.allclose(th, th_ref, rtol=1e-12, atol=1e-11)
+                assert np.array_equal(np.floor(th / np.pi), np.floor(th_ref / np.pi))
 
 
 def test_lockstep_matches_groups_searched_alone(monkeypatch):
@@ -732,24 +762,21 @@ def test_phase_slope_matches_central_difference():
     # the same way, returns bitwise the difference of the two legs' slopes.
     h = 1e-8
     for ws, table, idx, e, _ in _scan_cases():
-        seeds = ws.seeds
-        starts = (0, table.n_steps)
         for entry in (lambda f: f, _in_pieces):
-            path = entry(prop.propagate)
-            slopes = []
-            for seed, i_from in zip(seeds, starts):
-                def angle(energy, **kw):
-                    return path(table, idx, energy, seed(energy, idx), i_from,
-                                table.i_match, False, True, **kw)
+            def angles(energy, **kw):
+                legs = entry(prop.propagate)(*_match_args(table, ws.seed, idx, energy),
+                                             False, True, **kw)
+                return [th for _, th, _ in legs]
 
-                y0 = seed(e, idx)
-                lam = np.sqrt((table.m - e) * (table.m + e))
-                beyond = (y0[0] ** 2 + y0[1] ** 2) / (2 * lam) if i_from else 0.0
-                _, _, slope = angle(e, beyond=beyond)
-                central = (angle(e + h)[1] - angle(e - h)[1]) / (2 * h)
+            yt = prop.tail_seed(table.m, e)
+            lam = np.sqrt((table.m - e) * (table.m + e))
+            beyond = (yt[0] ** 2 + yt[1] ** 2) / (2 * lam)
+            slopes = [slope for *_, slope in entry(prop.propagate)(
+                *_match_args(table, ws.seed, idx, e), False, True, beyond=beyond)]
+            for slope, up, down in zip(slopes, angles(e + h), angles(e - h)):
+                central = (up - down) / (2 * h)
                 assert np.all(np.abs(slope - central) <= 1e-4 * np.abs(central))
-                slopes.append(slope)
-            _, _, d_match = entry(prop.match_values)(table, idx, e, *seeds)
+            _, _, d_match = entry(prop.match_values)(table, idx, e, ws.seed)
             assert np.array_equal(d_match, slopes[0] - slopes[1])
 
 
@@ -764,8 +791,9 @@ def test_rotation_limit_raises_at_first_offending_step():
     idx = np.zeros(e.size, dtype=np.intp)
     y0 = (np.ones(e.size), np.zeros(e.size))
     messages = []
-    for i_from in (0, table.n_steps):
-        args = (table, idx, e, y0, i_from, table.i_match)
+    # the first leg outward (0 -> 1), then inward (20 -> 1): it offends first
+    for i_from, i_to in ((0, table.n_steps), (table.n_steps, 0)):
+        args = (table, idx, e, (y0, y0), i_from, i_to)
         with pytest.raises(NumericalError) as ref:
             propagate_sequential(*args, False, True)
         for scan in (prop.propagate, _in_pieces(prop.propagate)):
@@ -776,12 +804,10 @@ def test_rotation_limit_raises_at_first_offending_step():
         # the check guards phase unwrapping only; record mode still runs
         prop.propagate(*args, True, False)
     assert messages[0] != messages[1]  # traversal order picks the step
-    # match_values propagates both legs in one call, and still names the
-    # outward leg's first offending step
-    seeds = (lambda E, fam_idx: y0,) * 2
+    # match_values names the outward leg's first offending step
     for entry in (lambda f: f, _in_pieces):
         with pytest.raises(NumericalError) as got:
-            entry(prop.match_values)(table, idx, e, *seeds)
+            entry(prop.match_values)(table, idx, e, lambda E, fam_idx: y0)
         assert str(got.value) == messages[0]
 
 
@@ -804,21 +830,17 @@ def test_rotation_error_names_the_outward_leg_first():
     e = np.array([-0.5, 0.0, 0.5])
     idx = np.zeros(e.size, dtype=np.intp)
     y0 = (np.ones(e.size), np.zeros(e.size))
-    seeds = (lambda E, fam_idx: y0,) * 2
     for i_match, step in ((15, 7), (5, 19)):
         table = prop.build_step_table("lin", 0.0, 1.0, [_two_wells(20.0)],
                                       np.linspace(0.0, 10.0, 21), i_match)
-        for i_from in (0, table.n_steps):
-            try:
-                propagate_sequential(table, idx, e, y0, i_from, i_match, False, True)
-            except NumericalError as err:
-                ref = str(err)
-                break
-        assert ref.startswith(f"step {step} ")
+        with pytest.raises(NumericalError) as ref:
+            propagate_sequential(table, idx, e, (y0, prop.tail_seed(1.0, e)), 0,
+                                 table.n_steps, False, True)
+        assert str(ref.value).startswith(f"step {step} ")
         for entry in (lambda f: f, _in_pieces):
             with pytest.raises(NumericalError) as got:
-                entry(prop.match_values)(table, idx, e, *seeds)
-            assert str(got.value) == ref
+                entry(prop.match_values)(table, idx, e, lambda E, fam_idx: y0)
+            assert str(got.value) == str(ref.value)
 
 
 def test_step_table_and_propagate_reject_bad_arguments():
@@ -832,17 +854,16 @@ def test_step_table_and_propagate_reject_bad_arguments():
         prop.build_step_table("sqrt", 0.0, 1.0, [fam], x, 5)
     table = prop.build_step_table("lin", 0.0, 1.0, [fam], x, 5)
     e = np.array([0.5])
+    y0 = ((e, e), (e, e))
     for record in (False, True):    # both modes, or neither
         with pytest.raises(ConfigurationError):
-            prop.propagate(table, np.zeros(1, dtype=np.intp), e, (e, e), 0, 5,
+            prop.propagate(table, np.zeros(1, dtype=np.intp), e, y0, 0, 10,
                            record=record, phase=record)
-        # a leg of no steps, alone or with another
-        with pytest.raises(DomainError):
-            prop.propagate(table, np.zeros(1, dtype=np.intp), e, (e, e), 5, 5,
-                           record=record, phase=not record)
-        with pytest.raises(DomainError):
-            prop.propagate(table, np.zeros(1, dtype=np.intp), e, ((e, e), (e, e)), 0, 10,
-                           record=record, phase=not record, meet=10)
+        # a leg of no steps, either one
+        for i_from, i_to in ((5, 10), (0, 5)):
+            with pytest.raises(DomainError):
+                prop.propagate(table, np.zeros(1, dtype=np.intp), e, y0, i_from, i_to,
+                               record=record, phase=not record)
 
 
 # ---------------------------------------------------------------------------
@@ -855,7 +876,7 @@ SEARCH_TARGETS = np.array([0, 0, 1, 1, 2, 2])
 
 @pytest.fixture(scope="module")
 def search_tables():
-    """(table, seeds, window) for d = 3 pure Coulomb and d = 1 cutoff
+    """(table, origin seed, window) for d = 3 pure Coulomb and d = 1 cutoff
     Coulomb, each on its coarse table and on a fine table."""
     out = []
     for channel, family in ((dm.ChannelSpec(d=3, tau=-1, j=0.5), dm.pure_coulomb(0.5)),
@@ -863,19 +884,19 @@ def search_tables():
                              dm.cutoff_coulomb(1.0, 1.0))):
         ws = S._Workspace(channel, [family], S.DEFAULT_CONFIG)
         window = ws.window()
-        fine = ws.fine_table(window, ws.domain)
-        out.extend((table, ws.seeds, window) for table in (ws.coarse, fine))
+        fine = ws.fine_table(window, ws.domain, [0])
+        out.extend((table, ws.seed, window) for table in (ws.coarse, fine))
     return out
 
 
-def _random_brackets(table, seeds, window, rng):
+def _random_brackets(table, seed, window, rng):
     """Brackets around eigenvalue index t for each t in SEARCH_TARGETS: each
     end is drawn between the scan point next to the eigenvalue and the window
     edge on its side, so some brackets are narrow and some span many levels.
     Returns (lo, hi, dtheta_bottom) with the precondition checked."""
     bottom, top = window
     e = np.linspace(bottom, top, 400)
-    _, th, _ = prop.match_values(table, np.zeros(e.size, dtype=np.intp), e, *seeds)
+    _, th, _ = prop.match_values(table, np.zeros(e.size, dtype=np.intp), e, seed)
     counts = prop.count_below(th, th[0])
     lo, hi = [], []
     for t in SEARCH_TARGETS:
@@ -886,31 +907,31 @@ def _random_brackets(table, seeds, window, rng):
     return np.array(lo), np.array(hi), np.full(SEARCH_TARGETS.size, th[0])
 
 
-def _centre_brackets(table, seeds, window, rng):
+def _centre_brackets(table, seed, window, rng):
     """Brackets as the fine stage builds them: a centre within 3e-6 of
     eigenvalue index t (a coarse-search estimate), and the window edge on the
     other side of the centre's count."""
     bottom, top = window
-    lo, hi, dtb = _random_brackets(table, seeds, window, rng)
-    centre = _bisection_oracle(table, seeds, lo, hi, dtb, 1e-6)
+    lo, hi, dtb = _random_brackets(table, seed, window, rng)
+    centre = _bisection_oracle(table, seed, lo, hi, dtb, 1e-6)
     centre += rng.uniform(-3e-6, 3e-6, centre.size)
     idx = np.zeros(centre.size, dtype=np.intp)
-    _, th, _ = prop.match_values(table, idx, centre, *seeds)
+    _, th, _ = prop.match_values(table, idx, centre, seed)
     up = prop.count_below(th, dtb) <= SEARCH_TARGETS
     return np.where(up, centre, bottom), np.where(up, top, centre), dtb
 
 
-def _ends(table, seeds, lo, hi):
+def _ends(table, seed, lo, hi):
     idx = np.zeros(lo.size, dtype=np.intp)
-    return [prop.match_values(table, idx, e, *seeds) for e in (lo, hi)]
+    return [prop.match_values(table, idx, e, seed) for e in (lo, hi)]
 
 
-def _bisection_oracle(table, seeds, lo, hi, dtb, tol):
+def _bisection_oracle(table, seed, lo, hi, dtb, tol):
     """Plain count bisection on the same table, down to width tol."""
     idx = np.zeros(lo.size, dtype=np.intp)
     while np.max(hi - lo) > tol:
         mid = 0.5 * (lo + hi)
-        _, th, _ = prop.match_values(table, idx, mid, *seeds)
+        _, th, _ = prop.match_values(table, idx, mid, seed)
         below = prop.count_below(th, dtb) <= SEARCH_TARGETS
         lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
     return 0.5 * (lo + hi)
@@ -927,10 +948,10 @@ def test_count_bisect_against_bisection_oracle(search_tables, monkeypatch):
     targets = SEARCH_TARGETS
     idx = np.zeros(targets.size, dtype=np.intp)
     real = prop.match_values
-    for (table, seeds, window), brackets in itertools.product(
+    for (table, seed, window), brackets in itertools.product(
             search_tables, (_random_brackets, _centre_brackets)):
-        lo, hi, dtb = brackets(table, seeds, window, rng)
-        ends = _ends(table, seeds, lo, hi)
+        lo, hi, dtb = brackets(table, seed, window, rng)
+        ends = _ends(table, seed, lo, hi)
         assert np.all(prop.count_below(ends[0][1], dtb) <= targets)
         assert np.all(prop.count_below(ends[1][1], dtb) > targets)
         calls = []
@@ -943,7 +964,7 @@ def test_count_bisect_against_bisection_oracle(search_tables, monkeypatch):
         with monkeypatch.context() as mp:
             mp.setattr(prop, "match_values", recording)
             e_star, _, width, evals = prop.count_bisect(table, idx, lo, hi, targets,
-                                                        dtb, SEARCH_TOL, *seeds, ends=ends)
+                                                        dtb, SEARCH_TOL, seed, ends=ends)
 
         r_lo, r_hi = lo.copy(), hi.copy()
         steps = np.zeros(targets.size, dtype=int)
@@ -963,22 +984,22 @@ def test_count_bisect_against_bisection_oracle(search_tables, monkeypatch):
 
         # the eigenvalue counts on either side of E are the target's
         for shift, want in ((-SEARCH_TOL, targets), (SEARCH_TOL, targets + 1)):
-            _, th, _ = prop.match_values(table, idx, e_star + shift, *seeds)
+            _, th, _ = prop.match_values(table, idx, e_star + shift, seed)
             assert np.array_equal(prop.count_below(th, dtb), want)
-        e_ref = _bisection_oracle(table, seeds, lo, hi, dtb, SEARCH_TOL)
+        e_ref = _bisection_oracle(table, seed, lo, hi, dtb, SEARCH_TOL)
         assert np.all(np.abs(e_star - e_ref) <= SEARCH_TOL)
 
 
 def test_count_bisect_end_reuse_and_repeats_are_bitwise(search_tables):
     rng = np.random.default_rng(11)
     idx = np.zeros(SEARCH_TARGETS.size, dtype=np.intp)
-    for table, seeds, window in search_tables:
-        lo, hi, dtb = _random_brackets(table, seeds, window, rng)
-        args = (table, idx, lo, hi, SEARCH_TARGETS, dtb, SEARCH_TOL, *seeds)
-        ends = _ends(table, seeds, lo, hi)
+    for table, seed, window in search_tables:
+        lo, hi, dtb = _random_brackets(table, seed, window, rng)
+        args = (table, idx, lo, hi, SEARCH_TARGETS, dtb, SEARCH_TOL, seed)
+        ends = _ends(table, seed, lo, hi)
         once = prop.count_bisect(*args, ends=ends)
         again = prop.count_bisect(*args, ends=ends)
-        fresh = prop.count_bisect(*args, ends=_ends(table, seeds, lo, hi))
+        fresh = prop.count_bisect(*args, ends=_ends(table, seed, lo, hi))
         for a, b, c in zip(once, again, fresh):
             assert np.array_equal(a, b) and np.array_equal(a, c)
 
@@ -986,16 +1007,16 @@ def test_count_bisect_end_reuse_and_repeats_are_bitwise(search_tables):
 def test_count_bisect_closed_bracket_reports_end_residual(search_tables, monkeypatch):
     # a bracket within tol on entry takes no step: E is its midpoint and |M|
     # the larger of the two end values, which were computed, not zero
-    table, seeds, _ = search_tables[1]
+    table, seed, _ = search_tables[1]
     e0 = 0.8660254037844386   # closed-form d = 3 Coulomb ground state, alpha 0.5
     lo, hi = np.array([e0 - 3e-4]), np.array([e0 + 3e-4])
-    (m_lo, th_lo, d_lo), (m_hi, th_hi, d_hi) = _ends(table, seeds, lo, hi)
+    (m_lo, th_lo, d_lo), (m_hi, th_hi, d_hi) = _ends(table, seed, lo, hi)
     dtb = th_lo  # counts from lo: the bracket holds eigenvalue index 0
     assert prop.count_below(th_hi, dtb)[0] == 1
     monkeypatch.setattr(prop, "match_values", None)  # no evaluation may run
     e_star, m_abs, width, evals = prop.count_bisect(
         table, np.zeros(1, dtype=np.intp), lo, hi, np.array([0]), dtb, 1e-3,
-        *seeds, ends=((m_lo, th_lo, d_lo), (m_hi, th_hi, d_hi)))
+        seed, ends=((m_lo, th_lo, d_lo), (m_hi, th_hi, d_hi)))
     assert e_star[0] == 0.5 * (lo[0] + hi[0])
     assert width[0] == hi[0] - lo[0]
     assert m_abs[0] == max(abs(m_lo[0]), abs(m_hi[0])) > 0
