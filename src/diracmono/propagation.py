@@ -2,19 +2,19 @@
 
 The radial equations are linear in (psi1, psi2), so a whole batch of energies
 (and of potential-family variants) is advanced through the same radial step
-sequence with vectorized numpy arithmetic. Each step applies a 4th-order
-Magnus propagator (two-point Gauss quadrature of the coefficient matrix plus
-its commutator correction), evaluated in closed form through the traceless
-2x2 exponential. The step matrices do not depend on each other, so all of
-them are formed in one vectorized pass; only their ordered product is
-sequential, and since it is associative it is evaluated as a blocked prefix
-scan rather than one step at a time. The outward and inward legs of a
-two-sided match are two chains of one scan over all their steps; memory is
-bounded by cutting the batch into pieces of rows instead, so no element's
-values depend on the rest of its batch. Propagator entries, partial
-products and node states are kept max-normalized with their scales carried
-as logarithms, so traversing hundreds of exponential e-folds is
-overflow-free.
+sequence with vectorized numpy arithmetic. Each step applies a 6th-order
+Magnus propagator (three-point Gauss quadrature of the coefficient matrix
+plus nested commutator corrections, after Blanes, Casas & Ros 2000),
+evaluated in closed form through the traceless 2x2 exponential. The step
+matrices do not depend on each other, so all of them are formed in one
+vectorized pass; only their ordered product is sequential, and since it is
+associative it is evaluated as a blocked prefix scan rather than one step at
+a time. The outward and inward legs of a two-sided match are two chains of
+one scan over all their steps; memory is bounded by cutting the batch into
+pieces of rows instead, so no element's values depend on the rest of its
+batch. Propagator entries, partial products and node states are kept
+max-normalized with their scales carried as logarithms, so traversing
+hundreds of exponential e-folds is overflow-free.
 
 Radial steps are parametrized either in x = ln r ("log", used for d > 1,
 where the 1/r channel term becomes a constant and the origin power-law layer
@@ -47,7 +47,7 @@ import numpy as np
 from .errors import ConfigurationError, DomainError, NumericalError
 from .numerics import expm_traceless_2x2
 
-_SQRT3 = np.sqrt(3.0)
+_SQRT15 = np.sqrt(15.0)
 _TINY = 1e-300
 _SCAN_ELEMENTS = 1 << 16  # step x batch entries of one scan, unless one batch row has more
 _STEP_ELEMENTS = 1 << 13  # step x batch entries of step matrices formed at once
@@ -67,19 +67,22 @@ class StepTable:
     for a stack of such tables (see stack_tables).
 
     r_nodes has S+1 entries; step i advances from r_nodes[i] to r_nodes[i+1].
-    w[i, g, f] = (dr/dx at gauss node g) * V_f(r at gauss node g), the only
-    family-dependent ingredient of the coefficient matrix. The last axis of
-    r_nodes, h, rmul and the norm weights is a grid axis: family f steps on
-    grid column grid[f]. A table on one grid has a single column, shared by
-    every family (see _per_element).
+    The coefficient matrix enters a step only through its samples at the
+    step's three Gauss nodes, kept as the weights of the Magnus step's
+    alpha_1, alpha_2 and alpha_3 (_alpha_weights, _step_omega): rmul[i, j]
+    those of dr/dx, and w[i, j, f] those of (dr/dx) V_f, the only
+    family-dependent ingredient. All of them carry the step length h, so a
+    zero-length step has zero weights. The last axis of r_nodes, h, rmul and
+    the norm weights is a grid axis: family f steps on grid column grid[f]. A
+    table on one grid has a single column, shared by every family.
     """
 
     k: float
     m: float
     r_nodes: np.ndarray     # (S+1,), or (S+1, G) in a stack
     h: np.ndarray           # (S, G)
-    rmul: np.ndarray        # (S, 2, G) dr/dx at the two gauss nodes
-    w: np.ndarray           # (S, 2, F)
+    rmul: np.ndarray        # (S, 3, G) alpha weights of dr/dx
+    w: np.ndarray           # (S, 3, F) alpha weights of (dr/dx) V_f
     i_match: int
     grid: np.ndarray        # (F,) the grid column of each family
     _norm: dict = field(default_factory=dict, repr=False, compare=False)
@@ -154,7 +157,8 @@ def uniform_nodes(x_lo: float, x_match: float, x_hi: float, n_total: int):
 
 def build_step_table(param: str, k: float, m: float, families,
                      x_nodes: np.ndarray, i_match: int) -> StepTable:
-    """Evaluate the family potentials at the Gauss nodes of every step."""
+    """Evaluate the family potentials at the three Gauss nodes of every
+    step, kept as the weights of the Magnus step (see StepTable)."""
     x_nodes = np.asarray(x_nodes, dtype=float)
     if np.any(np.diff(x_nodes) <= 0):
         raise DomainError("step nodes must be strictly increasing")
@@ -168,9 +172,9 @@ def build_step_table(param: str, k: float, m: float, families,
         raise DomainError(f"unknown parametrization {param!r}")
 
     h = np.diff(x_nodes)
-    off = h * (0.5 / _SQRT3)
+    off = h * (0.1 * _SQRT15)
     xc = 0.5 * (x_nodes[:-1] + x_nodes[1:])
-    xg = np.stack([xc - off, xc + off], axis=1)      # (S, 2)
+    xg = np.stack([xc - off, xc, xc + off], axis=1)      # (S, 3)
     if param == "log":
         rg = np.exp(xg)
         rmul = rg
@@ -178,13 +182,24 @@ def build_step_table(param: str, k: float, m: float, families,
         rg = xg
         rmul = np.ones_like(rg)
 
-    w = np.empty((h.size, 2, len(families)))
+    w = np.empty((h.size, 3, len(families)))
     flat = rg.reshape(-1)
     for f, fam in enumerate(families):
         w[:, :, f] = (rmul * fam.evaluate(flat).reshape(rg.shape))
     return StepTable(k=float(k), m=float(m), r_nodes=r_nodes, h=h[:, None],
-                     rmul=rmul[..., None], w=w, i_match=int(i_match),
+                     rmul=_alpha_weights(rmul[..., None], h[:, None]),
+                     w=_alpha_weights(w, h[:, None]), i_match=int(i_match),
                      grid=np.zeros(w.shape[2], dtype=np.intp))
+
+
+def _alpha_weights(t, h):
+    """The weights of alpha_1, alpha_2 and alpha_3 (see _step_omega) along
+    axis 1, from samples t, shape (S, 3, X), at the three Gauss nodes of
+    each step, h the step lengths: h t_2, sqrt(15) h/3 (t_3 - t_1) and
+    10 h/3 (t_3 - 2 t_2 + t_1)."""
+    lo, mid, hi = t[:, 0], t[:, 1], t[:, 2]
+    return np.stack([h * mid, (_SQRT15 / 3.0) * h * (hi - lo),
+                     (10.0 / 3.0) * h * (hi - 2.0 * mid + lo)], axis=1)
 
 
 def stack_tables(tables) -> StepTable:
@@ -197,19 +212,20 @@ def stack_tables(tables) -> StepTable:
     table g keeps its own steps, shifted by I - i_match_g, and zero-length
     steps pad the front of its outward leg and the back of its inward leg
     (its nodes there repeat its first and last radius). A zero-length step
-    zeroes every Magnus entry, and expm_traceless_2x2 turns that into exactly
-    the identity, so the padding moves no state. The norm weights of the
-    padded nodes are zero, and each leg's start weight stays at the leg's
-    start node, where the state is still the seed's. A stack serves the two
-    match legs, 0 -> I and S -> I, whose norm weights are formed here.
+    has zero weights, which zero every Magnus entry, and expm_traceless_2x2
+    turns that into exactly the identity, so the padding moves no state. The
+    norm weights of the padded nodes are zero, and each leg's start weight
+    stays at the leg's start node, where the state is still the seed's. A
+    stack serves the two match legs, 0 -> I and S -> I, whose norm weights
+    are formed here.
     """
     i_match = max(t.i_match for t in tables)
     n_steps = i_match + max(t.n_steps - t.i_match for t in tables)
     n_grid = len(tables)
     r_nodes, h = np.empty((n_steps + 1, n_grid)), np.zeros((n_steps, n_grid))
-    rmul = np.zeros((n_steps, 2, n_grid))
+    rmul = np.zeros((n_steps, 3, n_grid))
     first = np.cumsum([0] + [t.w.shape[2] for t in tables])   # of each table's families
-    w = np.zeros((n_steps, 2, first[-1]))
+    w = np.zeros((n_steps, 3, first[-1]))
     legs = {(0, i_match): np.zeros((3, i_match + 1, n_grid)),
             (n_steps, i_match): np.zeros((3, n_steps - i_match + 1, n_grid))}
     for g, t in enumerate(tables):
@@ -234,64 +250,137 @@ def stack_tables(tables) -> StepTable:
 # ---------------------------------------------------------------------------
 
 def _step_omega(table: StepTable, steps, fam_idx, em, me, sign=None, out=None):
-    """Magnus matrix entries (oa, ob, oc) for the given steps and batch energies.
+    """Magnus exponent (oa, ob, oc) of the given steps for the batch energies.
 
     steps is an index array of length S; em = E + m and me = m - E have the
     batch shape. fam_idx maps batch elements to table families, or is None
     for the (F, nE) scan layout, where each family's potential is broadcast
-    over its row of energies. sign (-1 for a step taken inward, an array of
-    one per step or one for all) multiplies the entries; it is folded into
-    the per-step coefficients, which negates every entry exactly, as rounding
-    is symmetric. The entries, of shape (S, *batch), are formed in out[0:3]
-    of out, shape (5, S, *batch) (allocated when None), whose out[3:5] serve
-    as scratch, so that at most two more arrays of that size are held.
+    over its row of energies.
+
+    The step is the 6th-order Magnus step of Blanes, Casas & Ros (2000, BIT
+    40). With A_1, A_2, A_3 the coefficient matrix at the three Gauss nodes
+    of a step of length h,
+
+        alpha_1 = h A_2, alpha_2 = sqrt(15) h/3 (A_3 - A_1),
+        alpha_3 = 10 h/3 (A_3 - 2 A_2 + A_1),
+        C_1 = [alpha_1, alpha_2], C_2 = -[alpha_1, 2 alpha_3 + C_1]/60,
+        Omega = alpha_1 + alpha_3/12 + [-20 alpha_1 - alpha_3 + C_1, alpha_2 + C_2]/240.
+
+    Every matrix here is a traceless 2x2 (a, b, c) = [[a, b], [c, -a]]. The
+    coefficient matrix is (-k, R em - W, W + R me), with R = dr/dx and
+    W = R V, so alpha_j = (p_j, R_j em - W_j, W_j + R_j me), with R_j and W_j
+    the table's weights (rmul and w), p_1 = -k h and p_2 = p_3 = 0. Then
+    C_1 = (u, 2 p_1 b_2, -2 p_1 c_2) with u = 2m (R_1 W_2 - W_1 R_2), and
+    with Z = alpha_3 + C_1/2, Y = 30 (alpha_2 + C_2) = 30 alpha_2 -
+    [alpha_1, Z] and X = 20 alpha_1 + alpha_3 - C_1 (the first argument,
+    negated),
+
+        Omega = alpha_1 + alpha_3/12 - [X, Y]/7200.
+
+    sign (-1 for a step taken inward, an array of one per step or one for
+    all) multiplies every term of that sum: the inward step is the inverse
+    of the outward one, exp(-Omega), and negating every term of a sum
+    negates the sum exactly, as rounding is symmetric.
+
+    The entries, of shape (S, *batch), are formed in out[0:3] of out, shape
+    (5, S, *batch) (allocated when None), whose planes serve as scratch with
+    four more arrays of that size and the index arrays of the weights taken
+    per element. The arithmetic runs batch-major, the step axis last, so that
+    per-step coefficients broadcast along contiguous rows at any batch width;
+    each entry is copied into place at the end.
     """
     fam, col = table.columns(fam_idx)
-
-    def per_element(a, idx=col):
-        return _per_element(a, idx, em.ndim)
-
-    # per-step coefficients on the grid axis, taken per element where used
-    h = table.h[steps]
-    cc = _SQRT3 * h * h / 12.0
-    half_h, k2cc, kh = 0.5 * h, cc * (2.0 * table.k), (-table.k) * h
-    if sign is not None:
-        sign = np.reshape(sign, (-1, 1))
-        half_h, k2cc, kh, cc = (sign * a for a in (half_h, k2cc, kh, cc))
+    n_steps, batch = len(steps), em.shape
     if out is None:
-        out = np.empty((5, len(steps), *em.shape))
-    oa, ob, oc, b1, b2 = out
-    # (b, c) = (r em - w, w + r me) at gauss node g: b1 and c1 (in oa), then
-    # b2, with the node's r and w kept for c2
-    for g, b in ((0, b1), (1, b2)):
-        r = w = None    # node 0's are released before node 1's are taken
-        r, w = per_element(table.rmul[steps, g]), per_element(table.w[steps, g], fam)
-        np.multiply(r, em, out=b)
-        b -= w
-        if g == 0:
-            np.multiply(r, me, out=oa)
-            np.add(w, oa, out=oa)
-    # ob = h/2 (b1 + b2) + 2k cc (b2 - b1), with oc as scratch
-    np.add(b1, b2, out=ob)
-    ob *= per_element(half_h)
-    np.subtract(b2, b1, out=oc)
-    oc *= per_element(k2cc)
-    ob += oc
-    # c2 in oc; oa = -k h - cc (b1 c2 - b2 c1), oc = h/2 (c1 + c2) + 2k cc (c1 - c2)
-    np.multiply(r, me, out=oc)
-    np.add(w, oc, out=oc)
-    del r, w
-    b1 *= oc
-    b2 *= oa
-    b1 -= b2
-    np.subtract(oa, oc, out=b2)
-    b2 *= per_element(k2cc)
-    np.add(oa, oc, out=oc)
-    oc *= per_element(half_h)
-    oc += b2
-    b1 *= per_element(cc)
-    np.subtract(per_element(kh), b1, out=oa)
-    return oa, ob, oc
+        out = np.empty((5, n_steps, *batch))
+    # the planes of out, viewed batch-major (contiguous planes, as callers pass)
+    t0, t1, t2, t3, t4 = (o.reshape(*batch, n_steps) for o in out)
+    s0, s1, s2, s3 = np.empty((4, *batch, n_steps))
+    em, me = em[..., None], me[..., None]
+
+    def per_element(a, idx):
+        """Weight j of the table weights a, shape (n, 3, X), at the steps, as
+        a function of j and of an array to take it into: of the batch-major
+        shape, or (S,) where one column serves the batch."""
+        if a.shape[2] == 1:
+            rows = a[steps, :, 0].T.copy()
+            return lambda j, into=None: rows[j]
+        flat, a_flat = steps * a[0].size + idx[..., None], a.reshape(-1)
+        return lambda j, into=None: np.take(
+            a_flat[j * a.shape[2]:], flat,
+            out=into if into is not None and into.shape == flat.shape else None)
+
+    w, r = per_element(table.w, fam), per_element(table.rmul, col)
+    p = (-table.k) * per_element(table.h[:, None], col)(0)    # alpha_1's a
+    sign = 1.0 if sign is None else np.reshape(sign, -1)
+
+    # alpha_1's (b, c) in (s0, s1), alpha_2's in (t3, t4), u in t0 (per
+    # element weights are taken into free planes)
+    w1, r1 = w(0, t0), r(0, t2)
+    np.multiply(r1, em, out=s0)
+    s0 -= w1
+    np.multiply(r1, me, out=s1)
+    s1 += w1
+    w2, r2 = w(1, t1), r(1, s3)
+    np.multiply(r2, em, out=t3)
+    t3 -= w2
+    np.multiply(r2, me, out=t4)
+    t4 += w2
+    np.multiply(w2, r1, out=s2)
+    np.subtract(s2, np.multiply(w1, r2, out=s3), out=t0)
+    t0 *= 2.0 * table.m
+    # Z's (b, c) = alpha_3's + p (b_2, -c_2) in (t1, t2)
+    w3, r3 = w(2, s3), r(2, s2)
+    np.multiply(r3, em, out=t1)
+    t1 -= w3
+    t1 += np.multiply(t3, p, out=t2)
+    np.multiply(r3, me, out=t2)
+    t2 += w3
+    t2 -= np.multiply(t4, p, out=s2)
+    # Y: y_a = c_1 z_b - b_1 z_c in s2, then, through q = z_b - 3 p b_2 in t1,
+    # y_b = 30 b_2 - 2 p z_b + u b_1 = (30 - 6 p^2) b_2 - 2 p q + u b_1 in t3
+    # and x_b = 20 b_1 + q in t1; alike, with the signs of p and u flipped,
+    # y_c in t4 and x_c in t2; and x_a = 20 p - u in t0
+    np.multiply(s1, t1, out=s2)
+    s2 -= np.multiply(s0, t2, out=s3)
+    t1 -= np.multiply(t3, 3.0 * p, out=s3)
+    t3 *= 30.0 - 6.0 * p * p
+    t3 -= np.multiply(t1, 2.0 * p, out=s3)
+    t3 += np.multiply(s0, t0, out=s3)
+    t1 += np.multiply(s0, 20.0, out=s3)
+    t2 += np.multiply(t4, 3.0 * p, out=s3)
+    t4 *= 30.0 - 6.0 * p * p
+    t4 += np.multiply(t2, 2.0 * p, out=s3)
+    t4 -= np.multiply(s1, t0, out=s3)
+    t2 += np.multiply(s1, 20.0, out=s3)
+    np.subtract(20.0 * p, t0, out=t0)
+    # [X, Y] = (x_b y_c - x_c y_b, 2 (x_a y_b - x_b y_a), 2 (x_c y_a - x_a y_c)):
+    # the first entry in s1, the others halved in (s0, s2)
+    np.multiply(t0, t3, out=s0)
+    s0 -= np.multiply(t1, s2, out=s1)
+    np.multiply(t1, t4, out=s1)
+    t3 *= t2
+    s1 -= t3
+    s2 *= t2
+    t4 *= t0
+    s2 -= t4
+    # alpha_1 + alpha_3/12 = (p, R em - W, W + R me), with the weights
+    # R = R_1 + R_3/12 and W = W_1 + W_3/12 (W in t3); every term times sign
+    np.multiply(w(2, t4), sign / 12.0, out=t3)
+    t3 += np.multiply(w(0, t4), sign, out=t4)
+    r_l = np.multiply(r(2, t0), sign / 12.0, out=t0)
+    r_l += np.multiply(r(0, t1), sign, out=t1)
+    s1 *= -sign / 7200.0
+    s1 += sign * p
+    s0 *= -sign / 3600.0
+    s0 += np.multiply(r_l, em, out=t4)
+    s0 -= t3
+    s2 *= -sign / 3600.0
+    s2 += np.multiply(r_l, me, out=t4)
+    s2 += t3
+    for o, entry in zip(out, (s1, s0, s2)):
+        np.copyto(o, np.moveaxis(entry, -1, 0))
+    return out[0], out[1], out[2]
 
 
 _W2_MAX = 8.7  # 2.95^2: a step rotated too far for the crossing count

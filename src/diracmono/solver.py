@@ -481,8 +481,15 @@ def _make_table(channel, families, domain, place_nodes, spacing):
 # ---------------------------------------------------------------------------
 
 _COARSE_C = 0.33
-_FINE_C = 0.06
-_FINE_C_LIN = 0.022  # the linear d = 1 parametrization lacks the log-grid near-exactness
+# the fine step rules are set by the accuracy of the 6th-order Magnus step, far
+# below the rotation limit: at 0.3, acceptance criterion 1's worst error is
+# 8.8e-11 and criterion 8's largest shift 2.4e-10 (0.36 gives 3.1e-10 and
+# 7.0e-10); the linear d = 1 parametrization lacks the log grid's
+# near-exactness, and at 0.11 the d = 1 cutoff Coulomb levels of criterion 7
+# (a = 0.6 to 1.4, each family alone; n_r 0 and 1 even, 0 odd) lie within
+# 3.1e-10 of a step density 8 solve (4.7e-11 at 0.08)
+_FINE_C = 0.3
+_FINE_C_LIN = 0.11
 _R_MAX_CAP = 4000.0  # in units of 1/m; binding below ~5e-5 m is out of reach
 
 _PROFILE_POINTS = 1200  # geometric radii of the workspace's potential profile

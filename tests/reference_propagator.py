@@ -2,7 +2,7 @@
 
 This is the straightforward form of the arithmetic that
 ``diracmono.propagation`` evaluates as a step-parallel scan: apply each
-4th-order Magnus step to the state, renormalize, and (in phase mode) unwrap
+6th-order Magnus step to the state, renormalize, and (in phase mode) unwrap
 the polar angle across the step. It shares the Magnus step itself
 (``_step_omega`` and ``expm_traceless_2x2``) with the package, so what the
 comparison checks is the scan, the normalization bookkeeping, the phase
