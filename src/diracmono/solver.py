@@ -12,11 +12,15 @@ stages that share the seed and match radii:
 1. coarse stage: evaluate the two-sided matching phase at the two ends of
    the search window in the gap, on a cheap grid. The phase is strictly
    monotone in E and crosses a multiple of pi at every eigenvalue, so the two
-   end values give the exact number of eigenvalues in the window, and the
-   n-th is located by bracketed search on its index over the whole window
-   (no energy scan, so no sign-change aliasing where levels accumulate near
-   the gap edge); the index equals the node count of the upper component,
-   which the dense stage re-verifies.
+   end values give the exact number of eigenvalues in the window. The n-th
+   is located by bracketed search on its index, from a semiclassical
+   (Bohr-Sommerfeld) estimate on the profile: one evaluation there gives
+   the estimate's count, and the bracket is the estimate and the window end
+   on the other side of the n-th eigenvalue. The estimate only picks where
+   the search starts; the index comes from the count (no energy scan, so no
+   sign-change aliasing where levels accumulate near the gap edge). It
+   equals the node count of the upper component, which the dense stage
+   re-verifies.
 2. fine stage: repeat the index-targeted search on a dense, energy-band-aware
    grid sized to the radial support of the targeted states, down to the
    eigenvalue tolerance. One evaluation there gives the window ends and
@@ -38,7 +42,8 @@ solve_batch collects the groups.
 Every radial decision reads one potential profile per workspace: V_f sampled
 once on geometric radii from the seed radius out to the explicit r_max or the
 cap 4000/m. It gives the match radius, the bottom of the search window, the
-rates behind the step rules, the outer turning radii and the tail check.
+rates behind the step rules, the outer turning radii, the tail check and the
+semiclassical estimates.
 
 The coarse domain only has to hold the requested states: it is enlarged
 (x2.5) only while a requested eigenvalue index is missing from the window.
@@ -493,6 +498,8 @@ _FINE_C_LIN = 0.11
 _R_MAX_CAP = 4000.0  # in units of 1/m; binding below ~5e-5 m is out of reach
 
 _PROFILE_POINTS = 1200  # geometric radii of the workspace's potential profile
+_BS_TOL = 1e-4          # |N(E) - target - mu| at a predicted level, in levels
+_BS_ENTRIES = 1 << 14   # state x radius entries of one piece of _bs_count (128 kB)
 _LISTED_INDICES = 14  # node indices per family that a NoSuchStateError lists at most
 # step x batch entries of one leg of a fine-stage evaluation in lockstep: half
 # those of a scan piece, so that the widest calls stay near those of groups
@@ -542,6 +549,15 @@ class _Workspace:
         self.coarse = _make_table(channel, families, self.domain,
                                   prop.march_nodes, h_coarse)
         self.seed = _origin_seed_fn(channel, self.families, r_seed)
+        # the semiclassical count (_bs_count) starts one profile radius before
+        # the first where a family is classically allowed at E = m: from
+        # there, sqrt(m^2 + k^2/r^2) and the trapezoid weights / pi
+        e_r = np.hypot(m, channel.k / self.r)
+        allowed = np.flatnonzero((self.v < m - e_r).any(axis=0))
+        self._bs_from = max(int(allowed[0]) - 1, 0) if allowed.size else self.r.size - 2
+        self._bs_er = e_r[self._bs_from:]
+        dr = np.diff(self.r[self._bs_from:]) / (2 * np.pi)
+        self._bs_w = np.append(dr, 0.0) + np.insert(dr, 0, 0.0)
 
     # -- search window ------------------------------------------------------
     def window(self):
@@ -570,18 +586,97 @@ class _Workspace:
         return prop.match_values(self.coarse, None, e_ends, self.seed)
 
     def coarse_eigenvalues(self, ends, fam_is, targets, tol):
-        """Count-bisect each target eigenvalue index on the coarse table.
+        """Count-bisect each target eigenvalue index on the coarse table,
+        starting from its semiclassical estimate (predicted_levels).
 
-        Every bracket is the whole window; the end values from window_ends
-        are reused.
+        One evaluation at the estimates gives each its count; its bracket is
+        the estimate and the window end across the eigenvalue (_search_from),
+        with the end values from window_ends reused. A bad estimate costs at
+        most the whole-window search plus that one evaluation.
         """
-        _, dth, _ = ends
         fam_idx = np.asarray(fam_is, dtype=np.intp)
-        lo, hi = (np.full(fam_idx.size, e) for e in self.window())
-        e_ref, _, _, _ = prop.count_bisect(
-            self.coarse, fam_idx, lo, hi, targets, dth[fam_idx, 0], tol,
-            self.seed, ends=[tuple(a[fam_idx, i] for a in ends) for i in (0, 1)])
+        targets = np.asarray(targets)
+        est = self.predicted_levels(fam_idx, targets)
+        at_est = prop.match_values(self.coarse, fam_idx, est, self.seed)
+        e_rows = np.concatenate([np.repeat(self.window(), len(self.families)), est])
+        values = [np.concatenate([a[:, 0], a[:, 1], b]) for a, b in zip(ends, at_est)]
+        e_ref, _, _, _ = _search_from(self.coarse, fam_idx, e_rows, values, targets,
+                                      tol, self.seed, ("coarse", "estimates"))
         return e_ref
+
+    def predicted_levels(self, fam_idx, targets) -> np.ndarray:
+        """Semiclassical estimate of each target eigenvalue: the energy in the
+        window where the Bohr-Sommerfeld count of its family on the profile,
+
+            N(E) = (1/pi) int sqrt(max(0, (E - V_f)^2 - m^2 - k^2/r^2)) dr,
+
+        equals target + mu, with mu = 1/4 (d = 1 even), 3/4 (d = 1 odd), 1
+        (k > 0) or 0 (k < 0). N is exact for the Dirac-Coulomb levels (n_r +
+        gamma = alpha E/lambda; 1.3e-3 of a level off on the profile) and
+        within 0.16 of a level at the cutoff Coulomb levels of the acceptance
+        sweeps (d = 3 and d = 1). N vanishes below the threshold E_0 = min_r
+        (V_f + sqrt(m^2 + k^2/r^2)) and grows above it, linearly in t =
+        E/lambda for a Coulomb tail, so each target is found by Illinois
+        regula falsi in t on [max(E_0, bottom), top]; a target N does not
+        reach by the window top gets the top. The estimate only picks where a
+        search starts.
+        """
+        ch = self.channel
+        m = ch.m
+        fam_idx = np.asarray(fam_idx, dtype=np.intp)
+        if ch.d == 1:
+            mu = 0.25 if ch.parity == "even" else 0.75
+        else:
+            mu = 1.0 if ch.k > 0 else 0.0
+        goal = np.asarray(targets, dtype=float) + mu
+        bottom, top = self.window()
+        rows = max(1, _BS_ENTRIES // self._bs_er.size)
+        e_0 = np.concatenate([(self.v[i:i + rows, self._bs_from:] + self._bs_er).min(axis=1)
+                              for i in range(0, len(self.families), rows)])
+        lo, hi = np.clip(e_0[fam_idx], bottom, top), np.full(fam_idx.size, top)
+        # N is 0 at E_0; a family whose E_0 lies below the window counts there
+        g_lo, g_hi = -goal, self._bs_count(fam_idx, hi) - goal
+        deep = np.flatnonzero(e_0[fam_idx] <= bottom)
+        g_lo[deep] += self._bs_count(fam_idx[deep], lo[deep])
+        est = np.where(g_lo >= 0, lo, hi)
+        t_lo, t_hi = (e / np.sqrt((m - e) * (m + e)) for e in (lo, hi))
+        last = np.zeros(fam_idx.size, dtype=int)   # side replaced last: -1 lo, 1 hi
+        act = np.flatnonzero((g_lo < 0) & (g_hi > 0))
+        for _ in range(prop._MAX_ITER):
+            if act.size == 0:
+                break
+            tl, th, gl, gh = t_lo[act], t_hi[act], g_lo[act], g_hi[act]
+            t = tl - gl * (th - tl) / (gh - gl)
+            e = m * t / np.sqrt(1.0 + t * t)
+            g = self._bs_count(fam_idx[act], e) - goal[act]
+            est[act] = e
+            low = g < 0
+            # Illinois: an end kept twice in a row has its g halved
+            t_lo[act], t_hi[act] = np.where(low, t, tl), np.where(low, th, t)
+            g_lo[act] = np.where(low, g, np.where(last[act] == 1, 0.5 * gl, gl))
+            g_hi[act] = np.where(low, np.where(last[act] == -1, 0.5 * gh, gh), g)
+            last[act] = np.where(low, -1, 1)
+            act = act[(np.abs(g) > _BS_TOL) & (tl < t) & (t < th)]
+        return est
+
+    def _bs_count(self, fam_idx, energies) -> np.ndarray:
+        """N(E) of predicted_levels for each (family, energy) pair, by the
+        trapezoid rule on the profile radii, in pieces of at most
+        _BS_ENTRIES pair x radius entries."""
+        out = np.empty(fam_idx.size)
+        c = self._bs_er ** 2
+        rows = max(1, _BS_ENTRIES // c.size)
+        for i in range(0, fam_idx.size, rows):
+            q = self.v[fam_idx[i:i + rows], self._bs_from:]
+            np.subtract(energies[i:i + rows, None], q, out=q)
+            np.square(q, out=q)
+            q -= c
+            np.maximum(q, 0.0, out=q)
+            np.sqrt(q, out=q)
+            # einsum, not a BLAS product: the first BLAS call of a process
+            # that makes none adds about 0.25 MB to its peak resident memory
+            out[i:i + rows] = np.einsum("ij,j->i", q, self._bs_w)
+        return out
 
     # -- fine + dense stages --------------------------------------------------
     def turning_radius(self, fam_idx, energies) -> np.ndarray:
@@ -702,29 +797,14 @@ class _Workspace:
         mval, dth, slope = (np.concatenate(v) for v in zip(*(
             prop.match_values(table, cols[i:i + width], e_rows[i:i + width], seed)
             for i in range(0, e_rows.size, width))))
-        dth_b = dth[row]
-        missing = prop.count_below(dth[nf + row], dth_b) <= targets
+        missing = prop.count_below(dth[nf + row], dth[row]) <= targets
         if np.any(missing):
             raise NumericalError(
                 f"the fine grid brackets no eigenvalue of index "
                 f"{targets[missing].tolist()} in the search window "
                 f"[{bottom:.12g}, {top:.12g}]")
-        # each bracket: the centre and the window end across the eigenvalue
-        count = prop.count_below(dth[2 * nf:], dth_b)
-        up = count <= targets                  # the centre lies below it
-        centre = 2 * nf + np.arange(row.size)
-        end = np.where(up, nf + row, row)
-        lo_row, hi_row = np.where(up, centre, end), np.where(up, end, centre)
-        past = (count < targets) | (count > targets + 1)
-        if _log.isEnabledFor(logging.DEBUG) and np.any(past):
-            _log.debug("fine stage: the coarse centres %s of indices %s lie past a "
-                       "neighbouring eigenvalue on the fine grid (counts %s); their "
-                       "searches need the far window end", e_centers[past].tolist(),
-                       targets[past].tolist(), count[past].tolist())
-        found = prop.count_bisect(
-            table, row, e_rows[lo_row], e_rows[hi_row], targets, dth_b,
-            self.config.e_tol, seed,
-            ends=[(mval[r], dth[r], slope[r]) for r in (lo_row, hi_row)])
+        found = _search_from(table, row, e_rows, (mval, dth, slope), targets,
+                             self.config.e_tol, seed, ("fine", "coarse centres"))
         bounds = np.cumsum([0] + [r.size for r in rows])
         return [(*(a[lo:hi] for a in found), domain)
                 for lo, hi, domain in zip(bounds[:-1], bounds[1:], domains)]
@@ -788,6 +868,37 @@ class _Workspace:
         return states
 
 
+def _search_from(table, row, e_rows, values, targets, tol, seed, names):
+    """count_bisect each target index from its centre, on the table.
+
+    e_rows holds the window bottom of each of the table's nf families, then
+    their window tops, then one centre per target (row: its family), and
+    values the (mval, dth, slope) of match_values there. A bracket is the
+    centre and the window end on the other side of the centre's count, so
+    index targeting stays exact however far off the centre is, and the
+    search starts with Newton from the centre. Centres past a neighbouring
+    eigenvalue are logged at DEBUG; names = (stage, what the centres are).
+    """
+    mval, dth, slope = values
+    nf = (e_rows.size - row.size) // 2
+    dth_b = dth[row]
+    count = prop.count_below(dth[2 * nf:], dth_b)
+    up = count <= targets                  # the centre lies below it
+    centre = 2 * nf + np.arange(row.size)
+    end = np.where(up, nf + row, row)
+    lo_row, hi_row = np.where(up, centre, end), np.where(up, end, centre)
+    past = (count < targets) | (count > targets + 1)
+    if _log.isEnabledFor(logging.DEBUG) and np.any(past):
+        stage, what = names
+        _log.debug("%s stage: the %s %s of indices %s lie past a neighbouring "
+                   "eigenvalue on the %s grid (counts %s); their searches need the "
+                   "far window end", stage, what, e_rows[centre[past]].tolist(),
+                   targets[past].tolist(), stage, count[past].tolist())
+    return prop.count_bisect(table, row, e_rows[lo_row], e_rows[hi_row], targets,
+                             dth_b, tol, seed,
+                             ends=[(mval[r], dth[r], slope[r]) for r in (lo_row, hi_row)])
+
+
 def _longest_leg(tables) -> int:
     """Steps of the longer match leg of the stack of the tables
     (prop.stack_tables)."""
@@ -797,10 +908,10 @@ def _longest_leg(tables) -> int:
 def _no_such_state(ws: _Workspace, ends, n_top, reason: str, ties=None):
     """NoSuchStateError listing refined (E, node-index) pairs: every index
     below min(n_top, _LISTED_INDICES), n_top the window's eigenvalue count,
-    count-bisected on the whole window. A batch of more than one stencil
-    (ties, see solve_batch) lists nothing: its sweep discards the message and
-    solves point by point, and each one-stencil batch there lists its own
-    pairs."""
+    count-bisected on the coarse table (_Workspace.coarse_eigenvalues). A
+    batch of more than one stencil (ties, see solve_batch) lists nothing: its
+    sweep discards the message and solves point by point, and each
+    one-stencil batch there lists its own pairs."""
     if ties is not None and len(set(ties)) > 1:
         return NoSuchStateError(f"{reason} (a batch of {len(set(ties))} stencils; "
                                 f"found pairs not listed)")
@@ -871,7 +982,7 @@ def solve_batch(channel: ChannelSpec, families, n_r_values, config: SolveConfig 
                         n_r_max=max(n_r_values))
     fam_is = [f for f in range(len(families)) for _ in n_r_values]
     labels = [n for _ in families for n in n_r_values]
-    centers = ws.coarse_eigenvalues(ends, fam_is, labels, tol=3e-6 * channel.m)
+    centers = ws.coarse_eigenvalues(ends, fam_is, labels, tol=3e-7 * channel.m)
     # without an explicit r_max, a state with less than HEADROOM_EFOLDS of decay
     # room even at the cap is out of reach: the hard wall would shift its E
     m = channel.m
@@ -976,8 +1087,9 @@ def solve(channel: ChannelSpec, family: PotentialFamily, n_r: int,
     """Bound state with n_r nodes of psi1 in the given channel.
 
     Counts eigenvalues over the whole gap from the matching phase, which
-    passes a multiple of pi at each one, brackets the n_r-th by that count,
-    narrows the bracket by count-preserving Newton steps on the angle with a
+    passes a multiple of pi at each one, brackets the n_r-th by that count
+    between a semiclassical estimate of it and the far window end, narrows
+    the bracket by count-preserving Newton steps on the angle with a
     midpoint fallback (see propagation.count_bisect), and returns the
     normalized, sign-fixed state whose node count equals n_r. Raises
     NoSuchStateError (listing what was found) if the requested state does

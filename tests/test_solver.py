@@ -5,6 +5,7 @@ import itertools
 import logging
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -1082,8 +1083,8 @@ def test_count_bisect_closed_bracket_reports_end_residual(search_tables, monkeyp
     assert evals[0] == 0
 
 
-FINE_EVALS_CRITERION_1 = 49
-MATCH_CALLS_CRITERION_1 = 46
+FINE_EVALS_CRITERION_1 = 43
+MATCH_CALLS_CRITERION_1 = 27
 
 
 def test_search_below_one_ulp_ends_promptly(channel_s, coulomb_half):
@@ -1135,6 +1136,110 @@ def test_search_evaluations_on_criterion_1(monkeypatch):
     assert len(calls) <= MATCH_CALLS_CRITERION_1
 
 
+@pytest.mark.parametrize("j", [0.5, 1.5])
+def test_predicted_levels_on_criterion_1(j):
+    # the semiclassical count is exact for Dirac-Coulomb up to its quadrature
+    # on the profile: each of criterion 1's predictions lies within 0.01 of a
+    # level spacing of the closed form (measured: 1.3e-3), and the count at
+    # the closed-form level is within 0.01 of n_r (measured: 1.0e-3)
+    alphas = (0.2, 0.5, 0.9)
+    ws = S._Workspace(dm.ChannelSpec(d=3, tau=-1, j=j),
+                      [dm.pure_coulomb(a) for a in alphas], dm.SolveConfig(), n_r_max=2)
+    fam_idx, n_r = np.repeat(np.arange(3), 3), np.tile(np.arange(3), 3)
+    exact, above = (np.array([coulomb_energy(CoulombLevel(n=int(n + j + 0.5) + up, j=j,
+                                                          alpha=alphas[f]))
+                              for f, n in zip(fam_idx, n_r)]) for up in (0, 1))
+    predicted = ws.predicted_levels(fam_idx, n_r)
+    assert np.all(np.abs(predicted - exact) <= 0.01 * (above - exact))
+    assert np.all(np.abs(ws._bs_count(fam_idx, exact) - n_r) <= 0.01)
+
+
+@pytest.mark.parametrize("channel, shallow", [
+    (dm.ChannelSpec(d=1, parity="even"), dm.cutoff_coulomb(1e-9, 1.0)),
+    (dm.ChannelSpec(d=1, parity="odd"), dm.cutoff_coulomb(1e-9, 1.0)),
+    (dm.ChannelSpec(d=3, tau=1, j=0.5), dm.pure_coulomb(1e-9)),
+], ids=["d1-even", "d1-odd", "d3-tau+1"])
+def test_predicted_levels_raise_no_warning(channel, shallow):
+    # d = 1 has k = 0 and a profile from 2e-12; a target above the count at
+    # the window top gets the top, and so does every index of a shallow
+    # family, whose threshold E_0 lies above the window (above m for d = 3)
+    ws = S._Workspace(channel, [dm.cutoff_coulomb(1.0, a) for a in (0.6, 1.0, 1.4)]
+                      + [shallow], dm.SolveConfig())
+    if channel.d == 1:
+        assert ws.r[0] == 2e-12
+    fam_idx, targets = np.repeat(np.arange(4), 4), np.tile([0, 1, 2, 10 ** 6], 4)
+    bottom, top = ws.window()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        predicted = ws.predicted_levels(fam_idx, targets).reshape(4, 4)
+    assert np.all((bottom <= predicted) & (predicted <= top))
+    assert np.all(np.diff(predicted[:3, :3], axis=1) > 0)
+    assert np.all(predicted[:, 3] == top) and np.all(predicted[3] == top)
+
+
+def _estimates_two_levels_up(monkeypatch):
+    """Make every coarse search start from the estimate of its index + 2."""
+    predicted = S._Workspace.predicted_levels
+
+    def two_levels_up(self, fam_idx, targets):
+        return predicted(self, fam_idx, np.asarray(targets) + 2)
+
+    monkeypatch.setattr(S._Workspace, "predicted_levels", two_levels_up)
+
+
+def test_estimate_two_levels_off_keeps_the_index(channel_s, monkeypatch):
+    # the estimate only picks where a coarse search starts; the index comes
+    # from the matching-angle count, so a forced bad estimate still returns
+    # the requested states
+    _estimates_two_levels_up(monkeypatch)
+    res = dm.solve_batch(channel_s, [dm.pure_coulomb(0.5), dm.pure_coulomb(0.9)], [0, 1, 2])
+    for alpha, per_fam in zip((0.5, 0.9), res):
+        for n_r, st in per_fam.items():
+            exact = coulomb_energy(CoulombLevel(n=n_r + 1, j=0.5, alpha=alpha))
+            assert_close(st.E, exact, 1e-9, f"E(alpha={alpha}, n_r={n_r}) from a far estimate")
+            assert st.nodes == n_r
+
+
+def test_estimate_past_a_neighbour_is_logged(channel_s, coulomb_half, monkeypatch, caplog):
+    caplog.set_level(logging.DEBUG, logger="diracmono")
+    dm.solve(channel_s, coulomb_half, 1)
+    assert not any("coarse stage" in r.getMessage() for r in caplog.records)
+    _estimates_two_levels_up(monkeypatch)
+    caplog.clear()
+    dm.solve(channel_s, coulomb_half, 1)
+    lines = [r.getMessage() for r in caplog.records if "coarse stage" in r.getMessage()]
+    assert len(lines) == 1
+    assert "estimates" in lines[0] and "indices [1]" in lines[0] and "counts [3]" in lines[0]
+
+
+def test_coarse_searches_from_estimates_on_wide_spectrum(channel_s, monkeypatch):
+    # the benchmark's seed-0 wide batch (16 couplings, n_r 0..3): every coarse
+    # search takes at most 3 evaluations, the one at its estimate included
+    # (each took 15 from the whole window)
+    coarse, bisect = S._Workspace.coarse_eigenvalues, prop.count_bisect
+    evals, inside = [], []
+
+    def in_coarse(self, *args, **kwargs):
+        inside.append(True)
+        try:
+            return coarse(self, *args, **kwargs)
+        finally:
+            inside.pop()
+
+    def counting_bisect(*args, **kwargs):
+        found = bisect(*args, **kwargs)
+        if inside:
+            evals.extend(found[3])
+        return found
+
+    monkeypatch.setattr(S._Workspace, "coarse_eigenvalues", in_coarse)
+    monkeypatch.setattr(prop, "count_bisect", counting_bisect)
+    families = [dm.pure_coulomb(float(a)) for a in np.linspace(0.3, 0.9, 16)]
+    dm.solve_batch(channel_s, families, [0, 1, 2, 3], dense_flags=[False] * 16)
+    assert len(evals) == 64
+    assert 1 + max(evals) <= 3
+
+
 def _cubic_tail_well(g):
     """V = -g/(1 + r^3): its tail is too weak for the first coarse domain to
     hold an excited d = 1 state, but not dead at its wall."""
@@ -1148,10 +1253,13 @@ def _cubic_tail_well(g):
 
 def test_recoveries_are_logged(channel_s, coulomb_half, monkeypatch, caplog):
     caplog.set_level(logging.DEBUG, logger="diracmono")
-    # the whole-window coarse search steps to the bracket midpoint where
-    # Newton leaves the bracket
+    # a coarse search from the window bottom spans the whole window, and
+    # steps to the bracket midpoint where Newton leaves the bracket
+    monkeypatch.setattr(S._Workspace, "predicted_levels",
+                        lambda self, fam_idx, targets: np.full(len(fam_idx), self.window()[0]))
     dm.solve(channel_s, coulomb_half, 0)
     assert any("fell back from Newton" in r.getMessage() for r in caplog.records)
+    monkeypatch.undo()
 
     # a coarse centre two levels off: the fine search needs the far window
     # end, logs it, and still converges on the requested index
