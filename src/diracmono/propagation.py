@@ -631,11 +631,15 @@ def _read_phase(P, lay, legs, col, at):
         total = by_column.sum(axis=1)
         # zero for a column whose nodes are all padding (see stack_tables):
         # its log I is -inf, which adds nothing
-        log_nodes = (np.log(total, out=np.full_like(total, -np.inf), where=total != 0)
+        log_nodes = (np.log(total, out=np.full_like(total, -np.inf), where=total > 0)
                      .reshape(batch) + 2.0 * ref)
         end1, end2, _, slope = (a[at] for a in leg.out)
-        slope[...] = (np.exp(np.logaddexp(log_start, log_nodes) - 2.0 * l_end)
-                      / (end1 * end1 + end2 * end2))
+        # negative where steps far longer than the leg's decay length leave
+        # the node rule's sum meaningless: the slope is then NaN, which
+        # count_bisect takes as no Newton step
+        slope[...] = np.where(total.reshape(batch) < 0, np.nan,
+                              np.exp(np.logaddexp(log_start, log_nodes) - 2.0 * l_end)
+                              / (end1 * end1 + end2 * end2))
         if leg.outward:
             np.negative(slope, out=slope)
 

@@ -7,7 +7,8 @@ The pair (psi1, psi2) satisfies
 
 with k = tau (j + (d-2)/2) for d > 1 and k = 0 on the d = 1 half-line, and
 discrete eigenvalues live in the gap (-m, m). A solve proceeds in three
-stages that share the seed and match radii:
+stages that share the seed radius; each table matches at a radius of its own
+(see below):
 
 1. coarse stage: evaluate the two-sided matching phase at the two ends of
    the search window in the gap, on a cheap grid. The phase is strictly
@@ -40,18 +41,21 @@ rounds; the dense stage is then streamed one group at a time, and
 solve_batch collects the groups.
 
 Every radial decision reads one potential profile per workspace: V_f sampled
-once on geometric radii from the seed radius out to the explicit r_max or the
-cap 4000/m. It gives the match radius, the bottom of the search window, the
-rates behind the step rules, the outer turning radii, the tail check and the
+once on geometric radii from the seed radius out to the ceiling, the explicit
+r_max or the cap 4000/m. It gives the bottom of the search window, the rates
+behind the step rules, the outer turning radii, the tail check and the
 semiclassical estimates.
 
-The coarse domain only has to hold the requested states: it is enlarged
-(x2.5) only while a requested eigenvalue index is missing from the window.
-The fine and dense stages size their own domain from the targeted states,
-HEADROOM_EFOLDS + 9 e-folds of decay beyond each state's own turning radius
-on the profile, up to an explicit r_max or the cap. Without an explicit
-r_max, a requested state with less than HEADROOM_EFOLDS of room even at the
-cap is refused.
+One rule (_Workspace.trimmed_domain) sizes every domain from the levels it
+holds: it ends a number of e-folds of decay beyond their farthest turning
+radius, and it matches at half their smallest one, inside the classically
+allowed region of each. The coarse domain holds the semiclassical levels 0
+and n_r_max of every family; when a requested index is still missing from
+its window, it is rebuilt once, at the ceiling. Each fine and dense group
+sizes its own domain from its coarse centres, HEADROOM_EFOLDS + 9 e-folds
+beyond them, and so matches at its own radius. An explicit r_match is every
+table's. Without an explicit r_max, a requested state with less than
+HEADROOM_EFOLDS of room even at the cap is refused.
 
 Everything is deterministic: identical inputs produce bitwise-identical
 states.
@@ -59,6 +63,7 @@ states.
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import math
 from dataclasses import dataclass, field
@@ -288,16 +293,27 @@ def _seed_correction(channel: ChannelSpec, family: PotentialFamily, r0: float) -
     return quad + vvar
 
 
-def _seed_radius(channel: ChannelSpec, families) -> float:
-    """Largest r0 = (1e-3/m) 2^-i, i < 60, keeping every family's
-    origin-series truncation below tolerance; all candidates of a family are
-    checked in one call."""
+def _seed_radius(channel: ChannelSpec, families, config, ceiling) -> float:
+    """r_seed of every domain of a workspace, 0 on the d = 1 half-line: the
+    explicit r0, else the largest r0 = (1e-3/m) 2^-i, i < 60, keeping every
+    family's origin-series truncation below tolerance (all candidates of a
+    family are checked in one call), up to 1e-6 of the ceiling."""
+    if channel.d == 1:
+        return 0.0
+    if config.r0 is not None:
+        worst = max(_seed_correction(channel, f, config.r0) for f in families)
+        if worst > SEED_CORRECTION_TOL:
+            raise ConfigurationError(
+                f"configured r0 = {config.r0:g} is too large for the origin "
+                f"seed (dropped term {worst:.2e})"
+            )
+        return config.r0
     r0 = (1e-3 / channel.m) * 0.5 ** np.arange(60)
     worst = np.max([_seed_correction(channel, f, r0) for f in families], axis=0)
     ok = np.nonzero(worst <= 0.3 * SEED_CORRECTION_TOL)[0]
     if ok.size == 0:
         raise NumericalError("could not find a valid origin seed radius")
-    return float(r0[ok[0]])
+    return min(float(r0[ok[0]]), 1e-6 * ceiling)
 
 
 def origin_seed(channel: ChannelSpec, family: PotentialFamily, E: float, r0: float):
@@ -400,44 +416,6 @@ class _Domain:
     param: str  # "log" for d > 1, "lin" for d = 1
 
 
-def _initial_r_max(channel, families, n_r_max: int) -> float:
-    """Outer radius of the coarse domain, which only has to hold the requested
-    states: for Coulombic tails the n-th state decays like
-    exp(-r alpha m/(n+1))-ish, so the largest tail strength |V(r)| * r sizes
-    it; the fine and dense stages size their own headroom (trimmed_domain)."""
-    m = channel.m
-    r_scale = max(f.length_scale(m) for f in families)
-    base = max(20.0 * r_scale, 60.0 / m)
-    r_big = 50.0 * r_scale
-    c_tail = max(abs(f.evaluate(r_big)) * r_big for f in families)
-    if c_tail > 1e-4:
-        lam_est = 0.8 * c_tail * m / (n_r_max + 1.0)
-        base = max(base, 50.0 / lam_est)
-    return min(base, _R_MAX_CAP / m)
-
-
-def _seed_and_outer_radius(channel, families, config, r_max_override=None,
-                           n_r_max: int = 0):
-    """(r_seed, r_max) of the coarse domain; r_seed = 0 on the d = 1 half-line."""
-    m = channel.m
-    if config.r_max is not None and config.r_max > _R_MAX_CAP / m:
-        raise ConfigurationError(f"r_max = {config.r_max:g} exceeds the cap "
-                                 f"{_R_MAX_CAP:g}/m = {_R_MAX_CAP / m:g}")
-    r_max = (r_max_override or config.r_max
-             or _initial_r_max(channel, families, n_r_max))
-    if channel.d == 1:
-        return 0.0, r_max
-    if config.r0 is not None:
-        worst = max(_seed_correction(channel, f, config.r0) for f in families)
-        if worst > SEED_CORRECTION_TOL:
-            raise ConfigurationError(
-                f"configured r0 = {config.r0:g} is too large for the origin "
-                f"seed (dropped term {worst:.2e})"
-            )
-        return config.r0, r_max
-    return min(_seed_radius(channel, families), 1e-6 * r_max), r_max
-
-
 def _coarse_rate(channel, env):
     """Worst-case-over-the-gap local rate per unit radius, on the profile."""
     m = channel.m
@@ -486,6 +464,7 @@ def _make_table(channel, families, domain, place_nodes, spacing):
 # ---------------------------------------------------------------------------
 
 _COARSE_C = 0.33
+_COARSE_EFOLDS = 4.0  # decay room of the coarse domain beyond its levels' turning radii
 # the fine step rules are set by the accuracy of the 6th-order Magnus step, far
 # below the rotation limit: at 0.3, acceptance criterion 1's worst error is
 # 8.8e-11 and criterion 8's largest shift 2.4e-10 (0.36 gives 3.1e-10 and
@@ -508,47 +487,31 @@ _LOCKSTEP_ENTRIES = prop._SCAN_ELEMENTS // 2
 
 
 class _Workspace:
-    """Shared radial domain, potential profile and step tables for a family
+    """Potential profile, origin seed and coarse step table for a family
     batch. The profile (r, v, env) samples every V_f once, from
     2 max(r_seed, 1e-12) to the ceiling (the explicit r_max, else the cap),
-    so it spans every domain the workspace builds."""
+    so it spans every domain the workspace builds. Every domain comes from
+    trimmed_domain: the coarse one (domain) holds the semiclassical levels 0
+    and n_r_max of every family, with _COARSE_EFOLDS of decay room, and
+    each fine and dense group sizes its own from its coarse centres."""
 
-    def __init__(self, channel, families, config, r_max_override=None,
-                 n_r_max: int = 0):
+    def __init__(self, channel, families, config, n_r_max: int = 0):
         for fam in families:
             if fam.origin_class.is_singular:
                 _coulomb_gamma(channel.k, fam.origin_class.strength)  # raises if supercritical
         m = channel.m
+        if config.r_max is not None and config.r_max > _R_MAX_CAP / m:
+            raise ConfigurationError(f"r_max = {config.r_max:g} exceeds the cap "
+                                     f"{_R_MAX_CAP:g}/m = {_R_MAX_CAP / m:g}")
         self.channel = channel
         self.families = list(families)
         self.config = config
         self.ceiling = config.r_max or _R_MAX_CAP / m
-        r_seed, r_max = _seed_and_outer_radius(channel, families, config,
-                                               r_max_override, n_r_max)
-        self.r = np.geomspace(2.0 * max(r_seed, 1e-12), self.ceiling, _PROFILE_POINTS)
+        self.r_seed = _seed_radius(channel, families, config, self.ceiling)
+        self.r = np.geomspace(2.0 * max(self.r_seed, 1e-12), self.ceiling, _PROFILE_POINTS)
         self.v = np.stack([f.evaluate(self.r) for f in self.families])
         self.env = np.abs(self.v).max(axis=0)
-        # r_match: where the worst-case |V| falls through m (where the sign of
-        # the psi2' coefficient V + m - E changes character near mid-gap),
-        # well inside the domain so the outward pass never spans many
-        # forbidden e-folds
-        reach = np.nonzero((self.env >= m) & (self.r <= r_max / 3))[0]
-        r_star = (self.r[reach[-1]] if reach.size
-                  else 4.0 * max(f.length_scale(m) for f in families))
-        r_match = config.r_match or float(min(max(r_star, r_seed * 40, 1e-6 / m),
-                                              r_max / 3))
-        if not (r_seed < r_match < r_max):
-            raise ConfigurationError(
-                f"need r0 < r_match < r_max, got {r_seed:g}, {r_match:g}, {r_max:g}"
-            )
-        self.domain = _Domain(r_seed=r_seed, r_max=r_max, r_match=r_match,
-                              param="lin" if channel.d == 1 else "log")
-        h_coarse = _h_rule(channel, self.domain.param, self.r,
-                           _coarse_rate(channel, self.env), _COARSE_C,
-                           config.step_density)
-        self.coarse = _make_table(channel, families, self.domain,
-                                  prop.march_nodes, h_coarse)
-        self.seed = _origin_seed_fn(channel, self.families, r_seed)
+        self.seed = _origin_seed_fn(channel, self.families, self.r_seed)
         # the semiclassical count (_bs_count) starts one profile radius before
         # the first where a family is classically allowed at E = m: from
         # there, sqrt(m^2 + k^2/r^2) and the trapezoid weights / pi
@@ -558,6 +521,20 @@ class _Workspace:
         self._bs_er = e_r[self._bs_from:]
         dr = np.diff(self.r[self._bs_from:]) / (2 * np.pi)
         self._bs_w = np.append(dr, 0.0) + np.insert(dr, 0, 0.0)
+        held = sorted({0, n_r_max})   # the coarse domain's levels of each family
+        fam_idx = np.repeat(np.arange(len(self.families)), len(held))
+        levels = self.predicted_levels(fam_idx, np.tile(held, len(self.families)))
+        self.set_coarse(self.trimmed_domain(fam_idx, levels, _COARSE_EFOLDS))
+
+    def set_coarse(self, domain):
+        """Make the coarse table, on the domain, the workspace's. Its step
+        rule reads the worst-case rate over the gap on the whole profile."""
+        self.domain = domain
+        h_coarse = _h_rule(self.channel, domain.param, self.r,
+                           _coarse_rate(self.channel, self.env), _COARSE_C,
+                           self.config.step_density)
+        self.coarse = _make_table(self.channel, self.families, domain,
+                                  prop.march_nodes, h_coarse)
 
     # -- search window ------------------------------------------------------
     def window(self):
@@ -682,32 +659,46 @@ class _Workspace:
     def turning_radius(self, fam_idx, energies) -> np.ndarray:
         """Outer turning radius of each state: the last profile radius where
         its own family's |V| reaches m - E, else the profile's first radius.
-        The profile runs out to the ceiling of every domain."""
-        v_abs = np.abs(self.v[np.asarray(fam_idx, dtype=np.intp)])
+        The profile runs out to the ceiling of every domain; the states are
+        taken in pieces of at most _BS_ENTRIES state x radius entries."""
+        fam_idx = np.asarray(fam_idx, dtype=np.intp)
         gap = np.maximum(self.channel.m - np.asarray(energies, dtype=float), 1e-12)
-        inside = v_abs >= gap[:, None]
-        last = inside.shape[1] - 1 - np.argmax(inside[:, ::-1], axis=1)
-        return np.where(inside.any(axis=1), self.r[last], self.r[0])
+        out = np.empty(fam_idx.size)
+        rows = max(1, _BS_ENTRIES // self.r.size)
+        for i in range(0, fam_idx.size, rows):
+            inside = np.abs(self.v[fam_idx[i:i + rows]]) >= gap[i:i + rows, None]
+            last = inside.shape[1] - 1 - np.argmax(inside[:, ::-1], axis=1)
+            out[i:i + rows] = np.where(inside.any(axis=1), self.r[last], self.r[0])
+        return out
 
-    def trimmed_domain(self, fam_idx, energies) -> _Domain:
-        """Domain sized to what the states (fam_idx, energies) occupy.
+    def trimmed_domain(self, fam_idx, energies, efolds=HEADROOM_EFOLDS + 9.0) -> _Domain:
+        """The domain of the states (fam_idx, energies), the one rule for
+        every table of the workspace, from their turning radii r_to,i on the
+        profile and decay rates lambda_i = sqrt(m^2 - E_i^2).
 
-        It ends HEADROOM_EFOLDS + 9 e-folds of decay beyond the farthest of
-        their turning radii, max_i (r_to,i + 47/lambda_i) with lambda_i =
-        sqrt(m^2 - E_i^2) and r_to,i read from the profile, below the
-        explicit r_max or the cap, and so may reach past the coarse domain.
-        Deeper states of the same families decay within it, so eigenvalue
-        indices relative to the window bottom are unchanged; the trim buys a
-        dense grid where the target states actually have support.
+        It ends efolds of decay beyond the farthest turning radius,
+        r_max = max_i (r_to,i + efolds/lambda_i), at least 30/m and at most
+        the ceiling, and it matches inside the classically allowed region of
+        every state, at r_match = 1/2 min_i r_to,i clamped to
+        [max(40 r_seed, 1e-6/m), r_max/3]. The fine and dense stages take
+        efolds = HEADROOM_EFOLDS + 9 beyond their coarse centres, the coarse
+        table _COARSE_EFOLDS beyond its semiclassical levels. Deeper states
+        of the same families decay within it, so eigenvalue indices relative
+        to the window bottom are unchanged. An explicit r_match is every
+        domain's; ConfigurationError refuses one outside (r_seed, r_max).
         """
         m = self.channel.m
         energies = np.asarray(energies, dtype=float)
         lam = np.sqrt(np.maximum(m * m - energies ** 2, 1e-12))
-        r_need = float(np.max(self.turning_radius(fam_idx, energies)
-                              + (HEADROOM_EFOLDS + 9.0) / lam))
-        r_max = min(self.ceiling, max(r_need, 4.0 * self.domain.r_match, 30.0 / m))
-        return _Domain(r_seed=self.domain.r_seed, r_max=r_max,
-                       r_match=self.domain.r_match, param=self.domain.param)
+        r_to = self.turning_radius(fam_idx, energies)
+        r_max = min(self.ceiling, max(float(np.max(r_to + efolds / lam)), 30.0 / m))
+        r_match = self.config.r_match or min(
+            max(0.5 * float(r_to.min()), 40.0 * self.r_seed, 1e-6 / m), r_max / 3)
+        if not self.r_seed < r_match < r_max:
+            raise ConfigurationError(
+                f"need r0 < r_match < r_max, got {self.r_seed:g}, {r_match:g}, {r_max:g}")
+        return _Domain(r_seed=self.r_seed, r_max=r_max, r_match=r_match,
+                       param="lin" if self.channel.d == 1 else "log")
 
     def fine_table(self, e_band, domain, fams):
         """Fine step table for energies in e_band; fams (workspace family
@@ -959,27 +950,24 @@ def solve_batch(channel: ChannelSpec, families, n_r_values, config: SolveConfig 
                                  f"{len(families)} families")
 
     ws = _Workspace(channel, families, config, n_r_max=max(n_r_values))
-    while True:
-        ends = ws.window_ends()
-        n_top = prop.count_below(ends[1][:, 1], ends[1][:, 0])
-        if not np.any(n_top <= n_r_values[-1]):
-            break
-        # A missing state can only appear at larger r_max if the potential
-        # tail at the current wall can still bind within the window.
-        # An explicitly configured r_max pins the domain and is never grown.
-        v_edge = float(np.interp(ws.domain.r_max, ws.r, ws.env))
-        tail_dead = v_edge < 0.3 * GAP_EDGE_FRACTION * channel.m
-        if ws.domain.r_max >= ws.ceiling or config.r_max is not None or tail_dead:
-            raise _no_such_state(
-                ws, ends, n_top, f"no state with requested node count(s) "
-                f"{n_r_values} within r_max = {ws.domain.r_max:g}", _ties)
-        r_next = min(ws.domain.r_max * 2.5, ws.ceiling)
+    ends = ws.window_ends()
+    n_top = prop.count_below(ends[1][:, 1], ends[1][:, 0])
+    # A requested index missing from a coarse domain below the ceiling can
+    # still appear at the ceiling if the potential tail at the current wall
+    # can bind within the window: the coarse table is rebuilt there once.
+    v_edge = float(np.interp(ws.domain.r_max, ws.r, ws.env))
+    if (np.any(n_top <= n_r_values[-1]) and ws.domain.r_max < ws.ceiling
+            and v_edge >= 0.3 * GAP_EDGE_FRACTION * channel.m):
         if _log.isEnabledFor(logging.DEBUG):
             _log.debug("solve_batch: window counts %s miss node count %d; coarse "
-                       "r_max %.6g -> %.6g", n_top.tolist(), n_r_values[-1],
-                       ws.domain.r_max, r_next)
-        ws = _Workspace(channel, families, config, r_max_override=r_next,
-                        n_r_max=max(n_r_values))
+                       "r_max %.6g -> the ceiling %.6g", n_top.tolist(), n_r_values[-1],
+                       ws.domain.r_max, ws.ceiling)
+        ws.set_coarse(dataclasses.replace(ws.domain, r_max=ws.ceiling))
+        ends = ws.window_ends()
+        n_top = prop.count_below(ends[1][:, 1], ends[1][:, 0])
+    if np.any(n_top <= n_r_values[-1]):
+        raise _no_such_state(ws, ends, n_top, f"no state with requested node count(s) "
+                             f"{n_r_values} within r_max = {ws.domain.r_max:g}", _ties)
     fam_is = [f for f in range(len(families)) for _ in n_r_values]
     labels = [n for _ in families for n in n_r_values]
     centers = ws.coarse_eigenvalues(ends, fam_is, labels, tol=3e-7 * channel.m)
@@ -1111,7 +1099,10 @@ def match_function(E: float, channel: ChannelSpec, family: PotentialFamily,
                    config: SolveConfig | None = None) -> float:
     """Scale-invariant two-sided shooting mismatch M(E); zeros are eigenvalues.
 
-    Raises NumericalError from the rotation limit of propagate, as solve does."""
+    M is evaluated on a fine table of the domain of a state at E
+    (_Workspace.trimmed_domain), so it matches inside that state's allowed
+    region however shallow it is. Raises NumericalError from the rotation
+    limit of propagate, as solve does."""
     config = config or DEFAULT_CONFIG
     m = channel.m
     if not -m < E < m:
@@ -1120,7 +1111,7 @@ def match_function(E: float, channel: ChannelSpec, family: PotentialFamily,
     pad = 0.01 * m
     band = (max(E - pad, -m * (1 - GAP_EDGE_FRACTION)),
             min(E + pad, m * (1 - GAP_EDGE_FRACTION)))
-    table = ws.fine_table(band, ws.domain, [0])
+    table = ws.fine_table(band, ws.trimmed_domain([0], [E]), [0])
     mval, _, _ = prop.match_values(table, np.zeros(1, dtype=np.intp),
                                    np.asarray([E]), ws.seed)
     return float(mval[0])

@@ -288,6 +288,28 @@ def test_step_matrices_hold_a_bounded_working_set():
         assert peak <= 10 * out[0].nbytes, peak / out[0].nbytes
 
 
+def test_turning_radii_hold_a_bounded_working_set():
+    # the turning radii of 200 states, as many as the coarse domain of
+    # criterion 2's batch reads, are taken in pieces of _BS_ENTRIES state x
+    # radius entries: the temporaries stay within 3 pieces of float64 (an
+    # array of |V| over all 200 states at once is 29), and each radius is the
+    # last profile radius where the state's |V| reaches m - E
+    ws = S._Workspace(dm.ChannelSpec(d=3, tau=-1, j=0.5),
+                      [dm.pure_coulomb(a) for a in np.linspace(0.3, 0.9, 16)],
+                      S.DEFAULT_CONFIG)
+    fam_idx, energies = np.arange(200) % 16, np.linspace(0.5, 0.99, 200)
+    tracemalloc.start()
+    try:
+        r_to = ws.turning_radius(fam_idx, energies)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * S._BS_ENTRIES * 8, peak / (S._BS_ENTRIES * 8)
+    for f, energy, got in zip(fam_idx, energies, r_to):
+        inside = np.flatnonzero(np.abs(ws.v[f]) >= 1.0 - energy)
+        assert got == ws.r[inside[-1]]
+
+
 def _integral_of_inverse(a, b, x_t, h_t):
     """The integral of dx / h over [a, b] for the step rule (x_t, h_t): h
     linear between table points and held at its end values beyond them,
@@ -535,18 +557,31 @@ def _criterion_1_tables():
     return ws, tables
 
 
+def _nested_pair(tables):
+    """Keys (long, short) of the first two of the tables, of different
+    families, where the short one is shorter than the long one by more than
+    7 steps on both match legs: stacked after it, it is padded front and
+    back."""
+    def legs(key):
+        return np.array([tables[key].i_match, tables[key].n_steps - tables[key].i_match])
+
+    return next((a, b) for a, b in itertools.permutations(tables, 2)
+                if a[0] != b[0] and np.all(legs(a) - legs(b) > 7))
+
+
 def test_stack_keeps_an_unpadded_table_bitwise():
     # a table stacked alone, or first with a table shorter on both legs,
     # needs no padding: its columns get bitwise its own results on both match
     # legs in record and phase modes (the stack gathers its grid
     # columns per element, where a table on one grid broadcasts its one)
     ws, tables = _criterion_1_tables()
-    long, short = tables[2, 2], tables[1, 0]
+    keys = _nested_pair(tables)
+    long, short = (tables[k] for k in keys)
     assert long.i_match > short.i_match
     assert long.n_steps - long.i_match > short.n_steps - short.i_match
     e = np.linspace(0.88, 0.95, 5)
     idx = np.zeros(e.size, dtype=np.intp)
-    seed = ws.local_seed(np.array([2, 1]))
+    seed = ws.local_seed(np.array([f for f, _ in keys]))
     for stack in (prop.stack_tables([long]), prop.stack_tables([long, short])):
         assert stack.n_steps == long.n_steps and stack.i_match == long.i_match
         for record, phase in ((True, False), (False, True)):
@@ -776,7 +811,7 @@ def test_angle_where_psi1_is_zero_at_nodes():
     # directions. The legs end on the stack's match node, or on the end of
     # its front or back padding taken as the match node
     ws, tables = _criterion_1_tables()
-    long, short = tables[2, 2], tables[1, 0]
+    long, short = (tables[k] for k in _nested_pair(tables))
     stack = prop.stack_tables([long, short])
     lead = stack.i_match - short.i_match
     back = stack.n_steps - stack.i_match - (short.n_steps - short.i_match)
@@ -1083,8 +1118,8 @@ def test_count_bisect_closed_bracket_reports_end_residual(search_tables, monkeyp
     assert evals[0] == 0
 
 
-FINE_EVALS_CRITERION_1 = 43
-MATCH_CALLS_CRITERION_1 = 27
+FINE_EVALS_CRITERION_1 = 40
+MATCH_CALLS_CRITERION_1 = 22
 
 
 def test_search_below_one_ulp_ends_promptly(channel_s, coulomb_half):
@@ -1117,6 +1152,14 @@ def test_fine_search_evaluations_on_criterion_1():
         total += sum(st.diagnostics["fine_evals"] for per_fam in res
                      for st in per_fam.values())
     assert total <= FINE_EVALS_CRITERION_1
+
+
+def test_fine_search_matched_inside_the_allowed_region():
+    # j = 3/2, alpha = 0.2, n_r = 2 alone, a level behind the centrifugal
+    # barrier: matched at half its turning radius, where its angle is smooth
+    # in E, Newton from the coarse centre converges in a few evaluations
+    st = dm.solve(dm.ChannelSpec(d=3, tau=-1, j=1.5), dm.pure_coulomb(0.2), 2)
+    assert st.diagnostics["fine_evals"] <= 4
 
 
 def test_search_evaluations_on_criterion_1(monkeypatch):
@@ -1240,17 +1283,6 @@ def test_coarse_searches_from_estimates_on_wide_spectrum(channel_s, monkeypatch)
     assert 1 + max(evals) <= 3
 
 
-def _cubic_tail_well(g):
-    """V = -g/(1 + r^3): its tail is too weak for the first coarse domain to
-    hold an excited d = 1 state, but not dead at its wall."""
-    def shape(r):
-        return -1.0 / (1.0 + np.asarray(r, dtype=float) ** 3)
-
-    return custom_family("cubic-tail", lambda p, r: p["g"] * shape(r),
-                         {"g": lambda p, r: shape(r)}, OriginClass("regular"),
-                         {"g": g}, "g", origin_value=lambda p: -p["g"])
-
-
 def test_recoveries_are_logged(channel_s, coulomb_half, monkeypatch, caplog):
     caplog.set_level(logging.DEBUG, logger="diracmono")
     # a coarse search from the window bottom spans the whole window, and
@@ -1276,11 +1308,22 @@ def test_recoveries_are_logged(channel_s, coulomb_half, monkeypatch, caplog):
     assert any("need the far window end" in r.getMessage() for r in caplog.records)
     monkeypatch.undo()
 
-    # a missing level grows the coarse domain by 2.5
-    caplog.clear()
-    with pytest.raises(NoSuchStateError):
-        dm.solve(dm.ChannelSpec(d=1, parity="even"), _cubic_tail_well(0.24), 1)
-    assert any("coarse r_max 60 -> 150" in r.getMessage() for r in caplog.records)
+    # estimates forced to mid-gap size the coarse domain for deep levels
+    # only (r_max 30): the requested level is missing from it, and the coarse
+    # table is rebuilt once, at the ceiling, where it is found. (Growing the
+    # domain in steps stops where the wall lifts the level just into the
+    # window, and the headroom check then refuses half of these states.)
+    monkeypatch.setattr(S._Workspace, "predicted_levels",
+                        lambda self, fam_idx, targets: np.zeros(len(fam_idx)))
+    for alpha, n_r in itertools.product((0.05, 0.1), (1, 2, 3)):
+        caplog.clear()
+        st = dm.solve(channel_s, dm.pure_coulomb(alpha), n_r)
+        exact = coulomb_energy(CoulombLevel(n=n_r + 1, j=0.5, alpha=alpha))
+        assert_close(st.E, exact, 1e-9, f"alpha={alpha} n_r={n_r} after the rebuild")
+        assert st.nodes == n_r
+        rebuilds = [r.getMessage() for r in caplog.records if "coarse r_max" in r.getMessage()]
+        assert rebuilds == [f"solve_batch: window counts [1] miss node count {n_r}; "
+                            f"coarse r_max 30 -> the ceiling 4000"]
 
 
 def test_full_solve_on_numpy_fallback(channel_s, coulomb_half, coulomb_ground):
@@ -1335,6 +1378,20 @@ def test_match_function_no_zero_for_free_particle(channel_s):
 def test_match_function_domain(channel_s, coulomb_half):
     with pytest.raises(DomainError):
         dm.match_function(1.5, channel_s, coulomb_half)
+
+
+@pytest.mark.parametrize("alpha, n_r", itertools.product((0.05, 0.2, 0.5), range(5)))
+def test_match_function_zero_at_each_level(channel_s, alpha, n_r):
+    # M is evaluated on the domain of its own energy, so its zeros are the
+    # levels however shallow: M changes sign across E_exact +- 1e-3 (m - E),
+    # and |M(E_exact)| is at most 1e-5 of the values there, a zero within
+    # about 1e-8 (m - E) of the closed form
+    fam = dm.pure_coulomb(alpha)
+    exact = coulomb_energy(CoulombLevel(n=n_r + 1, j=0.5, alpha=alpha))
+    d = 1e-3 * (1.0 - exact)
+    lo, at, hi = (dm.match_function(e, channel_s, fam) for e in (exact - d, exact, exact + d))
+    assert lo * hi < 0
+    assert abs(at) <= 1e-5 * min(abs(lo), abs(hi))
 
 
 # ---------------------------------------------------------------------------
@@ -1499,11 +1556,70 @@ def test_one_coarse_domain_and_own_fine_headroom(monkeypatch):
                 assert st.diagnostics["r_max"] < S._R_MAX_CAP, label
 
 
-def test_r_match_falls_back_to_the_length_scale(channel_s):
-    # alpha/a < m: |V| never reaches m, so r_match is 4 length scales
-    fam = dm.cutoff_coulomb(1.0, 1.3)
-    st = dm.solve(channel_s, fam, 0)
-    assert st.diagnostics["r_match"] == 4 * fam.length_scale()
+def test_each_group_matches_at_half_its_smallest_turning_radius():
+    # the states of one fine group share its domain; each group of criterion
+    # 1's batches matches at 1/2 the smallest turning radius alpha/(m - E) of
+    # its states, as read on the profile at the coarse centres (at most one
+    # profile radius, a factor 1.03, further in), so inside the classically
+    # allowed region of every state it holds
+    for res in _criterion_1_batches():
+        groups = {}
+        for alpha, per_fam in zip((0.2, 0.5, 0.9), res):
+            for st in per_fam.values():
+                domain = (st.diagnostics["r_max"], st.diagnostics["r_match"])
+                groups.setdefault(domain, []).append(alpha / (1.0 - st.E))
+        assert len(groups) >= 4
+        for (_, r_match), r_to in groups.items():
+            assert 0.5 * min(r_to) / 1.03 <= r_match <= 0.5 * min(r_to) * (1 + 1e-3)
+
+
+def test_explicit_r_match_pins_every_table(channel_s, monkeypatch):
+    # the coarse, fine and dense tables all match at an explicit r_match, and
+    # the states keep their levels; one outside a domain is refused
+    seen = []
+    make = S._make_table
+
+    def recording(channel, families, domain, *args):
+        seen.append(domain.r_match)
+        return make(channel, families, domain, *args)
+
+    monkeypatch.setattr(S, "_make_table", recording)
+    alphas = (0.5, 0.9)
+    res = dm.solve_batch(channel_s, [dm.pure_coulomb(a) for a in alphas], [0, 1, 2],
+                         dm.SolveConfig(r_match=3.0))
+    assert len(seen) >= 3 and set(seen) == {3.0}
+    for alpha, per_fam in zip(alphas, res):
+        for n_r, st in per_fam.items():
+            exact = coulomb_energy(CoulombLevel(n=n_r + 1, j=0.5, alpha=alpha))
+            assert_close(st.E, exact, 1e-9, f"alpha={alpha} n_r={n_r} at r_match 3")
+            assert st.nodes == n_r and st.diagnostics["r_match"] == 3.0
+    seen.clear()
+    dm.solve_batch(channel_s, [dm.pure_coulomb(a) for a in alphas], [0, 1, 2])
+    assert len(set(seen)) > 1
+    with pytest.raises(ConfigurationError, match="r_match"):
+        dm.solve(channel_s, dm.pure_coulomb(0.5), 0, dm.SolveConfig(r_match=300.0))
+
+
+@pytest.mark.parametrize("alpha, tau, n_r", itertools.product(
+    (0.03, 0.035, 0.04, 0.05, 0.06, 0.08), (-1, 1), range(4)))
+def test_weak_coupling_levels_solve_or_are_refused_as_too_shallow(alpha, tau, n_r):
+    # each of these 48 weak-coupling levels, solved alone, matches inside its
+    # own allowed region: it solves to the closed form with n_r nodes, or is
+    # refused for lack of decay room at the cap (only levels with less than
+    # HEADROOM_EFOLDS of room beyond alpha/(m - E) there are), and no
+    # evaluation raises a floating-point warning
+    e = coulomb_energy(CoulombLevel(n=n_r + 1 + (tau > 0), j=0.5, alpha=alpha))
+    room = math.sqrt(1.0 - e * e) * (S._R_MAX_CAP - alpha / (1.0 - e))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            st = dm.solve(dm.ChannelSpec(d=3, tau=tau, j=0.5), dm.pure_coulomb(alpha), n_r)
+        except NoSuchStateError as exc:
+            assert "e-folds of decay room" in str(exc)
+            assert room < S.HEADROOM_EFOLDS
+            return
+    assert_close(st.E, e, 1e-9, f"alpha={alpha} tau={tau} n_r={n_r}")
+    assert st.nodes == n_r
 
 
 def test_state_too_shallow_for_the_cap_is_refused():
@@ -1523,10 +1639,10 @@ def test_state_too_shallow_for_the_cap_is_refused():
 
 # (channel, family, nodes of the gap-index-0 state). In this regime the count
 # is no label: it is that of the solved state and moves with its last digits
-# (23 at the default step density, 21 at density 2 or 4, where E moves by
-# 4e-9), so it pins the message, not the physics
+# and its domain (21 at step density 1, 2 and 4, where E moves by 4e-9), so
+# it pins the message, not the physics
 DEEP_REGULAR_WELLS = [
-    (dm.ChannelSpec(d=4, tau=-1, j=0.5), dm.coupling(19.5, 0.15, "cutoff"), 23),
+    (dm.ChannelSpec(d=4, tau=-1, j=0.5), dm.coupling(19.5, 0.15, "cutoff"), 21),
     (dm.ChannelSpec(d=1, parity="odd"), dm.cutoff_coulomb(1.58, 0.054), 1),
 ]
 
