@@ -143,10 +143,13 @@ def _build_parser():
     p.add_argument("--shape2")
 
     p = sub.add_parser("oracle", help="exact Coulomb levels and dE/dalpha")
-    _add_common(p)
+    p.add_argument("--config", help="flat key=value file; flags override it")
     p.add_argument("--n", type=int)
+    p.add_argument("--j", type=float)
+    p.add_argument("--alpha", type=float)
     p.add_argument("--alpha-list", dest="alpha_list",
                    help="comma-separated alpha values (overrides --alpha)")
+    p.add_argument("--output", help="write results to this path")
     return ap, sub.choices
 
 

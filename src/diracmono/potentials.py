@@ -160,7 +160,8 @@ class PotentialFamily:
         return float(self._origin_value(self.params))
 
     def length_scale(self, m: float = 1.0) -> float:
-        """Characteristic radial extent, used for automatic grid sizing."""
+        """Characteristic radial extent; it only sets the range (50 length
+        scales) over which verify and compare classify the sign of dV/d(active)."""
         return float(self._scale(self.params, m))
 
     def with_params(self, **changes) -> "PotentialFamily":

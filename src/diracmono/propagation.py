@@ -75,6 +75,9 @@ class StepTable:
     zero-length step has zero weights. The last axis of r_nodes, h, rmul and
     the norm weights is a grid axis: family f steps on grid column grid[f]. A
     table on one grid has a single column, shared by every family.
+
+    seed[f] holds family f's outward start values at node 0, affine in E
+    (origin_values), so a stack carries those of its own families.
     """
 
     k: float
@@ -85,6 +88,7 @@ class StepTable:
     w: np.ndarray           # (S, 3, F) alpha weights of (dr/dx) V_f
     i_match: int
     grid: np.ndarray        # (F,) the grid column of each family
+    seed: np.ndarray        # (F, 2, 2) outward start values, affine in E
     _norm: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -110,6 +114,12 @@ class StepTable:
         fam = (np.arange(self.w.shape[2])[:, None] if fam_idx is None
                else np.asarray(fam_idx))
         return fam, self.grid[fam]
+
+    def origin_values(self, fam_idx, E):
+        """The outward leg's start values (y1, y2) at the batch energies E,
+        each element's from its family's seed."""
+        s = self.seed[self.columns(fam_idx)[0]]
+        return tuple(s[..., i, 0] + s[..., i, 1] * E for i in range(2))
 
 
 def _per_element(a, idx, ndim: int):
@@ -156,9 +166,10 @@ def uniform_nodes(x_lo: float, x_match: float, x_hi: float, n_total: int):
 
 
 def build_step_table(param: str, k: float, m: float, families,
-                     x_nodes: np.ndarray, i_match: int) -> StepTable:
+                     x_nodes: np.ndarray, i_match: int, seed) -> StepTable:
     """Evaluate the family potentials at the three Gauss nodes of every
-    step, kept as the weights of the Magnus step (see StepTable)."""
+    step, kept as the weights of the Magnus step; seed is the families'
+    (F, 2, 2) start values (see StepTable)."""
     x_nodes = np.asarray(x_nodes, dtype=float)
     if np.any(np.diff(x_nodes) <= 0):
         raise DomainError("step nodes must be strictly increasing")
@@ -189,7 +200,8 @@ def build_step_table(param: str, k: float, m: float, families,
     return StepTable(k=float(k), m=float(m), r_nodes=r_nodes, h=h[:, None],
                      rmul=_alpha_weights(rmul[..., None], h[:, None]),
                      w=_alpha_weights(w, h[:, None]), i_match=int(i_match),
-                     grid=np.zeros(w.shape[2], dtype=np.intp))
+                     grid=np.zeros(w.shape[2], dtype=np.intp),
+                     seed=np.asarray(seed, dtype=float))
 
 
 def _alpha_weights(t, h):
@@ -205,8 +217,8 @@ def _alpha_weights(t, h):
 def stack_tables(tables) -> StepTable:
     """One step table holding the families of all the tables (each on one
     grid, all with the same k and m), so that their match traversals run as
-    one batch. Table g's grid is column g, and its families follow those of
-    the tables before it.
+    one batch. Table g's grid is column g, and its families, with their
+    potential weights and seeds, follow those of the tables before it.
 
     The tables are aligned at a common match node, the largest i_match I:
     table g keeps its own steps, shifted by I - i_match_g, and zero-length
@@ -240,7 +252,8 @@ def stack_tables(tables) -> StepTable:
             quad[:, quad.shape[1] - own.shape[1] + 1:, g] = own[:, 1:]
     table = StepTable(k=tables[0].k, m=tables[0].m, r_nodes=r_nodes, h=h,
                       rmul=rmul, w=w, i_match=i_match,
-                      grid=np.repeat(np.arange(n_grid), np.diff(first)))
+                      grid=np.repeat(np.arange(n_grid), np.diff(first)),
+                      seed=np.concatenate([t.seed for t in tables]))
     table._norm.update(legs)
     return table
 
@@ -864,16 +877,15 @@ def tail_seed(m: float, E):
     return np.ones_like(E), -np.sqrt((m - E) / (m + E))
 
 
-def match_values(table: StepTable, fam_idx, E, seed_origin):
+def match_values(table: StepTable, fam_idx, E):
     """Two-sided shooting at the match node: (mval, dtheta, dtheta_dE).
 
-    seed_origin is a callable (E, fam_idx) -> (y1, y2) producing the
-    outward leg's start values for the energy batch. The outward leg (origin
-    seed, node 0 to the match node) and the inward leg (tail_seed, node S to
-    the match node) are one phase-mode propagate call, as two chains of one
-    scan. The scale-invariant mismatch mval is the cross product of the two
-    unit directions, so it lies in [-2, 2] and vanishes exactly at
-    eigenvalues.
+    The outward leg (node 0 to the match node, from the start values of
+    each element's family in table.seed) and the inward leg (tail_seed,
+    node S to the match node) are one phase-mode propagate call, as two
+    chains of one scan. The scale-invariant mismatch mval is the cross
+    product of the two unit directions, so it lies in [-2, 2] and vanishes
+    exactly at eigenvalues.
 
     The matching angle dtheta = theta_out(r_match) - theta_in(r_match),
     continuous and strictly decreasing in E, passes a multiple of pi exactly
@@ -887,8 +899,8 @@ def match_values(table: StepTable, fam_idx, E, seed_origin):
     yt = tail_seed(table.m, E)
     lam = np.sqrt((table.m - E) * (table.m + E))
     ((o1, o2), th_out, s_out), ((t1, t2), th_in, s_in) = propagate(
-        table, fam_idx, E, (seed_origin(E, fam_idx), yt), 0, table.n_steps, phase=True,
-        beyond=(yt[0] * yt[0] + yt[1] * yt[1]) / (2.0 * lam))
+        table, fam_idx, E, (table.origin_values(fam_idx, E), yt), 0, table.n_steps,
+        phase=True, beyond=(yt[0] * yt[0] + yt[1] * yt[1]) / (2.0 * lam))
     no = np.sqrt(o1 * o1 + o2 * o2)
     ni = np.sqrt(t1 * t1 + t2 * t2)
     mval = (o1 * t2 - o2 * t1) / np.maximum(no * ni, _TINY)
@@ -906,7 +918,7 @@ def count_below(dtheta, dtheta_bottom):
 
 
 def count_bisect(table: StepTable, fam_idx, lo, hi, targets, dtheta_bottom,
-                 tol: float, seed_origin, ends):
+                 tol: float, ends):
     """Locate the eigenvalue of index targets[b] within the bracket [lo, hi].
 
     Preconditions (checked by the caller): count(lo) <= target and
@@ -935,11 +947,10 @@ def count_bisect(table: StepTable, fam_idx, lo, hi, targets, dtheta_bottom,
     Every point replaces the end its eigenvalue count says, so
     count(lo) <= target < count(hi) holds at every iteration and the search
     is as safe as pure bisection. Each iteration is one match_values call
-    (seed_origin its outward leg's start values) on only the elements whose
-    bracket is still wider than tol (and has a float inside it); the others
-    are frozen. With the "diracmono" logger at DEBUG, every
-    iteration in which some element steps by midpoint instead of Newton is
-    logged.
+    on only the elements whose bracket is still wider than tol (and has a
+    float inside it); the others are frozen. With the "diracmono" logger at
+    DEBUG, every iteration in which some element steps by midpoint instead
+    of Newton is logged.
 
     ends = ((m_lo, dtheta_lo, slope_lo), (m_hi, dtheta_hi, slope_hi)) are
     the match_values results at lo and at hi. Returns
@@ -994,7 +1005,7 @@ def count_bisect(table: StepTable, fam_idx, lo, hi, targets, dtheta_bottom,
                        "bracket midpoint, %d of them behind pace",
                        np.count_nonzero(~newton), act.size, np.count_nonzero(behind))
         n_steps[act] += 1
-        m_x, th_x, d_x = match_values(table, fam_idx[act], x, seed_origin)
+        m_x, th_x, d_x = match_values(table, fam_idx[act], x)
         below = np.floor(th_x / np.pi) >= k[act]   # count(x) <= target
         lo[act] = np.where(below, x, a_lo)
         hi[act] = np.where(below, a_hi, x)
@@ -1007,20 +1018,20 @@ def count_bisect(table: StepTable, fam_idx, lo, hi, targets, dtheta_bottom,
     return 0.5 * (lo + hi), m_abs, hi - lo, n_steps
 
 
-def assemble_two_sided(table: StepTable, fam_idx, E, seed_origin):
+def assemble_two_sided(table: StepTable, fam_idx, E):
     """Recorded two-sided sweep joined at the match node.
 
     Returns (psi1, psi2) with shape (S+1, batch) in a common (arbitrary)
-    normalization: the outward piece (seed_origin, as in match_values) is
-    kept below the match node, the inward piece (tail_seed) above it, scaled
-    by the projection of the outward vector on the inward direction so both
-    sides agree at the match node when E is an eigenvalue. Magnitudes are
-    reconstructed from the renormalization logs; amplitudes more than ~700
-    e-folds below the match point flush to zero. Both legs are recorded in
-    one propagate call.
+    normalization: the outward piece (from table.seed, as in match_values)
+    is kept below the match node, the inward piece (tail_seed) above it,
+    scaled by the projection of the outward vector on the inward direction
+    so both sides agree at the match node when E is an eigenvalue.
+    Magnitudes are reconstructed from the renormalization logs; amplitudes
+    more than ~700 e-folds below the match point flush to zero. Both legs
+    are recorded in one propagate call.
     """
     (_, o1, o2, lo), (_, t1, t2, lt) = propagate(
-        table, fam_idx, E, (seed_origin(E, fam_idx), tail_seed(table.m, E)),
+        table, fam_idx, E, (table.origin_values(fam_idx, E), tail_seed(table.m, E)),
         0, table.n_steps, record=True)
 
     # outward piece, gauged so its match-node value has log-magnitude 0

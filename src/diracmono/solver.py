@@ -180,6 +180,8 @@ class SolveConfig:
             raise ConfigurationError("r_max must be positive")
         if self.r0 is not None and not self.r0 > 0:
             raise ConfigurationError("r0 must be positive")
+        if self.r_match is not None and not self.r_match > 0:
+            raise ConfigurationError("r_match must be positive")
         if self.r0 is not None and self.r_max is not None and not self.r0 < self.r_max:
             raise ConfigurationError("r0 must be smaller than r_max")
 
@@ -320,8 +322,9 @@ def origin_seed(channel: ChannelSpec, family: PotentialFamily, E: float, r0: flo
     """Regular-solution start values (psi1(r0), psi2(r0)) for d > 1.
 
     Leading Frobenius term only; r0 must be small enough that the first
-    dropped correction is below 1e-8 relative (checked). This is the solver's
-    batched seed with its dropped scale restored.
+    dropped correction is below 1e-8 relative (checked). These are the step
+    tables' seed coefficients (_seed_coefficients) at E, times the scale they
+    drop: r0^gamma for a singular origin, r0^|k| for a regular one.
     """
     if channel.d == 1:
         raise ConfigurationError("origin_seed applies to d > 1; d = 1 seeds are parity seeds")
@@ -333,13 +336,13 @@ def origin_seed(channel: ChannelSpec, family: PotentialFamily, E: float, r0: flo
             f"r0 = {r0:g} too large for the leading-order origin seed "
             f"(estimated dropped term {corr:.2e} > {SEED_CORRECTION_TOL:g})"
         )
-    c1, c2 = _origin_seed_fn(channel, [family], r0)(np.asarray([E], dtype=float),
-                                                    np.zeros(1, dtype=np.intp))
+    seed = _seed_coefficients(channel, [family], r0)[0]
+    y1, y2 = seed[:, 0] + seed[:, 1] * E
     if family.origin_class.is_singular:
         scale = r0 ** _coulomb_gamma(channel.k, family.origin_class.strength)
     else:
         scale = r0 ** abs(channel.k)
-    return float(c1[0]) * scale, float(c2[0]) * scale
+    return float(y1) * scale, float(y2) * scale
 
 
 def tail_seed(channel: ChannelSpec, E: float):
@@ -356,51 +359,34 @@ def tail_seed(channel: ChannelSpec, E: float):
 
 
 # ---------------------------------------------------------------------------
-# batched seed closures
+# origin seeds of the step tables
 # ---------------------------------------------------------------------------
 
-def _origin_seed_fn(channel: ChannelSpec, families, r0: float):
-    """Vectorized origin seeds seed(E, fam_idx) for the outward leg; the
-    inward leg starts on prop.tail_seed. The scale r0^gamma (singular
-    origin) or r0^|k| (regular origin) is dropped, since matching is
-    scale-invariant. fam_idx = None means the (F, nE) layout of window_ends,
-    otherwise it maps flat batch elements to families."""
+def _seed_coefficients(channel: ChannelSpec, families, r0: float) -> np.ndarray:
+    """The outward leg's start values of each family at r0, shape (F, 2, 2),
+    affine in E: y_i = seed[f, i, 0] + seed[f, i, 1] E (StepTable.seed).
+
+    They are the leading Frobenius terms without their scale r0^gamma
+    (singular origin) or r0^|k| (regular origin), as matching is
+    scale-invariant: (1, (gamma + k)/alpha) for a singular origin; for a
+    regular one, 1 in the large component and r0 (E - V(0) + m)/(2k + 1) in
+    psi1 (k > 0) or r0 (V(0) + m - E)/(2|k| + 1) in psi2 (k < 0). The d = 1
+    parity seeds, (1, 0) even and (0, 1) odd, are the k -> -0 and k -> +0
+    limits at r0 = 0, where V(0) drops out.
+    """
     k, m = channel.k, channel.m
-    if channel.d == 1:
-        v = (1.0, 0.0) if channel.parity == "even" else (0.0, 1.0)
-
-        def seed_1d(E, fam_idx):
-            shape = np.shape(E)
-            return (np.full(shape, v[0]), np.full(shape, v[1]))
-
-        return seed_1d
-
-    singular = np.array([f.origin_class.is_singular for f in families])
-    strength = np.array([f.origin_class.strength if s else 1.0
-                         for f, s in zip(families, singular)])
-    v0 = np.array([0.0 if s else f.origin_value()
-                   for f, s in zip(families, singular)])
-    gamma = np.array([_coulomb_gamma(k, st) if s else 0.0
-                      for s, st in zip(singular, strength)])
-
-    def seed(E, fam_idx):
-        E = np.asarray(E, dtype=float)
-
-        def pick(arr):
-            return arr[:, None] if fam_idx is None else arr[fam_idx]
-
-        sing, st, g, v0b = pick(singular), pick(strength), pick(gamma), pick(v0)
-        if k > 0:
-            reg1 = (E - v0b + m) * r0 / (2 * k + 1)
-            reg2 = np.ones_like(E)
+    small = 0 if k > 0 or channel.parity == "odd" else 1    # psi1 or psi2
+    sign = 1.0 if small == 0 else -1.0                      # of E in it
+    c = r0 / (2.0 * abs(k) + 1.0)
+    seed = np.zeros((len(families), 2, 2))
+    for f, fam in enumerate(families):
+        if fam.origin_class.is_singular:
+            st = fam.origin_class.strength
+            seed[f, :, 0] = 1.0, (_coulomb_gamma(k, st) + k) / st
         else:
-            reg1 = np.ones_like(E)
-            reg2 = (v0b + m - E) * r0 / (2 * abs(k) + 1)
-        c1 = np.where(sing, 1.0, reg1)
-        c2 = np.where(sing, (g + k) / st, reg2)
-        return (np.array(np.broadcast_to(c1, E.shape)),
-                np.array(np.broadcast_to(c2, E.shape)))
-
+            v0 = fam.origin_value() if r0 > 0 else 0.0
+            seed[f, 1 - small, 0] = 1.0
+            seed[f, small] = c * (m - sign * v0), sign * c
     return seed
 
 
@@ -446,17 +432,18 @@ def _h_rule(channel, param, r, rate, c_step, density):
 
 
 def _make_table(channel, families, domain, place_nodes, spacing):
-    """Step table over the domain, its match node at r_match, where the
-    placer puts it: place_nodes is prop.march_nodes (spacing: the step rule
-    (x, h) of _h_rule) or prop.uniform_nodes (spacing: the node count), and
-    returns the nodes and the match node's index."""
+    """Step table of the families over the domain, with their origin seeds
+    at r_seed, its match node at r_match, where the placer puts it:
+    place_nodes is prop.march_nodes (spacing: the step rule (x, h) of
+    _h_rule) or prop.uniform_nodes (spacing: the node count), and returns
+    the nodes and the match node's index."""
     if domain.param == "log":
         x = (math.log(domain.r_seed), math.log(domain.r_match), math.log(domain.r_max))
     else:
         x = (0.0, domain.r_match, domain.r_max)
     nodes, i_match = place_nodes(*x, spacing)
-    return prop.build_step_table(domain.param, channel.k, channel.m,
-                                 families, nodes, i_match)
+    return prop.build_step_table(domain.param, channel.k, channel.m, families, nodes,
+                                 i_match, _seed_coefficients(channel, families, domain.r_seed))
 
 
 # ---------------------------------------------------------------------------
@@ -487,13 +474,13 @@ _LOCKSTEP_ENTRIES = prop._SCAN_ELEMENTS // 2
 
 
 class _Workspace:
-    """Potential profile, origin seed and coarse step table for a family
-    batch. The profile (r, v, env) samples every V_f once, from
-    2 max(r_seed, 1e-12) to the ceiling (the explicit r_max, else the cap),
-    so it spans every domain the workspace builds. Every domain comes from
-    trimmed_domain: the coarse one (domain) holds the semiclassical levels 0
-    and n_r_max of every family, with _COARSE_EFOLDS of decay room, and
-    each fine and dense group sizes its own from its coarse centres."""
+    """Potential profile and coarse step table for a family batch. The
+    profile (r, v, env) samples every V_f once, from 2 max(r_seed, 1e-12) to
+    the ceiling (the explicit r_max, else the cap), so it spans every domain
+    the workspace builds. Every domain comes from trimmed_domain: the coarse
+    one (domain) holds the semiclassical levels 0 and n_r_max of every
+    family, with _COARSE_EFOLDS of decay room, and each fine and dense group
+    sizes its own from its coarse centres."""
 
     def __init__(self, channel, families, config, n_r_max: int = 0):
         for fam in families:
@@ -511,7 +498,6 @@ class _Workspace:
         self.r = np.geomspace(2.0 * max(self.r_seed, 1e-12), self.ceiling, _PROFILE_POINTS)
         self.v = np.stack([f.evaluate(self.r) for f in self.families])
         self.env = np.abs(self.v).max(axis=0)
-        self.seed = _origin_seed_fn(channel, self.families, self.r_seed)
         # the semiclassical count (_bs_count) starts one profile radius before
         # the first where a family is classically allowed at E = m: from
         # there, sqrt(m^2 + k^2/r^2) and the trapezoid weights / pi
@@ -560,7 +546,7 @@ class _Workspace:
         at the bottom, column 1 at the top. Family f has
         count_below(dth[f, 1], dth[f, 0]) eigenvalues in the window."""
         e_ends = np.broadcast_to(self.window(), (len(self.families), 2))
-        return prop.match_values(self.coarse, None, e_ends, self.seed)
+        return prop.match_values(self.coarse, None, e_ends)
 
     def coarse_eigenvalues(self, ends, fam_is, targets, tol):
         """Count-bisect each target eigenvalue index on the coarse table,
@@ -574,11 +560,11 @@ class _Workspace:
         fam_idx = np.asarray(fam_is, dtype=np.intp)
         targets = np.asarray(targets)
         est = self.predicted_levels(fam_idx, targets)
-        at_est = prop.match_values(self.coarse, fam_idx, est, self.seed)
+        at_est = prop.match_values(self.coarse, fam_idx, est)
         e_rows = np.concatenate([np.repeat(self.window(), len(self.families)), est])
         values = [np.concatenate([a[:, 0], a[:, 1], b]) for a, b in zip(ends, at_est)]
         e_ref, _, _, _ = _search_from(self.coarse, fam_idx, e_rows, values, targets,
-                                      tol, self.seed, ("coarse", "estimates"))
+                                      tol, ("coarse", "estimates"))
         return e_ref
 
     def predicted_levels(self, fam_idx, targets) -> np.ndarray:
@@ -692,8 +678,9 @@ class _Workspace:
         lam = np.sqrt(np.maximum(m * m - energies ** 2, 1e-12))
         r_to = self.turning_radius(fam_idx, energies)
         r_max = min(self.ceiling, max(float(np.max(r_to + efolds / lam)), 30.0 / m))
-        r_match = self.config.r_match or min(
-            max(0.5 * float(r_to.min()), 40.0 * self.r_seed, 1e-6 / m), r_max / 3)
+        r_match = self.config.r_match
+        if r_match is None:
+            r_match = min(max(0.5 * float(r_to.min()), 40.0 * self.r_seed, 1e-6 / m), r_max / 3)
         if not self.r_seed < r_match < r_max:
             raise ConfigurationError(
                 f"need r0 < r_match < r_max, got {self.r_seed:g}, {r_match:g}, {r_max:g}")
@@ -711,11 +698,6 @@ class _Workspace:
                          c_fine, self.config.step_density)
         return _make_table(self.channel, [self.families[f] for f in fams], domain,
                            prop.march_nodes, h_fine)
-
-    def local_seed(self, fams):
-        """The workspace origin seed for a table of the families fams: its
-        family index i is workspace family fams[i]."""
-        return lambda E, idx: self.seed(E, fams[idx])
 
     def fine_eigenvalues(self, groups):
         """Count-bisect each coarse eigenvalue on a fine grid, from its centre,
@@ -777,7 +759,6 @@ class _Workspace:
         row = np.concatenate([r + f0 for r, f0 in zip(rows, first)])
         fams, e_centers, targets = map(np.concatenate, (fams, e_centers, targets))
         nf = fams.size
-        seed = self.local_seed(fams)
 
         # the window bottom and top of each family in the stack, then the
         # centres, in pieces no wider than the search's own evaluations (one
@@ -786,7 +767,7 @@ class _Workspace:
         cols = np.concatenate([np.arange(nf), np.arange(nf), row])
         width = max(row.size, own_width)
         mval, dth, slope = (np.concatenate(v) for v in zip(*(
-            prop.match_values(table, cols[i:i + width], e_rows[i:i + width], seed)
+            prop.match_values(table, cols[i:i + width], e_rows[i:i + width])
             for i in range(0, e_rows.size, width))))
         missing = prop.count_below(dth[nf + row], dth[row]) <= targets
         if np.any(missing):
@@ -795,7 +776,7 @@ class _Workspace:
                 f"{targets[missing].tolist()} in the search window "
                 f"[{bottom:.12g}, {top:.12g}]")
         found = _search_from(table, row, e_rows, (mval, dth, slope), targets,
-                             self.config.e_tol, seed, ("fine", "coarse centres"))
+                             self.config.e_tol, ("fine", "coarse centres"))
         bounds = np.cumsum([0] + [r.size for r in rows])
         return [(*(a[lo:hi] for a in found), domain)
                 for lo, hi, domain in zip(bounds[:-1], bounds[1:], domains)]
@@ -811,8 +792,7 @@ class _Workspace:
         out_table = _make_table(ch, [self.families[f] for f in fams], domain,
                                 prop.uniform_nodes, cfg.n_grid)
         energies = np.asarray(energies, dtype=float)
-        psi1, psi2 = prop.assemble_two_sided(out_table, row, energies,
-                                             self.local_seed(fams))
+        psi1, psi2 = prop.assemble_two_sided(out_table, row, energies)
         grid = out_table.r_nodes
         factor = 2.0 if ch.d == 1 else 1.0
         scheme = InnerProductScheme.for_grid(grid, measure_factor=factor)
@@ -859,7 +839,7 @@ class _Workspace:
         return states
 
 
-def _search_from(table, row, e_rows, values, targets, tol, seed, names):
+def _search_from(table, row, e_rows, values, targets, tol, names):
     """count_bisect each target index from its centre, on the table.
 
     e_rows holds the window bottom of each of the table's nf families, then
@@ -886,7 +866,7 @@ def _search_from(table, row, e_rows, values, targets, tol, seed, names):
                    "far window end", stage, what, e_rows[centre[past]].tolist(),
                    targets[past].tolist(), stage, count[past].tolist())
     return prop.count_bisect(table, row, e_rows[lo_row], e_rows[hi_row], targets,
-                             dth_b, tol, seed,
+                             dth_b, tol,
                              ends=[(mval[r], dth[r], slope[r]) for r in (lo_row, hi_row)])
 
 
@@ -916,26 +896,27 @@ def _no_such_state(ws: _Workspace, ends, n_top, reason: str, ties=None):
 
 def solve_batch(channel: ChannelSpec, families, n_r_values, config: SolveConfig | None = None,
                 dense_flags=None, *, _ties=None):
-    """Solve the requested node-count states for every family on one shared grid.
+    """Solve the requested node-count states for every family of the batch.
 
     Returns a list (one entry per family) of dicts {n_r: BoundState|EigenResult}.
     dense_flags selects, per family, whether wavefunctions are produced
-    (BoundState) or only eigenvalues (EigenResult). Sharing the radial grid
-    across the batch is what makes parameter-derivative stencils cancel their
-    discretization bias.
+    (BoundState) or only eigenvalues (EigenResult). Each group of states
+    gets grids of its own; the members of a parameter stencil form one group
+    and so share one grid, which is what makes parameter-derivative stencils
+    cancel their discretization bias.
 
     The workspace, the window counts and the coarse centres are shared by
     the whole batch; the fine and dense stages run per group of states (see
     _group_results), the fine stage in lockstep: consecutive groups search
     together on one stack of their own fine tables, zero-length steps
     padding each to a common match node (propagation.stack_tables). A batch
-    of one group searches exactly as on its own table. _ties is private to the stencil sweeps of monotonicity:
-    one key per family, the parameter stencil it belongs to. Each (key, n_r)
-    pair is then its own group, and solve_batch returns the generator of
-    group results instead of collecting them, so that a sweep can drop each
-    stencil's wavefunctions before the next stencil's are made. A batch of
-    more than one stencil raises NoSuchStateError without listing the pairs
-    it found (see _no_such_state).
+    of one group searches exactly as on its own table. _ties is private to
+    the stencil sweeps of monotonicity: one key per family, the parameter
+    stencil it belongs to. Each (key, n_r) pair is then its own group, and
+    solve_batch returns the generator of group results instead of collecting
+    them, so that a sweep can drop each stencil's wavefunctions before the
+    next stencil's are made. A batch of more than one stencil raises
+    NoSuchStateError without listing the pairs it found (see _no_such_state).
     """
     config = config or DEFAULT_CONFIG
     families = list(families)
@@ -1112,6 +1093,5 @@ def match_function(E: float, channel: ChannelSpec, family: PotentialFamily,
     band = (max(E - pad, -m * (1 - GAP_EDGE_FRACTION)),
             min(E + pad, m * (1 - GAP_EDGE_FRACTION)))
     table = ws.fine_table(band, ws.trimmed_domain([0], [E]), [0])
-    mval, _, _ = prop.match_values(table, np.zeros(1, dtype=np.intp),
-                                   np.asarray([E]), ws.seed)
+    mval, _, _ = prop.match_values(table, np.zeros(1, dtype=np.intp), np.asarray([E]))
     return float(mval[0])

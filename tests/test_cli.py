@@ -357,6 +357,22 @@ def test_oracle_bad_alpha_list_exits_2(alphas, message, capsys):
     assert out == "" and message in err
 
 
+def test_oracle_refuses_options_it_does_not_read(capsys):
+    # the closed-form levels are in units of m: a --mass the oracle would
+    # ignore is a usage error, not a table of E/m labelled E
+    with pytest.raises(SystemExit) as exc_info:
+        main(["oracle", "--n", "1", "--j", "0.5", "--alpha", "0.5", "--mass", "2"])
+    assert exc_info.value.code == 2
+    assert "--mass" in capsys.readouterr().err
+
+
+def test_zero_r_match_exits_2(capsys):
+    code, out, err = run(["solve", "--family", "pure-coulomb", "--alpha", "0.5",
+                          *CHAN, "--nr", "0", "--r-match", "0"], capsys)
+    assert code == 2
+    assert out == "" and "r_match must be positive" in err
+
+
 def test_config_file_precedence(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("family = pure-coulomb\nalpha = 0.5\nd = 3\ntau = -1\n"

@@ -75,6 +75,9 @@ def test_solve_config_validation():
         for bad in (math.inf, math.nan):
             with pytest.raises(ConfigurationError):
                 dm.SolveConfig(**{name: bad})
+    for bad in (0.0, -1.0):    # 0.0 is refused, not taken as unset
+        with pytest.raises(ConfigurationError, match="r_match must be positive"):
+            dm.SolveConfig(r_match=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +189,46 @@ def test_origin_seed_supercritical_rejected():
 def test_origin_seed_precondition_checked(channel_s, coulomb_half):
     with pytest.raises(DomainError):
         dm.origin_seed(channel_s, coulomb_half, 0.5, 1e-2)
+
+
+def test_d1_parity_seeds_are_the_r0_zero_limit():
+    # at r0 = 0 the seed coefficients are exactly the parity seeds, (1, 0)
+    # even and (0, 1) odd, at every energy, with no origin value read
+    fams = [dm.cutoff_coulomb(1.0, 1.0), dm.coupling(0.0, shape="yukawa")]
+    for parity, start in (("even", [1.0, 0.0]), ("odd", [0.0, 1.0])):
+        seed = S._seed_coefficients(dm.ChannelSpec(d=1, parity=parity), fams, 0.0)
+        assert np.array_equal(seed[..., 0], [start, start])
+        assert np.array_equal(seed[..., 1], np.zeros((2, 2)))
+
+
+def test_origin_seed_is_the_table_seed_times_its_scale():
+    # the public seed is the table coefficients at E times r0^gamma (singular
+    # origin) or r0^|k| (regular origin)
+    r0, e = 1e-10, 0.4
+    for channel in (dm.ChannelSpec(d=3, tau=-1, j=0.5), dm.ChannelSpec(d=3, tau=1, j=1.5)):
+        k = channel.k
+        for fam, scale in ((dm.pure_coulomb(0.5), r0 ** math.sqrt(k * k - 0.25)),
+                           (dm.cutoff_coulomb(1.0, 1.0), r0 ** abs(k))):
+            seed = S._seed_coefficients(channel, [fam], r0)[0]
+            want = (seed[:, 0] + seed[:, 1] * e) * scale
+            assert dm.origin_seed(channel, fam, e, r0) == tuple(want.tolist())
+
+
+def test_stack_carries_its_tables_seeds():
+    # a stack holds the seeds of its tables' families in order, and each of
+    # its columns starts on its own table's start values
+    channel = dm.ChannelSpec(d=3, tau=1, j=0.5)
+    fams = [dm.pure_coulomb(0.5), dm.cutoff_coulomb(1.0, 1.0), dm.pure_coulomb(0.9)]
+    ws = S._Workspace(channel, fams, S.DEFAULT_CONFIG)
+    tables = [ws.fine_table((0.5, 0.9), ws.domain, np.array(f)) for f in ([0, 1], [2])]
+    stack = prop.stack_tables(tables)
+    assert np.array_equal(stack.seed, S._seed_coefficients(channel, fams, ws.r_seed))
+    assert np.array_equal(stack.seed, np.concatenate([t.seed for t in tables]))
+    e = np.array([0.6, 0.7, 0.8])
+    for idx, table, own in ((np.array([0, 1, 1]), tables[0], np.array([0, 1, 1])),
+                            (np.array([2, 2, 2]), tables[1], np.zeros(3, dtype=np.intp))):
+        for got, want in zip(stack.origin_values(idx, e), table.origin_values(own, e)):
+            assert np.array_equal(got, want)
 
 
 def test_tail_seed_values():
@@ -420,10 +463,11 @@ def _in_pieces(entry):
     return run
 
 
-def _match_args(table, seed, idx, e):
+def _match_args(table, idx, e):
     """The leading propagate arguments of a match: both legs' start values
-    (seed at node 0, the tail seed at node S) and nodes."""
-    return table, idx, e, (seed(e, idx), prop.tail_seed(table.m, e)), 0, table.n_steps
+    (the table's origin seed at node 0, the tail seed at node S) and nodes."""
+    return (table, idx, e, (table.origin_values(idx, e), prop.tail_seed(table.m, e)),
+            0, table.n_steps)
 
 
 def _on_reference(entry):
@@ -441,7 +485,7 @@ def _assert_all_close(got, ref, atol):
 
 
 def _scan_cases():
-    """(workspace, table, family indices, energies, least eigenvalue count):
+    """(table, family indices, energies, least eigenvalue count):
     coarse and whole-window fine tables of d = 3 pure Coulomb and d = 1 cutoff
     Coulomb, even and odd (whose origin seed has psi1 = 0 at node 0), and the
     state-sized fine table of each acceptance criterion 1 j = 1/2 state, on
@@ -457,7 +501,7 @@ def _scan_cases():
         bottom, top = ws.window()
         e = np.linspace(bottom, top, 41)
         for table in (ws.coarse, ws.fine_table((bottom, top), ws.domain, [0])):
-            cases.append((ws, table, np.zeros(e.size, dtype=np.intp), e, 2))
+            cases.append((table, np.zeros(e.size, dtype=np.intp), e, 2))
     alphas = (0.2, 0.5, 0.9)
     ws = S._Workspace(dm.ChannelSpec(d=3, tau=-1, j=0.5),
                       [dm.pure_coulomb(a) for a in alphas], S.DEFAULT_CONFIG, n_r_max=2)
@@ -467,8 +511,7 @@ def _scan_cases():
             band = (energy - 2e-3, energy + 2e-3)
             table = ws.fine_table(band, ws.trimmed_domain([f], [energy]),
                                   np.arange(len(alphas)))
-            cases.append((ws, table, np.full(40, f, dtype=np.intp),
-                          np.linspace(*band, 40), 1))
+            cases.append((table, np.full(40, f, dtype=np.intp), np.linspace(*band, 40), 1))
     return cases
 
 
@@ -477,15 +520,15 @@ def test_scan_matches_sequential_reference():
     # sequential reference in phase and record modes, and counts the same
     # eigenvalues; so do match_values and assemble_two_sided, which propagate
     # both legs in one call
-    for ws, table, idx, e, least_count in _scan_cases():
-        args = _match_args(table, ws.seed, idx, e)
+    for table, idx, e, least_count in _scan_cases():
+        args = _match_args(table, idx, e)
         m_ref, dth_ref = _match(propagate_sequential(*args, False, True))
         counts_ref = prop.count_below(dth_ref, dth_ref[0])
         assert counts_ref[-1] >= least_count  # the energies span eigenvalues
         # the end state of either mode is checked against the reference's
         # record mode
         records = propagate_sequential(*args, True, False)
-        psi_ref = _on_reference(prop.assemble_two_sided)(table, idx, e, ws.seed)
+        psi_ref = _on_reference(prop.assemble_two_sided)(table, idx, e)
         for entry in (lambda f: f, _in_pieces):
             path = entry(prop.propagate)
             phase = path(*args, False, True)
@@ -498,12 +541,11 @@ def test_scan_matches_sequential_reference():
                 _assert_all_close(p_end, r_end, 1e-13)
                 _assert_all_close((*g_end, *g_rec), (*r_end, *r_rec), 1e-13)
                 _assert_all_close([g_log], [r_log], 1e-11)
-            mval, dth, _ = entry(prop.match_values)(table, idx, e, ws.seed)
+            mval, dth, _ = entry(prop.match_values)(table, idx, e)
             assert np.allclose(mval, m_ref, rtol=1e-12, atol=1e-13)
             assert np.allclose(dth, dth_ref, rtol=1e-12, atol=1e-11)
             assert np.array_equal(prop.count_below(dth, dth[0]), counts_ref)
-            _assert_all_close(entry(prop.assemble_two_sided)(table, idx, e, ws.seed),
-                              psi_ref, 1e-13)
+            _assert_all_close(entry(prop.assemble_two_sided)(table, idx, e), psi_ref, 1e-13)
 
 
 def _arrays(out):
@@ -530,19 +572,19 @@ def test_scan_keeps_batch_columns_apart():
     for n_steps in (table.i_match, table.n_steps - table.i_match):
         assert n_steps % (math.isqrt(n_steps - 1) + 1)
 
-    args = _match_args(table, ws.seed, idx, e)
+    args = _match_args(table, idx, e)
     for record, phase in ((True, False), (False, True)):
         batch = _arrays(prop.propagate(*args, record, phase))
         for b in range(e.size):
             col = slice(b, b + 1)
-            alone = _arrays(prop.propagate(*_match_args(table, ws.seed, idx[col], e[col]),
+            alone = _arrays(prop.propagate(*_match_args(table, idx[col], e[col]),
                                            record, phase))
             for g, a in zip(batch, alone):
                 assert np.array_equal(g[..., col], a)
 
 
 def _criterion_1_tables():
-    """(workspace, {(family, n_r): fine table}) for acceptance criterion 1's
+    """{(family, n_r): fine table} for acceptance criterion 1's
     j = 1/2 states, each table on its own trimmed domain and band E +- 2e-3,
     as the fine stage builds them for a group of that state alone."""
     alphas = (0.2, 0.5, 0.9)
@@ -554,7 +596,7 @@ def _criterion_1_tables():
             energy = coulomb_energy(CoulombLevel(n=n_r + 1, j=0.5, alpha=alpha))
             tables[f, n_r] = ws.fine_table((energy - 2e-3, energy + 2e-3),
                                            ws.trimmed_domain([f], [energy]), np.array([f]))
-    return ws, tables
+    return tables
 
 
 def _nested_pair(tables):
@@ -574,19 +616,17 @@ def test_stack_keeps_an_unpadded_table_bitwise():
     # needs no padding: its columns get bitwise its own results on both match
     # legs in record and phase modes (the stack gathers its grid
     # columns per element, where a table on one grid broadcasts its one)
-    ws, tables = _criterion_1_tables()
-    keys = _nested_pair(tables)
-    long, short = (tables[k] for k in keys)
+    tables = _criterion_1_tables()
+    long, short = (tables[k] for k in _nested_pair(tables))
     assert long.i_match > short.i_match
     assert long.n_steps - long.i_match > short.n_steps - short.i_match
     e = np.linspace(0.88, 0.95, 5)
     idx = np.zeros(e.size, dtype=np.intp)
-    seed = ws.local_seed(np.array([f for f, _ in keys]))
     for stack in (prop.stack_tables([long]), prop.stack_tables([long, short])):
         assert stack.n_steps == long.n_steps and stack.i_match == long.i_match
         for record, phase in ((True, False), (False, True)):
-            got = _arrays(prop.propagate(*_match_args(stack, seed, idx, e), record, phase))
-            own = _arrays(prop.propagate(*_match_args(long, seed, idx, e), record, phase))
+            got = _arrays(prop.propagate(*_match_args(stack, idx, e), record, phase))
+            own = _arrays(prop.propagate(*_match_args(long, idx, e), record, phase))
             for g, o in zip(got, own):
                 assert np.array_equal(g, o)
 
@@ -597,7 +637,7 @@ def test_zero_length_steps_end_on_the_unpadded_state():
     # state, angle and E-slope of the leg without them, and every padded node
     # records that end state; the inward leg, the same steps either way, is
     # bitwise the same
-    ws, tables = _criterion_1_tables()
+    tables = _criterion_1_tables()
 
     def last_block(n):
         """(identity fill, steps) of the last scan block of an n-step leg"""
@@ -616,13 +656,13 @@ def test_zero_length_steps_end_on_the_unpadded_state():
     padded = prop.StepTable(
         k=t.k, m=t.m, r_nodes=padded_at_match(t.r_nodes, t.r_nodes[n]),
         h=padded_at_match(t.h), rmul=padded_at_match(t.rmul), w=padded_at_match(t.w),
-        i_match=n + pad, grid=t.grid)
+        i_match=n + pad, grid=t.grid, seed=t.seed)
     padded._norm[0, n + pad] = np.pad(t.norm_weights(0, n), ((0, 0), (0, pad), (0, 0)))
     e = np.linspace(0.9, 0.99, 4)
     idx = np.zeros(e.size, dtype=np.intp)
     for record, phase in ((True, False), (False, True)):
-        got = prop.propagate(*_match_args(padded, ws.seed, idx, e), record, phase)
-        own = prop.propagate(*_match_args(t, ws.seed, idx, e), record, phase)
+        got = prop.propagate(*_match_args(padded, idx, e), record, phase)
+        own = prop.propagate(*_match_args(t, idx, e), record, phase)
         if record:
             out_rec = got[0][1:]
             assert all(np.array_equal(g[n:], np.broadcast_to(g[n], g[n:].shape))
@@ -641,7 +681,7 @@ def test_stack_matches_sequential_reference():
     # column's own table, within the tolerances of
     # test_scan_matches_sequential_reference, and count the same
     # eigenvalues; the E-slopes agree with the own tables' to 1e-10
-    ws, tables = _criterion_1_tables()
+    tables = _criterion_1_tables()
     pair = [tables[0, 2], tables[2, 0]]
     stack = prop.stack_tables(pair)
     assert pair[0].i_match < stack.i_match == pair[1].i_match
@@ -651,22 +691,20 @@ def test_stack_matches_sequential_reference():
               for alpha, n_r in ((0.2, 2), (0.9, 0))]
     e = np.concatenate([np.linspace(lv - 2e-3, lv + 2e-3, 40) for lv in levels])
     idx = np.repeat([0, 1], 40)
-    seed = ws.local_seed(np.array([0, 2]))
-    args = _match_args(stack, seed, idx, e)
+    args = _match_args(stack, idx, e)
     m_ref, dth_ref = _match(propagate_sequential(*args, False, True))
-    psi_ref = _on_reference(prop.assemble_two_sided)(stack, idx, e, seed)
+    psi_ref = _on_reference(prop.assemble_two_sided)(stack, idx, e)
     for entry in (lambda f: f, _in_pieces):
         for mval, dth, *_ in (_match(entry(prop.propagate)(*args, False, True)),
-                              entry(prop.match_values)(stack, idx, e, seed)):
+                              entry(prop.match_values)(stack, idx, e)):
             assert np.allclose(mval, m_ref, rtol=1e-12, atol=1e-13)
             assert np.allclose(dth, dth_ref, rtol=1e-12, atol=1e-11)
-        _assert_all_close(entry(prop.assemble_two_sided)(stack, idx, e, seed),
-                          psi_ref, 1e-13)
-    mval, dth, slope = prop.match_values(stack, idx, e, seed)
-    for g, (table, f) in enumerate(zip(pair, (0, 2))):
+        _assert_all_close(entry(prop.assemble_two_sided)(stack, idx, e), psi_ref, 1e-13)
+    mval, dth, slope = prop.match_values(stack, idx, e)
+    for g, table in enumerate(pair):
         col = idx == g
         own_m, own_dth, own_slope = prop.match_values(
-            table, np.zeros(40, dtype=np.intp), e[col], ws.local_seed(np.array([f])))
+            table, np.zeros(40, dtype=np.intp), e[col])
         assert np.allclose(mval[col], own_m, rtol=1e-12, atol=1e-13)
         assert np.allclose(dth[col], own_dth, rtol=1e-12, atol=1e-11)
         assert np.array_equal(prop.count_below(dth[col], dth[col][0]),
@@ -683,18 +721,17 @@ def test_a_leg_does_not_depend_on_the_other_leg():
     # outward leg from node 0 or of one step, which lay the scan's blocks
     # out differently; on a table whose legs differ in length, and on a
     # stack whose legs differ more, whole and one row per piece
-    ws, tables = _criterion_1_tables()
+    tables = _criterion_1_tables()
     stack = prop.stack_tables([tables[0, 2], tables[2, 0]])
     # a stack forms the norm weights of its match legs only; the other legs'
     # slopes are not compared
     for start in (stack.i_match - 1, stack.i_match + 1):
         stack._norm[start, stack.i_match] = np.ones((3, abs(start - stack.i_match) + 1, 2))
-    for table, fams, idx in ((tables[1, 1], [1], np.zeros(6, dtype=np.intp)),
-                             (stack, [0, 2], np.repeat([0, 1], 3))):
+    for table, idx in ((tables[1, 1], np.zeros(6, dtype=np.intp)),
+                       (stack, np.repeat([0, 1], 3))):
         assert table.i_match != table.n_steps - table.i_match
         e = np.linspace(0.9, 0.999, idx.size)
-        *_, (y0, yt), i_from, i_to = _match_args(table, ws.local_seed(np.array(fams)),
-                                                 idx, e)
+        *_, (y0, yt), i_from, i_to = _match_args(table, idx, e)
         beyond = (yt[0] ** 2 + yt[1] ** 2) / (2 * np.sqrt(1.0 - e * e))
         other = (np.full(e.size, 0.3), np.full(e.size, -0.8))
         for entry in (prop.propagate, _in_pieces(prop.propagate)):
@@ -731,15 +768,15 @@ def test_columns_do_not_depend_on_the_batch():
     # what it gets propagated alone: its match value, angle and E-slope
     # from match_values, and its end states and recorded nodes from a
     # record-mode call of both legs
-    ws, table, idx, e = _wide_table()
+    _, table, idx, e = _wide_table()
 
     def record(idx, e):
-        return _arrays(prop.propagate(*_match_args(table, ws.seed, idx, e), record=True))
+        return _arrays(prop.propagate(*_match_args(table, idx, e), record=True))
 
-    batch = [prop.match_values(table, idx, e, ws.seed), record(idx, e)]
+    batch = [prop.match_values(table, idx, e), record(idx, e)]
     for b in range(e.size):
         col = slice(b, b + 1)
-        alone = [prop.match_values(table, idx[col], e[col], ws.seed),
+        alone = [prop.match_values(table, idx[col], e[col]),
                  record(idx[col], e[col])]
         for got, own in zip(batch, alone):
             for g, o in zip(got, own):
@@ -770,7 +807,7 @@ def test_each_scan_holds_whole_legs_of_bounded_pieces(monkeypatch):
     for tab, fam_idx, energies in calls:
         for record, phase in ((False, True), (True, False)):
             scans.clear()
-            prop.propagate(*_match_args(tab, ws.seed, fam_idx, energies), record, phase)
+            prop.propagate(*_match_args(tab, fam_idx, energies), record, phase)
             row = tab.n_steps * math.prod(energies.shape[1:])
             assert all(n == tab.n_steps and shape[2:] == (shape[2], *energies.shape[1:])
                        and shape[1] * math.prod(shape[2:]) <= max(prop._SCAN_ELEMENTS, row)
@@ -810,7 +847,7 @@ def test_angle_where_psi1_is_zero_at_nodes():
     # last node of a leg that ends in such a run; psi2 of either sign, both
     # directions. The legs end on the stack's match node, or on the end of
     # its front or back padding taken as the match node
-    ws, tables = _criterion_1_tables()
+    tables = _criterion_1_tables()
     long, short = (tables[k] for k in _nested_pair(tables))
     stack = prop.stack_tables([long, short])
     lead = stack.i_match - short.i_match
@@ -856,10 +893,10 @@ def test_phase_slope_matches_central_difference():
     # 1/(2 lambda). The scan whole and one row per piece; match_values, run
     # the same way, returns bitwise the difference of the two legs' slopes.
     h = 1e-8
-    for ws, table, idx, e, _ in _scan_cases():
+    for table, idx, e, _ in _scan_cases():
         for entry in (lambda f: f, _in_pieces):
             def angles(energy, **kw):
-                legs = entry(prop.propagate)(*_match_args(table, ws.seed, idx, energy),
+                legs = entry(prop.propagate)(*_match_args(table, idx, energy),
                                              False, True, **kw)
                 return [th for _, th, _ in legs]
 
@@ -867,12 +904,17 @@ def test_phase_slope_matches_central_difference():
             lam = np.sqrt((table.m - e) * (table.m + e))
             beyond = (yt[0] ** 2 + yt[1] ** 2) / (2 * lam)
             slopes = [slope for *_, slope in entry(prop.propagate)(
-                *_match_args(table, ws.seed, idx, e), False, True, beyond=beyond)]
+                *_match_args(table, idx, e), False, True, beyond=beyond)]
             for slope, up, down in zip(slopes, angles(e + h), angles(e - h)):
                 central = (up - down) / (2 * h)
                 assert np.all(np.abs(slope - central) <= 1e-4 * np.abs(central))
-            _, _, d_match = entry(prop.match_values)(table, idx, e, ws.seed)
+            _, _, d_match = entry(prop.match_values)(table, idx, e)
             assert np.array_equal(d_match, slopes[0] - slopes[1])
+
+
+# the origin seed of a hand-built one-family table: start values (1, 0) at
+# every energy
+PSI1_SEED = np.array([[[1.0, 0.0], [0.0, 0.0]]])
 
 
 def test_rotation_limit_raises_at_first_offending_step():
@@ -881,7 +923,7 @@ def test_rotation_limit_raises_at_first_offending_step():
     # the same first offending step, in traversal order, as the reference
     fam = dm.cutoff_coulomb(20.0, 1.0)
     table = prop.build_step_table("lin", 0.0, 1.0, [fam],
-                                  np.linspace(0.0, 10.0, 21), 1)
+                                  np.linspace(0.0, 10.0, 21), 1, PSI1_SEED)
     e = np.array([-0.5, 0.0, 0.5])
     idx = np.zeros(e.size, dtype=np.intp)
     y0 = (np.ones(e.size), np.zeros(e.size))
@@ -899,10 +941,11 @@ def test_rotation_limit_raises_at_first_offending_step():
         # the check guards phase unwrapping only; record mode still runs
         prop.propagate(*args, True, False)
     assert messages[0] != messages[1]  # traversal order picks the step
-    # match_values names the outward leg's first offending step
+    # match_values names the outward leg's first offending step; the
+    # table's seed starts it on y0
     for entry in (lambda f: f, _in_pieces):
         with pytest.raises(NumericalError) as got:
-            entry(prop.match_values)(table, idx, e, lambda E, fam_idx: y0)
+            entry(prop.match_values)(table, idx, e)
         assert str(got.value) == messages[0]
 
 
@@ -927,14 +970,14 @@ def test_rotation_error_names_the_outward_leg_first():
     y0 = (np.ones(e.size), np.zeros(e.size))
     for i_match, step in ((15, 7), (5, 19)):
         table = prop.build_step_table("lin", 0.0, 1.0, [_two_wells(20.0)],
-                                      np.linspace(0.0, 10.0, 21), i_match)
+                                      np.linspace(0.0, 10.0, 21), i_match, PSI1_SEED)
         with pytest.raises(NumericalError) as ref:
             propagate_sequential(table, idx, e, (y0, prop.tail_seed(1.0, e)), 0,
                                  table.n_steps, False, True)
         assert str(ref.value).startswith(f"step {step} ")
         for entry in (lambda f: f, _in_pieces):
             with pytest.raises(NumericalError) as got:
-                entry(prop.match_values)(table, idx, e, lambda E, fam_idx: y0)
+                entry(prop.match_values)(table, idx, e)
             assert str(got.value) == str(ref.value)
 
 
@@ -942,12 +985,12 @@ def test_step_table_and_propagate_reject_bad_arguments():
     fam = dm.cutoff_coulomb(1.0, 1.0)
     x = np.linspace(0.0, 5.0, 11)
     with pytest.raises(DomainError):
-        prop.build_step_table("lin", 0.0, 1.0, [fam], x[::-1], 5)
+        prop.build_step_table("lin", 0.0, 1.0, [fam], x[::-1], 5, PSI1_SEED)
     with pytest.raises(DomainError):
-        prop.build_step_table("lin", -1.0, 1.0, [fam], x, 5)
+        prop.build_step_table("lin", -1.0, 1.0, [fam], x, 5, PSI1_SEED)
     with pytest.raises(DomainError):
-        prop.build_step_table("sqrt", 0.0, 1.0, [fam], x, 5)
-    table = prop.build_step_table("lin", 0.0, 1.0, [fam], x, 5)
+        prop.build_step_table("sqrt", 0.0, 1.0, [fam], x, 5, PSI1_SEED)
+    table = prop.build_step_table("lin", 0.0, 1.0, [fam], x, 5, PSI1_SEED)
     e = np.array([0.5])
     y0 = ((e, e), (e, e))
     for record in (False, True):    # both modes, or neither
@@ -971,8 +1014,8 @@ SEARCH_TARGETS = np.array([0, 0, 1, 1, 2, 2])
 
 @pytest.fixture(scope="module")
 def search_tables():
-    """(table, origin seed, window) for d = 3 pure Coulomb and d = 1 cutoff
-    Coulomb, each on its coarse table and on a fine table."""
+    """(table, window) for d = 3 pure Coulomb and d = 1 cutoff Coulomb, each
+    on its coarse table and on a fine table."""
     out = []
     for channel, family in ((dm.ChannelSpec(d=3, tau=-1, j=0.5), dm.pure_coulomb(0.5)),
                             (dm.ChannelSpec(d=1, parity="even"),
@@ -980,18 +1023,18 @@ def search_tables():
         ws = S._Workspace(channel, [family], S.DEFAULT_CONFIG)
         window = ws.window()
         fine = ws.fine_table(window, ws.domain, [0])
-        out.extend((table, ws.seed, window) for table in (ws.coarse, fine))
+        out.extend((table, window) for table in (ws.coarse, fine))
     return out
 
 
-def _random_brackets(table, seed, window, rng):
+def _random_brackets(table, window, rng):
     """Brackets around eigenvalue index t for each t in SEARCH_TARGETS: each
     end is drawn between the scan point next to the eigenvalue and the window
     edge on its side, so some brackets are narrow and some span many levels.
     Returns (lo, hi, dtheta_bottom) with the precondition checked."""
     bottom, top = window
     e = np.linspace(bottom, top, 400)
-    _, th, _ = prop.match_values(table, np.zeros(e.size, dtype=np.intp), e, seed)
+    _, th, _ = prop.match_values(table, np.zeros(e.size, dtype=np.intp), e)
     counts = prop.count_below(th, th[0])
     lo, hi = [], []
     for t in SEARCH_TARGETS:
@@ -1002,31 +1045,31 @@ def _random_brackets(table, seed, window, rng):
     return np.array(lo), np.array(hi), np.full(SEARCH_TARGETS.size, th[0])
 
 
-def _centre_brackets(table, seed, window, rng):
+def _centre_brackets(table, window, rng):
     """Brackets as the fine stage builds them: a centre within 3e-6 of
     eigenvalue index t (a coarse-search estimate), and the window edge on the
     other side of the centre's count."""
     bottom, top = window
-    lo, hi, dtb = _random_brackets(table, seed, window, rng)
-    centre = _bisection_oracle(table, seed, lo, hi, dtb, 1e-6)
+    lo, hi, dtb = _random_brackets(table, window, rng)
+    centre = _bisection_oracle(table, lo, hi, dtb, 1e-6)
     centre += rng.uniform(-3e-6, 3e-6, centre.size)
     idx = np.zeros(centre.size, dtype=np.intp)
-    _, th, _ = prop.match_values(table, idx, centre, seed)
+    _, th, _ = prop.match_values(table, idx, centre)
     up = prop.count_below(th, dtb) <= SEARCH_TARGETS
     return np.where(up, centre, bottom), np.where(up, top, centre), dtb
 
 
-def _ends(table, seed, lo, hi):
+def _ends(table, lo, hi):
     idx = np.zeros(lo.size, dtype=np.intp)
-    return [prop.match_values(table, idx, e, seed) for e in (lo, hi)]
+    return [prop.match_values(table, idx, e) for e in (lo, hi)]
 
 
-def _bisection_oracle(table, seed, lo, hi, dtb, tol):
+def _bisection_oracle(table, lo, hi, dtb, tol):
     """Plain count bisection on the same table, down to width tol."""
     idx = np.zeros(lo.size, dtype=np.intp)
     while np.max(hi - lo) > tol:
         mid = 0.5 * (lo + hi)
-        _, th, _ = prop.match_values(table, idx, mid, seed)
+        _, th, _ = prop.match_values(table, idx, mid)
         below = prop.count_below(th, dtb) <= SEARCH_TARGETS
         lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
     return 0.5 * (lo + hi)
@@ -1043,10 +1086,10 @@ def test_count_bisect_against_bisection_oracle(search_tables, monkeypatch):
     targets = SEARCH_TARGETS
     idx = np.zeros(targets.size, dtype=np.intp)
     real = prop.match_values
-    for (table, seed, window), brackets in itertools.product(
+    for (table, window), brackets in itertools.product(
             search_tables, (_random_brackets, _centre_brackets)):
-        lo, hi, dtb = brackets(table, seed, window, rng)
-        ends = _ends(table, seed, lo, hi)
+        lo, hi, dtb = brackets(table, window, rng)
+        ends = _ends(table, lo, hi)
         assert np.all(prop.count_below(ends[0][1], dtb) <= targets)
         assert np.all(prop.count_below(ends[1][1], dtb) > targets)
         calls = []
@@ -1059,7 +1102,7 @@ def test_count_bisect_against_bisection_oracle(search_tables, monkeypatch):
         with monkeypatch.context() as mp:
             mp.setattr(prop, "match_values", recording)
             e_star, _, width, evals = prop.count_bisect(table, idx, lo, hi, targets,
-                                                        dtb, SEARCH_TOL, seed, ends=ends)
+                                                        dtb, SEARCH_TOL, ends=ends)
 
         r_lo, r_hi = lo.copy(), hi.copy()
         steps = np.zeros(targets.size, dtype=int)
@@ -1079,22 +1122,22 @@ def test_count_bisect_against_bisection_oracle(search_tables, monkeypatch):
 
         # the eigenvalue counts on either side of E are the target's
         for shift, want in ((-SEARCH_TOL, targets), (SEARCH_TOL, targets + 1)):
-            _, th, _ = prop.match_values(table, idx, e_star + shift, seed)
+            _, th, _ = prop.match_values(table, idx, e_star + shift)
             assert np.array_equal(prop.count_below(th, dtb), want)
-        e_ref = _bisection_oracle(table, seed, lo, hi, dtb, SEARCH_TOL)
+        e_ref = _bisection_oracle(table, lo, hi, dtb, SEARCH_TOL)
         assert np.all(np.abs(e_star - e_ref) <= SEARCH_TOL)
 
 
 def test_count_bisect_end_reuse_and_repeats_are_bitwise(search_tables):
     rng = np.random.default_rng(11)
     idx = np.zeros(SEARCH_TARGETS.size, dtype=np.intp)
-    for table, seed, window in search_tables:
-        lo, hi, dtb = _random_brackets(table, seed, window, rng)
-        args = (table, idx, lo, hi, SEARCH_TARGETS, dtb, SEARCH_TOL, seed)
-        ends = _ends(table, seed, lo, hi)
+    for table, window in search_tables:
+        lo, hi, dtb = _random_brackets(table, window, rng)
+        args = (table, idx, lo, hi, SEARCH_TARGETS, dtb, SEARCH_TOL)
+        ends = _ends(table, lo, hi)
         once = prop.count_bisect(*args, ends=ends)
         again = prop.count_bisect(*args, ends=ends)
-        fresh = prop.count_bisect(*args, ends=_ends(table, seed, lo, hi))
+        fresh = prop.count_bisect(*args, ends=_ends(table, lo, hi))
         for a, b, c in zip(once, again, fresh):
             assert np.array_equal(a, b) and np.array_equal(a, c)
 
@@ -1102,16 +1145,16 @@ def test_count_bisect_end_reuse_and_repeats_are_bitwise(search_tables):
 def test_count_bisect_closed_bracket_reports_end_residual(search_tables, monkeypatch):
     # a bracket within tol on entry takes no step: E is its midpoint and |M|
     # the larger of the two end values, which were computed, not zero
-    table, seed, _ = search_tables[1]
+    table, _ = search_tables[1]
     e0 = 0.8660254037844386   # closed-form d = 3 Coulomb ground state, alpha 0.5
     lo, hi = np.array([e0 - 3e-4]), np.array([e0 + 3e-4])
-    (m_lo, th_lo, d_lo), (m_hi, th_hi, d_hi) = _ends(table, seed, lo, hi)
+    (m_lo, th_lo, d_lo), (m_hi, th_hi, d_hi) = _ends(table, lo, hi)
     dtb = th_lo  # counts from lo: the bracket holds eigenvalue index 0
     assert prop.count_below(th_hi, dtb)[0] == 1
     monkeypatch.setattr(prop, "match_values", None)  # no evaluation may run
     e_star, m_abs, width, evals = prop.count_bisect(
         table, np.zeros(1, dtype=np.intp), lo, hi, np.array([0]), dtb, 1e-3,
-        seed, ends=((m_lo, th_lo, d_lo), (m_hi, th_hi, d_hi)))
+        ends=((m_lo, th_lo, d_lo), (m_hi, th_hi, d_hi)))
     assert e_star[0] == 0.5 * (lo[0] + hi[0])
     assert width[0] == hi[0] - lo[0]
     assert m_abs[0] == max(abs(m_lo[0]), abs(m_hi[0])) > 0
