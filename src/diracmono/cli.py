@@ -36,7 +36,7 @@ from .errors import (
     UnsupportedRegimeError,
 )
 from .monotonicity import TOL_SIGN, compare_potentials, sweep, verdict
-from .potentials import SignClass, classify_sign, make_family
+from .potentials import SignClass, make_family, sign_hypothesis
 from .solver import ChannelSpec, SolveConfig, solve
 
 CSV_HEADER = "a,E,dE_da_fd,dE_da_hf,hf_residual,orth_residual,w_residual,nodes"
@@ -406,8 +406,7 @@ def cmd_verify(args) -> int:
     unknown = set(checks) - {"hf", "orth", "w", "monotone"}
     if unknown:
         raise ConfigurationError(f"unknown checks: {sorted(unknown)}")
-    sign = classify_sign(family,
-                         r_max=50.0 * family.length_scale(channel.m))
+    sign = sign_hypothesis(family, channel.m)
     if sign is SignClass.INDEFINITE:
         report = {"status": "not-applicable",
                   "reason": "dV/d(active) changes sign; the monotonicity "

@@ -44,11 +44,12 @@ from .errors import (
     SweepAbortedError,
 )
 from .numerics import apply_derivative, derivative_weights
-from .potentials import PotentialFamily, SignClass, classify_sign, make_homotopy
+from .potentials import PotentialFamily, SignClass, make_homotopy, sign_hypothesis
 from .solver import (
     BoundState,
     ChannelSpec,
     SolveConfig,
+    checked_node_count,
     solve,
     solve_batch,
 )
@@ -323,8 +324,7 @@ def sweep(family: PotentialFamily, channel: ChannelSpec, n_r: int, a_grid,
         raise ConfigurationError("a sweep needs at least 2 parameter points")
     if np.any(np.diff(a_grid) <= 0):
         raise ConfigurationError("sweep grid must be strictly increasing")
-    if n_r < 0:
-        raise ConfigurationError("node counts are non-negative")
+    checked_node_count(n_r)
     _checked_step(h)
     stencil = _stencil_families(family, a_grid.tolist(), h)
     try:
@@ -400,12 +400,12 @@ def compare_potentials(v1: PotentialFamily, v2: PotentialFamily,
     independently and a coarse t-sweep of the interpolation demonstrates the
     monotone passage between them.
     """
+    checked_node_count(n_r)
     if not isinstance(t_points, (int, np.integer)) or t_points < 2:
         raise ConfigurationError(f"the t-sweep needs an integer t_points >= 2, got {t_points}")
     hom = make_homotopy(v1, v2)
     m = channel.m
-    r_probe = 50.0 * max(v1.length_scale(m), v2.length_scale(m))
-    sc = classify_sign(hom, r_max=r_probe)
+    sc = sign_hypothesis(hom, m)
     if sc is not SignClass.NON_NEGATIVE:
         raise PointwiseOrderError(
             f"potentials are not pointwise ordered V1 <= V2 "

@@ -38,6 +38,7 @@ __all__ = [
     "evaluate",
     "param_derivative",
     "classify_sign",
+    "sign_hypothesis",
     "BUILTIN_FAMILIES",
 ]
 
@@ -160,8 +161,8 @@ class PotentialFamily:
         return float(self._origin_value(self.params))
 
     def length_scale(self, m: float = 1.0) -> float:
-        """Characteristic radial extent; it only sets the range (50 length
-        scales) over which verify and compare classify the sign of dV/d(active)."""
+        """Characteristic radial extent; it only sets the range over which
+        sign_hypothesis classifies the sign of dV/d(active)."""
         return float(self._scale(self.params, m))
 
     def with_params(self, **changes) -> "PotentialFamily":
@@ -465,3 +466,9 @@ def classify_sign(family: PotentialFamily, r_max: float = 50.0,
     if np.all(d <= slack):
         return SignClass.NON_POSITIVE
     return SignClass.INDEFINITE
+
+
+def sign_hypothesis(family: PotentialFamily, m: float) -> SignClass:
+    """classify_sign over 50 length scales of the family at mass m: the sign
+    of dV/d(active) that verify and compare take as their hypothesis."""
+    return classify_sign(family, r_max=50.0 * family.length_scale(m))

@@ -9,11 +9,12 @@ evaluated in closed form through the traceless 2x2 exponential. The step
 matrices do not depend on each other, so all of them are formed in one
 vectorized pass; only their ordered product is sequential, and since it is
 associative it is evaluated as a blocked prefix scan rather than one step at
-a time. The outward and inward legs of a two-sided match are two chains of
-one scan over all their steps; memory is bounded by cutting the batch into
-pieces of rows instead, so no element's values depend on the rest of its
-batch. Propagator entries, partial products and node states are kept
-max-normalized with their scales carried as logarithms, so traversing
+a time. A batch is flat: one axis of energies, each with the index of its
+potential family. The outward and inward legs of a two-sided match are two
+chains of one scan over all their steps; memory is bounded by cutting the
+batch into pieces of columns instead, so no element's values depend on the
+rest of its batch. Propagator entries, partial products and node states are
+kept max-normalized with their scales carried as logarithms, so traversing
 hundreds of exponential e-folds is overflow-free.
 
 Radial steps are parametrized either in x = ln r ("log", used for d > 1,
@@ -107,12 +108,9 @@ class StepTable:
         return self._norm[i_from, i_to]
 
     def columns(self, fam_idx):
-        """(family, grid column) of each batch element, as index arrays of
-        the batch's shape or broadcasting to it: fam_idx maps elements to
-        families, and None is the (F, nE) scan layout, whose row f is family
-        f."""
-        fam = (np.arange(self.w.shape[2])[:, None] if fam_idx is None
-               else np.asarray(fam_idx))
+        """(family, grid column) of each element of a batch, as index arrays:
+        fam_idx maps the elements to families."""
+        fam = np.asarray(fam_idx)
         return fam, self.grid[fam]
 
     def origin_values(self, fam_idx, E):
@@ -122,13 +120,11 @@ class StepTable:
         return tuple(s[..., i, 0] + s[..., i, 1] * E for i in range(2))
 
 
-def _per_element(a, idx, ndim: int):
-    """a, whose last axis is a family or grid axis, shaped to broadcast against
-    a batch of ndim axes whose elements take entry idx: a single entry is
-    shared by the whole batch, without an index."""
-    if a.shape[-1] == 1:
-        return a.reshape(a.shape[:-1] + (1,) * ndim)
-    return np.take(a, idx, axis=-1)
+def _per_element(a, idx):
+    """a, whose last axis is a family or grid axis, at the entries idx of a
+    batch's elements: a single entry is shared by the whole batch as it is,
+    without an index."""
+    return a if a.shape[-1] == 1 else np.take(a, idx, axis=-1)
 
 
 def march_nodes(x_lo: float, x_match: float, x_hi: float, rule):
@@ -265,10 +261,9 @@ def stack_tables(tables) -> StepTable:
 def _step_omega(table: StepTable, steps, fam_idx, em, me, sign=None, out=None):
     """Magnus exponent (oa, ob, oc) of the given steps for the batch energies.
 
-    steps is an index array of length S; em = E + m and me = m - E have the
-    batch shape. fam_idx maps batch elements to table families, or is None
-    for the (F, nE) scan layout, where each family's potential is broadcast
-    over its row of energies.
+    steps is an index array of length S; em = E + m and me = m - E are
+    those of a batch of B energies, and fam_idx maps its elements to table
+    families.
 
     The step is the 6th-order Magnus step of Blanes, Casas & Ros (2000, BIT
     40). With A_1, A_2, A_3 the coefficient matrix at the three Gauss nodes
@@ -295,21 +290,21 @@ def _step_omega(table: StepTable, steps, fam_idx, em, me, sign=None, out=None):
     of the outward one, exp(-Omega), and negating every term of a sum
     negates the sum exactly, as rounding is symmetric.
 
-    The entries, of shape (S, *batch), are formed in out[0:3] of out, shape
-    (5, S, *batch) (allocated when None), whose planes serve as scratch with
+    The entries, of shape (S, B), are formed in out[0:3] of out, shape
+    (5, S, B) (allocated when None), whose planes serve as scratch with
     four more arrays of that size and the index arrays of the weights taken
     per element. The arithmetic runs batch-major, the step axis last, so that
     per-step coefficients broadcast along contiguous rows at any batch width;
     each entry is copied into place at the end.
     """
     fam, col = table.columns(fam_idx)
-    n_steps, batch = len(steps), em.shape
+    n_steps, n_b = len(steps), em.size
     if out is None:
-        out = np.empty((5, n_steps, *batch))
+        out = np.empty((5, n_steps, n_b))
     # the planes of out, viewed batch-major (contiguous planes, as callers pass)
-    t0, t1, t2, t3, t4 = (o.reshape(*batch, n_steps) for o in out)
-    s0, s1, s2, s3 = np.empty((4, *batch, n_steps))
-    em, me = em[..., None], me[..., None]
+    t0, t1, t2, t3, t4 = (o.reshape(n_b, n_steps) for o in out)
+    s0, s1, s2, s3 = np.empty((4, n_b, n_steps))
+    em, me = em[:, None], me[:, None]
 
     def per_element(a, idx):
         """Weight j of the table weights a, shape (n, 3, X), at the steps, as
@@ -318,7 +313,7 @@ def _step_omega(table: StepTable, steps, fam_idx, em, me, sign=None, out=None):
         if a.shape[2] == 1:
             rows = a[steps, :, 0].T.copy()
             return lambda j, into=None: rows[j]
-        flat, a_flat = steps * a[0].size + idx[..., None], a.reshape(-1)
+        flat, a_flat = steps * a[0].size + idx[:, None], a.reshape(-1)
         return lambda j, into=None: np.take(
             a_flat[j * a.shape[2]:], flat,
             out=into if into is not None and into.shape == flat.shape else None)
@@ -411,9 +406,9 @@ def _side(y1, y2):
 class _Leg:
     """One leg of a propagate call, node i_from to the table's match node,
     for the whole batch: its start state y0 and what its mode makes of it,
-    filled in one piece of batch rows at a time: the recorded nodes (rec,
-    record mode; the end state is the last), or the end state, the angle and
-    its E-slope (out, phase mode).
+    filled in one piece of batch columns at a time: the recorded nodes
+    (rec, record mode; the end state is the last), or the end state, the
+    angle and its E-slope (out, phase mode).
 
     The continuous angle is theta = pi/2 + K pi + f, with f in [0, pi) the
     direction's offset from the lower edge of sector K, whose parity the side
@@ -455,15 +450,14 @@ def propagate(table: StepTable, fam_idx, E, y0, i_from: int, i_to: int,
     i_from <= i_match <= i_to the first leg runs outward, the second inward,
     and |i_to - i_from| is the steps of both.
 
-    E is the batch of energies, of one axis at least; fam_idx maps batch
-    elements to table families (None means the (F, nE) scan layout). The
-    state is renormalized after every step. A call takes exactly one of two
-    modes, and ConfigurationError refuses both or neither; DomainError
-    refuses a leg of no steps. The result is the pair of the legs' results,
-    in the order of y0. With record=True, a leg's result is ((y1, y2), psi1,
-    psi2, logs): the end state, the per-node history in the order of the
-    table's nodes and the accumulated log-magnitudes needed to undo the
-    renormalization.
+    E is the batch of energies, one axis, and fam_idx the table family of
+    each of its elements. The state is renormalized after every step. A
+    call takes exactly one of two modes, and ConfigurationError refuses both
+    or neither; DomainError refuses a leg of no steps. The result is the
+    pair of the legs' results, in the order of y0. With record=True, a leg's
+    result is ((y1, y2), psi1, psi2, logs): the end state, the per-node
+    history in the order of the table's nodes and the accumulated
+    log-magnitudes needed to undo the renormalization.
 
     With phase=True, each leg tracks the continuous polar angle
     theta = atan2(psi2, psi1) of the solution direction along its traversal,
@@ -491,15 +485,14 @@ def propagate(table: StepTable, fam_idx, E, y0, i_from: int, i_to: int,
     The steps are evaluated as a step-parallel scan: the step matrices of
     every step at once, then a blocked prefix scan for the node states (see
     _scan_states), with the two legs as the chains of one scan. Memory is
-    bounded by cutting the batch along its leading axis (the family rows of
-    the (F, nE) layout) into pieces of as many rows as keep the scan within
-    _SCAN_ELEMENTS step-element pairs, one row at least; each piece is one
-    scan over the whole of both legs. The arithmetic of a batch element
-    depends only on its own energy, family and start values, and that of a
-    leg only on its own steps, so a leg's results, column by column, do not
-    depend on the rest of the batch or on the other leg. The test suite
-    checks the scan against a sequential step-by-step reference
-    (tests/reference_propagator.py).
+    bounded by cutting the batch into pieces of as many columns (elements)
+    as keep the scan within _SCAN_ELEMENTS step-element pairs, one column at
+    least; each piece is one scan over the whole of both legs. The
+    arithmetic of a batch element depends only on its own energy, family
+    and start values, and that of a leg only on its own steps, so a leg's
+    results, column by column, do not depend on the rest of the batch or on
+    the other leg. The test suite checks the scan against a sequential
+    step-by-step reference (tests/reference_propagator.py).
     """
     if record == phase:
         raise ConfigurationError("propagate takes exactly one of record and phase")
@@ -513,11 +506,10 @@ def propagate(table: StepTable, fam_idx, E, y0, i_from: int, i_to: int,
     # traversal order, over the batch
     worst = None if record else np.full(steps.size, -np.inf)
     fam = table.columns(fam_idx)[0]
-    n_rows = max(1, _SCAN_ELEMENTS // max(steps.size * math.prod(E.shape[1:]), 1))
-    for lo in range(0, E.shape[0], n_rows):
-        at = (..., slice(lo, lo + n_rows), *[slice(None)] * (E.ndim - 1))
-        fam_at = fam[at] if fam.ndim == E.ndim and fam.shape[:1] == E.shape[:1] else fam
-        _advance(table, fam_at, E[at], at, legs, steps, worst)
+    width = max(1, _SCAN_ELEMENTS // steps.size)
+    for lo in range(0, E.size, width):
+        at = slice(lo, lo + width)
+        _advance(table, fam[at], E[at], at, legs, steps, worst)
     if worst is not None and (worst > _W2_MAX).any():
         j = np.argmax(worst > _W2_MAX)
         raise NumericalError(
@@ -528,8 +520,8 @@ def propagate(table: StepTable, fam_idx, E, y0, i_from: int, i_to: int,
 
 
 def _advance(table, fam_idx, E, at, legs, steps, worst):
-    """Propagate one piece of a call's batch rows, E and fam_idx theirs and
-    at their index in a leg's arrays, along both legs in one scan: one
+    """Propagate one piece of a call's batch columns, E and fam_idx theirs
+    and at their slice of a leg's arrays, along both legs in one scan: one
     step-matrix pass over all the legs' steps (table indices, leg after leg
     in traversal order) in packed order (see _layout), _scan_states, and
     the mode's reading of the node states into the legs. In phase mode, a
@@ -544,7 +536,7 @@ def _advance(table, fam_idx, E, at, legs, steps, worst):
     sign = np.empty(lay.n)
     sign[lay.trav] = np.repeat([1.0 if leg.outward else -1.0 for leg in legs],
                                [leg.n_steps for leg in legs])
-    P = np.empty((5, lay.n, *em.shape))
+    P = np.empty((5, lay.n, em.size))
     q_min = np.full(lay.n, np.inf)    # formed only where some step rotates too far
     # the step matrices in place, in pieces that bound the temporaries
     per_piece = max(1, _STEP_ELEMENTS // max(em.size, 1))
@@ -557,7 +549,7 @@ def _advance(table, fam_idx, E, at, legs, steps, worst):
             q = np.multiply(part[0], part[0], out=part[3])
             q += np.multiply(part[1], part[2], out=part[4])
             if (q < -_W2_MAX).any():
-                np.min(q, axis=tuple(range(1, q.ndim)), out=q_min[piece])
+                np.min(q, axis=1, out=q_min[piece])
         expm_traceless_2x2(part[0], part[1], part[2], out=part)
     if q_min.min() < -_W2_MAX:
         np.maximum(worst, -q_min[lay.trav], out=worst)
@@ -569,17 +561,16 @@ def _advance(table, fam_idx, E, at, legs, steps, worst):
     for c, leg in enumerate(legs):
         pos = lay.trav[lay.first[c]:lay.first[c] + leg.n_steps]
         for dst, src in zip(leg.rec, (P[0], P[2], P[4])):
-            np.take(src, pos, axis=0, out=dst[1:][at], mode="clip")
+            np.take(src, pos, axis=0, out=dst[1:, at], mode="clip")
 
 
 def _read_phase(P, lay, legs, col, at):
     """Phase mode's reading of a scan's node states (P[0], P[2]) and log
     scales (P[4]), formed in place by _scan_states: each leg's side changes,
-    its log I and its end state, into the leg's rows at. The nodes are first
-    gathered into traversal order, chain after chain, in the scan's free
-    planes; the quadrature is then formed in the others."""
-    batch = P.shape[2:]
-    n_cols = math.prod(batch)
+    its log I and its end state, into the leg's columns at. The nodes are
+    first gathered into traversal order, chain after chain, in the scan's
+    free planes; the quadrature is then formed in the others."""
+    n_cols = P.shape[2]
     # traversal order: psi1 into P[1], psi2 into P[0], log scales into P[2]
     for src, dst in ((0, 1), (2, 0), (4, 2)):
         np.take(P[src], lay.trav, axis=0, out=P[dst], mode="clip")
@@ -589,7 +580,7 @@ def _read_phase(P, lay, legs, col, at):
     quad = np.concatenate([leg.quad[:, 1:] for leg in legs], axis=1)
 
     def weight(i, piece):
-        return _per_element(quad[i, piece], col, len(batch))
+        return _per_element(quad[i, piece], col)
 
     per_piece = max(1, _STEP_ELEMENTS // max(n_cols, 1))
     for lo in range(0, lay.n, per_piece):
@@ -608,7 +599,7 @@ def _read_phase(P, lay, legs, col, at):
         rows = slice(lay.first[c], lay.first[c] + leg.n_steps)
         y1, y2 = (y[at] for y in leg.y0)
         # log of the start's part of I: beyond the start plus node 0
-        wa, wb, wc = (_per_element(leg.quad[i, 0], col, len(batch)) for i in range(3))
+        wa, wb, wc = (_per_element(leg.quad[i, 0], col) for i in range(3))
         log_start = np.log(leg.beyond[at] + wa * y1 * y1 + wb * y2 * y2 + wc * y1 * y2)
         # the start sector of atan2(y2, y1), in (-pi, pi], moved by one per
         # change of side
@@ -639,18 +630,18 @@ def _read_phase(P, lay, legs, col, at):
     for c, (leg, (ref, log_start, l_end)) in enumerate(zip(legs, ends)):
         rows = slice(lay.first[c], lay.first[c] + leg.n_steps)
         by_column = free[:n_cols * lay.padded[c]].reshape(n_cols, lay.padded[c])
-        np.copyto(by_column[:, :leg.n_steps], q[rows].reshape(leg.n_steps, n_cols).T)
+        np.copyto(by_column[:, :leg.n_steps], q[rows].T)
         by_column[:, leg.n_steps:] = 0.0
         total = by_column.sum(axis=1)
         # zero for a column whose nodes are all padding (see stack_tables):
         # its log I is -inf, which adds nothing
         log_nodes = (np.log(total, out=np.full_like(total, -np.inf), where=total > 0)
-                     .reshape(batch) + 2.0 * ref)
+                     + 2.0 * ref)
         end1, end2, _, slope = (a[at] for a in leg.out)
         # negative where steps far longer than the leg's decay length leave
         # the node rule's sum meaningless: the slope is then NaN, which
         # count_bisect takes as no Newton step
-        slope[...] = np.where(total.reshape(batch) < 0, np.nan,
+        slope[...] = np.where(total < 0, np.nan,
                               np.exp(np.logaddexp(log_start, log_nodes) - 2.0 * l_end)
                               / (end1 * end1 + end2 * end2))
         if leg.outward:
@@ -878,7 +869,10 @@ def tail_seed(m: float, E):
 
 
 def match_values(table: StepTable, fam_idx, E):
-    """Two-sided shooting at the match node: (mval, dtheta, dtheta_dE).
+    """Two-sided shooting at the match node: (mval, dtheta, dtheta_dE), each
+    of E's shape. fam_idx is the table family of each element of E, or None
+    for E with one row per family of the table, which is evaluated as the
+    flat batch of its rows, row after row.
 
     The outward leg (node 0 to the match node, from the start values of
     each element's family in table.seed) and the inward leg (tail_seed,
@@ -896,6 +890,10 @@ def match_values(table: StepTable, fam_idx, E):
     |y_in|^2 from r_match to infinity (the tail seed's decaying solution
     beyond r_max in closed form, |y_t|^2 / (2 lambda)).
     """
+    E = np.asarray(E, dtype=float)
+    shape = E.shape
+    if fam_idx is None:
+        fam_idx, E = np.repeat(np.arange(shape[0]), shape[1]), E.reshape(-1)
     yt = tail_seed(table.m, E)
     lam = np.sqrt((table.m - E) * (table.m + E))
     ((o1, o2), th_out, s_out), ((t1, t2), th_in, s_in) = propagate(
@@ -904,7 +902,7 @@ def match_values(table: StepTable, fam_idx, E):
     no = np.sqrt(o1 * o1 + o2 * o2)
     ni = np.sqrt(t1 * t1 + t2 * t2)
     mval = (o1 * t2 - o2 * t1) / np.maximum(no * ni, _TINY)
-    return mval, th_out - th_in, s_out - s_in
+    return tuple(a.reshape(shape) for a in (mval, th_out - th_in, s_out - s_in))
 
 
 def count_below(dtheta, dtheta_bottom):

@@ -174,6 +174,8 @@ class SolveConfig:
         if not 0.4 <= self.step_density <= 8.0:
             raise ConfigurationError(
                 f"step_density must lie in [0.4, 8], got {self.step_density}")
+        if not isinstance(self.n_grid, (int, np.integer)):
+            raise ConfigurationError(f"n_grid must be an integer, got {self.n_grid!r}")
         if self.n_grid < 200:
             raise ConfigurationError("n_grid must be at least 200")
         if self.r_max is not None and not self.r_max > 0:
@@ -187,6 +189,16 @@ class SolveConfig:
 
 
 DEFAULT_CONFIG = SolveConfig()
+
+
+def checked_node_count(n_r) -> int:
+    """n_r as an int, refused with ConfigurationError unless it is a
+    non-negative integer (a Python or numpy int)."""
+    if not isinstance(n_r, (int, np.integer)):
+        raise ConfigurationError(f"node counts are integers, got {n_r!r}")
+    if n_r < 0:
+        raise ConfigurationError("node counts are non-negative")
+    return int(n_r)
 
 
 @dataclass(frozen=True)
@@ -465,6 +477,9 @@ _R_MAX_CAP = 4000.0  # in units of 1/m; binding below ~5e-5 m is out of reach
 
 _PROFILE_POINTS = 1200  # geometric radii of the workspace's potential profile
 _BS_TOL = 1e-4          # |N(E) - target - mu| at a predicted level, in levels
+# a level whose count N falls short of n_r + mu by more than this at the window
+# top is not bound in the window (N is within 0.16 of the solved levels)
+_BS_UNBOUND = 0.5
 _BS_ENTRIES = 1 << 14   # state x radius entries of one piece of _bs_count (128 kB)
 _LISTED_INDICES = 14  # node indices per family that a NoSuchStateError lists at most
 # step x batch entries of one leg of a fine-stage evaluation in lockstep: half
@@ -479,8 +494,10 @@ class _Workspace:
     the ceiling (the explicit r_max, else the cap), so it spans every domain
     the workspace builds. Every domain comes from trimmed_domain: the coarse
     one (domain) holds the semiclassical levels 0 and n_r_max of every
-    family, with _COARSE_EFOLDS of decay room, and each fine and dense group
-    sizes its own from its coarse centres."""
+    family, with _COARSE_EFOLDS of decay room (a level the semiclassical
+    count misses by more than _BS_UNBOUND at the window top is left out,
+    unless all are or V at the wall without it can still bind), and each
+    fine and dense group sizes its own from its coarse centres."""
 
     def __init__(self, channel, families, config, n_r_max: int = 0):
         for fam in families:
@@ -507,10 +524,25 @@ class _Workspace:
         self._bs_er = e_r[self._bs_from:]
         dr = np.diff(self.r[self._bs_from:]) / (2 * np.pi)
         self._bs_w = np.append(dr, 0.0) + np.insert(dr, 0, 0.0)
+        if channel.d == 1:
+            self._bs_mu = 0.25 if channel.parity == "even" else 0.75
+        else:
+            self._bs_mu = 1.0 if channel.k > 0 else 0.0
         held = sorted({0, n_r_max})   # the coarse domain's levels of each family
         fam_idx = np.repeat(np.arange(len(self.families)), len(held))
-        levels = self.predicted_levels(fam_idx, np.tile(held, len(self.families)))
-        self.set_coarse(self.trimmed_domain(fam_idx, levels, _COARSE_EFOLDS))
+        targets = np.tile(held, len(self.families))
+        levels = self.predicted_levels(fam_idx, targets)
+        domain = self.trimmed_domain(fam_idx, levels, _COARSE_EFOLDS)
+        # a level the count falls short of by more than _BS_UNBOUND at the
+        # window top is not bound in the window and does not size the domain,
+        # unless V at the wall of the domain without it could still bind one
+        top = np.full(fam_idx.size, self.window()[1])
+        bound = self._bs_count(fam_idx, top) >= targets + self._bs_mu - _BS_UNBOUND
+        if bound.any() and not bound.all():
+            trimmed = self.trimmed_domain(fam_idx[bound], levels[bound], _COARSE_EFOLDS)
+            if not self.tail_binds(trimmed.r_max):
+                domain = trimmed
+        self.set_coarse(domain)
 
     def set_coarse(self, domain):
         """Make the coarse table, on the domain, the workspace's. Its step
@@ -521,6 +553,12 @@ class _Workspace:
                            self.config.step_density)
         self.coarse = _make_table(self.channel, self.families, domain,
                                   prop.march_nodes, h_coarse)
+
+    def tail_binds(self, r_max) -> bool:
+        """Whether V at r_max can still bind within the search window: the
+        envelope there reaches 0.3 of the window's distance from m."""
+        v_edge = float(np.interp(r_max, self.r, self.env))
+        return v_edge >= 0.3 * GAP_EDGE_FRACTION * self.channel.m
 
     # -- search window ------------------------------------------------------
     def window(self):
@@ -584,14 +622,9 @@ class _Workspace:
         reach by the window top gets the top. The estimate only picks where a
         search starts.
         """
-        ch = self.channel
-        m = ch.m
+        m = self.channel.m
         fam_idx = np.asarray(fam_idx, dtype=np.intp)
-        if ch.d == 1:
-            mu = 0.25 if ch.parity == "even" else 0.75
-        else:
-            mu = 1.0 if ch.k > 0 else 0.0
-        goal = np.asarray(targets, dtype=float) + mu
+        goal = np.asarray(targets, dtype=float) + self._bs_mu
         bottom, top = self.window()
         rows = max(1, _BS_ENTRIES // self._bs_er.size)
         e_0 = np.concatenate([(self.v[i:i + rows, self._bs_from:] + self._bs_er).min(axis=1)
@@ -920,11 +953,9 @@ def solve_batch(channel: ChannelSpec, families, n_r_values, config: SolveConfig 
     """
     config = config or DEFAULT_CONFIG
     families = list(families)
-    n_r_values = sorted(set(int(n) for n in n_r_values))
+    n_r_values = sorted({checked_node_count(n) for n in n_r_values})
     if not families or not n_r_values:
         raise ConfigurationError("a batch needs at least one family and one node count")
-    if any(n < 0 for n in n_r_values):
-        raise ConfigurationError("node counts are non-negative")
     dense_flags = [True] * len(families) if dense_flags is None else list(dense_flags)
     if len(dense_flags) != len(families):
         raise ConfigurationError(f"dense_flags has {len(dense_flags)} entries for "
@@ -936,9 +967,8 @@ def solve_batch(channel: ChannelSpec, families, n_r_values, config: SolveConfig 
     # A requested index missing from a coarse domain below the ceiling can
     # still appear at the ceiling if the potential tail at the current wall
     # can bind within the window: the coarse table is rebuilt there once.
-    v_edge = float(np.interp(ws.domain.r_max, ws.r, ws.env))
     if (np.any(n_top <= n_r_values[-1]) and ws.domain.r_max < ws.ceiling
-            and v_edge >= 0.3 * GAP_EDGE_FRACTION * channel.m):
+            and ws.tail_binds(ws.domain.r_max)):
         if _log.isEnabledFor(logging.DEBUG):
             _log.debug("solve_batch: window counts %s miss node count %d; coarse "
                        "r_max %.6g -> the ceiling %.6g", n_top.tolist(), n_r_values[-1],

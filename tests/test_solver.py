@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import logging
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import assume, example, given, strategies as st
 
 import diracmono as dm
+from diracmono import monotonicity as mono
 from diracmono import propagation as prop
 from diracmono import solver as S
 from diracmono.coulomb import CoulombLevel, coulomb_energy
@@ -317,7 +319,8 @@ def test_step_matrices_hold_a_bounded_working_set():
         for f in (0, 4, 8, 12)])
     for table, idx, e in ((wide, np.arange(64) % 16, np.linspace(0.9, 0.99, 64)),
                           (stack, np.array([1, 6]), np.array([0.95, 0.97])),
-                          (ws.coarse, None, np.broadcast_to(np.linspace(0.5, 0.99, 4), (16, 4)))):
+                          (ws.coarse, np.repeat(np.arange(16), 4),
+                           np.tile(np.linspace(0.5, 0.99, 4), 16))):
         em, me = e + 1.0, 1.0 - e
         steps = np.arange(prop._STEP_ELEMENTS // em.size) % table.n_steps
         sign = np.where(steps % 2, 1.0, -1.0)
@@ -783,13 +786,25 @@ def test_columns_do_not_depend_on_the_batch():
                 assert np.array_equal(g[..., col], o)
 
 
+def test_rows_of_families_evaluate_as_the_flat_batch():
+    # match_values with fam_idx None takes one row of E per family of the
+    # table: bitwise the flat batch of its rows, row after row, in E's shape
+    ws, *_ = _wide_table()
+    e = np.linspace(0.5, 0.99, 16 * 3).reshape(16, 3)
+    rows = prop.match_values(ws.coarse, None, e)
+    flat = prop.match_values(ws.coarse, np.repeat(np.arange(16), 3), e.reshape(-1))
+    for got, want in zip(rows, flat):
+        assert got.shape == e.shape
+        assert np.array_equal(got.reshape(-1), want)
+
+
 def test_each_scan_holds_whole_legs_of_bounded_pieces(monkeypatch):
     # every scan of a call holds all the steps of both its legs, for a piece
-    # of the batch's leading axis of at most max(_SCAN_ELEMENTS, the steps
-    # of one row) step x element entries, and the pieces cover the batch:
-    # match evaluations on a 1-d batch and on the (F, nE) layout, with rows
-    # that fit the bound several times and rows wider than it, in phase and
-    # in record mode
+    # of the batch's columns of at most max(_SCAN_ELEMENTS, the steps of one
+    # column) step x element entries, and the pieces cover the batch: match
+    # evaluations of 16 families x 200 and x 20 energies on the coarse table
+    # (298 steps, so 219 columns a piece: 15 and 2 pieces) and of the wide
+    # table's batch (4 pieces), in phase and in record mode
     ws, table, idx, e = _wide_table()
     scans = []
     real = prop._scan_states
@@ -800,21 +815,21 @@ def test_each_scan_holds_whole_legs_of_bounded_pieces(monkeypatch):
 
     monkeypatch.setattr(prop, "_scan_states", spying)
     grid = np.linspace(0.9, 0.99, 200)
-    calls = [(ws.coarse, None, np.broadcast_to(grid, (16, 200))),
-             (ws.coarse, None, np.broadcast_to(grid[:20], (16, 20))),
+    calls = [(ws.coarse, np.repeat(np.arange(16), 200), np.tile(grid, 16)),
+             (ws.coarse, np.repeat(np.arange(16), 20), np.tile(grid[:20], 16)),
              (table, idx, e)]
     pieces = []
     for tab, fam_idx, energies in calls:
         for record, phase in ((False, True), (True, False)):
             scans.clear()
             prop.propagate(*_match_args(tab, fam_idx, energies), record, phase)
-            row = tab.n_steps * math.prod(energies.shape[1:])
-            assert all(n == tab.n_steps and shape[2:] == (shape[2], *energies.shape[1:])
-                       and shape[1] * math.prod(shape[2:]) <= max(prop._SCAN_ELEMENTS, row)
+            assert all(n == tab.n_steps and len(shape) == 3
+                       and shape[1] * shape[2] <= max(prop._SCAN_ELEMENTS, tab.n_steps)
                        for shape, n in scans)
-            assert sum(shape[2] for shape, _ in scans) == energies.shape[0]
+            assert sum(shape[2] for shape, _ in scans) == energies.size
             pieces.append(len(scans))
-    assert pieces == [16, 16, 2, 2, 4, 4]
+    assert ws.coarse.n_steps == 298
+    assert pieces == [15, 15, 2, 2, 4, 4]
 
 
 def test_criterion_1_propagates_both_legs_in_one_call(monkeypatch):
@@ -1678,6 +1693,73 @@ def test_state_too_shallow_for_the_cap_is_refused():
                          dense_flags=[False])[0]
     exact = coulomb_energy(CoulombLevel(n=2, j=0.5, alpha=0.03))
     assert_close(res[0].E, exact, 1e-9, "alpha=0.03 n=2")
+
+
+@pytest.mark.parametrize("channel, n_r", [(dm.ChannelSpec(d=1, parity="even"), 5),
+                                          (dm.ChannelSpec(d=3, tau=-1, j=0.5), 8)])
+def test_level_the_count_never_reaches_does_not_size_the_coarse_domain(channel, n_r,
+                                                                       monkeypatch):
+    # a well of two levels (even) or one (d = 3), asked for a level whose
+    # semiclassical count at the window top falls short by more than 1/2
+    # (N = 1.46 against 5.25 for d = 1): the coarse domain holds level 0
+    # only, where it reached out 4 e-folds of a decay rate sqrt(2e-6) m
+    # beyond the window top (2840/m, 8131 and 768 steps)
+    built = []
+    real = prop.build_step_table
+
+    def spying(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    monkeypatch.setattr(prop, "build_step_table", spying)
+    with pytest.raises(NoSuchStateError) as exc_info:
+        dm.solve(channel, dm.coupling(2.0, 1.0, "exp"), n_r)
+    assert built[0].n_steps <= 300
+    assert float(re.search(r"within r_max = (\S+) ", str(exc_info.value))[1]) <= 100.0
+    assert exc_info.value.found[0][1] == 0
+
+
+def test_barely_bound_level_keeps_its_coarse_domain():
+    # the count at the window top falls 0.153 short of n_r + mu, less than
+    # 1/2: the level sizes the coarse domain and solves
+    state = dm.solve(dm.ChannelSpec(d=3, tau=1, j=0.5), dm.coupling(2.5, 1.0, "exp"), 0)
+    assert state.nodes == 0
+    assert abs(state.E - 0.99324) < 1e-5
+
+
+def _bad_counts():
+    """Calls with a node count or grid size that is no integer."""
+    ch, fam = dm.ChannelSpec(d=3, tau=-1, j=0.5), dm.pure_coulomb(0.5)
+    return {
+        "solve": lambda: dm.solve(ch, fam, 0.5),
+        "solve_batch": lambda: dm.solve_batch(ch, [fam], [1.7]),
+        "solve_batch_nan": lambda: dm.solve_batch(ch, [fam], [math.nan]),
+        "sweep": lambda: mono.sweep(dm.cutoff_coulomb(1.0, 1.0), ch, 0.5, [0.9, 1.0]),
+        "fd_derivative": lambda: mono.fd_derivative(fam, ch, 1.5),
+        "compare": lambda: mono.compare_potentials(dm.pure_coulomb(0.6), fam, ch, n_r=0.5),
+        "n_grid": lambda: dm.SolveConfig(n_grid=2000.5),
+    }
+
+
+@pytest.mark.parametrize("name", list(_bad_counts()))
+def test_non_integer_counts_are_refused(name, monkeypatch):
+    # refused with ConfigurationError before any solve (the sweep too, not
+    # through SweepAbortedError), where they used to end in a bare KeyError,
+    # ValueError or TypeError or silently solve another level
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a workspace was built")
+
+    monkeypatch.setattr(S, "_Workspace", no_solve)
+    with pytest.raises(ConfigurationError, match="integer"):
+        _bad_counts()[name]()
+
+
+def test_numpy_integer_counts_are_accepted(channel_s):
+    state = dm.solve(channel_s, dm.pure_coulomb(0.5), np.int64(1),
+                     dm.SolveConfig(n_grid=np.int32(2000)))
+    assert state.nodes == 1
+    assert sorted(dm.solve_batch(channel_s, [dm.pure_coulomb(0.5)], np.arange(2),
+                                 dense_flags=[False])[0]) == [0, 1]
 
 
 # (channel, family, nodes of the gap-index-0 state). In this regime the count
