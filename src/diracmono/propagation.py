@@ -863,7 +863,9 @@ def _norm_weights(table: StepTable, i_from: int, i_to: int):
 def tail_seed(m: float, E):
     """Start values (1, -sqrt((m - E)/(m + E))) of the inward leg: the
     direction of the free solution that decays beyond r_max, exp(-lambda r)
-    with lambda = sqrt(m^2 - E^2), where V is negligible."""
+    with lambda = sqrt(m^2 - E^2), where V is negligible. Its error falls by
+    e^-2 per e-fold of decay inward, which sizes each domain's decay room
+    (solver._decay_room)."""
     E = np.asarray(E, dtype=float)
     return np.ones_like(E), -np.sqrt((m - E) / (m + E))
 

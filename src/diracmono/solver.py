@@ -47,15 +47,19 @@ behind the step rules, the outer turning radii, the tail check and the
 semiclassical estimates.
 
 One rule (_Workspace.trimmed_domain) sizes every domain from the levels it
-holds: it ends a number of e-folds of decay beyond their farthest turning
-radius, and it matches at half their smallest one, inside the classically
-allowed region of each. The coarse domain holds the semiclassical levels 0
-and n_r_max of every family; when a requested index is still missing from
-its window, it is rebuilt once, at the ceiling. Each fine and dense group
-sizes its own domain from its coarse centres, HEADROOM_EFOLDS + 9 e-folds
-beyond them, and so matches at its own radius. An explicit r_match is every
-table's. Without an explicit r_max, a requested state with less than
-HEADROOM_EFOLDS of room even at the cap is refused.
+holds: it ends _decay_room(tol) e-folds of decay beyond their farthest
+turning radius and matches at half their smallest one, inside the
+classically allowed region of each. The free tail seed is off the decaying
+solution at r_max by a relative error of at most 1, which falls by e^-2 per
+e-fold inward, so E is off by about m e^-2n after n e-folds: 1/2 ln(m/tol)
+e-folds meet the tolerance tol, and _ROOM_MARGIN more cover the slower decay
+near the turning radius. The coarse domain holds the semiclassical levels 0
+and n_r_max of every family, at the tolerance _BAND_PAD m its centres need;
+when a requested index is still missing from its window, it is rebuilt once,
+at the ceiling. Each fine and dense group sizes its own domain from its
+coarse centres at e_tol. An explicit r_match is every table's. Without an
+explicit r_max, a requested state with less room than that even at the cap
+is refused, so a solved state always gets its full room.
 
 Everything is deterministic: identical inputs produce bitwise-identical
 states.
@@ -66,6 +70,7 @@ from __future__ import annotations
 import dataclasses
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,7 +104,6 @@ __all__ = [
 ]
 
 GAP_EDGE_FRACTION = 1e-6     # the search window keeps this relative distance from +-m
-HEADROOM_EFOLDS = 38.0       # required decay room beyond the turning radius
 SEED_CORRECTION_TOL = 1e-8   # origin seed: max relative size of dropped term
 
 _log = logging.getLogger("diracmono")
@@ -165,12 +169,16 @@ class SolveConfig:
     r_match: float | None = None
 
     def __post_init__(self):
-        for name in ("e_tol", "r_max", "r0", "r_match"):
+        for name in ("e_tol", "step_density", "r_max", "r0", "r_match"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+            if value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigurationError(f"{name} must be a real number, got {value!r}")
+            if not math.isfinite(value):
                 raise ConfigurationError(f"{name} must be finite, got {value}")
-        if not self.e_tol > 0:
-            raise ConfigurationError("e_tol must be positive")
+            if not value > 0:
+                raise ConfigurationError(f"{name} must be positive, got {value}")
         if not 0.4 <= self.step_density <= 8.0:
             raise ConfigurationError(
                 f"step_density must lie in [0.4, 8], got {self.step_density}")
@@ -178,12 +186,6 @@ class SolveConfig:
             raise ConfigurationError(f"n_grid must be an integer, got {self.n_grid!r}")
         if self.n_grid < 200:
             raise ConfigurationError("n_grid must be at least 200")
-        if self.r_max is not None and not self.r_max > 0:
-            raise ConfigurationError("r_max must be positive")
-        if self.r0 is not None and not self.r0 > 0:
-            raise ConfigurationError("r0 must be positive")
-        if self.r_match is not None and not self.r_match > 0:
-            raise ConfigurationError("r_match must be positive")
         if self.r0 is not None and self.r_max is not None and not self.r0 < self.r_max:
             raise ConfigurationError("r0 must be smaller than r_max")
 
@@ -193,8 +195,8 @@ DEFAULT_CONFIG = SolveConfig()
 
 def checked_node_count(n_r) -> int:
     """n_r as an int, refused with ConfigurationError unless it is a
-    non-negative integer (a Python or numpy int)."""
-    if not isinstance(n_r, (int, np.integer)):
+    non-negative integer (a Python or numpy int, not a bool)."""
+    if isinstance(n_r, bool) or not isinstance(n_r, (int, np.integer)):
         raise ConfigurationError(f"node counts are integers, got {n_r!r}")
     if n_r < 0:
         raise ConfigurationError("node counts are non-negative")
@@ -360,8 +362,8 @@ def origin_seed(channel: ChannelSpec, family: PotentialFamily, E: float, r0: flo
 def tail_seed(channel: ChannelSpec, E: float):
     """Decaying asymptotic direction (psi1, psi2) = (1, -sqrt((m-E)/(m+E))).
 
-    Valid where the potential is negligible; the solver starts far enough out
-    that any seed imperfection decays by ~e^-80 before the match radius.
+    Exact where V is negligible; its error falls by e^-2 per e-fold of decay
+    inward, and each domain has the e-folds its tolerance needs (_decay_room).
     """
     m = channel.m
     if not -m < E < m:
@@ -414,6 +416,12 @@ class _Domain:
     param: str  # "log" for d > 1, "lin" for d = 1
 
 
+def _decay_room(m: float, tol: float) -> float:
+    """E-folds of decay room beyond a turning radius for E to tol (derived in
+    the module docstring)."""
+    return 0.5 * math.log(m / tol) + _ROOM_MARGIN
+
+
 def _coarse_rate(channel, env):
     """Worst-case-over-the-gap local rate per unit radius, on the profile."""
     m = channel.m
@@ -463,7 +471,10 @@ def _make_table(channel, families, domain, place_nodes, spacing):
 # ---------------------------------------------------------------------------
 
 _COARSE_C = 0.33
-_COARSE_EFOLDS = 4.0  # decay room of the coarse domain beyond its levels' turning radii
+# the fine band holds its coarse centres +- _BAND_PAD m, which is the accuracy
+# the centres need (the fine search brackets by count from any centre)
+_BAND_PAD = 2e-3
+_ROOM_MARGIN = 0.8    # e-folds of decay room beyond 1/2 ln(m/tol) (_decay_room)
 # the fine step rules are set by the accuracy of the 6th-order Magnus step, far
 # below the rotation limit: at 0.3, acceptance criterion 1's worst error is
 # 8.8e-11 and criterion 8's largest shift 2.4e-10 (0.36 gives 3.1e-10 and
@@ -494,10 +505,10 @@ class _Workspace:
     the ceiling (the explicit r_max, else the cap), so it spans every domain
     the workspace builds. Every domain comes from trimmed_domain: the coarse
     one (domain) holds the semiclassical levels 0 and n_r_max of every
-    family, with _COARSE_EFOLDS of decay room (a level the semiclassical
-    count misses by more than _BS_UNBOUND at the window top is left out,
-    unless all are or V at the wall without it can still bind), and each
-    fine and dense group sizes its own from its coarse centres."""
+    family, at tolerance _BAND_PAD m (a level the semiclassical count
+    misses by more than _BS_UNBOUND at the window top is left out, unless
+    all are or V at the wall without it can still bind), and each fine and
+    dense group sizes its own from its coarse centres, at e_tol."""
 
     def __init__(self, channel, families, config, n_r_max: int = 0):
         for fam in families:
@@ -532,14 +543,14 @@ class _Workspace:
         fam_idx = np.repeat(np.arange(len(self.families)), len(held))
         targets = np.tile(held, len(self.families))
         levels = self.predicted_levels(fam_idx, targets)
-        domain = self.trimmed_domain(fam_idx, levels, _COARSE_EFOLDS)
+        domain = self.trimmed_domain(fam_idx, levels, _BAND_PAD * m)
         # a level the count falls short of by more than _BS_UNBOUND at the
         # window top is not bound in the window and does not size the domain,
         # unless V at the wall of the domain without it could still bind one
         top = np.full(fam_idx.size, self.window()[1])
         bound = self._bs_count(fam_idx, top) >= targets + self._bs_mu - _BS_UNBOUND
         if bound.any() and not bound.all():
-            trimmed = self.trimmed_domain(fam_idx[bound], levels[bound], _COARSE_EFOLDS)
+            trimmed = self.trimmed_domain(fam_idx[bound], levels[bound], _BAND_PAD * m)
             if not self.tail_binds(trimmed.r_max):
                 domain = trimmed
         self.set_coarse(domain)
@@ -690,23 +701,24 @@ class _Workspace:
             out[i:i + rows] = np.where(inside.any(axis=1), self.r[last], self.r[0])
         return out
 
-    def trimmed_domain(self, fam_idx, energies, efolds=HEADROOM_EFOLDS + 9.0) -> _Domain:
+    def trimmed_domain(self, fam_idx, energies, tol=None) -> _Domain:
         """The domain of the states (fam_idx, energies), the one rule for
         every table of the workspace, from their turning radii r_to,i on the
         profile and decay rates lambda_i = sqrt(m^2 - E_i^2).
 
-        It ends efolds of decay beyond the farthest turning radius,
-        r_max = max_i (r_to,i + efolds/lambda_i), at least 30/m and at most
-        the ceiling, and it matches inside the classically allowed region of
-        every state, at r_match = 1/2 min_i r_to,i clamped to
-        [max(40 r_seed, 1e-6/m), r_max/3]. The fine and dense stages take
-        efolds = HEADROOM_EFOLDS + 9 beyond their coarse centres, the coarse
-        table _COARSE_EFOLDS beyond its semiclassical levels. Deeper states
-        of the same families decay within it, so eigenvalue indices relative
-        to the window bottom are unchanged. An explicit r_match is every
-        domain's; ConfigurationError refuses one outside (r_seed, r_max).
+        It ends n = _decay_room(tol) e-folds of decay beyond the farthest
+        turning radius, r_max = max_i (r_to,i + n/lambda_i), at least 30/m
+        and at most the ceiling, so that the tail seed's error has fallen
+        below tol (default e_tol) there; and it matches inside the
+        classically allowed region of every state, at r_match = 1/2 min_i
+        r_to,i clamped to [max(40 r_seed, 1e-6/m), r_max/3]. The fine and
+        dense stages take tol = e_tol, the coarse table _BAND_PAD m. Deeper
+        states of the same families decay within it, so eigenvalue indices
+        relative to the window bottom are unchanged. An explicit r_match is
+        every domain's; ConfigurationError refuses one outside (r_seed, r_max).
         """
         m = self.channel.m
+        efolds = _decay_room(m, self.config.e_tol if tol is None else tol)
         energies = np.asarray(energies, dtype=float)
         lam = np.sqrt(np.maximum(m * m - energies ** 2, 1e-12))
         r_to = self.turning_radius(fam_idx, energies)
@@ -754,7 +766,7 @@ class _Workspace:
         """
         m = self.channel.m
         bottom, top = self.window()
-        pad = 2e-3 * m
+        pad = _BAND_PAD * m
         tables, info, results = [], [], []
 
         def search():
@@ -833,13 +845,11 @@ class _Workspace:
         w_half = factor * simpson_weights(grid[::2])
         states = []
         for b in range(fam_idx.size):
-            p1 = psi1[:, b].copy()
-            p2 = psi2[:, b].copy()
+            p1, p2 = psi1[:, b], psi2[:, b]
             nrm2 = factor * float(np.dot(scheme.weights, p1 * p1 + p2 * p2))
             if not nrm2 > 0:
                 raise NumericalError("degenerate wavefunction normalization")
-            p1 /= math.sqrt(nrm2)
-            p2 /= math.sqrt(nrm2)
+            p1, p2 = p1 / math.sqrt(nrm2), p2 / math.sqrt(nrm2)
             peak = np.max(np.abs(p1))
             sig = np.nonzero(np.abs(p1) > 1e-3 * peak)[0]
             if p1[sig[0]] < 0:
@@ -952,6 +962,9 @@ def solve_batch(channel: ChannelSpec, families, n_r_values, config: SolveConfig 
     NoSuchStateError without listing the pairs it found (see _no_such_state).
     """
     config = config or DEFAULT_CONFIG
+    if not (np.iterable(families) and np.iterable(n_r_values)):
+        raise ConfigurationError(f"solve_batch takes a list of families and one of node "
+                                 f"counts, got {families!r} and {n_r_values!r}")
     families = list(families)
     n_r_values = sorted({checked_node_count(n) for n in n_r_values})
     if not families or not n_r_values:
@@ -977,20 +990,25 @@ def solve_batch(channel: ChannelSpec, families, n_r_values, config: SolveConfig 
         ends = ws.window_ends()
         n_top = prop.count_below(ends[1][:, 1], ends[1][:, 0])
     if np.any(n_top <= n_r_values[-1]):
+        # where V still binds at the ceiling, its wall can lift a level out
+        at_wall = ws.domain.r_max == ws.ceiling and ws.tail_binds(ws.ceiling)
         raise _no_such_state(ws, ends, n_top, f"no state with requested node count(s) "
-                             f"{n_r_values} within r_max = {ws.domain.r_max:g}", _ties)
+                             f"{n_r_values} within r_max = {ws.domain.r_max:g}" + (
+                                 " (V binds there: it may lack decay room)" if at_wall
+                                 else ""), _ties)
     fam_is = [f for f in range(len(families)) for _ in n_r_values]
     labels = [n for _ in families for n in n_r_values]
     centers = ws.coarse_eigenvalues(ends, fam_is, labels, tol=3e-7 * channel.m)
-    # without an explicit r_max, a state with less than HEADROOM_EFOLDS of decay
-    # room even at the cap is out of reach: the hard wall would shift its E
+    # without an explicit r_max, a state with less decay room than its fine
+    # domain takes even at the cap is out of reach: the wall would shift its E
     m = channel.m
     if config.r_max is None:
         room = np.sqrt(np.maximum(m * m - centers**2, 0.0)) * (
             ws.ceiling - ws.turning_radius(fam_is, centers))
-        if np.any(room < HEADROOM_EFOLDS):
+        need = _decay_room(m, config.e_tol)
+        if np.any(room < need):
             raise _no_such_state(ws, ends, n_top, f"a requested state ({n_r_values}) has "
-                                 f"{room.min():.3g} < {HEADROOM_EFOLDS:g} e-folds of "
+                                 f"{room.min():.3g} < {need:.3g} e-folds of "
                                  f"decay room within the cap r_max = {ws.ceiling:g}",
                                  _ties)
 

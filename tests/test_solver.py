@@ -685,13 +685,13 @@ def test_stack_matches_sequential_reference():
     # test_scan_matches_sequential_reference, and count the same
     # eigenvalues; the E-slopes agree with the own tables' to 1e-10
     tables = _criterion_1_tables()
-    pair = [tables[0, 2], tables[2, 0]]
+    pair = [tables[0, 2], tables[2, 1]]
     stack = prop.stack_tables(pair)
     assert pair[0].i_match < stack.i_match == pair[1].i_match
     assert (pair[1].n_steps - pair[1].i_match
             < stack.n_steps - stack.i_match == pair[0].n_steps - pair[0].i_match)
     levels = [coulomb_energy(CoulombLevel(n=n_r + 1, j=0.5, alpha=alpha))
-              for alpha, n_r in ((0.2, 2), (0.9, 0))]
+              for alpha, n_r in ((0.2, 2), (0.9, 1))]
     e = np.concatenate([np.linspace(lv - 2e-3, lv + 2e-3, 40) for lv in levels])
     idx = np.repeat([0, 1], 40)
     args = _match_args(stack, idx, e)
@@ -803,7 +803,7 @@ def test_each_scan_holds_whole_legs_of_bounded_pieces(monkeypatch):
     # of the batch's columns of at most max(_SCAN_ELEMENTS, the steps of one
     # column) step x element entries, and the pieces cover the batch: match
     # evaluations of 16 families x 200 and x 20 energies on the coarse table
-    # (298 steps, so 219 columns a piece: 15 and 2 pieces) and of the wide
+    # (297 steps, so 220 columns a piece: 15 and 2 pieces) and of the wide
     # table's batch (4 pieces), in phase and in record mode
     ws, table, idx, e = _wide_table()
     scans = []
@@ -828,7 +828,7 @@ def test_each_scan_holds_whole_legs_of_bounded_pieces(monkeypatch):
                        for shape, n in scans)
             assert sum(shape[2] for shape, _ in scans) == energies.size
             pieces.append(len(scans))
-    assert ws.coarse.n_steps == 298
+    assert ws.coarse.n_steps == 297
     assert pieces == [15, 15, 2, 2, 4, 4]
 
 
@@ -1588,9 +1588,11 @@ def test_near_threshold_levels_on_the_whole_window(channel_s):
 
 def test_one_coarse_domain_and_own_fine_headroom(monkeypatch):
     # each of acceptance criterion 1's two batches builds one workspace; every
-    # state gets its decay headroom beyond the turning radius alpha/(m - E) of
-    # -alpha/r on the domain of its own fine stage, and no state, however
-    # shallow, is sized by a deeper family onto the cap
+    # state gets the rule's decay room at e_tol (_decay_room) beyond its
+    # turning radius on the domain of its own fine stage, and no state,
+    # however shallow, is sized by a deeper family onto the cap. The rule
+    # reads the turning radius alpha/(m - E) of -alpha/r on the profile, at
+    # most one profile radius (a factor 1.03) further in
     builds = []
     init = S._Workspace.__init__
 
@@ -1610,7 +1612,8 @@ def test_one_coarse_domain_and_own_fine_headroom(monkeypatch):
                 lam = math.sqrt(1.0 - st.E ** 2)
                 r_to = alpha / (1.0 - st.E)
                 label = f"j={j} alpha={alpha} n_r={n_r}"
-                assert lam * (st.diagnostics["r_max"] - r_to) >= S.HEADROOM_EFOLDS, label
+                room = lam * (st.diagnostics["r_max"] - r_to / 1.03)
+                assert room >= S._decay_room(1.0, S.DEFAULT_CONFIG.e_tol), label
                 assert st.diagnostics["r_max"] < S._R_MAX_CAP, label
 
 
@@ -1664,7 +1667,7 @@ def test_weak_coupling_levels_solve_or_are_refused_as_too_shallow(alpha, tau, n_
     # each of these 48 weak-coupling levels, solved alone, matches inside its
     # own allowed region: it solves to the closed form with n_r nodes, or is
     # refused for lack of decay room at the cap (only levels with less than
-    # HEADROOM_EFOLDS of room beyond alpha/(m - E) there are), and no
+    # the rule's room at e_tol beyond alpha/(m - E) there are), and no
     # evaluation raises a floating-point warning
     e = coulomb_energy(CoulombLevel(n=n_r + 1 + (tau > 0), j=0.5, alpha=alpha))
     room = math.sqrt(1.0 - e * e) * (S._R_MAX_CAP - alpha / (1.0 - e))
@@ -1674,15 +1677,57 @@ def test_weak_coupling_levels_solve_or_are_refused_as_too_shallow(alpha, tau, n_
             st = dm.solve(dm.ChannelSpec(d=3, tau=tau, j=0.5), dm.pure_coulomb(alpha), n_r)
         except NoSuchStateError as exc:
             assert "e-folds of decay room" in str(exc)
-            assert room < S.HEADROOM_EFOLDS
+            assert room < S._decay_room(1.0, S.DEFAULT_CONFIG.e_tol)
             return
     assert_close(st.E, e, 1e-9, f"alpha={alpha} tau={tau} n_r={n_r}")
     assert st.nodes == n_r
 
 
+def _rule_set_energies():
+    """E of acceptance criterion 1's 18 states, then of the d = 1 even
+    cutoff Coulomb states n_r = 1 at a in {0.6, 1.0, 1.4}, each family alone."""
+    energies = [st.E for res in _criterion_1_batches() for per_fam in res
+                for st in per_fam.values()]
+    return np.array(energies + [dm.solve(dm.ChannelSpec(d=1, parity="even"),
+                                         dm.cutoff_coulomb(1.0, a), 1).E
+                                for a in (0.6, 1.0, 1.4)])
+
+
+def test_decay_room_rule_meets_e_tol(monkeypatch):
+    # every domain ends _decay_room(tol) e-folds beyond its turning radii:
+    # 8 more e-folds on every domain move no E of these states by e_tol
+    at_rule = _rule_set_energies()
+    rule = S._decay_room
+    monkeypatch.setattr(S, "_decay_room", lambda m, tol: rule(m, tol) + 8.0)
+    assert np.max(np.abs(_rule_set_energies() - at_rule)) <= S.DEFAULT_CONFIG.e_tol
+
+
+def test_weak_coupling_reach():
+    # pure Coulomb levels near threshold, d = 3, tau = -1, each solved alone:
+    # every one solves to the closed form with n_r nodes or is refused for
+    # lack of decay room within the cap, and at least 57 of the 90 solve
+    # (29 did with a fixed 38 e-folds of refusal room)
+    solved = 0
+    for alpha, n_r, j in itertools.product((0.01, 0.015, 0.02, 0.03, 0.05, 0.08),
+                                           range(5), (0.5, 1.5, 2.5)):
+        label = f"alpha={alpha} n_r={n_r} j={j}"
+        e = coulomb_energy(CoulombLevel(n=n_r + round(j + 0.5), j=j, alpha=alpha))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                st = dm.solve(dm.ChannelSpec(d=3, tau=-1, j=j), dm.pure_coulomb(alpha), n_r)
+            except NoSuchStateError as exc:
+                assert "decay room" in str(exc), label
+                continue
+        assert_close(st.E, e, 1e-9, label)
+        assert st.nodes == n_r, label
+        solved += 1
+    assert solved >= 57
+
+
 def test_state_too_shallow_for_the_cap_is_refused():
     # alpha = 0.01, n = 5: lambda = alpha/n and r_to = 2 n^2/alpha leave about
-    # 2 e-folds of decay room at the cap 4000/m, far under HEADROOM_EFOLDS;
+    # 2 e-folds of decay room at the cap 4000/m, far under the rule's 12;
     # the state exists in the window, but a hard wall there would shift it
     channel = dm.ChannelSpec(d=3, tau=1, j=0.5)
     with pytest.raises(NoSuchStateError) as exc_info:
@@ -1754,6 +1799,30 @@ def test_non_integer_counts_are_refused(name, monkeypatch):
         _bad_counts()[name]()
 
 
+def _untyped_calls():
+    """Public calls with an argument of the wrong type."""
+    ch, fam = dm.ChannelSpec(d=3, tau=-1, j=0.5), dm.pure_coulomb(0.5)
+    return {
+        "scalar node count": lambda: dm.solve_batch(ch, [fam], 1),
+        "bare family": lambda: dm.solve_batch(ch, fam, [1]),
+        "bool node count": lambda: dm.solve(ch, fam, True),
+        "string e_tol": lambda: dm.SolveConfig(e_tol="1e-10"),
+        "string step_density": lambda: dm.SolveConfig(step_density="1"),
+    }
+
+
+@pytest.mark.parametrize("name", list(_untyped_calls()))
+def test_arguments_of_the_wrong_type_are_refused(name, monkeypatch):
+    # ConfigurationError (CLI exit 2) before any solve, where they used to
+    # end in a bare TypeError or, for a bool, solve the n_r = 1 state
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a workspace was built")
+
+    monkeypatch.setattr(S, "_Workspace", no_solve)
+    with pytest.raises(ConfigurationError):
+        _untyped_calls()[name]()
+
+
 def test_numpy_integer_counts_are_accepted(channel_s):
     state = dm.solve(channel_s, dm.pure_coulomb(0.5), np.int64(1),
                      dm.SolveConfig(n_grid=np.int32(2000)))
@@ -1795,11 +1864,16 @@ def test_deep_well_refusal_leaves_singular_origins_alone(channel_s):
 
 
 def test_explicit_r_max_pins_every_domain(channel_s):
-    cfg = dm.SolveConfig(r_max=200)
-    res = dm.solve_batch(channel_s, [dm.pure_coulomb(0.5), dm.pure_coulomb(0.9)],
-                         [0, 1, 2], cfg)
-    r_max = [st.diagnostics["r_max"] for per_fam in res for st in per_fam.values()]
-    assert max(r_max) == 200
+    # an explicit r_max below the longest domain the batch takes without one
+    # clips that domain to it, and no domain ends beyond it
+    families = [dm.pure_coulomb(0.5), dm.pure_coulomb(0.9)]
+
+    def domain_ends(config=None):
+        res = dm.solve_batch(channel_s, families, [0, 1, 2], config)
+        return [st.diagnostics["r_max"] for per_fam in res for st in per_fam.values()]
+
+    cfg = dm.SolveConfig(r_max=0.9 * max(domain_ends()))
+    assert max(domain_ends(cfg)) == cfg.r_max
 
 
 def test_no_nodeless_state_in_positive_k(coulomb_half):
