@@ -220,8 +220,11 @@ def _family_from(args, suffix: str = ""):
     name = getattr(args, "family" + suffix, None)
     if not name:
         raise ConfigurationError("a potential family is required (--family)")
-    params = {key: getattr(args, key + suffix) for key in ("alpha", "a", "b")
-              if getattr(args, key + suffix, None) is not None}
+    params = {}
+    for key in ("alpha", "a", "b"):
+        val = getattr(args, key + suffix, None)
+        if val is not None:
+            params[key] = val
     shape = getattr(args, "shape" + suffix, None)
     active = getattr(args, "active", None) if not suffix else None
     return make_family(name, params, active=active, shape=shape)
@@ -230,16 +233,25 @@ def _family_from(args, suffix: str = ""):
 def _channel_from(args) -> ChannelSpec:
     if args.d is None:
         raise ConfigurationError("the spatial dimension is required (--d)")
-    kw = {key: value for key, value in (("tau", args.tau), ("j", args.j),
-                                        ("parity", args.parity), ("m", args.mass))
-          if value is not None}
-    return ChannelSpec(d=args.d, **kw)
+    kw = dict(d=args.d)
+    if args.tau is not None:
+        kw["tau"] = args.tau
+    if args.j is not None:
+        kw["j"] = args.j
+    if args.parity is not None:
+        kw["parity"] = args.parity
+    if args.mass is not None:
+        kw["m"] = args.mass
+    return ChannelSpec(**kw)
 
 
 def _solve_config_from(args) -> SolveConfig:
-    keys = ("r_max", "n_grid", "r0", "e_tol", "step_density", "r_match")
-    return SolveConfig(**{key: getattr(args, key) for key in keys
-                          if getattr(args, key, None) is not None})
+    kw = {}
+    for key in ("r_max", "n_grid", "r0", "e_tol", "step_density", "r_match"):
+        val = getattr(args, key, None)
+        if val is not None:
+            kw[key] = val
+    return SolveConfig(**kw)
 
 
 def _nr_single(args) -> int:
@@ -294,10 +306,14 @@ def _write_text(path: str | None, text: str):
 
 def records_csv(records) -> str:
     """Sweep records as the CSV written by `diracmono sweep`."""
-    rows = [",".join([_fmt(r.a), _fmt(r.E), _fmt(r.dE_fd), _fmt(r.dE_hf),
-                      _fmt(r.hf_residual), _fmt(r.orth_residual), _fmt(r.w_residual),
-                      str(r.nodes)]) for r in records]
-    return "\n".join([CSV_HEADER, *rows]) + "\n"
+    lines = [CSV_HEADER]
+    for r in records:
+        lines.append(",".join([
+            _fmt(r.a), _fmt(r.E), _fmt(r.dE_fd), _fmt(r.dE_hf),
+            _fmt(r.hf_residual), _fmt(r.orth_residual), _fmt(r.w_residual),
+            str(r.nodes),
+        ]))
+    return "\n".join(lines) + "\n"
 
 
 def _records_json(records, family, channel, n_r) -> str:
@@ -371,8 +387,10 @@ def cmd_sweep(args) -> int:
         _write_text(args.output, text)
         print(f"sweep aborted: {exc.cause}", file=sys.stderr)
         return EXIT_ABORTED
-    _write_text(args.output, records_csv(records) if fmt == "csv"
-                else _records_json(records, family, channel, n_r))
+    if fmt == "csv":
+        _write_text(args.output, records_csv(records))
+    else:
+        _write_text(args.output, _records_json(records, family, channel, n_r))
     return EXIT_OK
 
 

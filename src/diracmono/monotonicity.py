@@ -290,9 +290,13 @@ def w_residual(state: BoundState, psi_a, family: PotentialFamily,
     m, e, k = channel.m, state.E, channel.k
     d_psi2a = apply_derivative(dtab, psi2a)
     d_psi1a = apply_derivative(dtab, psi1a)
-    kr = k / grid if k != 0.0 else 0.0   # the d = 1 grid starts at r = 0
-    term_out = -d_psi2a + kr * psi2a
-    term_in = d_psi1a + kr * psi1a
+    if k != 0.0:
+        kr = k / grid
+        term_out = -d_psi2a + kr * psi2a
+        term_in = d_psi1a + kr * psi1a
+    else:
+        term_out = -d_psi2a
+        term_in = d_psi1a
     w = (ip(psi1a, (v + m) * state.psi1) + ip(state.psi1, term_out)
          - e * ip(psi1a, state.psi1)
          + ip(psi2a, (v - m) * state.psi2) + ip(state.psi2, term_in)

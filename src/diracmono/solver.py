@@ -47,13 +47,17 @@ behind the step rules, the outer turning radii, the tail check and the
 semiclassical estimates.
 
 One rule (_Workspace.trimmed_domain) sizes every domain from the levels it
-holds: it ends _decay_room(tol) e-folds of decay beyond their farthest
-turning radius and matches at half their smallest one, inside the
-classically allowed region of each. The free tail seed is off the decaying
-solution at r_max by a relative error of at most 1, which falls by e^-2 per
-e-fold inward, so E is off by about m e^-2n after n e-folds: 1/2 ln(m/tol)
-e-folds meet the tolerance tol, and _ROOM_MARGIN more cover the slower decay
-near the turning radius. The coarse domain holds the semiclassical levels 0
+holds: it ends where each has decayed by _decay_room(tol) e-folds beyond its
+turning radius, and matches at half their smallest turning radius, inside
+the classically allowed region of each. The e-folds are int kappa dr with
+the local decay rate kappa = sqrt(max(m^2 - (E - V)^2, 0)), on the profile
+(_Workspace.decay_reach); lambda (r_max - r_to), lambda = sqrt(m^2 - E^2),
+would overstate them for a -alpha/r tail, whose kappa nears lambda only far
+out, the more so the higher the level. The free tail seed is off the
+decaying solution at r_max by a relative error of at most 1, which falls by
+e^-2 per e-fold inward, so E is off by about m e^-2n after n e-folds:
+1/2 ln(m/tol) e-folds meet the tolerance tol, and _ROOM_MARGIN more keep
+a factor e^1.6 in hand. The coarse domain holds the semiclassical levels 0
 and n_r_max of every family, at the tolerance _BAND_PAD m its centres need;
 when a requested index is still missing from its window, it is rebuilt once,
 at the ceiling. Each fine and dense group sizes its own domain from its
@@ -474,7 +478,11 @@ _COARSE_C = 0.33
 # the fine band holds its coarse centres +- _BAND_PAD m, which is the accuracy
 # the centres need (the fine search brackets by count from any centre)
 _BAND_PAD = 2e-3
-_ROOM_MARGIN = 0.8    # e-folds of decay room beyond 1/2 ln(m/tol) (_decay_room)
+# e-folds of decay room beyond 1/2 ln(m/tol) (_decay_room): with 8 more on
+# every domain, the E of criterion 1's states, of the d = 1 cutoff Coulomb
+# n_r = 1 states and of the -0.5/r and -0.9/r levels n_r 0-15 (tau = -1,
+# j = 1/2 and 3/2, each alone) move by at most 6.3e-12 at 0.8, 6.2e-11 at 0
+_ROOM_MARGIN = 0.8
 # the fine step rules are set by the accuracy of the 6th-order Magnus step, far
 # below the rotation limit: at 0.3, acceptance criterion 1's worst error is
 # 8.8e-11 and criterion 8's largest shift 2.4e-10 (0.36 gives 3.1e-10 and
@@ -692,37 +700,79 @@ class _Workspace:
         The profile runs out to the ceiling of every domain; the states are
         taken in pieces of at most _BS_ENTRIES state x radius entries."""
         fam_idx = np.asarray(fam_idx, dtype=np.intp)
-        gap = np.maximum(self.channel.m - np.asarray(energies, dtype=float), 1e-12)
+        energies = np.asarray(energies, dtype=float)
         out = np.empty(fam_idx.size)
         rows = max(1, _BS_ENTRIES // self.r.size)
         for i in range(0, fam_idx.size, rows):
-            inside = np.abs(self.v[fam_idx[i:i + rows]]) >= gap[i:i + rows, None]
-            last = inside.shape[1] - 1 - np.argmax(inside[:, ::-1], axis=1)
-            out[i:i + rows] = np.where(inside.any(axis=1), self.r[last], self.r[0])
+            out[i:i + rows] = self.r[self._turning_index(fam_idx[i:i + rows],
+                                                         energies[i:i + rows])]
         return out
+
+    def _turning_index(self, fam_idx, energies) -> np.ndarray:
+        """Profile index of turning_radius for each state."""
+        gap = np.maximum(self.channel.m - energies, 1e-12)
+        v = self.v[fam_idx]
+        inside = np.abs(v, out=v) >= gap[:, None]
+        last = inside.shape[1] - 1 - np.argmax(inside[:, ::-1], axis=1)
+        return np.where(inside.any(axis=1), last, 0)
+
+    def decay_reach(self, fam_idx, energies, efolds) -> np.ndarray:
+        """(r_end, room) of each state, shape (2, states), from its e-folds
+        of decay beyond its turning radius, int sqrt(max(m^2 - (E - V_f)^2,
+        0)) dr taken by the trapezoid rule on the profile from the radius
+        after turning_radius: r_end is the first profile radius where they
+        reach efolds (inf if none does), room their number at the ceiling.
+        Where the integrand is concave, as beyond the turning radius of a
+        -alpha/r tail, both fall short of the exact integral from the turning
+        radius. The states are taken in pieces of at most _BS_ENTRIES state x
+        radius entries."""
+        fam_idx = np.asarray(fam_idx, dtype=np.intp)
+        energies = np.asarray(energies, dtype=float)
+        out = np.empty((2, fam_idx.size))
+        rows = max(1, _BS_ENTRIES // self.r.size)
+        for i in range(0, fam_idx.size, rows):
+            out[:, i:i + rows] = self._decay_piece(fam_idx[i:i + rows],
+                                                   energies[i:i + rows], efolds)
+        return out
+
+    def _decay_piece(self, fam_idx, energies, efolds):
+        """decay_reach of one piece of states."""
+        first = self._turning_index(fam_idx, energies) + 1
+        q = self.v[fam_idx]
+        np.subtract(energies[:, None], q, out=q)
+        np.square(q, out=q)
+        np.subtract(self.channel.m ** 2, q, out=q)
+        np.maximum(q, 0.0, out=q)
+        np.sqrt(q, out=q)
+        seg = q[:, 1:] + q[:, :-1]
+        seg *= 0.5 * np.diff(self.r)     # seg[:, j]: the trapezoid on [r_j, r_j+1]
+        np.copyto(seg, 0.0, where=np.arange(seg.shape[1]) < first[:, None])
+        np.cumsum(seg, axis=1, out=seg)
+        reached = seg >= efolds
+        return (np.where(reached[:, -1], self.r[1 + np.argmax(reached, axis=1)], np.inf),
+                seg[:, -1])
 
     def trimmed_domain(self, fam_idx, energies, tol=None) -> _Domain:
         """The domain of the states (fam_idx, energies), the one rule for
         every table of the workspace, from their turning radii r_to,i on the
-        profile and decay rates lambda_i = sqrt(m^2 - E_i^2).
+        profile and their decay beyond them (decay_reach).
 
-        It ends n = _decay_room(tol) e-folds of decay beyond the farthest
-        turning radius, r_max = max_i (r_to,i + n/lambda_i), at least 30/m
-        and at most the ceiling, so that the tail seed's error has fallen
-        below tol (default e_tol) there; and it matches inside the
-        classically allowed region of every state, at r_match = 1/2 min_i
-        r_to,i clamped to [max(40 r_seed, 1e-6/m), r_max/3]. The fine and
-        dense stages take tol = e_tol, the coarse table _BAND_PAD m. Deeper
-        states of the same families decay within it, so eigenvalue indices
-        relative to the window bottom are unchanged. An explicit r_match is
-        every domain's; ConfigurationError refuses one outside (r_seed, r_max).
+        It ends where every state has decayed by n = _decay_room(tol)
+        e-folds beyond its turning radius, at least 30/m and at most the
+        ceiling, so that the tail seed's error has fallen below tol (default
+        e_tol) there; and it matches inside the classically allowed region
+        of every state, at r_match = 1/2 min_i r_to,i clamped to
+        [max(40 r_seed, 1e-6/m), r_max/3]. The fine and dense stages take
+        tol = e_tol, the coarse table _BAND_PAD m. Deeper states of the same
+        families decay within it, so eigenvalue indices relative to the
+        window bottom are unchanged. An explicit r_match is every domain's;
+        ConfigurationError refuses one outside (r_seed, r_max).
         """
         m = self.channel.m
         efolds = _decay_room(m, self.config.e_tol if tol is None else tol)
-        energies = np.asarray(energies, dtype=float)
-        lam = np.sqrt(np.maximum(m * m - energies ** 2, 1e-12))
         r_to = self.turning_radius(fam_idx, energies)
-        r_max = min(self.ceiling, max(float(np.max(r_to + efolds / lam)), 30.0 / m))
+        r_end, _ = self.decay_reach(fam_idx, energies, efolds)
+        r_max = min(self.ceiling, max(float(r_end.max()), 30.0 / m))
         r_match = self.config.r_match
         if r_match is None:
             r_match = min(max(0.5 * float(r_to.min()), 40.0 * self.r_seed, 1e-6 / m), r_max / 3)
@@ -845,11 +895,13 @@ class _Workspace:
         w_half = factor * simpson_weights(grid[::2])
         states = []
         for b in range(fam_idx.size):
-            p1, p2 = psi1[:, b], psi2[:, b]
+            p1 = psi1[:, b].copy()
+            p2 = psi2[:, b].copy()
             nrm2 = factor * float(np.dot(scheme.weights, p1 * p1 + p2 * p2))
             if not nrm2 > 0:
                 raise NumericalError("degenerate wavefunction normalization")
-            p1, p2 = p1 / math.sqrt(nrm2), p2 / math.sqrt(nrm2)
+            p1 /= math.sqrt(nrm2)
+            p2 /= math.sqrt(nrm2)
             peak = np.max(np.abs(p1))
             sig = np.nonzero(np.abs(p1) > 1e-3 * peak)[0]
             if p1[sig[0]] < 0:
@@ -937,6 +989,20 @@ def _no_such_state(ws: _Workspace, ends, n_top, reason: str, ties=None):
     return NoSuchStateError(f"{reason} (found (E, nodes) pairs: {found})", found=found)
 
 
+def _refuse_short_room(ws: _Workspace, ends, n_top, fam_is, energies, n_r_values, ties):
+    """Without an explicit r_max, raise NoSuchStateError if a state at one of
+    the energies has less decay room even at the cap than its fine domain
+    takes (_decay_room at e_tol): the wall there would shift its E."""
+    if ws.config.r_max is not None:
+        return
+    need = _decay_room(ws.channel.m, ws.config.e_tol)
+    _, room = ws.decay_reach(fam_is, energies, need)
+    if np.any(room < need):
+        raise _no_such_state(ws, ends, n_top, f"a requested state ({n_r_values}) has "
+                             f"{room.min():.3g} < {need:.3g} e-folds of decay room "
+                             f"within the cap r_max = {ws.ceiling:g}", ties)
+
+
 def solve_batch(channel: ChannelSpec, families, n_r_values, config: SolveConfig | None = None,
                 dense_flags=None, *, _ties=None):
     """Solve the requested node-count states for every family of the batch.
@@ -989,28 +1055,21 @@ def solve_batch(channel: ChannelSpec, families, n_r_values, config: SolveConfig 
         ws.set_coarse(dataclasses.replace(ws.domain, r_max=ws.ceiling))
         ends = ws.window_ends()
         n_top = prop.count_below(ends[1][:, 1], ends[1][:, 0])
-    if np.any(n_top <= n_r_values[-1]):
-        # where V still binds at the ceiling, its wall can lift a level out
-        at_wall = ws.domain.r_max == ws.ceiling and ws.tail_binds(ws.ceiling)
-        raise _no_such_state(ws, ends, n_top, f"no state with requested node count(s) "
-                             f"{n_r_values} within r_max = {ws.domain.r_max:g}" + (
-                                 " (V binds there: it may lack decay room)" if at_wall
-                                 else ""), _ties)
     fam_is = [f for f in range(len(families)) for _ in n_r_values]
     labels = [n for _ in families for n in n_r_values]
+    if np.any(n_top <= n_r_values[-1]):
+        # the wall at the cap lifts a level without decay room there out of
+        # the window: one the semiclassical count puts below the window top,
+        # or at the top (where it misses the level) while V binds at the cap
+        levels = ws.predicted_levels(fam_is, labels)
+        held = np.flatnonzero((levels < ws.window()[1]) | ws.tail_binds(ws.ceiling))
+        _refuse_short_room(ws, ends, n_top, np.take(fam_is, held), levels[held],
+                           n_r_values, _ties)
+        raise _no_such_state(ws, ends, n_top, f"no state with requested node count(s) "
+                             f"{n_r_values} within r_max = {ws.domain.r_max:g}", _ties)
     centers = ws.coarse_eigenvalues(ends, fam_is, labels, tol=3e-7 * channel.m)
-    # without an explicit r_max, a state with less decay room than its fine
-    # domain takes even at the cap is out of reach: the wall would shift its E
+    _refuse_short_room(ws, ends, n_top, fam_is, centers, n_r_values, _ties)
     m = channel.m
-    if config.r_max is None:
-        room = np.sqrt(np.maximum(m * m - centers**2, 0.0)) * (
-            ws.ceiling - ws.turning_radius(fam_is, centers))
-        need = _decay_room(m, config.e_tol)
-        if np.any(room < need):
-            raise _no_such_state(ws, ends, n_top, f"a requested state ({n_r_values}) has "
-                                 f"{room.min():.3g} < {need:.3g} e-folds of "
-                                 f"decay room within the cap r_max = {ws.ceiling:g}",
-                                 _ties)
 
     groups: list[list[int]] = []
     if _ties is not None:

@@ -339,7 +339,8 @@ def test_turning_radii_hold_a_bounded_working_set():
     # criterion 2's batch reads, are taken in pieces of _BS_ENTRIES state x
     # radius entries: the temporaries stay within 3 pieces of float64 (an
     # array of |V| over all 200 states at once is 29), and each radius is the
-    # last profile radius where the state's |V| reaches m - E
+    # last profile radius where the state's |V| reaches m - E; their decay
+    # counts (decay_reach) stay within 4 pieces
     ws = S._Workspace(dm.ChannelSpec(d=3, tau=-1, j=0.5),
                       [dm.pure_coulomb(a) for a in np.linspace(0.3, 0.9, 16)],
                       S.DEFAULT_CONFIG)
@@ -354,6 +355,13 @@ def test_turning_radii_hold_a_bounded_working_set():
     for f, energy, got in zip(fam_idx, energies, r_to):
         inside = np.flatnonzero(np.abs(ws.v[f]) >= 1.0 - energy)
         assert got == ws.r[inside[-1]]
+    tracemalloc.start()
+    try:
+        ws.decay_reach(fam_idx, energies, 12.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * S._BS_ENTRIES * 8, peak / (S._BS_ENTRIES * 8)
 
 
 def _integral_of_inverse(a, b, x_t, h_t):
@@ -803,7 +811,7 @@ def test_each_scan_holds_whole_legs_of_bounded_pieces(monkeypatch):
     # of the batch's columns of at most max(_SCAN_ELEMENTS, the steps of one
     # column) step x element entries, and the pieces cover the batch: match
     # evaluations of 16 families x 200 and x 20 energies on the coarse table
-    # (297 steps, so 220 columns a piece: 15 and 2 pieces) and of the wide
+    # (327 steps, so 200 columns a piece: 16 and 2 pieces) and of the wide
     # table's batch (4 pieces), in phase and in record mode
     ws, table, idx, e = _wide_table()
     scans = []
@@ -828,8 +836,8 @@ def test_each_scan_holds_whole_legs_of_bounded_pieces(monkeypatch):
                        for shape, n in scans)
             assert sum(shape[2] for shape, _ in scans) == energies.size
             pieces.append(len(scans))
-    assert ws.coarse.n_steps == 297
-    assert pieces == [15, 15, 2, 2, 4, 4]
+    assert ws.coarse.n_steps == 327
+    assert pieces == [16, 16, 2, 2, 4, 4]
 
 
 def test_criterion_1_propagates_both_legs_in_one_call(monkeypatch):
@@ -1586,13 +1594,21 @@ def test_near_threshold_levels_on_the_whole_window(channel_s):
         assert_close(e, exact, 1e-6, f"found n_r={n_r}")
 
 
+def _coulomb_decay_efolds(alpha, e, r_end):
+    """The e-folds of decay of a level E of -alpha/r (m = 1) from its turning
+    radius alpha/(m - E) out to r_end, int sqrt(max(m^2 - (E + alpha/r)^2, 0))
+    dr, by the trapezoid rule on 200001 points: the integrand is concave
+    there, so this falls short of the integral."""
+    r = np.linspace(alpha / (1.0 - e), r_end, 200001)
+    kappa = np.sqrt(np.maximum(1.0 - (e + alpha / r) ** 2, 0.0))
+    return float(np.sum(kappa[1:] + kappa[:-1]) * (r[1] - r[0]) / 2)
+
+
 def test_one_coarse_domain_and_own_fine_headroom(monkeypatch):
     # each of acceptance criterion 1's two batches builds one workspace; every
     # state gets the rule's decay room at e_tol (_decay_room) beyond its
-    # turning radius on the domain of its own fine stage, and no state,
-    # however shallow, is sized by a deeper family onto the cap. The rule
-    # reads the turning radius alpha/(m - E) of -alpha/r on the profile, at
-    # most one profile radius (a factor 1.03) further in
+    # turning radius alpha/(m - E) on the domain of its own fine stage, and no
+    # state, however shallow, is sized by a deeper family onto the cap
     builds = []
     init = S._Workspace.__init__
 
@@ -1609,10 +1625,8 @@ def test_one_coarse_domain_and_own_fine_headroom(monkeypatch):
         assert len(builds) == 1
         for alpha, per_fam in zip(alphas, res):
             for n_r, st in per_fam.items():
-                lam = math.sqrt(1.0 - st.E ** 2)
-                r_to = alpha / (1.0 - st.E)
                 label = f"j={j} alpha={alpha} n_r={n_r}"
-                room = lam * (st.diagnostics["r_max"] - r_to / 1.03)
+                room = _coulomb_decay_efolds(alpha, st.E, st.diagnostics["r_max"])
                 assert room >= S._decay_room(1.0, S.DEFAULT_CONFIG.e_tol), label
                 assert st.diagnostics["r_max"] < S._R_MAX_CAP, label
 
@@ -1670,7 +1684,7 @@ def test_weak_coupling_levels_solve_or_are_refused_as_too_shallow(alpha, tau, n_
     # the rule's room at e_tol beyond alpha/(m - E) there are), and no
     # evaluation raises a floating-point warning
     e = coulomb_energy(CoulombLevel(n=n_r + 1 + (tau > 0), j=0.5, alpha=alpha))
-    room = math.sqrt(1.0 - e * e) * (S._R_MAX_CAP - alpha / (1.0 - e))
+    room = _coulomb_decay_efolds(alpha, e, S._R_MAX_CAP)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
@@ -1684,28 +1698,45 @@ def test_weak_coupling_levels_solve_or_are_refused_as_too_shallow(alpha, tau, n_
 
 
 def _rule_set_energies():
-    """E of acceptance criterion 1's 18 states, then of the d = 1 even
-    cutoff Coulomb states n_r = 1 at a in {0.6, 1.0, 1.4}, each family alone."""
+    """E of acceptance criterion 1's 18 states; of the d = 1 even cutoff
+    Coulomb states n_r = 1 at a in {0.6, 1.0, 1.4}, each family alone; of
+    the shallow levels n_r 0-15 of -0.5/r and -0.9/r, in one batch; and of
+    the weak-coupling levels alpha 0.02, n_r 1 and 2, and alpha 0.03, n_r 2
+    and 3, each alone, which have 20-36 e-folds of decay room at the cap
+    (tau = -1, j = 1/2 for the Coulomb levels)."""
+    channel = dm.ChannelSpec(d=3, tau=-1, j=0.5)
     energies = [st.E for res in _criterion_1_batches() for per_fam in res
                 for st in per_fam.values()]
-    return np.array(energies + [dm.solve(dm.ChannelSpec(d=1, parity="even"),
-                                         dm.cutoff_coulomb(1.0, a), 1).E
-                                for a in (0.6, 1.0, 1.4)])
+    energies += [dm.solve(dm.ChannelSpec(d=1, parity="even"), dm.cutoff_coulomb(1.0, a), 1).E
+                 for a in (0.6, 1.0, 1.4)]
+    shallow = dm.solve_batch(channel, [dm.pure_coulomb(0.5), dm.pure_coulomb(0.9)],
+                             range(16), dense_flags=[False, False])
+    energies += [res.E for per_fam in shallow for res in per_fam.values()]
+    energies += [dm.solve_batch(channel, [dm.pure_coulomb(alpha)], [n_r],
+                                dense_flags=[False])[0][n_r].E
+                 for alpha, n_r in ((0.02, 1), (0.02, 2), (0.03, 2), (0.03, 3))]
+    return np.array(energies)
 
 
 def test_decay_room_rule_meets_e_tol(monkeypatch):
-    # every domain ends _decay_room(tol) e-folds beyond its turning radii:
-    # 8 more e-folds on every domain move no E of these states by e_tol
+    # every domain ends _decay_room(tol) e-folds of decay beyond its turning
+    # radii: 8 more on every domain (a tolerance e^-16 smaller; the cap
+    # clips the weak-coupling ones) move no E of these states by e_tol
     at_rule = _rule_set_energies()
-    rule = S._decay_room
-    monkeypatch.setattr(S, "_decay_room", lambda m, tol: rule(m, tol) + 8.0)
+    trimmed = S._Workspace.trimmed_domain
+
+    def roomier(self, fam_idx, energies, tol=None):
+        tol = self.config.e_tol if tol is None else tol
+        return trimmed(self, fam_idx, energies, tol * math.exp(-16.0))
+
+    monkeypatch.setattr(S._Workspace, "trimmed_domain", roomier)
     assert np.max(np.abs(_rule_set_energies() - at_rule)) <= S.DEFAULT_CONFIG.e_tol
 
 
 def test_weak_coupling_reach():
     # pure Coulomb levels near threshold, d = 3, tau = -1, each solved alone:
     # every one solves to the closed form with n_r nodes or is refused for
-    # lack of decay room within the cap, and at least 57 of the 90 solve
+    # lack of decay room within the cap, and at least 48 of the 90 solve
     # (29 did with a fixed 38 e-folds of refusal room)
     solved = 0
     for alpha, n_r, j in itertools.product((0.01, 0.015, 0.02, 0.03, 0.05, 0.08),
@@ -1722,7 +1753,7 @@ def test_weak_coupling_reach():
         assert_close(st.E, e, 1e-9, label)
         assert st.nodes == n_r, label
         solved += 1
-    assert solved >= 57
+    assert solved >= 48
 
 
 def test_state_too_shallow_for_the_cap_is_refused():
