@@ -694,41 +694,21 @@ class _Workspace:
         return out
 
     # -- fine + dense stages --------------------------------------------------
-    def turning_radius(self, fam_idx, energies) -> np.ndarray:
-        """Outer turning radius of each state: the last profile radius where
-        its own family's |V| reaches m - E, else the profile's first radius.
-        The profile runs out to the ceiling of every domain; the states are
-        taken in pieces of at most _BS_ENTRIES state x radius entries."""
-        fam_idx = np.asarray(fam_idx, dtype=np.intp)
-        energies = np.asarray(energies, dtype=float)
-        out = np.empty(fam_idx.size)
-        rows = max(1, _BS_ENTRIES // self.r.size)
-        for i in range(0, fam_idx.size, rows):
-            out[i:i + rows] = self.r[self._turning_index(fam_idx[i:i + rows],
-                                                         energies[i:i + rows])]
-        return out
-
-    def _turning_index(self, fam_idx, energies) -> np.ndarray:
-        """Profile index of turning_radius for each state."""
-        gap = np.maximum(self.channel.m - energies, 1e-12)
-        v = self.v[fam_idx]
-        inside = np.abs(v, out=v) >= gap[:, None]
-        last = inside.shape[1] - 1 - np.argmax(inside[:, ::-1], axis=1)
-        return np.where(inside.any(axis=1), last, 0)
-
     def decay_reach(self, fam_idx, energies, efolds) -> np.ndarray:
-        """(r_end, room) of each state, shape (2, states), from its e-folds
-        of decay beyond its turning radius, int sqrt(max(m^2 - (E - V_f)^2,
-        0)) dr taken by the trapezoid rule on the profile from the radius
-        after turning_radius: r_end is the first profile radius where they
-        reach efolds (inf if none does), room their number at the ceiling.
-        Where the integrand is concave, as beyond the turning radius of a
-        -alpha/r tail, both fall short of the exact integral from the turning
-        radius. The states are taken in pieces of at most _BS_ENTRIES state x
-        radius entries."""
+        """(r_to, r_end, room) of each state, shape (3, states). r_to is its
+        outer turning radius: the last profile radius where its own family's
+        |V| reaches m - E, else the profile's first radius. Its e-folds of
+        decay beyond it, int sqrt(max(m^2 - (E - V_f)^2, 0)) dr, are taken by
+        the trapezoid rule on the profile from the next radius out: r_end is
+        the first profile radius where they reach efolds (inf if none does),
+        room their number at the ceiling. Where the integrand is concave, as
+        beyond the turning radius of a -alpha/r tail, both fall short of the
+        exact integral from r_to. The profile runs out to the ceiling of
+        every domain; the states are taken in pieces of at most _BS_ENTRIES
+        state x radius entries."""
         fam_idx = np.asarray(fam_idx, dtype=np.intp)
         energies = np.asarray(energies, dtype=float)
-        out = np.empty((2, fam_idx.size))
+        out = np.empty((3, fam_idx.size))
         rows = max(1, _BS_ENTRIES // self.r.size)
         for i in range(0, fam_idx.size, rows):
             out[:, i:i + rows] = self._decay_piece(fam_idx[i:i + rows],
@@ -737,19 +717,24 @@ class _Workspace:
 
     def _decay_piece(self, fam_idx, energies, efolds):
         """decay_reach of one piece of states."""
-        first = self._turning_index(fam_idx, energies) + 1
         q = self.v[fam_idx]
+        inside = np.abs(q) >= np.maximum(self.channel.m - energies, 1e-12)[:, None]
+        last = inside.shape[1] - 1 - np.argmax(inside[:, ::-1], axis=1)
+        last = np.where(inside.any(axis=1), last, 0)
         np.subtract(energies[:, None], q, out=q)
         np.square(q, out=q)
         np.subtract(self.channel.m ** 2, q, out=q)
         np.maximum(q, 0.0, out=q)
         np.sqrt(q, out=q)
-        seg = q[:, 1:] + q[:, :-1]
+        seg = q[:, :-1].copy()
+        seg += q[:, 1:]
+        del q
         seg *= 0.5 * np.diff(self.r)     # seg[:, j]: the trapezoid on [r_j, r_j+1]
-        np.copyto(seg, 0.0, where=np.arange(seg.shape[1]) < first[:, None])
+        seg[np.arange(seg.shape[1]) <= last[:, None]] = 0.0
         np.cumsum(seg, axis=1, out=seg)
         reached = seg >= efolds
-        return (np.where(reached[:, -1], self.r[1 + np.argmax(reached, axis=1)], np.inf),
+        return (self.r[last],
+                np.where(reached[:, -1], self.r[1 + np.argmax(reached, axis=1)], np.inf),
                 seg[:, -1])
 
     def trimmed_domain(self, fam_idx, energies, tol=None) -> _Domain:
@@ -770,8 +755,7 @@ class _Workspace:
         """
         m = self.channel.m
         efolds = _decay_room(m, self.config.e_tol if tol is None else tol)
-        r_to = self.turning_radius(fam_idx, energies)
-        r_end, _ = self.decay_reach(fam_idx, energies, efolds)
+        r_to, r_end, _ = self.decay_reach(fam_idx, energies, efolds)
         r_max = min(self.ceiling, max(float(r_end.max()), 30.0 / m))
         r_match = self.config.r_match
         if r_match is None:
@@ -996,7 +980,7 @@ def _refuse_short_room(ws: _Workspace, ends, n_top, fam_is, energies, n_r_values
     if ws.config.r_max is not None:
         return
     need = _decay_room(ws.channel.m, ws.config.e_tol)
-    _, room = ws.decay_reach(fam_is, energies, need)
+    _, _, room = ws.decay_reach(fam_is, energies, need)
     if np.any(room < need):
         raise _no_such_state(ws, ends, n_top, f"a requested state ({n_r_values}) has "
                              f"{room.min():.3g} < {need:.3g} e-folds of decay room "

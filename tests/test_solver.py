@@ -335,19 +335,19 @@ def test_step_matrices_hold_a_bounded_working_set():
 
 
 def test_turning_radii_hold_a_bounded_working_set():
-    # the turning radii of 200 states, as many as the coarse domain of
-    # criterion 2's batch reads, are taken in pieces of _BS_ENTRIES state x
-    # radius entries: the temporaries stay within 3 pieces of float64 (an
-    # array of |V| over all 200 states at once is 29), and each radius is the
-    # last profile radius where the state's |V| reaches m - E; their decay
-    # counts (decay_reach) stay within 4 pieces
+    # the turning radii and decay counts (decay_reach) of 200 states, as many
+    # as the coarse domain of criterion 2's batch reads, are taken in pieces
+    # of _BS_ENTRIES state x radius entries: the temporaries stay within 3
+    # pieces of float64 (an array of |V| over all 200 states at once is 29),
+    # and each radius is the last profile radius where the state's |V|
+    # reaches m - E
     ws = S._Workspace(dm.ChannelSpec(d=3, tau=-1, j=0.5),
                       [dm.pure_coulomb(a) for a in np.linspace(0.3, 0.9, 16)],
                       S.DEFAULT_CONFIG)
     fam_idx, energies = np.arange(200) % 16, np.linspace(0.5, 0.99, 200)
     tracemalloc.start()
     try:
-        r_to = ws.turning_radius(fam_idx, energies)
+        r_to, _, _ = ws.decay_reach(fam_idx, energies, 12.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -355,13 +355,6 @@ def test_turning_radii_hold_a_bounded_working_set():
     for f, energy, got in zip(fam_idx, energies, r_to):
         inside = np.flatnonzero(np.abs(ws.v[f]) >= 1.0 - energy)
         assert got == ws.r[inside[-1]]
-    tracemalloc.start()
-    try:
-        ws.decay_reach(fam_idx, energies, 12.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4 * S._BS_ENTRIES * 8, peak / (S._BS_ENTRIES * 8)
 
 
 def _integral_of_inverse(a, b, x_t, h_t):
